@@ -9,9 +9,12 @@ The running cost at a spatial step sums three groups over the platoon:
 
 Step costs are summed over the horizon without a ds factor, so the effective
 weighting depends on the step length; shipped presets assume ds = 0.1 m.
-The ecology term is signed: braking or descending can contribute negative
-power. The fuel meter in :mod:`ecoplatoon.fuel` intentionally differs (it
-clamps at idle, as a consumption model must).
+The ecology term prices traction power through a smooth hinge
+max(P, power_floor) when ``CostWeights.power_floor`` is set, as in both
+shipped presets (floor 0: braking and descending earn nothing); with no
+floor it is signed, and braking or descending contribute negative power.
+The fuel meter in :mod:`ecoplatoon.fuel` is a separate model (it clamps at
+idle, as a consumption model must).
 
 The terminal cost anchors mobility: q3 * (t_K - target_i)^2 per vehicle,
 where target_i defaults to the route time at the target speed measured from
@@ -25,6 +28,7 @@ pi_i, so the mixed control-state block is nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +67,15 @@ class CostWeights:
 
     def __post_init__(self):
         for name in ("q1", "q2", "q3", "r1", "qv"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"cost weight {name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"cost weight {name} must be finite and non-negative, got {value}"
+                )
+        if self.power_floor is not None and not math.isfinite(self.power_floor):
+            raise ConfigError(f"power_floor must be finite, got {self.power_floor}")
+        if not math.isfinite(self.power_smoothing):
+            raise ConfigError(f"power_smoothing must be finite, got {self.power_smoothing}")
         if self.power_floor is not None and self.power_smoothing <= 0:
             raise ConfigError("power_smoothing must be positive")
 

@@ -1,10 +1,11 @@
 """Fuel metering via a log-polynomial speed/acceleration regression.
 
 The meter is intentionally separate from the planner's ecology cost: the
-planner optimizes a signed traction-power proxy, while this module measures
-what a conventional powertrain would actually burn. Rates are driven by the
-equivalent traction acceleration (traction force over mass), never credited
-for braking, and floored at the idle rate.
+planner optimizes a traction-power proxy (hinged at a power floor of 0 in
+both shipped presets, signed when no floor is set), while this module
+measures what a conventional powertrain would actually burn. Rates are
+driven by the equivalent traction acceleration (traction force over mass),
+never credited for braking, and floored at the idle rate.
 
 Coefficients live in a JSON data file (see ``data/vt_micro_ldv.json``) with
 speed in km/h and acceleration in km/h/s; inputs here are SI and converted

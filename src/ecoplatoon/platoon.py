@@ -182,18 +182,35 @@ def step_dynamics(t, pi, a, ds):
 
 
 def rollout(t0, pi0, accels, ds) -> PlatoonState:
-    """Roll per-vehicle dynamics over a whole control sequence (N, K)."""
+    """Roll per-vehicle dynamics over a whole control sequence (N, K).
+
+    Same arithmetic as repeated :func:`step_dynamics`, so the states match it
+    bit for bit, and the same IntegrationError when a slowness leaves the
+    positive domain; the domain is checked once, after the loop, and arrival
+    times are one running sum of pi * ds.
+    """
     accels = np.asarray(accels, dtype=float)
     n, k_steps = accels.shape
-    times = np.empty((n, k_steps + 1))
-    slows = np.empty((n, k_steps + 1))
-    times[:, 0] = t0
-    slows[:, 0] = pi0
-    for k in range(k_steps):
-        times[:, k + 1], slows[:, k + 1] = step_dynamics(
-            times[:, k], slows[:, k], accels[:, k], ds
+    slows = np.empty((k_steps + 1, n))
+    slows[0] = pi0
+    if np.any(slows[0] <= 0):
+        raise IntegrationError("slowness must be positive before stepping")
+    # a blow-up overflows the cubic term; the domain check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pi, pi_next, a in zip(slows, slows[1:], accels.T):
+            pi_next[:] = pi - a * pi**3 * ds
+    if not np.all(np.isfinite(slows)) or np.any(slows <= 0):
+        raise IntegrationError(
+            "dynamics step drove slowness out of the positive domain; "
+            "reduce ds or the commanded acceleration"
         )
-    return PlatoonState(arrival_times=times, slownesses=slows)
+    times = np.empty((k_steps + 1, n))
+    times[0] = t0
+    times[1:] = slows[:-1] * ds
+    np.cumsum(times, axis=0, out=times)
+    return PlatoonState(
+        arrival_times=np.ascontiguousarray(times.T), slownesses=np.ascontiguousarray(slows.T)
+    )
 
 
 def dynamics_jacobians(t, pi, a, ds):

@@ -10,10 +10,15 @@ One solve alternates two phases until tolerances or iteration caps are hit:
 * outer phase: slack, multiplier, and penalty updates for the inequality
   constraints, after which the inner phase resumes on the reshaped cost.
 
-The backward pass keeps the second-order dynamics terms (the value-gradient
-contractions against the step Jacobian derivatives); ``use_second_order``
-switches them off for a Gauss-Newton (iLQR-style) pass. The control Hessian
-is made positive definite with a Levenberg shift that grows on failure.
+The backward pass stacks each step's quadratic model into one block over
+[dx; 1; du], with the gradients in the row and column of the constant
+coordinate, so a step costs one product with the dynamics Jacobian, one
+Cholesky test and one solve on [Q_ux | q_u]. It keeps the second-order
+dynamics terms (the value-gradient contractions against the step Jacobian
+derivatives); ``use_second_order`` switches them off for a Gauss-Newton
+(iLQR-style) pass. The control Hessian is made positive definite with a
+Levenberg shift that grows on failure. The forward rollout runs in the
+row-major interleaved state and checks the slowness domain once at the end.
 
 A solve is single-threaded and deterministic; independent solves may run
 concurrently since all mutable state is owned per call.
@@ -21,6 +26,7 @@ concurrently since all mutable state is owned per call.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -28,8 +34,8 @@ import numpy as np
 
 from . import constraints as cons
 from . import costs
-from .errors import BackwardPassError, ConfigError
-from .platoon import ControlTrajectory, PlatoonConfig, PlatoonState
+from .errors import BackwardPassError, ConfigError, IntegrationError
+from .platoon import ControlTrajectory, PlatoonConfig, PlatoonState, rollout
 from .terrain import SlopeProfile, grade_at
 
 
@@ -54,19 +60,10 @@ class SolverOptions:
 
 @dataclass
 class ValueModel:
-    """Quadratic cost-to-go model at one step: 0.5 dx'A dx + b'dx + c."""
+    """Quadratic cost-to-go model at one step, up to its constant: 0.5 dx'A dx + b'dx."""
 
     hessian: np.ndarray
     gradient: np.ndarray
-    constant: float
-
-
-@dataclass
-class FeedbackLaw:
-    """Affine control update du = gain @ dx + feedforward."""
-
-    gain: np.ndarray  # (N, 2N)
-    feedforward: np.ndarray  # (N,)
 
 
 @dataclass
@@ -113,9 +110,6 @@ class BackwardPassResult:
     def expected_decrease(self, alpha: float) -> float:
         return -(alpha * self.d1 + 0.5 * alpha**2 * self.d2)
 
-    def law(self, k: int) -> FeedbackLaw:
-        return FeedbackLaw(gain=self.gains[k], feedforward=self.feedforward[k])
-
 
 def _dynamics_coeffs(pi_traj: np.ndarray, accels: np.ndarray, ds: float):
     """Per-(step, vehicle) dynamics derivatives along a trajectory.
@@ -146,6 +140,14 @@ def backward_pass(
 ) -> BackwardPassResult:
     """Build feedback laws for every step, sweeping the value model backward.
 
+    Each step works on one stacked block over z = [dx; 1; du]: the stage
+    model L_k (Hessian blocks, gradients in the homogeneous row and column,
+    Levenberg shift on the control diagonal) plus F_k' V F_k, where
+    F_k = [f_x, 0, f_u; 0, 1, 0] and V = [A, b; b', .] is the next step's
+    value model. The control rows of that block are [Q_ux | q_u | Q_uu], so
+    one solve gives gains and feedforward together, and the upper-left
+    block minus Q_ux' Q_uu^-1 [Q_ux | q_u] is the new value model.
+
     Raises BackwardPassError when the shifted control Hessian fails its
     Cholesky factorization; the caller retries with a larger shift.
     """
@@ -154,62 +156,68 @@ def backward_pass(
     accels = controls.accels
     n = config.n_vehicles
     dim = 2 * n
+    one = dim  # index of the homogeneous coordinate
+    u0 = dim + 1  # first control index
+    size = 3 * n + 1
     k_steps = accels.shape[1]
     ds = config.ds
+    ai = np.arange(n)
+    ti = 2 * ai
+    pj = ti + 1
+    ui = u0 + ai
+
+    # Stage blocks go in first and are freed before the AL blocks are built.
+    stage_model = np.zeros((k_steps, size, size))
+
+    def add_blocks(lx, lu, lxx, luu, lux):
+        stage_model[:, :dim, :dim] += lxx
+        stage_model[:, :dim, one] += lx
+        stage_model[:, one, :dim] += lx
+        stage_model[:, u0:, :dim] += lux
+        stage_model[:, u0:, one] += lu
+        stage_model[:, u0:, u0:] += luu
 
     stage = costs.stage_derivatives_batch(
         t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights
     )
-    al_lx, al_lu, al_lxx, al_luu, al_lux = cons.al_derivative_batch(
-        cset, al, pi_traj[:, :-1], accels, active_set=True
-    )
-    lx = stage["lx"] + al_lx
-    lu = stage["lu"] + al_lu
-    lxx = stage["lxx"] + al_lxx
-    luu = stage["luu"] + al_luu
-    lux = stage["lux"] + al_lux
+    add_blocks(stage["lx"], stage["lu"], stage["lxx"], stage["luu"], stage["lux"])
+    del stage
+    add_blocks(*cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels, active_set=True))
+    stage_model[:, ui, ui] += regularization
 
     g, fu_c, cxx, cux = _dynamics_coeffs(pi_traj, accels, ds)
-    ti = np.arange(n) * 2
-    pj = ti + 1
-    ai = np.arange(n)
-
-    f_x = np.zeros((k_steps, dim, dim))
-    f_x[:, ti, ti] = 1.0
-    f_x[:, ti, pj] = ds
-    f_x[:, pj, pj] = g
-    f_u = np.zeros((k_steps, dim, n))
-    f_u[:, pj, ai] = fu_c
+    jac = np.zeros((k_steps, dim + 1, size))
+    jac[:, ti, ti] = 1.0
+    jac[:, ti, pj] = ds
+    jac[:, pj, pj] = g
+    jac[:, pj, ui] = fu_c
+    jac[:, one, one] = 1.0
+    # Value-gradient contractions with the dynamics curvature: the only
+    # nonzero second derivatives sit on the slowness updates, entering
+    # Q_xx at (pi, pi) and Q_ux at (a, pi), both scaled by b at pi.
+    curv = np.stack([cxx, cux], axis=1)  # (K, 2, N)
+    curv_at = np.stack([pj * size + pj, ui * size + pj])
+    grad_at = pj * (dim + 1) + one  # b at the slownesses, in the value model
 
     lf_x, lf_xx = costs.terminal_derivatives(
         t_traj[:, -1], config, weights, targets, pi_final=pi_traj[:, -1]
     )
-    a_val = lf_xx.copy()
-    b_val = lf_x.copy()
-    c_val = 0.0
+    value = np.zeros((dim + 1, dim + 1))
+    value[:dim, :dim] = lf_xx
+    value[:dim, one] = lf_x
+    value[one, :dim] = lf_x
 
-    gains = np.empty((k_steps, n, dim))
-    ff = np.empty((k_steps, n))
-    d1 = 0.0
-    d2 = 0.0
-    eye_n = np.eye(n)
+    steps = np.empty((k_steps, n, dim + 1))  # Q_uu^-1 [Q_ux | q_u]
+    control_rows = np.empty((k_steps, n, n + 1))  # [q_u | Q_uu]
 
+    # ndarray.dot rather than @: on blocks this small it costs about half as
+    # much, and the per-step call overhead is what bounds the sweep.
     for k in range(k_steps - 1, -1, -1):
-        fx = f_x[k]
-        fu = f_u[k]
-        a_fx = a_val @ fx
-        q_x = lx[k] + fx.T @ b_val
-        q_u = lu[k] + fu.T @ b_val
-        q_xx = lxx[k] + fx.T @ a_fx
-        q_uu = luu[k] + fu.T @ (a_val @ fu)
-        q_ux = lux[k] + fu.T @ a_fx
+        fk = jac[k]
+        q = stage_model[k] + fk.T.dot(value.dot(fk))
         if use_second_order:
-            # Value-gradient contractions with the dynamics curvature; the
-            # only nonzero second derivatives sit on the slowness updates.
-            q_xx[pj, pj] += b_val[pj] * cxx[k]
-            q_ux[ai, pj] += b_val[pj] * cux[k]
-
-        q_uu = 0.5 * (q_uu + q_uu.T) + regularization * eye_n
+            q.flat[curv_at] += value.take(grad_at) * curv[k]
+        q_uu = q[u0:, u0:]
         try:
             np.linalg.cholesky(q_uu)
         except np.linalg.LinAlgError:
@@ -217,26 +225,21 @@ def backward_pass(
                 f"control Hessian not positive definite at step {k} "
                 f"with shift {regularization:g}"
             )
-        h_k = -np.linalg.solve(q_uu, q_ux)
-        j_k = -np.linalg.solve(q_uu, q_u)
-        gains[k] = h_k
-        ff[k] = j_k
+        rhs = q[u0:, :u0]
+        step = np.linalg.solve(q_uu, rhs)
+        steps[k] = step
+        control_rows[k] = q[u0:, one:]
+        value = q[:u0, :u0] - rhs.T.dot(step)
 
-        d1 += float(j_k @ q_u)
-        d2 += float(j_k @ q_uu @ j_k)
-
-        hq = h_k.T @ q_uu
-        a_val = q_xx + hq @ h_k + q_ux.T @ h_k + h_k.T @ q_ux
-        a_val = 0.5 * (a_val + a_val.T)
-        b_val = q_x + hq @ j_k + q_ux.T @ j_k + h_k.T @ q_u
-        c_val += 0.5 * float(j_k @ q_uu @ j_k) + float(j_k @ q_u)
-
+    feedforward = -steps[:, :, one]
+    q_u = control_rows[:, :, 0]
+    q_uu = control_rows[:, :, 1:]
     return BackwardPassResult(
-        gains=gains,
-        feedforward=ff,
-        d1=d1,
-        d2=d2,
-        value0=ValueModel(hessian=a_val, gradient=b_val, constant=c_val),
+        gains=-steps[:, :, :dim],
+        feedforward=feedforward,
+        d1=float(np.einsum("ki,ki->", feedforward, q_u)),
+        d2=float(np.einsum("ki,kij,kj->", feedforward, q_uu, feedforward)),
+        value0=ValueModel(hessian=value[:dim, :dim], gradient=value[:dim, one]),
     )
 
 
@@ -252,31 +255,35 @@ def forward_pass(
     Returns (new_times, new_slownesses, new_accels) or None when the rollout
     leaves the positive-slowness domain (the caller shrinks alpha).
     """
-    t_ref = states.arrival_times
-    pi_ref = states.slownesses
     a_ref = controls.accels
     n, k_steps = a_ref.shape
-    t_new = np.empty_like(t_ref)
-    pi_new = np.empty_like(pi_ref)
-    a_new = np.empty_like(a_ref)
-    t_new[:, 0] = t_ref[:, 0]
-    pi_new[:, 0] = pi_ref[:, 0]
-    dx = np.empty(2 * n)
+    # Row-major rollout in the flat interleaved state [t1, pi1, ..., tN, piN].
+    x_ref = np.empty((k_steps + 1, 2 * n))
+    x_ref[:, 0::2] = states.arrival_times.T
+    x_ref[:, 1::2] = states.slownesses.T
+    x_new = np.empty_like(x_ref)
+    x_new[0] = x_ref[0]
+    u_new = a_ref.T.copy()
+    feedforward = step_length * bp.feedforward
     # overly aggressive trial steps can overflow the cubic term; those
     # rollouts are rejected by the finiteness check, so silence the warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_steps):
-            dx[0::2] = t_new[:, k] - t_ref[:, k]
-            dx[1::2] = pi_new[:, k] - pi_ref[:, k]
-            u = a_ref[:, k] + bp.gains[k] @ dx + step_length * bp.feedforward[k]
-            pi_k = pi_new[:, k]
-            pi_next = pi_k - u * pi_k**3 * ds
-            if not np.all(np.isfinite(pi_next)) or np.any(pi_next <= 0.0):
-                return None
-            a_new[:, k] = u
-            t_new[:, k + 1] = t_new[:, k] + pi_k * ds
-            pi_new[:, k + 1] = pi_next
-    return t_new, pi_new, a_new
+        for x_k, x_next, xr_k, gain, u_k, ff_k in zip(
+            x_new, x_new[1:], x_ref, bp.gains, u_new, feedforward
+        ):
+            u_k += gain.dot(x_k - xr_k)
+            u_k += ff_k
+            pi_k = x_k[1::2]
+            x_next[0::2] = x_k[0::2] + pi_k * ds
+            x_next[1::2] = pi_k - u_k * pi_k**3 * ds
+    pi_new = x_new[:, 1::2]
+    if not np.all(np.isfinite(pi_new)) or np.any(pi_new <= 0.0):
+        return None
+    return (
+        np.ascontiguousarray(x_new[:, 0::2].T),
+        np.ascontiguousarray(pi_new.T),
+        np.ascontiguousarray(u_new.T),
+    )
 
 
 def solve(
@@ -325,18 +332,11 @@ def solve(
     cset = cons.ConstraintSet.from_config(config)
     al = cons.ALState.initial(k_steps, cset.n_constraints, options.rho_init)
 
-    # Reference rollout under the initial controls.
-    times = np.empty((n, k_steps + 1))
-    slows = np.empty((n, k_steps + 1))
-    times[:, 0] = t0
-    slows[:, 0] = pi0
-    for k in range(k_steps):
-        pi_k = slows[:, k]
-        times[:, k + 1] = times[:, k] + pi_k * ds
-        pi_next = pi_k - accels[:, k] * pi_k**3 * ds
-        if np.any(pi_next <= 0):
-            raise ConfigError("initial controls are infeasible (slowness left the domain)")
-        slows[:, k + 1] = pi_next
+    try:
+        reference = rollout(t0, pi0, accels, ds)
+    except IntegrationError:
+        raise ConfigError("initial controls are infeasible (slowness left the domain)")
+    times, slows = reference.arrival_times, reference.slownesses
 
     def eval_true(t_arr, pi_arr, a_arr):
         true_cost, breakdown = costs.trajectory_cost(
@@ -535,18 +535,7 @@ def receding_horizon_run(
         w_eff = kw * ds
         if state_hook is not None:
             t_cur, pi_cur = state_hook(s0, t_cur, pi_cur)
-        win_cfg = PlatoonConfig(
-            vehicles=config.vehicles,
-            headway=config.headway,
-            target_speed=config.target_speed,
-            speed_limit=config.speed_limit,
-            gravity=config.gravity,
-            rolling_coeff=config.rolling_coeff,
-            drag_coeff=config.drag_coeff,
-            ds=ds,
-            horizon_steps=kw,
-            speed_floor=config.speed_floor,
-        )
+        win_cfg = dataclasses.replace(config, horizon_steps=kw)
         targets = entry_times + (s0 + w_eff) / config.target_speed
         if warm is not None and warm.shape[1] >= kw:
             init = warm[:, :kw]

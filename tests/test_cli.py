@@ -62,6 +62,16 @@ class TestSimulate:
         assert rc == EXIT_CONFIG
         assert "gone.json" in capsys.readouterr().err
 
+    def test_nan_weight_exits_config(self, fast_scenario, tmp_path, capsys):
+        raw = json.loads(fast_scenario.read_text())
+        raw["weights"]["q1"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(raw))
+        assert '"q1": NaN' in bad.read_text()
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "q1" in capsys.readouterr().err
+
     def test_non_convergence_exit_code(self, fast_scenario, tmp_path):
         raw = json.loads(fast_scenario.read_text())
         raw["solver"] = {"max_inner": 1, "max_outer": 1}

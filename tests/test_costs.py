@@ -25,6 +25,13 @@ def test_weights_must_be_nonnegative():
         CostWeights(q1=-1.0)
 
 
+@pytest.mark.parametrize("name", ["q1", "q2", "q3", "r1", "qv", "power_floor", "power_smoothing"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_weights_must_be_finite(name, value):
+    with pytest.raises(ConfigError, match=name):
+        CostWeights(**{name: value})
+
+
 def test_breakdown_total_is_component_sum():
     bd = CostBreakdown(cacc=1.0, ecology=2.0, effort=3.0, terminal=4.0)
     assert bd.total == pytest.approx(10.0, rel=1e-9)

@@ -193,6 +193,31 @@ def test_rollout_keeps_time_monotone(v0, a):
     assert np.all(state.slownesses > 0)
 
 
+class TestRollout:
+    def test_matches_repeated_steps_bitwise(self, rng):
+        accels = rng.uniform(-1.0, 1.0, size=(3, 300))
+        t = np.array([0.0, -1.1, -1.9])
+        pi = 1.0 / rng.uniform(15.0, 25.0, size=3)
+        state = rollout(t, pi, accels, 0.5)
+        for k in range(300):
+            assert np.array_equal(state.arrival_times[:, k], t)
+            assert np.array_equal(state.slownesses[:, k], pi)
+            t, pi = step_dynamics(t, pi, accels[:, k], 0.5)
+        assert np.array_equal(state.arrival_times[:, -1], t)
+        assert np.array_equal(state.slownesses[:, -1], pi)
+
+    @pytest.mark.parametrize("accel", [1e4, np.nan])
+    def test_blowup_mid_horizon_raises(self, accel):
+        accels = np.zeros((2, 40))
+        accels[1, 25] = accel
+        with pytest.raises(IntegrationError):
+            rollout([0.0, -1.0], [0.05, 0.05], accels, 1.0)
+
+    def test_nonpositive_initial_slowness_raises(self):
+        with pytest.raises(IntegrationError):
+            rollout([0.0, -1.0], [0.05, 0.0], np.zeros((2, 5)), 1.0)
+
+
 class TestResimulate:
     def _flat_profile(self):
         return SlopeProfile(breakpoints=[0.0, 1000.0], grades=[0.0])

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import make_config
 from ecoplatoon import constraints as cons
+from ecoplatoon import costs
 from ecoplatoon.costs import CostWeights, schedule_targets, trajectory_cost
+from ecoplatoon.errors import BackwardPassError, ConfigError
 from ecoplatoon.platoon import ControlTrajectory, rollout
 from ecoplatoon.solver import (
     SolverOptions,
@@ -34,8 +36,6 @@ def wide_open_config(**kw):
 
 def backward_with_ladder(states, ctrls, thetas, cfg, w, cset, al, targets, second=True):
     """Backward pass with the same escalation ladder the solver uses."""
-    from ecoplatoon.errors import BackwardPassError
-
     reg = 1e-9
     while True:
         try:
@@ -44,6 +44,110 @@ def backward_with_ladder(states, ctrls, thetas, cfg, w, cset, al, targets, secon
             reg *= 10.0
             if reg > 1e6:
                 raise
+
+
+def reference_backward_pass(
+    states, controls, thetas, config, weights, cset, al, targets, regularization, second
+):
+    """Per-step Riccati sweep on separate blocks: the oracle for ``backward_pass``.
+
+    Two solves per step (gains and feedforward) and the four-term value
+    update. Returns (gains, feedforward, d1, d2, value gradient at step 0)
+    or raises BackwardPassError with the same message as the solver.
+    """
+    t_traj, pi_traj, accels = states.arrival_times, states.slownesses, controls.accels
+    n = config.n_vehicles
+    dim = 2 * n
+    k_steps = accels.shape[1]
+    ds = config.ds
+    stage = costs.stage_derivatives_batch(
+        t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights
+    )
+    al_blocks = cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels, active_set=True)
+    lx, lu, lxx, luu, lux = (
+        stage[name] + block
+        for name, block in zip(("lx", "lu", "lxx", "luu", "lux"), al_blocks)
+    )
+    pi = pi_traj[:, :-1].T
+    a = accels.T
+    ti = np.arange(n) * 2
+    pj = ti + 1
+    ai = np.arange(n)
+    f_x = np.zeros((k_steps, dim, dim))
+    f_x[:, ti, ti] = 1.0
+    f_x[:, ti, pj] = ds
+    f_x[:, pj, pj] = 1.0 - 3.0 * a * pi**2 * ds
+    f_u = np.zeros((k_steps, dim, n))
+    f_u[:, pj, ai] = -(pi**3) * ds
+    cxx = -6.0 * a * pi * ds
+    cux = -3.0 * pi**2 * ds
+
+    b_val, a_val = costs.terminal_derivatives(
+        t_traj[:, -1], config, weights, targets, pi_final=pi_traj[:, -1]
+    )
+    gains = np.empty((k_steps, n, dim))
+    ff = np.empty((k_steps, n))
+    d1 = d2 = 0.0
+    for k in range(k_steps - 1, -1, -1):
+        fx, fu = f_x[k], f_u[k]
+        q_x = lx[k] + fx.T @ b_val
+        q_u = lu[k] + fu.T @ b_val
+        q_xx = lxx[k] + fx.T @ a_val @ fx
+        q_uu = luu[k] + fu.T @ a_val @ fu
+        q_ux = lux[k] + fu.T @ a_val @ fx
+        if second:
+            q_xx[pj, pj] += b_val[pj] * cxx[k]
+            q_ux[ai, pj] += b_val[pj] * cux[k]
+        q_uu = 0.5 * (q_uu + q_uu.T) + regularization * np.eye(n)
+        try:
+            np.linalg.cholesky(q_uu)
+        except np.linalg.LinAlgError:
+            raise BackwardPassError(
+                f"control Hessian not positive definite at step {k} "
+                f"with shift {regularization:g}"
+            )
+        h_k = -np.linalg.solve(q_uu, q_ux)
+        j_k = -np.linalg.solve(q_uu, q_u)
+        gains[k], ff[k] = h_k, j_k
+        d1 += j_k @ q_u
+        d2 += j_k @ q_uu @ j_k
+        a_val = q_xx + h_k.T @ q_uu @ h_k + q_ux.T @ h_k + h_k.T @ q_ux
+        a_val = 0.5 * (a_val + a_val.T)
+        b_val = q_x + h_k.T @ q_uu @ j_k + q_ux.T @ j_k + h_k.T @ q_u
+    return gains, ff, d1, d2, b_val
+
+
+def random_instance(n, seed, r1=20.0, k_steps=60):
+    """Random off-optimum trajectory with binding speed and acceleration bounds.
+
+    Controls in +-1.5 m/s^2 against a +-1 m/s^2 box and a 21 m/s cap, with
+    multipliers raised on the violated constraints, so the AL blocks are
+    active; grades and arrival targets are random too.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = make_config(
+        n=n, ds=0.5, horizon_steps=k_steps, a_min=-1.0, a_max=1.0, speed_limit=21.0
+    )
+    w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=r1, qv=2e4, power_floor=0.0)
+    t0 = -np.arange(n) * cfg.headway + rng.uniform(-0.5, 0.5, n)
+    pi0 = 1.0 / rng.uniform(18.0, 22.0, n)
+    accels = rng.uniform(-1.5, 1.5, (n, k_steps))
+    states = rollout(t0, pi0, accels, cfg.ds)
+    ctrls = ControlTrajectory(accels=accels)
+    cset = cons.ConstraintSet.from_config(cfg)
+    e = cons.evaluate(cset, states.slownesses[:, :-1], accels)
+    al = cons.ALState.initial(k_steps, cset.n_constraints, 10.0)
+    al = cons.update_slack(cons.update_multipliers(al, e), e)
+    assert np.any(al.lam > 0)
+    thetas = rng.uniform(-0.06, 0.06, k_steps)
+    targets = schedule_targets(cfg, t0) + rng.uniform(-1.0, 1.0, n)
+    return states, ctrls, thetas, cfg, w, cset, al, targets
+
+
+def assert_close(actual, expected, rtol=1e-10):
+    """Agreement to ``rtol`` relative to the largest entry of ``expected``."""
+    expected = np.asarray(expected)
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * np.abs(expected).max())
 
 
 class TestBackwardPass:
@@ -169,6 +273,71 @@ class TestBackwardPass:
             fd = (policy_cost(x0 + d) - policy_cost(x0 - d)) / (2 * eps)
             assert bp.value0.gradient[p] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
+    @pytest.mark.parametrize("second", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_stacked_sweep_matches_reference(self, n, second):
+        args = random_instance(n, seed=n)
+        bp = backward_pass(*args, 1e-6, second)
+        gains, ff, d1, d2, grad = reference_backward_pass(*args, 1e-6, second)
+        assert_close(bp.gains, gains)
+        assert_close(bp.feedforward, ff)
+        assert bp.d1 == pytest.approx(d1, rel=1e-10)
+        assert bp.d2 == pytest.approx(d2, rel=1e-10)
+        assert_close(bp.value0.gradient, grad)
+
+    @pytest.mark.parametrize("second", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_failing_shifts_match_reference(self, n, second):
+        # with almost no effort weight the control Hessian is indefinite at
+        # small shifts; both sweeps must fail at the same steps and shifts
+        args = random_instance(n, seed=10 + n, r1=1e-3)
+
+        def ladder(sweep):
+            failures = []
+            reg = 1e-9
+            while True:
+                try:
+                    return failures, sweep(*args, reg, second)
+                except BackwardPassError as exc:
+                    failures.append(str(exc))
+                    reg *= 10.0
+                    if reg > 1e6:
+                        raise
+
+        failures, bp = ladder(backward_pass)
+        ref_failures, (gains, ff, d1, d2, grad) = ladder(reference_backward_pass)
+        assert failures
+        assert failures == ref_failures
+        assert_close(bp.gains, gains)
+        assert_close(bp.feedforward, ff)
+        assert bp.d1 == pytest.approx(d1, rel=1e-10)
+        assert bp.d2 == pytest.approx(d2, rel=1e-10)
+        assert_close(bp.value0.gradient, grad)
+
+
+def textbook_rollout(states, controls, bp, alpha, ds):
+    """Column-by-column closed-loop rollout: the oracle for ``forward_pass``."""
+    t_ref, pi_ref, a_ref = states.arrival_times, states.slownesses, controls.accels
+    n, k_steps = a_ref.shape
+    t = np.empty_like(t_ref)
+    pi = np.empty_like(pi_ref)
+    a = np.empty_like(a_ref)
+    t[:, 0] = t_ref[:, 0]
+    pi[:, 0] = pi_ref[:, 0]
+    dx = np.empty(2 * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_steps):
+            dx[0::2] = t[:, k] - t_ref[:, k]
+            dx[1::2] = pi[:, k] - pi_ref[:, k]
+            u = a_ref[:, k] + bp.gains[k] @ dx + alpha * bp.feedforward[k]
+            pi_next = pi[:, k] - u * pi[:, k] ** 3 * ds
+            if not np.all(np.isfinite(pi_next)) or np.any(pi_next <= 0.0):
+                return None
+            a[:, k] = u
+            t[:, k + 1] = t[:, k] + pi[:, k] * ds
+            pi[:, k + 1] = pi_next
+    return t, pi, a
+
 
 class TestForwardPass:
     def test_zero_law_reproduces_trajectory(self):
@@ -219,6 +388,30 @@ class TestForwardPass:
             feedforward = np.full((1, 2), 50.0)
 
         assert forward_pass(states, ctrls, HugeLaw(), 1.0, cfg.ds) is None
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 1e-4])
+    def test_bit_identical_to_textbook_rollout(self, alpha):
+        args = random_instance(3, seed=7)
+        states, ctrls, cfg = args[0], args[1], args[3]
+        bp = backward_with_ladder(*args)
+        got = forward_pass(states, ctrls, bp, alpha, cfg.ds)
+        want = textbook_rollout(states, ctrls, bp, alpha, cfg.ds)
+        assert got is not None and want is not None
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_rejects_rollout_leaving_domain_mid_horizon(self):
+        args = random_instance(3, seed=7)
+        states, ctrls, cfg = args[0], args[1], args[3]
+
+        class Law:
+            gains = np.zeros((60, 3, 6))
+            feedforward = np.zeros((60, 3))
+
+        Law.feedforward[30, 1] = 1e4  # drives the second slowness negative at step 30
+        assert textbook_rollout(states, ctrls, Law(), 1.0, cfg.ds) is None
+        assert forward_pass(states, ctrls, Law(), 1.0, cfg.ds) is None
+        assert forward_pass(states, ctrls, Law(), 1e-6, cfg.ds) is not None
 
 
 class TestSolve:
@@ -356,6 +549,17 @@ class TestSolve:
         initial = np.abs(errors[:, 0]).max()
         final_band = np.abs(errors[:, -len(errors[0]) // 10 :]).max()
         assert final_band < 0.01 * initial
+
+    @pytest.mark.parametrize("accel", [1e5, np.nan])
+    def test_infeasible_initial_controls_rejected(self, accel):
+        cfg = wide_open_config(n=2, ds=1.0, horizon_steps=10)
+        w = CostWeights()
+        t0 = -np.arange(2) * cfg.headway
+        pi0 = np.full(2, 1.0 / cfg.target_speed)
+        init = np.zeros((2, 10))
+        init[1, 4] = accel
+        with pytest.raises(ConfigError, match="initial controls are infeasible"):
+            solve(cfg, w, FLAT, t0, pi0, SolverOptions(), initial_controls=init)
 
     def test_determinism(self):
         cfg = make_config(n=3, ds=0.5, horizon_steps=1600)
