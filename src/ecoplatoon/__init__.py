@@ -15,7 +15,6 @@ from .errors import (
     ConfigError,
     EcoPlatoonError,
     IntegrationError,
-    SolveError,
     StallError,
 )
 from .fuel import FuelModel, equivalent_traction_accel, fuel_rate, trajectory_fuel
@@ -53,7 +52,6 @@ __all__ = [
     "PlatoonState",
     "Scenario",
     "SlopeProfile",
-    "SolveError",
     "SolveReport",
     "SolverOptions",
     "StabilityReport",

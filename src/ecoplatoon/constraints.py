@@ -111,16 +111,13 @@ def max_violation(e_values: np.ndarray) -> float:
 
 def augmented_running_cost(base: float, cset: ConstraintSet, al_k, pi, a) -> float:
     """Stage cost plus sum_i [lambda_i C_i + rho_i C_i^2 / 2], C = e + s."""
-    e = evaluate(cset, np.asarray(pi), np.asarray(a))
-    c = e + al_k.slack
-    return float(base + np.sum(al_k.lam * c) + 0.5 * np.sum(al_k.rho * c * c))
+    return base + penalty(evaluate(cset, np.asarray(pi), np.asarray(a)), al_k)
 
 
-def penalty_terms_batch(cset: ConstraintSet, al: ALState, pi, a) -> np.ndarray:
-    """Per-step penalty cost over a trajectory, shape (K,)."""
-    e = evaluate(cset, pi, a)
-    c = e + al.slack
-    return np.sum(al.lam * c + 0.5 * al.rho * c * c, axis=-1)
+def penalty(e_values: np.ndarray, al: ALState) -> float:
+    """Total penalty sum [lambda C + rho C^2 / 2] over constraint values, C = e + s."""
+    c = e_values + al.slack
+    return float(np.sum(al.lam * c) + 0.5 * np.sum(al.rho * c * c))
 
 
 def al_derivative_terms(cset: ConstraintSet, al_k, pi, a):

@@ -19,7 +19,3 @@ class StallError(EcoPlatoonError):
 
 class BackwardPassError(EcoPlatoonError):
     """The control-Hessian could not be made positive definite within the regularization budget."""
-
-
-class SolveError(EcoPlatoonError):
-    """A solve failed in a way that yields no usable trajectory."""

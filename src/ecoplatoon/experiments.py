@@ -14,11 +14,10 @@ import numpy as np
 from . import constraints as cons
 from . import solver as solver_mod
 from .baseline import simulate_baseline
-from .fuel import equivalent_traction_accel, platoon_fuel, segment_fuel_deltas
+from .fuel import equivalent_accel_grid, platoon_fuel, segment_fuel_deltas
 from .platoon import resimulate_time_domain
 from .scenario import Scenario, override_ds
 from .stability import StabilityReport, following_errors, run_perturbation
-from .terrain import grade_at
 
 
 @dataclass
@@ -51,20 +50,6 @@ class CompareResult:
     base: BaselineResult
     savings_pct: float
     segment_deltas: list  # (lo, hi, grade, baseline - eco liters)
-
-
-def equiv_accel_grid(scenario: Scenario, states, controls) -> np.ndarray:
-    """Equivalent traction acceleration per vehicle on the control grid."""
-    cfg = scenario.config
-    accels = controls.accels
-    k_steps = accels.shape[1]
-    grid = np.minimum(cfg.ds * np.arange(k_steps), scenario.profile.total_length)
-    thetas = grade_at(scenario.profile, grid)
-    speeds = 1.0 / states.slownesses[:, :k_steps]
-    out = np.empty_like(accels)
-    for i, params in enumerate(cfg.vehicles):
-        out[i] = equivalent_traction_accel(accels[i], speeds[i], thetas, params, cfg)
-    return out
 
 
 def run_eco(scenario: Scenario, resim_dt: float = 0.005) -> EcoResult:
@@ -115,7 +100,7 @@ def run_eco(scenario: Scenario, resim_dt: float = 0.005) -> EcoResult:
         fuel_total=total,
         fuel_per_vehicle=per_vehicle,
         fuel_series=series,
-        equiv_accels=equiv_accel_grid(scenario, states, controls),
+        equiv_accels=equivalent_accel_grid(states, controls, scenario.profile, cfg),
         converged=converged,
         wall_time=wall,
         exec_times=exec_times,

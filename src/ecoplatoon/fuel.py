@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, StallError
 from .platoon import PlatoonConfig, VehicleParams
-from .terrain import SlopeProfile
+from .terrain import SlopeProfile, grade_at
 
 MPS_TO_KMH = 3.6
 
@@ -96,6 +96,19 @@ def equivalent_traction_accel(a, v, theta, params: VehicleParams, config: Platoo
         + config.drag_coeff * v**2 / params.mass
     )
     return float(out) if out.ndim == 0 else out
+
+
+def equivalent_accel_grid(states, controls, profile: SlopeProfile, config: PlatoonConfig):
+    """Equivalent traction acceleration per vehicle on the control grid, (N, K)."""
+    accels = controls.accels
+    k_steps = accels.shape[1]
+    grid = np.minimum(config.ds * np.arange(k_steps), profile.total_length)
+    thetas = grade_at(profile, grid)
+    speeds = 1.0 / states.slownesses[:, :k_steps]
+    out = np.empty_like(accels)
+    for i, params in enumerate(config.vehicles):
+        out[i] = equivalent_traction_accel(accels[i], speeds[i], thetas, params, config)
+    return out
 
 
 def fuel_rate(model: FuelModel, v, a_eq):

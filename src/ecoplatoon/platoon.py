@@ -80,6 +80,13 @@ class PlatoonConfig:
             raise ConfigError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
         if not 0 < self.speed_floor < self.target_speed:
             raise ConfigError(f"speed_floor must lie in (0, target_speed), got {self.speed_floor}")
+        if not 0 < self.gravity < np.inf:
+            raise ConfigError(f"gravity must be positive and finite, got {self.gravity}")
+        for name in ("rolling_coeff", "drag_coeff"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(
+                    f"{name} must be non-negative and finite, got {getattr(self, name)}"
+                )
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
 
     @property

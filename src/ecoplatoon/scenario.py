@@ -222,9 +222,14 @@ def load_scenario(path) -> Scenario:
     if mode not in ("one_shot", "receding"):
         raise ConfigError(f"{path}: horizon.mode must be 'one_shot' or 'receding'")
 
-    errs = raw.get("initial_time_errors_s", [0.0] * n)
-    if len(errs) != n:
+    try:
+        errs = np.asarray(raw.get("initial_time_errors_s", [0.0] * n), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: initial_time_errors_s malformed ({exc})")
+    if errs.shape != (n,):
         raise ConfigError(f"{path}: initial_time_errors_s must have {n} entries")
+    if not np.all(np.isfinite(errs)):
+        raise ConfigError(f"{path}: initial_time_errors_s must be finite, got {errs.tolist()}")
 
     init_speed = (
         _speed(plat["initial_speed"], f"{path}: platoon.initial_speed")
@@ -246,7 +251,7 @@ def load_scenario(path) -> Scenario:
         window_m=float(hsec.get("window_m", 40.0)),
         replan_m=float(hsec.get("replan_m", 10.0)),
         initial_speed=init_speed,
-        initial_time_errors=np.asarray(errs, dtype=float),
+        initial_time_errors=errs,
         baseline_dt=baseline_dt,
     )
 

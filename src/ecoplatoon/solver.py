@@ -12,12 +12,15 @@ One solve alternates two phases until tolerances or iteration caps are hit:
 
 The backward pass stacks each step's quadratic model into one block over
 [dx; 1; du], with the gradients in the row and column of the constant
-coordinate, so a step costs one product with the dynamics Jacobian, one
-Cholesky test and one solve on [Q_ux | q_u]. It keeps the second-order
-dynamics terms (the value-gradient contractions against the step Jacobian
-derivatives); ``use_second_order`` switches them off for a Gauss-Newton
-(iLQR-style) pass. The control Hessian is made positive definite with a
-Levenberg shift that grows on failure. The forward rollout runs in the
+coordinate, so a step costs one product with the dynamics Jacobian, added
+in place into that step's stage block, and one solve on [Q_ux | q_u]. It
+keeps the second-order dynamics terms (the value-gradient contractions
+against the step Jacobian derivatives), added through strided views of the
+stage blocks and of the value buffer; ``use_second_order`` switches them off
+for a Gauss-Newton (iLQR-style) pass. The control Hessian is made positive
+definite with a Levenberg shift that grows on failure; its Cholesky test
+runs batched once per 64-step chunk of the sweep and names the highest
+failing step, as a per-step test would. The forward rollout runs in the
 row-major interleaved state and checks the slowness domain once at the end.
 
 A solve is single-threaded and deterministic; independent solves may run
@@ -126,6 +129,28 @@ def _dynamics_coeffs(pi_traj: np.ndarray, accels: np.ndarray, ds: float):
     return g, fu, cxx, cux
 
 
+# Steps per batched definiteness test of Q_uu in the backward sweep. A sweep
+# that passes a failing step runs on to the end of its chunk before it
+# raises, so this bounds the wasted steps; a test over the whole horizon
+# would run failing sweeps down to step 0.
+_TEST_CHUNK = 64
+
+
+def _test_definite(control_hessians, lo, hi, regularization):
+    """Raise BackwardPassError at the highest step in [lo, hi) whose Q_uu fails Cholesky."""
+    try:
+        np.linalg.cholesky(control_hessians[lo:hi])
+    except np.linalg.LinAlgError:
+        for k in range(hi - 1, lo - 1, -1):
+            try:
+                np.linalg.cholesky(control_hessians[k])
+            except np.linalg.LinAlgError:
+                raise BackwardPassError(
+                    f"control Hessian not positive definite at step {k} "
+                    f"with shift {regularization:g}"
+                )
+
+
 def backward_pass(
     states: PlatoonState,
     controls: ControlTrajectory,
@@ -148,8 +173,17 @@ def backward_pass(
     one solve gives gains and feedforward together, and the upper-left
     block minus Q_ux' Q_uu^-1 [Q_ux | q_u] is the new value model.
 
-    Raises BackwardPassError when the shifted control Hessian fails its
-    Cholesky factorization; the caller retries with a larger shift.
+    Q is accumulated in place into the stage block of each step, and the
+    value update is written into one persistent buffer. The Cholesky test
+    of Q_uu is not taken per step: it runs batched over each chunk of
+    ``_TEST_CHUNK`` steps once the sweep has passed it, so a sweep that
+    fails runs on at most to the bottom of its chunk. Gains, feedforward,
+    ``d1``, ``d2`` and ``value0`` are bit-identical to a sweep that tests
+    every step before its solve.
+
+    Raises BackwardPassError, naming the highest step whose shifted control
+    Hessian fails its Cholesky factorization; the caller retries with a
+    larger shift.
     """
     t_traj = states.arrival_times
     pi_traj = states.slownesses
@@ -192,12 +226,6 @@ def backward_pass(
     jac[:, pj, pj] = g
     jac[:, pj, ui] = fu_c
     jac[:, one, one] = 1.0
-    # Value-gradient contractions with the dynamics curvature: the only
-    # nonzero second derivatives sit on the slowness updates, entering
-    # Q_xx at (pi, pi) and Q_ux at (a, pi), both scaled by b at pi.
-    curv = np.stack([cxx, cux], axis=1)  # (K, 2, N)
-    curv_at = np.stack([pj * size + pj, ui * size + pj])
-    grad_at = pj * (dim + 1) + one  # b at the slownesses, in the value model
 
     lf_x, lf_xx = costs.terminal_derivatives(
         t_traj[:, -1], config, weights, targets, pi_final=pi_traj[:, -1]
@@ -207,31 +235,47 @@ def backward_pass(
     value[:dim, one] = lf_x
     value[one, :dim] = lf_x
 
-    steps = np.empty((k_steps, n, dim + 1))  # Q_uu^-1 [Q_ux | q_u]
-    control_rows = np.empty((k_steps, n, n + 1))  # [q_u | Q_uu]
+    # Value-gradient contractions with the dynamics curvature: the only
+    # nonzero second derivatives sit on the slowness updates, entering
+    # Q_xx at (pi, pi) and Q_ux at (a, pi), both scaled by b at pi. All
+    # three index sets are evenly spaced in the flattened blocks, so they
+    # are basic-slice views: b into the value buffer, the targets into Q.
+    flat = stage_model.reshape(k_steps, size * size)
+    q_pp = flat[:, size + 1 : 2 * n * (size + 1) : 2 * (size + 1)]
+    q_up = flat[:, u0 * size + 1 :: size + 2]
+    b_p = value.reshape(-1)[dim + 1 + one :: 2 * (dim + 1)]
 
-    # ndarray.dot rather than @: on blocks this small it costs about half as
-    # much, and the per-step call overhead is what bounds the sweep.
-    for k in range(k_steps - 1, -1, -1):
-        fk = jac[k]
-        q = stage_model[k] + fk.T.dot(value.dot(fk))
-        if use_second_order:
-            q.flat[curv_at] += value.take(grad_at) * curv[k]
-        q_uu = q[u0:, u0:]
-        try:
-            np.linalg.cholesky(q_uu)
-        except np.linalg.LinAlgError:
-            raise BackwardPassError(
-                f"control Hessian not positive definite at step {k} "
-                f"with shift {regularization:g}"
-            )
-        rhs = q[u0:, :u0]
-        step = np.linalg.solve(q_uu, rhs)
-        steps[k] = step
-        control_rows[k] = q[u0:, one:]
-        value = q[:u0, :u0] - rhs.T.dot(step)
+    control_hessians = stage_model[:, u0:, u0:]
+    steps = np.empty((k_steps, n, dim + 1))  # Q_uu^-1 [Q_ux | q_u]
+
+    # A sweep that passes a failing step works on garbage until its chunk
+    # is tested; that work is thrown away, so its overflows are silenced.
+    # This silences kept steps too, but inf or NaN that reaches a Q_uu
+    # fails its Cholesky test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for hi in range(k_steps, 0, -_TEST_CHUNK):
+            lo = max(hi - _TEST_CHUNK, 0)
+            for k in range(hi - 1, lo - 1, -1):
+                fk = jac[k]
+                qk = stage_model[k]
+                # ndarray.dot rather than @: on blocks this small it costs
+                # about half as much, and call overhead bounds the sweep.
+                qk += fk.T.dot(value.dot(fk))
+                if use_second_order:
+                    q_pp[k] += b_p * cxx[k]
+                    q_up[k] += b_p * cux[k]
+                rhs = qk[u0:, :u0]
+                try:
+                    step = np.linalg.solve(control_hessians[k], rhs)
+                except np.linalg.LinAlgError:
+                    _test_definite(control_hessians, k, hi, regularization)
+                    raise
+                steps[k] = step
+                np.subtract(qk[:u0, :u0], rhs.T.dot(step), out=value)
+            _test_definite(control_hessians, lo, hi, regularization)
 
     feedforward = -steps[:, :, one]
+    control_rows = stage_model[:, u0:, one:].copy()  # [q_u | Q_uu]
     q_u = control_rows[:, :, 0]
     q_uu = control_rows[:, :, 1:]
     return BackwardPassResult(
@@ -239,7 +283,7 @@ def backward_pass(
         feedforward=feedforward,
         d1=float(np.einsum("ki,ki->", feedforward, q_u)),
         d2=float(np.einsum("ki,kij,kj->", feedforward, q_uu, feedforward)),
-        value0=ValueModel(hessian=value[:dim, :dim], gradient=value[:dim, one]),
+        value0=ValueModel(hessian=value[:dim, :dim].copy(), gradient=value[:dim, one].copy()),
     )
 
 
@@ -345,15 +389,11 @@ def solve(
         e = cons.evaluate(cset, pi_arr[:, :-1], a_arr)
         return true_cost, breakdown, e
 
-    def penalty_of(e, al_state):
-        c = e + al_state.slack
-        return float(np.sum(al_state.lam * c) + 0.5 * np.sum(al_state.rho * c * c))
-
     true_cost, breakdown, e_vals = eval_true(times, slows, accels)
     # Slacks track the trajectory: s = max(0, -lam/rho - e) zeroes the penalty
     # on satisfied constraints, so only violations shape the inner problem.
     al = cons.update_slack(al, e_vals)
-    aug_cost = true_cost + penalty_of(e_vals, al)
+    aug_cost = true_cost + cons.penalty(e_vals, al)
 
     iterations: list = []
     reg = options.reg_init
@@ -404,7 +444,7 @@ def solve(
                 if result is not None:
                     t_new, pi_new, a_new = result
                     new_true, new_breakdown, new_e = eval_true(t_new, pi_new, a_new)
-                    new_aug = new_true + penalty_of(new_e, al)
+                    new_aug = new_true + cons.penalty(new_e, al)
                     expected = bp.expected_decrease(alpha)
                     actual = aug_cost - new_aug
                     if actual < options.armijo_c * max(expected, 0.0) or actual <= 0.0:
@@ -425,7 +465,7 @@ def solve(
                         times, slows, accels = t_new, pi_new, a_new
                         true_cost, breakdown, e_vals = new_true, new_breakdown, new_e
                         al = cons.update_slack(al, e_vals)
-                        aug_cost = true_cost + penalty_of(e_vals, al)
+                        aug_cost = true_cost + cons.penalty(e_vals, al)
                         iterations.append(
                             IterationRecord(
                                 outer=outer,
@@ -464,7 +504,7 @@ def solve(
         al = cons.update_multipliers(al, e_vals)
         al = cons.escalate_penalty(al, e_vals, options.rho_factor, options.tol_violation)
         al = cons.update_slack(al, e_vals)
-        aug_cost = true_cost + penalty_of(e_vals, al)
+        aug_cost = true_cost + cons.penalty(e_vals, al)
 
     wall = time.perf_counter() - start
     return SolveReport(

@@ -18,9 +18,9 @@ import numpy as np
 from . import solver as solver_mod
 from .costs import CostWeights
 from .errors import ConfigError
-from .fuel import equivalent_traction_accel
+from .fuel import equivalent_accel_grid
 from .platoon import PlatoonConfig, PlatoonState
-from .terrain import SlopeProfile, grade_at
+from .terrain import SlopeProfile
 
 _NORM_EPS = 1e-12
 
@@ -66,20 +66,6 @@ def following_errors(state: PlatoonState, config: PlatoonConfig) -> np.ndarray:
     return t[0][None, :] - t - offsets[:, None]
 
 
-def _equiv_accel_series(report, config: PlatoonConfig, profile: SlopeProfile) -> np.ndarray:
-    """Equivalent traction acceleration per vehicle on the control grid, (N, K)."""
-    accels = report.controls.accels
-    k_steps = accels.shape[1]
-    ds = config.ds
-    grid = np.minimum(ds * np.arange(k_steps), profile.total_length)
-    thetas = grade_at(profile, grid)
-    speeds = 1.0 / report.states.slownesses[:, :k_steps]
-    out = np.empty_like(accels)
-    for i, params in enumerate(config.vehicles):
-        out[i] = equivalent_traction_accel(accels[i], speeds[i], thetas, params, config)
-    return out
-
-
 def run_perturbation(
     config: PlatoonConfig,
     weights: CostWeights,
@@ -117,8 +103,12 @@ def run_perturbation(
             targets=baseline_report.targets,
             initial_controls=baseline_report.controls.accels,
         )
-        base_accel = _equiv_accel_series(baseline_report, config, profile)
-        pert_accel = _equiv_accel_series(perturbed, config, profile)
+        base_accel = equivalent_accel_grid(
+            baseline_report.states, baseline_report.controls, profile, config
+        )
+        pert_accel = equivalent_accel_grid(
+            perturbed.states, perturbed.controls, profile, config
+        )
     else:
         window = max(40.0 * config.ds, 40.0)
         replan = window / 4.0
@@ -154,8 +144,12 @@ def run_perturbation(
             config, weights, profile, t0, pi0, options, window, replan,
             state_hook=make_hook(),
         )
-        base_accel = _equiv_accel_series(baseline_report, config, profile)
-        pert_accel = _equiv_accel_series(perturbed, config, profile)
+        base_accel = equivalent_accel_grid(
+            baseline_report.states, baseline_report.controls, profile, config
+        )
+        pert_accel = equivalent_accel_grid(
+            perturbed.states, perturbed.controls, profile, config
+        )
 
     k_steps = min(base_accel.shape[1], pert_accel.shape[1])
     deviations = pert_accel[:, :k_steps] - base_accel[:, :k_steps]

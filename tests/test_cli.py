@@ -72,6 +72,16 @@ class TestSimulate:
         assert rc == EXIT_CONFIG
         assert "q1" in capsys.readouterr().err
 
+    def test_nan_gravity_exits_config(self, fast_scenario, tmp_path, capsys):
+        raw = json.loads(fast_scenario.read_text())
+        raw["platoon"]["gravity"] = float("nan")
+        bad = tmp_path / "nan_gravity.json"
+        bad.write_text(json.dumps(raw))
+        assert '"gravity": NaN' in bad.read_text()
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "gravity" in capsys.readouterr().err
+
     def test_non_convergence_exit_code(self, fast_scenario, tmp_path):
         raw = json.loads(fast_scenario.read_text())
         raw["solver"] = {"max_inner": 1, "max_outer": 1}

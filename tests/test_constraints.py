@@ -87,6 +87,23 @@ class TestAugmentedCost:
                 expected, rel=1e-12
             )
 
+    def test_penalty_sums_every_step_and_constraint(self, cset, rng):
+        pi = rng.uniform(0.02, 0.2, size=(3, 5))
+        a = rng.uniform(-6.0, 4.0, size=(3, 5))
+        al = cons.ALState(
+            rho=rng.uniform(1.0, 20.0, size=(5, 12)),
+            lam=rng.uniform(0.0, 5.0, size=(5, 12)),
+            slack=rng.uniform(0.0, 2.0, size=(5, 12)),
+        )
+        e = cons.evaluate(cset, pi, a)
+        c = e + al.slack
+        expected = sum(
+            al.lam[k, i] * c[k, i] + 0.5 * al.rho[k, i] * c[k, i] ** 2
+            for k in range(5)
+            for i in range(12)
+        )
+        assert cons.penalty(e, al) == pytest.approx(expected, rel=1e-12)
+
 
 class TestDerivativeTerms:
     def test_zero_when_inactive(self, cset):

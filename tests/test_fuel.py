@@ -8,6 +8,7 @@ import pytest
 from conftest import make_config
 from ecoplatoon.fuel import (
     FuelModel,
+    equivalent_accel_grid,
     equivalent_traction_accel,
     fuel_rate,
     platoon_fuel,
@@ -123,6 +124,23 @@ class TestEquivalentTractionAccel:
             a_eq = equivalent_traction_accel(a, v, theta, veh, cfg)
             torque = torque_of(a, v, theta, veh, cfg, radius)
             assert a_eq == pytest.approx(torque / (veh.mass * radius), rel=1e-12)
+
+    def test_grid_applies_step_grades_and_speeds(self, rng):
+        # per step and vehicle, the grid helper is the scalar formula at
+        # that step's grade and the speed at the step's start; steps past
+        # the profile's end take its last grade
+        cfg = make_config(n=2, ds=2.0, horizon_steps=6)
+        profile = SlopeProfile(breakpoints=[0.0, 4.0, 9.0], grades=[0.03, -0.02])
+        accels = rng.uniform(-1.0, 1.0, (2, 6))
+        states = rollout([0.0, -1.0], [0.05, 0.055], accels, cfg.ds)
+        got = equivalent_accel_grid(states, ControlTrajectory(accels=accels), profile, cfg)
+        grades = [0.03, 0.03, -0.02, -0.02, -0.02, -0.02]
+        for i in range(2):
+            for k in range(6):
+                want = equivalent_traction_accel(
+                    accels[i, k], 1.0 / states.slownesses[i, k], grades[k], cfg.vehicles[i], cfg
+                )
+                assert got[i, k] == pytest.approx(want, rel=1e-12)
 
 
 class TestTrajectoryFuel:

@@ -41,6 +41,23 @@ class TestSlowness:
             slowness(-3.0)
 
 
+class TestPlatoonConfig:
+    def test_zero_resistance_allowed(self):
+        cfg = make_config(rolling_coeff=0.0, drag_coeff=0.0)
+        assert cfg.rolling_coeff == 0.0 and cfg.drag_coeff == 0.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -9.8])
+    def test_non_physical_gravity_rejected(self, value):
+        with pytest.raises(ConfigError, match="gravity"):
+            make_config(gravity=value)
+
+    @pytest.mark.parametrize("name", ["rolling_coeff", "drag_coeff"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-6])
+    def test_non_physical_resistance_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            make_config(**{name: value})
+
+
 class TestDiffState:
     def test_equilibrium_zero(self):
         cfg = make_config(n=3, headway=1.0)

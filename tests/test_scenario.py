@@ -129,6 +129,39 @@ class TestLoading:
         with pytest.raises(ConfigError, match="initial_time_errors_s"):
             load_scenario(self._minimal(tmp_path, initial_time_errors_s=[0.0]))
 
+    @pytest.mark.parametrize(
+        "errors, message",
+        [
+            ([0.0, float("nan")], "must be finite"),
+            ([0.0, float("-inf")], "must be finite"),
+            ([0.0, "late"], "malformed"),
+            (0.5, "must have 2 entries"),
+        ],
+    )
+    def test_bad_time_errors_rejected(self, tmp_path, errors, message):
+        with pytest.raises(ConfigError, match="initial_time_errors_s " + message):
+            load_scenario(self._minimal(tmp_path, initial_time_errors_s=errors))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gravity", float("nan")),
+            ("gravity", 0.0),
+            ("gravity", float("inf")),
+            ("rolling_coeff", float("nan")),
+            ("rolling_coeff", -0.01),
+            ("drag_coeff", float("inf")),
+            ("drag_coeff", -1e-5),
+        ],
+    )
+    def test_non_physical_platoon_constant_rejected(self, tmp_path, key, value):
+        path = self._minimal(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["platoon"][key] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=key):
+            load_scenario(path)
+
     def test_ilqr_flag_maps_to_second_order(self, tmp_path):
         scen = load_scenario(self._minimal(tmp_path, solver={"ilqr": True}))
         assert scen.solver_options.use_second_order is False

@@ -1,5 +1,7 @@
 """Backward/forward pass correctness and whole-solve behavior."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ecoplatoon.costs import CostWeights, schedule_targets, trajectory_cost
 from ecoplatoon.errors import BackwardPassError, ConfigError
 from ecoplatoon.platoon import ControlTrajectory, rollout
 from ecoplatoon.solver import (
+    _TEST_CHUNK,
     SolverOptions,
     backward_pass,
     forward_pass,
@@ -115,6 +118,113 @@ def reference_backward_pass(
         a_val = 0.5 * (a_val + a_val.T)
         b_val = q_x + h_k.T @ q_uu @ j_k + q_ux.T @ j_k + h_k.T @ q_u
     return gains, ff, d1, d2, b_val
+
+
+def per_step_backward_pass(
+    states, controls, thetas, config, weights, cset, al, targets, regularization, second
+):
+    """The stacked sweep with its Cholesky test inside every step.
+
+    The oracle for the chunked test in ``backward_pass``: same blocks, same
+    arithmetic in the same order, so results must agree bit for bit; a
+    failing step raises at once. Returns (gains, feedforward, d1, d2,
+    value Hessian at step 0, value gradient at step 0).
+    """
+    t_traj, pi_traj, accels = states.arrival_times, states.slownesses, controls.accels
+    n = config.n_vehicles
+    dim = 2 * n
+    one = dim
+    u0 = dim + 1
+    size = 3 * n + 1
+    k_steps = accels.shape[1]
+    ds = config.ds
+    ai = np.arange(n)
+    ti = 2 * ai
+    pj = ti + 1
+    ui = u0 + ai
+
+    stage_model = np.zeros((k_steps, size, size))
+
+    def add_blocks(lx, lu, lxx, luu, lux):
+        stage_model[:, :dim, :dim] += lxx
+        stage_model[:, :dim, one] += lx
+        stage_model[:, one, :dim] += lx
+        stage_model[:, u0:, :dim] += lux
+        stage_model[:, u0:, one] += lu
+        stage_model[:, u0:, u0:] += luu
+
+    stage = costs.stage_derivatives_batch(
+        t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights
+    )
+    add_blocks(stage["lx"], stage["lu"], stage["lxx"], stage["luu"], stage["lux"])
+    add_blocks(*cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels, active_set=True))
+    stage_model[:, ui, ui] += regularization
+
+    pi = pi_traj[:, :-1].T
+    a = accels.T
+    jac = np.zeros((k_steps, dim + 1, size))
+    jac[:, ti, ti] = 1.0
+    jac[:, ti, pj] = ds
+    jac[:, pj, pj] = 1.0 - 3.0 * a * pi**2 * ds
+    jac[:, pj, ui] = -(pi**3) * ds
+    jac[:, one, one] = 1.0
+    curv = np.stack([-6.0 * a * pi * ds, -3.0 * pi**2 * ds], axis=1)
+    curv_at = np.stack([pj * size + pj, ui * size + pj])
+    grad_at = pj * (dim + 1) + one
+
+    lf_x, lf_xx = costs.terminal_derivatives(
+        t_traj[:, -1], config, weights, targets, pi_final=pi_traj[:, -1]
+    )
+    value = np.zeros((dim + 1, dim + 1))
+    value[:dim, :dim] = lf_xx
+    value[:dim, one] = lf_x
+    value[one, :dim] = lf_x
+
+    steps = np.empty((k_steps, n, dim + 1))
+    control_rows = np.empty((k_steps, n, n + 1))
+    for k in range(k_steps - 1, -1, -1):
+        fk = jac[k]
+        q = stage_model[k] + fk.T.dot(value.dot(fk))
+        if second:
+            q.flat[curv_at] += value.take(grad_at) * curv[k]
+        q_uu = q[u0:, u0:]
+        try:
+            np.linalg.cholesky(q_uu)
+        except np.linalg.LinAlgError:
+            raise BackwardPassError(
+                f"control Hessian not positive definite at step {k} "
+                f"with shift {regularization:g}"
+            )
+        rhs = q[u0:, :u0]
+        step = np.linalg.solve(q_uu, rhs)
+        steps[k] = step
+        control_rows[k] = q[u0:, one:]
+        value = q[:u0, :u0] - rhs.T.dot(step)
+
+    feedforward = -steps[:, :, one]
+    q_u = control_rows[:, :, 0]
+    q_uu = control_rows[:, :, 1:]
+    return (
+        -steps[:, :, :dim],
+        feedforward,
+        float(np.einsum("ki,ki->", feedforward, q_u)),
+        float(np.einsum("ki,kij,kj->", feedforward, q_uu, feedforward)),
+        value[:dim, :dim],
+        value[:dim, one],
+    )
+
+
+def make_indefinite_at(monkeypatch, steps, lux_shift=0.0):
+    """Shift the AL blocks both sweeps read so Q_uu is indefinite at ``steps``."""
+    batch = cons.al_derivative_batch
+
+    def shifted(*args, **kw):
+        lx, lu, lxx, luu, lux = batch(*args, **kw)
+        luu[steps] -= 1e8 * np.eye(luu.shape[1])
+        lux[steps] += lux_shift
+        return lx, lu, lxx, luu, lux
+
+    monkeypatch.setattr(cons, "al_derivative_batch", shifted)
 
 
 def random_instance(n, seed, r1=20.0, k_steps=60):
@@ -313,6 +423,105 @@ class TestBackwardPass:
         assert bp.d1 == pytest.approx(d1, rel=1e-10)
         assert bp.d2 == pytest.approx(d2, rel=1e-10)
         assert_close(bp.value0.gradient, grad)
+
+
+    @pytest.mark.parametrize("second", [True, False])
+    @pytest.mark.parametrize("k_steps", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_chunked_sweep_bit_identical_to_per_step_test(self, n, k_steps, second):
+        args = random_instance(n, seed=100 + n + k_steps, k_steps=k_steps)
+        bp = backward_pass(*args, 1e-6, second)
+        gains, ff, d1, d2, hessian, grad = per_step_backward_pass(*args, 1e-6, second)
+        assert np.array_equal(bp.gains, gains)
+        assert np.array_equal(bp.feedforward, ff)
+        assert bp.d1 == d1
+        assert bp.d2 == d2
+        assert np.array_equal(bp.value0.hessian, hessian)
+        assert np.array_equal(bp.value0.gradient, grad)
+
+    @pytest.mark.parametrize("second", [True, False])
+    @pytest.mark.parametrize(
+        "k_steps, failing",
+        [
+            (200, [199]),  # step K-1, the top of the first chunk
+            (200, [136]),  # the bottom of the first chunk
+            (200, [135]),  # the top of the second chunk
+            (200, [72]),  # the bottom of the second chunk
+            (200, [0]),  # step 0, in the short last chunk
+            (200, [150, 140]),  # two failing steps in one chunk
+            (200, [100, 30]),  # in different chunks
+            (40, [20]),  # K below the chunk length
+            (40, [39, 0]),
+        ],
+    )
+    def test_failing_step_named_like_per_step_test(self, monkeypatch, k_steps, failing, second):
+        assert _TEST_CHUNK == 64  # the cases above sit on its chunk edges
+        args = random_instance(3, seed=k_steps, k_steps=k_steps)
+        make_indefinite_at(monkeypatch, failing)
+        with pytest.raises(BackwardPassError) as want:
+            per_step_backward_pass(*args, 1e-6, second)
+        with pytest.raises(BackwardPassError) as got:
+            backward_pass(*args, 1e-6, second)
+        assert str(got.value) == str(want.value)
+        assert f"at step {max(failing)} " in str(got.value)
+
+    def test_thrown_away_steps_raise_no_warning(self, monkeypatch):
+        # a huge Q_ux at the failing step makes the steps after it, down to
+        # the bottom of the chunk, overflow; that work is thrown away and
+        # must stay silent, as a sweep that stopped at the failing step is
+        args = random_instance(3, seed=200, k_steps=200)
+        make_indefinite_at(monkeypatch, [150], lux_shift=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BackwardPassError) as want:
+                per_step_backward_pass(*args, 1e-6, True)
+            with pytest.raises(BackwardPassError) as got:
+                backward_pass(*args, 1e-6, True)
+        assert str(got.value) == str(want.value)
+        assert "at step 150 " in str(got.value)
+
+    def test_zero_control_hessian_fails_definiteness_not_solve(self):
+        # no effort or power weight, no terminal speed term and no active
+        # bound: Q_uu is exactly zero at the last step, where the solve
+        # itself fails; the sweep must still report the definiteness failure
+        cfg = wide_open_config(n=2, ds=0.5, horizon_steps=100)
+        w = CostWeights(q1=500.0, q2=0.0, q3=5000.0, r1=0.0, qv=0.0)
+        t0 = np.array([0.0, -1.2])
+        accels = np.zeros((2, 100))
+        states = rollout(t0, [0.05, 0.05], accels, cfg.ds)
+        ctrls = ControlTrajectory(accels=accels)
+        cset = cons.ConstraintSet.from_config(cfg)
+        args = (states, ctrls, np.zeros(100), cfg, w, cset, idle_al(cset, states, ctrls))
+        targets = schedule_targets(cfg, t0)
+        with pytest.raises(BackwardPassError, match="at step 99 with shift 0$") as got:
+            backward_pass(*args, targets, 0.0, True)
+        with pytest.raises(BackwardPassError) as want:
+            per_step_backward_pass(*args, targets, 0.0, True)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("failing", [None, 150])
+    def test_solve_failure_on_a_later_step(self, monkeypatch, failing):
+        # a singular solve at step 140 is a thrown-away step when a step
+        # above it in the chunk failed the test; otherwise it propagates
+        args = random_instance(3, seed=4, k_steps=200)
+        if failing is not None:
+            make_indefinite_at(monkeypatch, [failing])
+        solve_one = np.linalg.solve
+        calls = []
+
+        def singular_at_140(a, b):
+            calls.append(None)
+            if len(calls) == 200 - 140:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve_one(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_140)
+        if failing is None:
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                backward_pass(*args, 1e-6, True)
+        else:
+            with pytest.raises(BackwardPassError, match="at step 150 "):
+                backward_pass(*args, 1e-6, True)
 
 
 def textbook_rollout(states, controls, bp, alpha, ds):
