@@ -160,6 +160,7 @@ def _solve_stats(eco):
     stats = {"wall_time_s": eco.wall_time}
     if hasattr(report, "iterations"):
         stats["iterations"] = len(report.iterations)
+        stats["coarse_iterations"] = report.coarse_iterations
         stats["max_violation"] = report.max_violation
     if eco.exec_times:
         times = np.asarray(eco.exec_times)
@@ -183,6 +184,7 @@ def cmd_simulate(scenario, out: Path) -> int:
                 "max_violation": report.max_violation,
                 "cost": report.cost.as_dict(),
                 "iterations": [dataclasses.asdict(it) for it in report.iterations],
+                "coarse_iterations": report.coarse_iterations,
                 "wall_time_s": report.wall_time,
             },
         )

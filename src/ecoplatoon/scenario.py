@@ -16,6 +16,7 @@ variable before falling back to the packaged presets.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -76,6 +77,26 @@ def _speed(node, where: str) -> float:
             raise ConfigError(f"{where}: unknown speed unit {unit!r}")
         return value * _SPEED_UNITS[unit]
     raise ConfigError(f"{where}: speeds must carry an explicit unit tag")
+
+
+def _section(raw: dict, name: str, path) -> dict:
+    """The optional JSON object ``raw[name]`` (empty when absent)."""
+    sec = raw.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{path}: {name} must be a JSON object")
+    return sec
+
+
+def _number(sec: dict, key: str, default, where: str, positive: bool = False) -> float:
+    """``sec[key]`` (or ``default``) as a finite float, optionally > 0."""
+    try:
+        value = float(sec.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key} must be a number, got {sec.get(key)!r}")
+    if not math.isfinite(value) or (positive and value <= 0):
+        kind = "positive and finite" if positive else "finite"
+        raise ConfigError(f"{where}.{key} must be {kind}, got {value}")
+    return value
 
 
 def preset_dir_candidates():
@@ -168,19 +189,21 @@ def load_scenario(path) -> Scenario:
             f"{profile.total_length} m"
         )
 
-    wsec = raw.get("weights", {})
-    floor = wsec.get("power_floor")
+    wsec = _section(raw, "weights", path)
+    where = f"{path}: weights"
     weights = CostWeights(
-        q1=float(wsec.get("q1", 500.0)),
-        q2=float(wsec.get("q2", 0.01)),
-        q3=float(wsec.get("q3", 5000.0)),
-        r1=float(wsec.get("r1", 50.0)),
-        qv=float(wsec.get("qv", 0.0)),
-        power_floor=None if floor is None else float(floor),
-        power_smoothing=float(wsec.get("power_smoothing", 500.0)),
+        q1=_number(wsec, "q1", 500.0, where),
+        q2=_number(wsec, "q2", 0.01, where),
+        q3=_number(wsec, "q3", 5000.0, where),
+        r1=_number(wsec, "r1", 50.0, where),
+        qv=_number(wsec, "qv", 0.0, where),
+        power_floor=(
+            None if wsec.get("power_floor") is None else _number(wsec, "power_floor", None, where)
+        ),
+        power_smoothing=_number(wsec, "power_smoothing", 500.0, where),
     )
 
-    ssec = raw.get("solver", {})
+    ssec = _section(raw, "solver", path)
     known = {f for f in SolverOptions.__dataclass_fields__}
     opts_kwargs = {}
     for key, val in ssec.items():
@@ -192,35 +215,39 @@ def load_scenario(path) -> Scenario:
             raise ConfigError(f"{path}: unknown solver option {key!r}")
     solver_options = SolverOptions(**opts_kwargs)
 
-    bsec = raw.get("baseline", {})
+    bsec = _section(raw, "baseline", path)
+    where = f"{path}: baseline"
     gains = CaccGains(
-        kp_gap=float(bsec.get("kp_gap", 0.45)),
-        kd_gap=float(bsec.get("kd_gap", 1.2)),
-        kp_speed=float(bsec.get("kp_speed", 0.8)),
+        kp_gap=_number(bsec, "kp_gap", 0.45, where),
+        kd_gap=_number(bsec, "kd_gap", 1.2, where),
+        kp_speed=_number(bsec, "kp_speed", 0.8, where),
     )
-    tire_radius = float(bsec.get("tire_radius_m", 0.3))
-    baseline_dt = float(bsec.get("dt_s", 0.05))
+    tire_radius = _number(bsec, "tire_radius_m", 0.3, where, positive=True)
+    baseline_dt = _number(bsec, "dt_s", 0.05, where, positive=True)
 
     fm = raw.get("fuel_model", "default")
     fuel_model = FuelModel.default() if fm == "default" else FuelModel.load(base_dir / fm)
 
-    psec = raw.get("perturbation")
     perturbation = None
-    if psec is not None:
-        try:
-            perturbation = PerturbationSpec(
-                magnitude=float(psec["magnitude_mps"]),
-                shape=psec.get("shape", "step"),
-                onset_position=float(psec.get("onset_m", 0.0)),
-                duration=float(psec.get("duration_m", 0.0)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{path}: perturbation section missing {exc.args[0]!r}")
+    if raw.get("perturbation") is not None:
+        psec = _section(raw, "perturbation", path)
+        where = f"{path}: perturbation"
+        if "magnitude_mps" not in psec:
+            raise ConfigError(f"{where} section missing 'magnitude_mps'")
+        perturbation = PerturbationSpec(
+            magnitude=_number(psec, "magnitude_mps", None, where),
+            shape=psec.get("shape", "step"),
+            onset_position=_number(psec, "onset_m", 0.0, where),
+            duration=_number(psec, "duration_m", 0.0, where),
+        )
 
-    hsec = raw.get("horizon", {"mode": "one_shot"})
+    hsec = _section(raw, "horizon", path)
     mode = hsec.get("mode", "one_shot")
     if mode not in ("one_shot", "receding"):
         raise ConfigError(f"{path}: horizon.mode must be 'one_shot' or 'receding'")
+    where = f"{path}: horizon"
+    window_m = _number(hsec, "window_m", 40.0, where, positive=True)
+    replan_m = _number(hsec, "replan_m", 10.0, where, positive=True)
 
     try:
         errs = np.asarray(raw.get("initial_time_errors_s", [0.0] * n), dtype=float)
@@ -248,8 +275,8 @@ def load_scenario(path) -> Scenario:
         fuel_model=fuel_model,
         perturbation=perturbation,
         horizon_mode=mode,
-        window_m=float(hsec.get("window_m", 40.0)),
-        replan_m=float(hsec.get("replan_m", 10.0)),
+        window_m=window_m,
+        replan_m=replan_m,
         initial_speed=init_speed,
         initial_time_errors=errs,
         baseline_dt=baseline_dt,

@@ -23,6 +23,14 @@ runs batched once per 64-step chunk of the sweep and names the highest
 failing step, as a per-step test would. The forward rollout runs in the
 row-major interleaved state and checks the slowness domain once at the end.
 
+A solve given no initial controls starts cold from a coarse plan, the idea
+of mesh refinement: it solves the same problem on a grid ten times coarser
+(stage weights scaled by the step ratio), holds each coarse control over
+the fine steps it covers and starts the full-resolution solve there. On
+the collector preset that takes the full-resolution solve from 14 backward
+passes down to 3. Explicit initial controls, zeros included, skip the
+coarse phase.
+
 A solve is single-threaded and deterministic; independent solves may run
 concurrently since all mutable state is owned per call.
 """
@@ -30,6 +38,8 @@ concurrently since all mutable state is owned per call.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -59,6 +69,39 @@ class SolverOptions:
     use_second_order: bool = True  # False drops the dynamics curvature terms (iLQR mode)
     rho_init: float = 10.0
     rho_factor: float = 10.0
+
+    def __post_init__(self):
+        for name in ("max_inner", "max_outer"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(f"solver option {name} must be an integer >= 1, got {value!r}")
+        # A factor of 1 never escalates the shift or shrinks the step, so the
+        # Levenberg ladder or the line search would never end.
+        checks = (
+            (
+                ("tol_cost_rel", "tol_violation", "reg_init", "reg_max", "alpha_min", "rho_init"),
+                "> 0",
+                lambda v: v > 0,
+            ),
+            (("reg_factor",), "> 1", lambda v: v > 1),
+            (("rho_factor",), ">= 1", lambda v: v >= 1),
+            (("backtrack_factor", "armijo_c"), "in (0, 1)", lambda v: 0 < v < 1),
+        )
+        for names, wanted, holds in checks:
+            for name in names:
+                value = getattr(self, name)
+                if (
+                    isinstance(value, bool)
+                    or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and holds(value))
+                ):
+                    raise ConfigError(
+                        f"solver option {name} must be finite and {wanted}, got {value!r}"
+                    )
+        if not isinstance(self.use_second_order, bool):
+            raise ConfigError(
+                f"solver option use_second_order must be a bool, got {self.use_second_order!r}"
+            )
 
 
 @dataclass
@@ -96,6 +139,7 @@ class SolveReport:
     max_violation: float
     targets: np.ndarray
     value_gradient0: np.ndarray = field(default=None, repr=False)
+    coarse_iterations: int = 0  # accepted iterations of a cold start's coarse phase
 
     @property
     def n_iterations(self) -> int:
@@ -134,6 +178,10 @@ def _dynamics_coeffs(pi_traj: np.ndarray, accels: np.ndarray, ds: float):
 # raises, so this bounds the wasted steps; a test over the whole horizon
 # would run failing sweeps down to step 0.
 _TEST_CHUNK = 64
+
+# A cold solve first plans on a grid this many times coarser and starts
+# the full-resolution solve from that plan (see ``solve``).
+_COARSE_FACTOR = 10
 
 
 def _test_definite(control_hessians, lo, hi, regularization):
@@ -348,6 +396,19 @@ def solve(
     (default: entry-anchored schedule at the target speed). The report flags
     convergence honestly; a non-converged solve still returns the best
     trajectory found plus its iteration history.
+
+    ``initial_controls`` (N, K) starts the solve from that plan. Without
+    them the solve starts cold: it first plans the same problem on a grid
+    ``_COARSE_FACTOR`` times coarser (Kc = K // _COARSE_FACTOR steps of
+    length ds K / Kc, stage weights q1, q2 and r1 scaled by that step
+    ratio, the same targets, terminal weights and options, from zero
+    controls), holds coarse step (j Kc) // K over fine step j, and starts
+    from that plan, converged or not. It starts from zero controls instead
+    when Kc < 2 or when the held plan leaves the slowness domain at full
+    resolution. Explicit zero controls give the plain zero start.
+    ``iterations`` holds the full-resolution iterations only,
+    ``coarse_iterations`` counts the coarse phase, and ``wall_time`` covers
+    both.
     """
     start = time.perf_counter()
     t0 = np.asarray(t0, dtype=float)
@@ -359,27 +420,68 @@ def solve(
         raise ConfigError("initial slowness must be positive")
     k_steps = config.horizon_steps
     ds = config.ds
-
-    grid = start_position + ds * np.arange(k_steps)
-    thetas = grade_at(profile, np.minimum(grid, profile.total_length))
     if targets is None:
         targets = costs.schedule_targets(config, t0)
     targets = np.asarray(targets, dtype=float)
 
+    coarse_iterations = 0
+    reference = None
     if initial_controls is None:
-        accels = np.zeros((n, k_steps))
+        k_coarse = k_steps // _COARSE_FACTOR
+        if k_coarse >= 2:
+            ratio = k_steps / k_coarse
+            coarse_config = dataclasses.replace(config, ds=ds * ratio, horizon_steps=k_coarse)
+            coarse_weights = dataclasses.replace(
+                weights, q1=weights.q1 * ratio, q2=weights.q2 * ratio, r1=weights.r1 * ratio
+            )
+            zeros = np.zeros((n, k_coarse))
+            coarse = _solve(
+                coarse_config, coarse_weights, profile, options, targets, start_position,
+                zeros, rollout(t0, pi0, zeros, coarse_config.ds),
+            )
+            coarse_iterations = coarse.n_iterations
+            accels = coarse.controls.accels[:, np.arange(k_steps) * k_coarse // k_steps]
+            reference = _feasible_rollout(t0, pi0, accels, ds)
+        if reference is None:
+            accels = np.zeros((n, k_steps))
+            reference = rollout(t0, pi0, accels, ds)
     else:
         accels = np.array(initial_controls, dtype=float)
         if accels.shape != (n, k_steps):
             raise ConfigError(f"initial controls must have shape ({n}, {k_steps})")
+        reference = _feasible_rollout(t0, pi0, accels, ds)
+        if reference is None:
+            raise ConfigError("initial controls are infeasible (slowness left the domain)")
+
+    report = _solve(config, weights, profile, options, targets, start_position, accels, reference)
+    report.coarse_iterations = coarse_iterations
+    report.wall_time = time.perf_counter() - start
+    return report
+
+
+def _feasible_rollout(t0, pi0, accels, ds):
+    """The rollout of ``accels``, or None when it leaves the slowness domain."""
+    try:
+        return rollout(t0, pi0, accels, ds)
+    except IntegrationError:
+        return None
+
+
+def _solve(config, weights, profile, options, targets, start_position, accels, reference):
+    """The solve proper, from the plan ``accels`` and its rollout ``reference``.
+
+    ``solve`` runs both its coarse and its full-resolution phase through
+    here, so one public call stays one plan. ``wall_time`` covers this
+    phase only; ``solve`` replaces it.
+    """
+    start = time.perf_counter()
+    k_steps = config.horizon_steps
+    ds = config.ds
+    grid = start_position + ds * np.arange(k_steps)
+    thetas = grade_at(profile, np.minimum(grid, profile.total_length))
 
     cset = cons.ConstraintSet.from_config(config)
     al = cons.ALState.initial(k_steps, cset.n_constraints, options.rho_init)
-
-    try:
-        reference = rollout(t0, pi0, accels, ds)
-    except IntegrationError:
-        raise ConfigError("initial controls are infeasible (slowness left the domain)")
     times, slows = reference.arrival_times, reference.slownesses
 
     def eval_true(t_arr, pi_arr, a_arr):

@@ -51,6 +51,11 @@ class TestSimulate:
         assert summary["fuel_total_L"]["eco"] > 0
         assert "max_violation" in summary
         assert "wall_time" in summary
+        # a cold one-shot solve reports its coarse phase apart from its iterations
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["coarse_iterations"] > 0
+        assert summary["wall_time"]["coarse_iterations"] == report["coarse_iterations"]
+        assert summary["wall_time"]["iterations"] == len(report["iterations"])
         header = (out / "trajectories.csv").read_text().splitlines()[0]
         assert header.startswith("step,s_m,t1_s,v1_mps,a1_mps2,aeq1_mps2")
         n_rows = len((out / "trajectories.csv").read_text().splitlines()) - 1
@@ -81,6 +86,21 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "gravity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("weights", "q1", "heavy"), ("solver", "backtrack_factor", 1.0)],
+    )
+    def test_malformed_field_exits_config(
+        self, fast_scenario, tmp_path, capsys, section, key, value
+    ):
+        raw = json.loads(fast_scenario.read_text())
+        raw.setdefault(section, {})[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_non_convergence_exit_code(self, fast_scenario, tmp_path):
         raw = json.loads(fast_scenario.read_text())

@@ -162,6 +162,68 @@ class TestLoading:
         with pytest.raises(ConfigError, match=key):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("weights", "q1", "heavy"),
+            ("weights", "power_floor", "low"),
+            ("weights", "r1", [50.0]),
+            ("baseline", "kp_gap", "x"),
+            ("baseline", "kd_gap", float("nan")),
+            ("baseline", "dt_s", 0.0),
+            ("baseline", "tire_radius_m", None),
+            ("horizon", "window_m", "far"),
+            ("horizon", "window_m", -40.0),
+            ("horizon", "replan_m", float("inf")),
+            ("perturbation", "magnitude_mps", "big"),
+            ("perturbation", "onset_m", "x"),
+            ("perturbation", "duration_m", float("nan")),
+        ],
+    )
+    def test_malformed_section_field_rejected(self, tmp_path, section, key, value):
+        fields = {"magnitude_mps": 0.5} if section == "perturbation" else {}
+        fields[key] = value
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
+            load_scenario(self._minimal(tmp_path, **{section: fields}))
+
+    @pytest.mark.parametrize(
+        "section", ["weights", "solver", "baseline", "horizon", "perturbation"]
+    )
+    def test_section_must_be_an_object(self, tmp_path, section):
+        with pytest.raises(ConfigError, match=f"{section} must be a JSON object"):
+            load_scenario(self._minimal(tmp_path, **{section: [1.0]}))
+
+    def test_perturbation_needs_magnitude(self, tmp_path):
+        with pytest.raises(ConfigError, match="magnitude_mps"):
+            load_scenario(self._minimal(tmp_path, perturbation={"shape": "step"}))
+
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            ({"backtrack_factor": 1.0}, "backtrack_factor"),
+            ({"max_inner": "ten"}, "max_inner"),
+            ({"reg_factor": 1.0}, "reg_factor"),
+        ],
+    )
+    def test_bad_solver_option_value_rejected(self, tmp_path, options, name):
+        with pytest.raises(ConfigError, match=f"solver option {name}"):
+            load_scenario(self._minimal(tmp_path, solver=options))
+
+    def test_sections_read_when_well_formed(self, tmp_path):
+        scen = load_scenario(
+            self._minimal(
+                tmp_path,
+                weights={"q1": 250, "power_floor": 0},
+                baseline={"kp_gap": 0.5, "dt_s": 0.02},
+                horizon={"mode": "receding", "window_m": 30, "replan_m": 5},
+                perturbation={"magnitude_mps": -0.5, "shape": "pulse", "duration_m": 20},
+            )
+        )
+        assert scen.weights.q1 == 250.0 and scen.weights.power_floor == 0.0
+        assert scen.gains.kp_gap == 0.5 and scen.baseline_dt == 0.02
+        assert (scen.horizon_mode, scen.window_m, scen.replan_m) == ("receding", 30.0, 5.0)
+        assert scen.perturbation.duration == 20.0
+
     def test_ilqr_flag_maps_to_second_order(self, tmp_path):
         scen = load_scenario(self._minimal(tmp_path, solver={"ilqr": True}))
         assert scen.solver_options.use_second_order is False

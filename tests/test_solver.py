@@ -8,10 +8,13 @@ import pytest
 from conftest import make_config
 from ecoplatoon import constraints as cons
 from ecoplatoon import costs
+from ecoplatoon import solver as solver_mod
 from ecoplatoon.costs import CostWeights, schedule_targets, trajectory_cost
 from ecoplatoon.errors import BackwardPassError, ConfigError
 from ecoplatoon.platoon import ControlTrajectory, rollout
+from ecoplatoon.scenario import load_scenario, resolve_scenario_path
 from ecoplatoon.solver import (
+    _COARSE_FACTOR,
     _TEST_CHUNK,
     SolverOptions,
     backward_pass,
@@ -839,3 +842,189 @@ class TestRecedingHorizon:
         )
         assert len(run.exec_times) == len(run.windows)
         assert all(t > 0 for t in run.exec_times)
+
+
+class TestSolverOptions:
+    def test_defaults_valid(self):
+        SolverOptions()
+        SolverOptions(max_inner=1, max_outer=1, rho_factor=1.0, use_second_order=False)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_inner", 0),
+            ("max_inner", "ten"),
+            ("max_inner", 10.0),
+            ("max_outer", True),
+            ("max_outer", -1),
+            ("tol_cost_rel", 0.0),
+            ("tol_violation", float("nan")),
+            ("reg_init", -1e-6),
+            ("reg_max", float("inf")),
+            ("alpha_min", 0.0),
+            ("rho_init", "10"),
+            ("reg_factor", 1.0),
+            ("reg_factor", 0.5),
+            ("backtrack_factor", 1.0),
+            ("backtrack_factor", 0.0),
+            ("armijo_c", 1.0),
+            ("armijo_c", float("nan")),
+            ("rho_factor", 0.99),
+            ("rho_factor", float("inf")),
+            ("use_second_order", 1),
+            ("use_second_order", "yes"),
+        ],
+    )
+    def test_invalid_option_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"solver option {name}"):
+            SolverOptions(**{name: value})
+
+
+def cold_problem(k_steps, n=2, ds=0.5):
+    cfg = make_config(n=n, ds=ds, horizon_steps=k_steps)
+    w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
+    t0 = np.array([0.0, -1.3])[:n]
+    pi0 = np.full(n, 1.0 / cfg.target_speed)
+    return cfg, w, build_preset("collector"), t0, pi0
+
+
+def spy_phases(monkeypatch, change=None):
+    """Record every call of the private solve helper; ``change`` may edit a report."""
+    calls = []
+    inner = solver_mod._solve
+
+    def spy(config, weights, profile, options, targets, start_position, accels, reference):
+        report = inner(
+            config, weights, profile, options, targets, start_position, accels, reference
+        )
+        if change is not None:
+            report = change(config, report)
+        calls.append(
+            {"config": config, "weights": weights, "targets": targets, "accels": accels,
+             "start_position": start_position, "report": report, "wall": report.wall_time}
+        )
+        return report
+
+    monkeypatch.setattr(solver_mod, "_solve", spy)
+    return calls
+
+
+def assert_same_plan(a, b):
+    assert np.array_equal(a.controls.accels, b.controls.accels)
+    assert np.array_equal(a.states.arrival_times, b.states.arrival_times)
+    assert np.array_equal(a.states.slownesses, b.states.slownesses)
+    assert a.cost.total == b.cost.total
+    assert a.iterations == b.iterations
+    assert a.converged == b.converged
+
+
+class TestColdStart:
+    def test_one_public_call_per_plan(self, monkeypatch):
+        cfg, w, prof, t0, pi0 = cold_problem(200)
+        phases = spy_phases(monkeypatch)
+        public = []
+        inner = solver_mod.solve
+
+        def counting(*args, **kwargs):
+            public.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "solve", counting)
+        report = solver_mod.solve(cfg, w, prof, t0, pi0, SolverOptions())
+        assert len(public) == 1
+        assert [p["config"].horizon_steps for p in phases] == [20, 200]
+        coarse, fine = phases
+        assert report.coarse_iterations == coarse["report"].n_iterations > 0
+        assert report.iterations is fine["report"].iterations
+        # the report's wall time covers both phases, each timed on its own
+        assert report.wall_time >= coarse["wall"] + fine["wall"]
+
+    def test_coarse_problem_is_the_same_problem_on_a_coarser_grid(self, monkeypatch):
+        cfg, w, prof, t0, pi0 = cold_problem(200)
+        phases = spy_phases(monkeypatch)
+        targets = np.array([30.0, 29.5])
+        solve(cfg, w, prof, t0, pi0, SolverOptions(), targets=targets, start_position=12.5)
+        coarse, fine = phases
+        k_coarse = cfg.horizon_steps // _COARSE_FACTOR
+        ratio = cfg.horizon_steps / k_coarse
+        assert coarse["config"].horizon_steps == k_coarse
+        assert coarse["config"].ds == cfg.ds * ratio
+        assert coarse["config"].route_length == pytest.approx(cfg.route_length, rel=1e-15)
+        cw = coarse["weights"]
+        assert (cw.q1, cw.q2, cw.r1) == (w.q1 * ratio, w.q2 * ratio, w.r1 * ratio)
+        assert (cw.q3, cw.qv, cw.power_floor) == (w.q3, w.qv, w.power_floor)
+        assert np.array_equal(coarse["targets"], targets)
+        assert coarse["start_position"] == fine["start_position"] == 12.5
+        assert not np.any(coarse["accels"])
+
+    def test_collector_preset_cold_matches_zero_start(self):
+        scen = load_scenario(resolve_scenario_path("collector"))
+        cfg, opts = scen.config, scen.solver_options
+        t0, pi0, targets = scen.initial_state()
+        args = (cfg, scen.weights, scen.profile, t0, pi0, opts)
+        cold = solve(*args, targets=targets)
+        zero = solve(*args, targets=targets, initial_controls=np.zeros((3, cfg.horizon_steps)))
+        assert cold.converged and zero.converged
+        assert cold.coarse_iterations > 0 and zero.coarse_iterations == 0
+        assert cold.n_iterations < zero.n_iterations
+        assert abs(cold.cost.total - zero.cost.total) <= 10 * opts.tol_cost_rel * abs(
+            zero.cost.total
+        )
+
+    def test_held_plan_out_of_domain_falls_back_to_zero_start(self, monkeypatch):
+        cfg, w, prof, t0, pi0 = cold_problem(200)
+        zero = solve(cfg, w, prof, t0, pi0, SolverOptions(), initial_controls=np.zeros((2, 200)))
+
+        def blow_up(config, report):
+            if config.horizon_steps < cfg.horizon_steps:
+                report.controls.accels[1, 5] = 1e5  # drives the slowness negative
+            return report
+
+        phases = spy_phases(monkeypatch, blow_up)
+        cold = solve(cfg, w, prof, t0, pi0, SolverOptions())
+        assert len(phases) == 2
+        assert not np.any(phases[1]["accels"])
+        assert_same_plan(cold, zero)
+
+    @pytest.mark.parametrize("k_steps", [1, 12, 19])
+    def test_too_short_for_a_coarse_grid_starts_from_zeros(self, monkeypatch, k_steps):
+        cfg, w, prof, t0, pi0 = cold_problem(k_steps)
+        zero = solve(
+            cfg, w, prof, t0, pi0, SolverOptions(), initial_controls=np.zeros((2, k_steps))
+        )
+        phases = spy_phases(monkeypatch)
+        cold = solve(cfg, w, prof, t0, pi0, SolverOptions())
+        assert len(phases) == 1
+        assert cold.coarse_iterations == 0
+        assert_same_plan(cold, zero)
+
+    def test_explicit_controls_skip_the_coarse_phase(self, monkeypatch):
+        cfg, w, prof, t0, pi0 = cold_problem(200)
+        phases = spy_phases(monkeypatch)
+        init = np.full((2, 200), 0.05)
+        report = solve(cfg, w, prof, t0, pi0, SolverOptions(), initial_controls=init)
+        assert len(phases) == 1
+        assert np.array_equal(phases[0]["accels"], init)
+        assert report.coarse_iterations == 0
+
+    def test_every_fine_step_holds_a_coarse_control(self, monkeypatch):
+        cfg, w, prof, t0, pi0 = cold_problem(95)
+        phases = spy_phases(monkeypatch)
+        solve(cfg, w, prof, t0, pi0, SolverOptions())
+        coarse, fine = phases
+        plan = coarse["report"].controls.accels
+        assert plan.shape == (2, 9)
+        held = fine["accels"]
+        assert held.shape == (2, 95)
+        owner = np.arange(95) * 9 // 95
+        assert np.array_equal(held, plan[:, owner])
+        assert set(owner) == set(range(9))
+        # each coarse step covers 95 / 9 fine steps, rounded down or up
+        assert set(np.bincount(owner)) == {10, 11}
+
+    def test_cold_reruns_bit_identical(self):
+        cfg, w, prof, t0, pi0 = cold_problem(400)
+        first = solve(cfg, w, prof, t0, pi0, SolverOptions())
+        again = solve(cfg, w, prof, t0, pi0, SolverOptions())
+        assert_same_plan(first, again)
+        assert first.coarse_iterations == again.coarse_iterations
