@@ -7,7 +7,8 @@ Scenario paths may name a shipped preset (``collector``, ``major_arterial``);
 ECOPLATOON_PRESET_DIR overrides the preset search path. All outputs are
 written atomically (write-then-rename) with fixed column orders, so repeated
 runs of the same scenario produce byte-identical files. The CLI renders no
-graphics; it drops a small matplotlib script next to the data instead.
+graphics. ``--ds`` and ``--window`` must be finite and positive, as the
+scenario's own ``window_m`` must.
 
 Exit codes: 0 success, 2 configuration error, 3 non-convergence, 4 runtime
 failure.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -64,49 +66,6 @@ def write_csv(path: Path, header: list, rows) -> None:
 
 def write_json(path: Path, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-_PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-\"\"\"Render the CSV outputs in this directory (requires matplotlib).\"\"\"
-import csv
-import pathlib
-import sys
-
-import matplotlib.pyplot as plt
-
-HERE = pathlib.Path(__file__).parent
-
-
-def load(name):
-    with open(HERE / name) as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    cols = {h: [float(r[i]) for r in data] for i, h in enumerate(header)}
-    return cols
-
-
-for name, ylabel in [
-    ("fuel_series.csv", "cumulative fuel [L]"),
-    ("speed_series.csv", "speed [m/s]"),
-    ("following_errors.csv", "following error [s]"),
-    ("timings.csv", "solve time [s]"),
-]:
-    if not (HERE / name).exists():
-        continue
-    cols = load(name)
-    xkey = next(iter(cols))
-    fig, ax = plt.subplots()
-    for key, series in cols.items():
-        if key == xkey:
-            continue
-        ax.plot(cols[xkey], series, label=key)
-    ax.set_xlabel(xkey)
-    ax.set_ylabel(ylabel)
-    ax.legend(fontsize="small")
-    fig.savefig(HERE / (name.replace(".csv", ".png")), dpi=150)
-    print("wrote", name.replace(".csv", ".png"))
-"""
 
 
 def _grid_series(fuel_series, ds: float, route_length: float):
@@ -198,7 +157,6 @@ def cmd_simulate(scenario, out: Path) -> int:
         "wall_time": _solve_stats(eco),
     }
     write_json(out / "summary.json", summary)
-    atomic_write(out / "plot_results.py", _PLOT_SCRIPT)
     if not eco.converged:
         print("solver did not converge; see solve_report.json", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -256,7 +214,6 @@ def cmd_compare(scenario, out: Path) -> int:
         "wall_time": _solve_stats(eco),
     }
     write_json(out / "summary.json", summary)
-    atomic_write(out / "plot_results.py", _PLOT_SCRIPT)
     if not eco.converged:
         print("solver did not converge; see summary.json", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -307,7 +264,6 @@ def cmd_stability(scenario, out: Path) -> int:
             "deviation_norms": list(map(float, report.deviation_norms)),
         },
     )
-    atomic_write(out / "plot_results.py", _PLOT_SCRIPT)
     return EXIT_OK
 
 
@@ -333,7 +289,6 @@ def cmd_bench(scenario, out: Path, ds_values, windows, max_executions: int) -> i
             for r in rows
         ],
     )
-    atomic_write(out / "plot_results.py", _PLOT_SCRIPT)
     return EXIT_OK
 
 
@@ -374,6 +329,8 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         if args.window is not None:
+            if not (math.isfinite(args.window) and args.window > 0):
+                raise ConfigError(f"--window must be positive and finite, got {args.window}")
             scenario = dataclasses.replace(scenario, window_m=args.window)
         if args.ilqr:
             scenario = dataclasses.replace(

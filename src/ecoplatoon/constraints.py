@@ -109,30 +109,10 @@ def max_violation(e_values: np.ndarray) -> float:
     return float(np.maximum(e_values, 0.0).max(initial=0.0))
 
 
-def augmented_running_cost(base: float, cset: ConstraintSet, al_k, pi, a) -> float:
-    """Stage cost plus sum_i [lambda_i C_i + rho_i C_i^2 / 2], C = e + s."""
-    return base + penalty(evaluate(cset, np.asarray(pi), np.asarray(a)), al_k)
-
-
 def penalty(e_values: np.ndarray, al: ALState) -> float:
     """Total penalty sum [lambda C + rho C^2 / 2] over constraint values, C = e + s."""
     c = e_values + al.slack
     return float(np.sum(al.lam * c) + 0.5 * np.sum(al.rho * c * c))
-
-
-def al_derivative_terms(cset: ConstraintSet, al_k, pi, a):
-    """Additive AL blocks for (L_X, L_U, L_XX, L_UU, L_UX) at one step."""
-    blocks = al_derivative_batch(
-        cset,
-        ALState(
-            rho=np.atleast_2d(al_k.rho),
-            lam=np.atleast_2d(al_k.lam),
-            slack=np.atleast_2d(al_k.slack),
-        ),
-        np.asarray(pi)[:, None],
-        np.asarray(a)[:, None],
-    )
-    return tuple(b[0] for b in blocks)
 
 
 def al_derivative_batch(cset: ConstraintSet, al: ALState, pi, a, active_set: bool = False):
@@ -196,8 +176,11 @@ def update_multipliers(al: ALState, e_values: np.ndarray) -> ALState:
 
 
 def escalate_penalty(al: ALState, e_values: np.ndarray, factor: float, tol: float = 1e-3) -> ALState:
-    """Scale rho by ``factor`` on constraints still violated beyond ``tol``."""
-    if factor <= 1.0:
-        raise ConfigError(f"penalty escalation factor must exceed 1, got {factor}")
+    """Scale rho by ``factor`` on constraints still violated beyond ``tol``.
+
+    A factor of 1 never escalates.
+    """
+    if not (np.isfinite(factor) and factor >= 1.0):
+        raise ConfigError(f"penalty escalation factor must be finite and >= 1, got {factor}")
     rho = np.where(e_values > tol, al.rho * factor, al.rho)
     return ALState(rho=rho, lam=al.lam, slack=al.slack)

@@ -145,22 +145,6 @@ def grade_force(config: PlatoonConfig, theta) -> np.ndarray:
     return np.multiply.outer(slope_term, config.masses)
 
 
-def running_cost(t, pi, a, theta, config: PlatoonConfig, weights: CostWeights):
-    """Stage cost at one step. Returns (scalar, CostBreakdown increment)."""
-    t = np.asarray(t, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    a = np.asarray(a, dtype=float)
-    v = 1.0 / pi
-    m = config.masses
-    gaps = t[0] - t[1:] - np.arange(1, config.n_vehicles) * config.headway
-    cacc = weights.q1 * float(np.sum(gaps**2))
-    power = m * a * v + grade_force(config, theta) * v + config.drag_coeff * v**3
-    ecology = weights.q2 * float(np.sum(ecology_power_cost(power, weights)))
-    effort = weights.r1 * float(np.sum(a**2))
-    inc = CostBreakdown(cacc=cacc, ecology=ecology, effort=effort)
-    return inc.total, inc
-
-
 def schedule_targets(config: PlatoonConfig, entry_times) -> np.ndarray:
     """Per-vehicle terminal arrival targets: entry time plus route time at v^d."""
     entry = np.asarray(entry_times, dtype=float)
@@ -279,25 +263,6 @@ def stage_derivatives_batch(t, pi, a, thetas, config: PlatoonConfig, weights: Co
     luu[:, np.arange(n), np.arange(n)] += 2.0 * r1
 
     return {"lx": lx, "lu": lu, "lxx": lxx, "luu": luu, "lux": lux}
-
-
-def cost_derivatives(t, pi, a, theta, config: PlatoonConfig, weights: CostWeights):
-    """Derivative blocks (L_X, L_U, L_XX, L_UU, L_UX) at a single step."""
-    blocks = stage_derivatives_batch(
-        np.asarray(t)[:, None],
-        np.asarray(pi)[:, None],
-        np.asarray(a)[:, None],
-        [theta],
-        config,
-        weights,
-    )
-    return (
-        blocks["lx"][0],
-        blocks["lu"][0],
-        blocks["lxx"][0],
-        blocks["luu"][0],
-        blocks["lux"][0],
-    )
 
 
 def trajectory_cost(states_t, states_pi, accels, thetas, config, weights, targets=None):

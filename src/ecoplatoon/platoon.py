@@ -220,32 +220,22 @@ def rollout(t0, pi0, accels, ds) -> PlatoonState:
     )
 
 
-def dynamics_jacobians(t, pi, a, ds):
-    """Analytic derivatives of one dynamics step in flat-state coordinates.
+def dynamics_derivatives(pi, accels, ds):
+    """Per-(step, vehicle) derivatives of the slowness update along a trajectory.
 
-    The flat state interleaves vehicles as [t1, pi1, ..., tN, piN] and the
-    control vector is [a1, ..., aN]. Returns (f_x, f_u, f_xx, f_uu, f_ux)
-    where the tensors hold second derivatives of each next-state component:
-    f_xx[m, p, q] = d^2 f_m / dx_p dx_q, and similarly f_uu, f_ux.
+    ``pi`` and ``accels`` are (N, K): the slowness and acceleration at the
+    start of each step. Returns (K, N) arrays g = d pi'/d pi,
+    fu = d pi'/d a, cxx = d2 pi'/d pi2 and cux = d2 pi'/d a d pi. The rest
+    of the step Jacobian is constant (d t'/d t = 1, d t'/d pi = ds) and
+    every other second derivative is zero.
     """
-    pi = np.asarray(pi, dtype=float)
-    a = np.asarray(a, dtype=float)
-    n = pi.size
-    dim = 2 * n
-    f_x = np.zeros((dim, dim))
-    f_u = np.zeros((dim, n))
-    f_xx = np.zeros((dim, dim, dim))
-    f_uu = np.zeros((dim, n, n))
-    f_ux = np.zeros((dim, n, dim))
-    ti = np.arange(n) * 2
-    pj = ti + 1
-    f_x[ti, ti] = 1.0
-    f_x[ti, pj] = ds
-    f_x[pj, pj] = 1.0 - 3.0 * a * pi**2 * ds
-    f_u[pj, np.arange(n)] = -(pi**3) * ds
-    f_xx[pj, pj, pj] = -6.0 * a * pi * ds
-    f_ux[pj, np.arange(n), pj] = -3.0 * pi**2 * ds
-    return f_x, f_u, f_xx, f_uu, f_ux
+    pi = pi.T  # (K, N)
+    a = accels.T
+    g = 1.0 - 3.0 * a * pi**2 * ds
+    fu = -(pi**3) * ds
+    cxx = -6.0 * a * pi * ds
+    cux = -3.0 * pi**2 * ds
+    return g, fu, cxx, cux
 
 
 def resimulate_time_domain(

@@ -285,6 +285,8 @@ def load_scenario(path) -> Scenario:
 
 def override_ds(scenario: Scenario, ds: float) -> Scenario:
     """Rebuild a scenario on a different spatial step, keeping the route length."""
+    if not (math.isfinite(ds) and ds > 0):
+        raise ConfigError(f"ds must be positive and finite, got {ds}")
     cfg = scenario.config
     route = cfg.route_length
     new_cfg = replace(cfg, ds=ds, horizon_steps=int(round(route / ds)))

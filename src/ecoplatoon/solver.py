@@ -41,14 +41,20 @@ import dataclasses
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import constraints as cons
 from . import costs
 from .errors import BackwardPassError, ConfigError, IntegrationError
-from .platoon import ControlTrajectory, PlatoonConfig, PlatoonState, rollout
+from .platoon import (
+    ControlTrajectory,
+    PlatoonConfig,
+    PlatoonState,
+    dynamics_derivatives,
+    rollout,
+)
 from .terrain import SlopeProfile, grade_at
 
 
@@ -138,7 +144,6 @@ class SolveReport:
     converged: bool
     max_violation: float
     targets: np.ndarray
-    value_gradient0: np.ndarray = field(default=None, repr=False)
     coarse_iterations: int = 0  # accepted iterations of a cold start's coarse phase
 
     @property
@@ -156,21 +161,6 @@ class BackwardPassResult:
 
     def expected_decrease(self, alpha: float) -> float:
         return -(alpha * self.d1 + 0.5 * alpha**2 * self.d2)
-
-
-def _dynamics_coeffs(pi_traj: np.ndarray, accels: np.ndarray, ds: float):
-    """Per-(step, vehicle) dynamics derivatives along a trajectory.
-
-    pi_traj is (N, K+1); accels is (N, K). Returns (K, N) arrays:
-    g = d pi'/d pi, fu = d pi'/d a, cxx = d2 pi'/d pi2, cux = d2 pi'/d a d pi.
-    """
-    pi = pi_traj[:, :-1].T  # (K, N)
-    a = accels.T
-    g = 1.0 - 3.0 * a * pi**2 * ds
-    fu = -(pi**3) * ds
-    cxx = -6.0 * a * pi * ds
-    cux = -3.0 * pi**2 * ds
-    return g, fu, cxx, cux
 
 
 # Steps per batched definiteness test of Q_uu in the backward sweep. A sweep
@@ -267,7 +257,7 @@ def backward_pass(
     add_blocks(*cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels, active_set=True))
     stage_model[:, ui, ui] += regularization
 
-    g, fu_c, cxx, cux = _dynamics_coeffs(pi_traj, accels, ds)
+    g, fu_c, cxx, cux = dynamics_derivatives(pi_traj[:, :-1], accels, ds)
     jac = np.zeros((k_steps, dim + 1, size))
     jac[:, ti, ti] = 1.0
     jac[:, ti, pj] = ds
@@ -500,7 +490,6 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     iterations: list = []
     reg = options.reg_init
     converged = False
-    value0 = None
 
     for outer in range(options.max_outer):
         inner_converged = False
@@ -508,48 +497,39 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
         while inner_count < options.max_inner:
             state_obj = PlatoonState(arrival_times=times, slownesses=slows)
             ctrl_obj = ControlTrajectory(accels=accels)
-            bp = None
-            while True:
-                try:
-                    bp = backward_pass(
-                        state_obj,
-                        ctrl_obj,
-                        thetas,
-                        config,
-                        weights,
-                        cset,
-                        al,
-                        targets,
-                        reg,
-                        options.use_second_order,
-                    )
-                    break
-                except BackwardPassError:
-                    reg = reg * options.reg_factor if reg > 0 else options.reg_init
-                    if reg > options.reg_max:
-                        bp = None
-                        break
-            if bp is None:
-                break
-            value0 = bp.value0
-
-            expected_full = bp.expected_decrease(1.0)
-            scale = max(1.0, abs(aug_cost))
-            if expected_full <= options.tol_cost_rel * scale:
-                inner_converged = True
-                break
-
-            alpha = 1.0
+            bp = None  # frees the previous pass's gains before the next is built
+            try:
+                bp = backward_pass(
+                    state_obj,
+                    ctrl_obj,
+                    thetas,
+                    config,
+                    weights,
+                    cset,
+                    al,
+                    targets,
+                    reg,
+                    options.use_second_order,
+                )
+            except BackwardPassError:
+                pass
             accepted = False
-            while alpha >= options.alpha_min:
-                result = forward_pass(state_obj, ctrl_obj, bp, alpha, ds)
-                if result is not None:
-                    t_new, pi_new, a_new = result
-                    new_true, new_breakdown, new_e = eval_true(t_new, pi_new, a_new)
-                    new_aug = new_true + cons.penalty(new_e, al)
-                    expected = bp.expected_decrease(alpha)
-                    actual = aug_cost - new_aug
-                    if actual < options.armijo_c * max(expected, 0.0) or actual <= 0.0:
+            if bp is not None:
+                scale = max(1.0, abs(aug_cost))
+                if bp.expected_decrease(1.0) <= options.tol_cost_rel * scale:
+                    inner_converged = True
+                    break
+                alpha = 1.0
+                while alpha >= options.alpha_min:
+                    result = forward_pass(state_obj, ctrl_obj, bp, alpha, ds)
+                    if result is not None:
+                        t_new, pi_new, a_new = result
+                        new_true, new_breakdown, new_e = eval_true(t_new, pi_new, a_new)
+                        expected = bp.expected_decrease(alpha)
+                        actual = aug_cost - (new_true + cons.penalty(new_e, al))
+                        if actual > 0.0 and actual >= options.armijo_c * max(expected, 0.0):
+                            accepted = True
+                            break
                         # Fit the measured decrease with a parabola through the
                         # origin slope and jump near its maximizer instead of
                         # halving blindly; the plain backtrack is the fallback.
@@ -563,39 +543,39 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                             ):
                                 alpha = alpha_star
                                 continue
-                    if actual >= options.armijo_c * max(expected, 0.0) and actual > 0.0:
-                        times, slows, accels = t_new, pi_new, a_new
-                        true_cost, breakdown, e_vals = new_true, new_breakdown, new_e
-                        al = cons.update_slack(al, e_vals)
-                        aug_cost = true_cost + cons.penalty(e_vals, al)
-                        iterations.append(
-                            IterationRecord(
-                                outer=outer,
-                                cost=true_cost,
-                                aug_cost=aug_cost,
-                                max_violation=cons.max_violation(e_vals),
-                                step_length=alpha,
-                                regularization=reg,
-                                expected_decrease=expected,
-                                actual_decrease=actual,
-                            )
-                        )
-                        accepted = True
-                        break
-                alpha *= options.backtrack_factor
+                    alpha *= options.backtrack_factor
             if accepted:
+                times, slows, accels = t_new, pi_new, a_new
+                true_cost, breakdown, e_vals = new_true, new_breakdown, new_e
+                al = cons.update_slack(al, e_vals)
+                aug_cost = true_cost + cons.penalty(e_vals, al)
+                iterations.append(
+                    IterationRecord(
+                        outer=outer,
+                        cost=true_cost,
+                        aug_cost=aug_cost,
+                        max_violation=cons.max_violation(e_vals),
+                        step_length=alpha,
+                        regularization=reg,
+                        expected_decrease=expected,
+                        actual_decrease=actual,
+                    )
+                )
                 inner_count += 1
                 reg = max(options.reg_init, reg / options.reg_factor)
-                if iterations[-1].actual_decrease <= options.tol_cost_rel * max(
-                    1.0, abs(aug_cost)
-                ):
+                if actual <= options.tol_cost_rel * max(1.0, abs(aug_cost)):
                     inner_converged = True
                     break
-            else:
-                reg = reg * options.reg_factor if reg > 0 else options.reg_init
-                if reg > options.reg_max:
-                    inner_converged = bp.expected_decrease(1.0) <= 10 * options.tol_cost_rel * scale
-                    break
+                continue
+            # The shifted Q_uu failed its Cholesky test or no step length
+            # passed Armijo: retry with a larger Levenberg shift.
+            reg *= options.reg_factor
+            if reg > options.reg_max:
+                inner_converged = (
+                    bp is not None
+                    and bp.expected_decrease(1.0) <= 10 * options.tol_cost_rel * scale
+                )
+                break
 
         violation = cons.max_violation(e_vals)
         if inner_converged and violation <= options.tol_violation:
@@ -618,7 +598,6 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
         converged=converged,
         max_violation=cons.max_violation(e_vals),
         targets=targets,
-        value_gradient0=None if value0 is None else value0.gradient,
     )
 
 

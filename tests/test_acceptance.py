@@ -12,14 +12,15 @@ import time
 import numpy as np
 import pytest
 
+from conftest import one_step_cost, one_step_stage_blocks
 from ecoplatoon import constraints as cons
 from ecoplatoon.cli import main as cli_main
-from ecoplatoon.costs import CostWeights, cost_derivatives, running_cost
+from ecoplatoon.costs import CostWeights
 from ecoplatoon.experiments import run_bench, run_compare
 from ecoplatoon.platoon import (
     PlatoonConfig,
     VehicleParams,
-    dynamics_jacobians,
+    dynamics_derivatives,
     resimulate_time_domain,
     rollout,
     step_dynamics,
@@ -179,17 +180,17 @@ class TestCriterion5SolverProperties:
             pi = rng.uniform(0.03, 0.1, size=3)
             a = rng.uniform(-3.0, 3.0, size=3)
             theta = rng.uniform(-0.15, 0.15)
-            f_x, f_u, *_ = dynamics_jacobians(t, pi, a, cfg.ds)
-            lx, lu, *_ = cost_derivatives(t, pi, a, theta, cfg, w)
+            g, fu, *_ = dynamics_derivatives(pi[:, None], a[:, None], cfg.ds)
+            lx, lu, *_ = one_step_stage_blocks(t, pi, a, theta, cfg, w)
             h = 3e-5
             for p in range(3):
                 fd = fd4(lambda x: step_dynamics(t, x, a, cfg.ds)[1][p], pi.copy(), p, h)
-                worst = max(worst, abs(f_x[2 * p + 1, 2 * p + 1] - fd) / max(abs(fd), 1e-12))
+                worst = max(worst, abs(g[0, p] - fd) / max(abs(fd), 1e-12))
                 fd = fd4(lambda x: step_dynamics(t, pi, x, cfg.ds)[1][p], a.copy(), p, h)
-                worst = max(worst, abs(f_u[2 * p + 1, p] - fd) / max(abs(fd), 1e-12))
-                fd = fd4(lambda x: running_cost(t, x, a, theta, cfg, w)[0], pi.copy(), p, h)
+                worst = max(worst, abs(fu[0, p] - fd) / max(abs(fd), 1e-12))
+                fd = fd4(lambda x: one_step_cost(t, x, a, theta, cfg, w)[0], pi.copy(), p, h)
                 worst = max(worst, abs(lx[2 * p + 1] - fd) / max(abs(fd), 1e-6))
-                fd = fd4(lambda x: running_cost(t, pi, x, theta, cfg, w)[0], a.copy(), p, h)
+                fd = fd4(lambda x: one_step_cost(t, pi, x, theta, cfg, w)[0], a.copy(), p, h)
                 worst = max(worst, abs(lu[p] - fd) / max(abs(fd), 1e-6))
         report(
             5,

@@ -44,8 +44,9 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", str(fast_scenario), "--out", str(out)])
         assert rc == EXIT_OK
         for name in ("trajectories.csv", "fuel_series.csv", "summary.json",
-                     "solve_report.json", "plot_results.py"):
+                     "solve_report.json"):
             assert (out / name).exists(), name
+        assert not (out / "plot_results.py").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
         assert summary["fuel_total_L"]["eco"] > 0
@@ -101,6 +102,22 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--ds", "0"), ("--ds", "-1"), ("--ds", "nan"), ("--ds", "inf"),
+         ("--window", "0"), ("--window", "-5"), ("--window", "nan"), ("--window", "inf")],
+    )
+    def test_bad_override_exits_config(self, fast_scenario, tmp_path, capsys, flag, value):
+        # the overrides obey the loader's rule for window_m: finite and > 0
+        raw = json.loads(fast_scenario.read_text())
+        raw["horizon"] = {"mode": "receding", "window_m": 40.0, "replan_m": 10.0}
+        receding = tmp_path / "receding.json"
+        receding.write_text(json.dumps(raw))
+        rc = main(["simulate", "--scenario", str(receding), "--out", str(tmp_path / "o"),
+                   flag, value])
+        assert rc == EXIT_CONFIG
+        assert flag.lstrip("-") in capsys.readouterr().err
 
     def test_non_convergence_exit_code(self, fast_scenario, tmp_path):
         raw = json.loads(fast_scenario.read_text())

@@ -12,6 +12,15 @@ def cset(config):
     return cons.ConstraintSet.from_config(config)
 
 
+def al_blocks_k1(cset, al, pi, a):
+    """``al_derivative_batch`` at one step (K = 1), fixed-slack model."""
+    al_k1 = cons.ALState(
+        rho=np.atleast_2d(al.rho), lam=np.atleast_2d(al.lam), slack=np.atleast_2d(al.slack)
+    )
+    blocks = cons.al_derivative_batch(cset, al_k1, pi[:, None], a[:, None])
+    return tuple(b[0] for b in blocks)
+
+
 def al_single(rho, lam, slack):
     return cons.ALState(
         rho=np.full((1, 1), float(rho)),
@@ -54,12 +63,9 @@ class TestAugmentedCost:
         a = np.zeros(3)
         e = cons.evaluate(cset, pi, a)
         al = cons.update_slack(al, e[None, :])
-        got = cons.augmented_running_cost(
-            42.0,
-            cset,
+        got = 42.0 + cons.penalty(
+            cons.evaluate(cset, pi, a),
             cons.ALState(rho=al.rho[0], lam=al.lam[0], slack=al.slack[0]),
-            pi,
-            a,
         )
         assert got == pytest.approx(42.0)
 
@@ -83,9 +89,7 @@ class TestAugmentedCost:
                 al.lam[i] * (e[i] + al.slack[i]) + 0.5 * al.rho[i] * (e[i] + al.slack[i]) ** 2
                 for i in range(12)
             )
-            assert cons.augmented_running_cost(7.0, cset, al, pi, a) == pytest.approx(
-                expected, rel=1e-12
-            )
+            assert 7.0 + cons.penalty(e, al) == pytest.approx(expected, rel=1e-12)
 
     def test_penalty_sums_every_step_and_constraint(self, cset, rng):
         pi = rng.uniform(0.02, 0.2, size=(3, 5))
@@ -126,7 +130,7 @@ class TestDerivativeTerms:
         al = cons.ALState(rho=np.full(12, 10.0), lam=np.zeros(12), slack=np.zeros(12))
         e = cons.evaluate(cset, pi, a)
         al = cons.update_slack(al, e)
-        lx, lu, *_ = cons.al_derivative_terms(cset, al, pi, a)
+        lx, lu, *_ = al_blocks_k1(cset, al, pi, a)
         expected = 10.0 * (e[2] + al.slack[2])
         assert lu[0] == pytest.approx(expected)
         assert lu[1] == lu[2] == 0.0
@@ -142,9 +146,9 @@ class TestDerivativeTerms:
             )
 
             def aug(pi_, a_):
-                return cons.augmented_running_cost(0.0, cset, al, pi_, a_)
+                return cons.penalty(cons.evaluate(cset, pi_, a_), al)
 
-            lx, lu, lxx, luu, lux = cons.al_derivative_terms(cset, al, pi, a)
+            lx, lu, lxx, luu, lux = al_blocks_k1(cset, al, pi, a)
             eps = 1e-7
             for p in range(3):
                 d = np.zeros(3)
@@ -223,6 +227,17 @@ class TestUpdates:
         with pytest.raises(ConfigError):
             cons.escalate_penalty(al, e, 0.5)
 
+    @pytest.mark.parametrize("factor", [np.nan, np.inf])
+    def test_escalation_rejects_non_finite_factor(self, factor):
+        al = cons.ALState(rho=np.full(2, 10.0), lam=np.zeros(2), slack=np.zeros(2))
+        with pytest.raises(ConfigError):
+            cons.escalate_penalty(al, np.array([0.5, -0.5]), factor)
+
+    def test_escalation_factor_one_never_escalates(self):
+        al = cons.ALState(rho=np.array([10.0, 3.0]), lam=np.zeros(2), slack=np.zeros(2))
+        out = cons.escalate_penalty(al, np.array([0.5, 2.0]), 1.0, tol=1e-3)
+        assert np.array_equal(out.rho, al.rho)
+
     def test_augmented_at_least_base_under_projected_slack(self, cset, rng):
         # with fresh multipliers the projected penalty is non-negative; with
         # carried multipliers it can undershoot by at most sum(lam^2 / 2 rho),
@@ -237,17 +252,17 @@ class TestUpdates:
                 cons.ALState(rho=rng.uniform(1.0, 50.0, size=12), lam=np.zeros(12), slack=np.zeros(12)),
                 e,
             )
-            assert cons.augmented_running_cost(base, cset, al0, pi, a) >= base - 1e-9
+            assert base + cons.penalty(e, al0) >= base - 1e-9
 
             lam = rng.uniform(0.0, 3.0, size=12)
             rho = rng.uniform(1.0, 50.0, size=12)
             al1 = cons.update_slack(cons.ALState(rho=rho, lam=lam, slack=np.zeros(12)), e)
             bound = base - float(np.sum(lam**2 / (2 * rho)))
-            got = cons.augmented_running_cost(base, cset, al1, pi, a)
+            got = base + cons.penalty(e, al1)
             assert got >= bound - 1e-9
             # escalating rho tenfold moves the augmented cost toward/above base
             al2 = cons.update_slack(cons.ALState(rho=100 * rho, lam=lam, slack=np.zeros(12)), e)
-            got2 = cons.augmented_running_cost(base, cset, al2, pi, a)
+            got2 = base + cons.penalty(e, al2)
             assert got2 >= base - float(np.sum(lam**2 / (200 * rho))) - 1e-9
 
 

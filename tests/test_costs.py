@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_config
+from conftest import make_config, one_step_cost, one_step_stage_blocks
 from ecoplatoon.costs import (
     CostBreakdown,
     CostWeights,
-    cost_derivatives,
-    running_cost,
     schedule_targets,
     terminal_cost,
     terminal_derivatives,
@@ -43,7 +41,7 @@ class TestRunningCost:
         w = CostWeights(q1=500, q2=0.0, q3=5000, r1=50)
         t = np.array([0.0, -1.0, -2.0])
         pi = np.full(3, 0.05)
-        total, inc = running_cost(t, pi, np.zeros(3), 0.0, cfg, w)
+        total, inc = one_step_cost(t, pi, np.zeros(3), 0.0, cfg, w)
         assert total == 0.0
         assert inc.cacc == 0.0 and inc.effort == 0.0
 
@@ -53,7 +51,7 @@ class TestRunningCost:
         # follower half a second off the desired gap
         t = np.array([0.0, -1.5])
         pi = np.full(2, 0.05)
-        total, inc = running_cost(t, pi, np.zeros(2), 0.0, cfg, w)
+        total, inc = one_step_cost(t, pi, np.zeros(2), 0.0, cfg, w)
         assert total == pytest.approx(500 * 0.25)
         assert inc.cacc == pytest.approx(125.0)
 
@@ -72,7 +70,7 @@ class TestRunningCost:
         w = CostWeights(q1=0.0, q2=q2, q3=0.0, r1=0.0)
         t = np.array([0.0, -1.0])
         pi = np.full(2, 1.0 / v)
-        total, inc = running_cost(t, pi, np.full(2, a), theta, cfg, w)
+        total, inc = one_step_cost(t, pi, np.full(2, a), theta, cfg, w)
         assert inc.ecology == pytest.approx(2 * expected, rel=1e-12)
         assert total == pytest.approx(2 * expected, rel=1e-12)
 
@@ -80,7 +78,7 @@ class TestRunningCost:
         cfg = make_config(n=2)
         w = CostWeights(q1=0.0, q2=0.0, q3=0.0, r1=7.0)
         t = np.array([0.0, -1.0])
-        total, _ = running_cost(t, np.full(2, 0.05), np.array([2.0, -1.0]), 0.0, cfg, w)
+        total, _ = one_step_cost(t, np.full(2, 0.05), np.array([2.0, -1.0]), 0.0, cfg, w)
         assert total == pytest.approx(7.0 * (4.0 + 1.0))
 
 
@@ -118,7 +116,7 @@ class TestDerivatives:
         cfg = make_config(n=3)
         w = CostWeights(q1=500, q2=0.0, q3=0.0, r1=0.0)
         t = np.array([0.0, -1.0, -2.0])
-        _, lu, *_ = cost_derivatives(t, np.full(3, 0.05), np.zeros(3), 0.0, cfg, w)
+        _, lu, *_ = one_step_stage_blocks(t, np.full(3, 0.05), np.zeros(3), 0.0, cfg, w)
         assert np.allclose(lu, 0.0)
 
     def test_ecology_control_gradient(self):
@@ -127,7 +125,7 @@ class TestDerivatives:
         w = CostWeights(q1=0.0, q2=10.0, q3=0.0, r1=0.0)
         v = 23.0
         t = np.array([0.0, -1.0])
-        _, lu, *_ = cost_derivatives(t, np.full(2, 1 / v), np.zeros(2), 0.1, cfg, w)
+        _, lu, *_ = one_step_stage_blocks(t, np.full(2, 1 / v), np.zeros(2), 0.1, cfg, w)
         assert np.allclose(lu, 10.0 * 1400.0 * v)
 
     def test_all_blocks_match_finite_differences(self, rng):
@@ -136,14 +134,14 @@ class TestDerivatives:
         theta = 0.08
 
         def value(t, pi, a):
-            total, _ = running_cost(t, pi, a, theta, cfg, w)
+            total, _ = one_step_cost(t, pi, a, theta, cfg, w)
             return total
 
         for _ in range(100):
             t = rng.normal(scale=2.0, size=3)
             pi = rng.uniform(0.03, 0.1, size=3)
             a = rng.uniform(-3.0, 3.0, size=3)
-            lx, lu, lxx, luu, lux = cost_derivatives(t, pi, a, theta, cfg, w)
+            lx, lu, lxx, luu, lux = one_step_stage_blocks(t, pi, a, theta, cfg, w)
             x = np.empty(6)
             x[0::2] = t
             x[1::2] = pi
@@ -170,21 +168,21 @@ class TestDerivatives:
                 d[p] = eps
                 tp, pp = from_flat(x + d)
                 tm, pm = from_flat(x - d)
-                gxp = cost_derivatives(tp, pp, a, theta, cfg, w)[0]
-                gxm = cost_derivatives(tm, pm, a, theta, cfg, w)[0]
+                gxp = one_step_stage_blocks(tp, pp, a, theta, cfg, w)[0]
+                gxm = one_step_stage_blocks(tm, pm, a, theta, cfg, w)[0]
                 np.testing.assert_allclose(
                     lxx[:, p], (gxp - gxm) / (2 * eps), rtol=1e-4, atol=1e-3
                 )
-                gup = cost_derivatives(tp, pp, a, theta, cfg, w)[1]
-                gum = cost_derivatives(tm, pm, a, theta, cfg, w)[1]
+                gup = one_step_stage_blocks(tp, pp, a, theta, cfg, w)[1]
+                gum = one_step_stage_blocks(tm, pm, a, theta, cfg, w)[1]
                 np.testing.assert_allclose(
                     lux[:, p], (gup - gum) / (2 * eps), rtol=1e-4, atol=1e-3
                 )
             for p in range(3):
                 d = np.zeros(3)
                 d[p] = eps
-                gup = cost_derivatives(t, pi, a + d, theta, cfg, w)[1]
-                gum = cost_derivatives(t, pi, a - d, theta, cfg, w)[1]
+                gup = one_step_stage_blocks(t, pi, a + d, theta, cfg, w)[1]
+                gum = one_step_stage_blocks(t, pi, a - d, theta, cfg, w)[1]
                 np.testing.assert_allclose(
                     luu[:, p], (gup - gum) / (2 * eps), rtol=1e-4, atol=1e-3
                 )
@@ -198,12 +196,12 @@ class TestDerivatives:
         signed = CostWeights(q1=0.0, q2=1.0, q3=0.0, r1=0.0)
         t = np.array([0.0, -1.0])
         pi = np.full(2, 0.05)
-        braking, _ = running_cost(t, pi, np.full(2, -3.0), 0.0, cfg, hinged)
+        braking, _ = one_step_cost(t, pi, np.full(2, -3.0), 0.0, cfg, hinged)
         assert 0.0 <= braking < 1.0  # tail of the hinge, near zero
-        raw_brake, _ = running_cost(t, pi, np.full(2, -3.0), 0.0, cfg, signed)
+        raw_brake, _ = one_step_cost(t, pi, np.full(2, -3.0), 0.0, cfg, signed)
         assert raw_brake < -1e5  # the signed form rewards braking heavily
-        pushing_h, _ = running_cost(t, pi, np.full(2, 2.0), 0.0, cfg, hinged)
-        pushing_s, _ = running_cost(t, pi, np.full(2, 2.0), 0.0, cfg, signed)
+        pushing_h, _ = one_step_cost(t, pi, np.full(2, 2.0), 0.0, cfg, hinged)
+        pushing_s, _ = one_step_cost(t, pi, np.full(2, 2.0), 0.0, cfg, signed)
         assert pushing_h == pytest.approx(pushing_s, rel=1e-6)
 
     def test_hinged_derivatives_match_fd(self, rng):
@@ -213,13 +211,13 @@ class TestDerivatives:
         theta = -0.05
 
         def value(pi, a):
-            return running_cost(np.zeros(2), pi, a, theta, cfg, w)[0]
+            return one_step_cost(np.zeros(2), pi, a, theta, cfg, w)[0]
 
         for _ in range(50):
             pi = rng.uniform(0.03, 0.1, size=2)
             # sample around the hinge where curvature is largest
             a = rng.uniform(-1.0, 1.5, size=2)
-            lx, lu, lxx, luu, lux = cost_derivatives(
+            lx, lu, lxx, luu, lux = one_step_stage_blocks(
                 np.zeros(2), pi, a, theta, cfg, w
             )
             eps = 1e-6
@@ -236,6 +234,16 @@ class TestDerivatives:
                 d[p] = eps2
                 fd2 = (value(pi, a + d) - 2 * value(pi, a) + value(pi, a - d)) / eps2**2
                 assert luu[p, p] == pytest.approx(fd2, rel=5e-3, abs=1e-3)
+                # the hinge's curvature also enters the slowness blocks
+                h = np.zeros(2)
+                h[p] = 3e-5  # slowness is O(0.05), so a smaller step
+                fd2 = (value(pi + h, a) - 2 * value(pi, a) + value(pi - h, a)) / h[p] ** 2
+                assert lxx[2 * p + 1, 2 * p + 1] == pytest.approx(fd2, rel=5e-3, abs=1e-3)
+                fd2 = (
+                    value(pi + h, a + d) - value(pi + h, a - d)
+                    - value(pi - h, a + d) + value(pi - h, a - d)
+                ) / (4 * h[p] * eps2)
+                assert lux[p, 2 * p + 1] == pytest.approx(fd2, rel=5e-3, abs=1e-3)
 
     def test_terminal_speed_anchor_derivatives(self, rng):
         cfg = make_config(n=2)
@@ -299,7 +307,7 @@ class TestTrajectoryCost:
         )
         stepwise = 0.0
         for k in range(50):
-            c, _ = running_cost(
+            c, _ = one_step_cost(
                 state.arrival_times[:, k], state.slownesses[:, k], accels[:, k],
                 thetas[k], cfg, w,
             )

@@ -10,7 +10,7 @@ from ecoplatoon.platoon import (
     ControlTrajectory,
     PlatoonState,
     diff_state,
-    dynamics_jacobians,
+    dynamics_derivatives,
     resimulate_time_domain,
     rollout,
     slowness,
@@ -141,15 +141,55 @@ class TestStepDynamics:
         assert np.max(np.abs(x1 - x1_linear)) <= 1e-12
 
 
+def step_jacobians(pi, a, ds):
+    """Flat-state step derivatives (f_x, f_u, f_xx, f_ux) at one step.
+
+    The slowness rows come from ``dynamics_derivatives`` at K = 1; the
+    arrival-time rows are the constant structure the backward pass assumes
+    (d t'/d t = 1, d t'/d pi = ds). f_xx[m, p, q] = d^2 f_m / dx_p dx_q;
+    f_uu is zero.
+    """
+    pi = np.asarray(pi, dtype=float)
+    coeffs = dynamics_derivatives(pi[:, None], np.asarray(a)[:, None], ds)
+    g, fu, cxx, cux = (c[0] for c in coeffs)
+    n = pi.size
+    dim = 2 * n
+    ai = np.arange(n)
+    ti = 2 * ai
+    pj = ti + 1
+    f_x = np.zeros((dim, dim))
+    f_u = np.zeros((dim, n))
+    f_xx = np.zeros((dim, dim, dim))
+    f_ux = np.zeros((dim, n, dim))
+    f_x[ti, ti] = 1.0
+    f_x[ti, pj] = ds
+    f_x[pj, pj] = g
+    f_u[pj, ai] = fu
+    f_xx[pj, pj, pj] = cxx
+    f_ux[pj, ai, pj] = cux
+    return f_x, f_u, f_xx, f_ux
+
+
 class TestJacobians:
     def test_zero_control(self):
-        f_x, f_u, f_xx, f_uu, f_ux = dynamics_jacobians([0.0], [0.05], [0.0], 0.1)
-        assert f_x[1, 1] == 1.0
-        assert f_xx[1, 1, 1] == 0.0
+        g, fu, cxx, cux = dynamics_derivatives(np.array([[0.05]]), np.array([[0.0]]), 0.1)
+        assert g[0, 0] == 1.0
+        assert cxx[0, 0] == 0.0
 
     def test_control_sensitivity_substitution(self):
-        _, f_u, *_ = dynamics_jacobians([0.0], [0.05], [2.0], 0.1)
-        assert f_u[1, 0] == pytest.approx(-1.25e-5)
+        _, fu, *_ = dynamics_derivatives(np.array([[0.05]]), np.array([[2.0]]), 0.1)
+        assert fu[0, 0] == pytest.approx(-1.25e-5)
+
+    def test_trajectory_layout(self, rng):
+        # (N, K) inputs give (K, N) outputs, step k from column k alone
+        pi = rng.uniform(0.02, 0.2, size=(3, 7))
+        a = rng.uniform(-3.0, 3.0, size=(3, 7))
+        whole = dynamics_derivatives(pi, a, 0.1)
+        for k in range(7):
+            one = dynamics_derivatives(pi[:, k : k + 1], a[:, k : k + 1], 0.1)
+            for got, want in zip(whole, one):
+                assert got.shape == (7, 3)
+                assert np.array_equal(got[k], want[0])
 
     def test_matches_finite_differences(self, rng):
         ds = 0.1
@@ -158,7 +198,7 @@ class TestJacobians:
             t = rng.normal(size=n)
             pi = rng.uniform(0.02, 0.2, size=n)
             a = rng.uniform(-3.0, 3.0, size=n)
-            f_x, f_u, f_xx, f_uu, f_ux = dynamics_jacobians(t, pi, a, ds)
+            f_x, f_u, f_xx, f_ux = step_jacobians(pi, a, ds)
 
             def step_flat(x_flat, u):
                 tt, pp = step_dynamics(x_flat[0::2], x_flat[1::2], u, ds)
@@ -186,8 +226,8 @@ class TestJacobians:
             for p in range(n):
                 dx = np.zeros(2 * n)
                 dx[2 * p + 1] = eps
-                jp = dynamics_jacobians(t, pi + eps * np.eye(n)[p], a, ds)
-                jm = dynamics_jacobians(t, pi - eps * np.eye(n)[p], a, ds)
+                jp = step_jacobians(pi + eps * np.eye(n)[p], a, ds)
+                jm = step_jacobians(pi - eps * np.eye(n)[p], a, ds)
                 fd_xx = (jp[0][:, 2 * p + 1] - jm[0][:, 2 * p + 1]) / (2 * eps)
                 np.testing.assert_allclose(
                     f_xx[:, 2 * p + 1, 2 * p + 1], fd_xx, rtol=1e-5, atol=1e-8

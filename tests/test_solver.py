@@ -1,5 +1,6 @@
 """Backward/forward pass correctness and whole-solve behavior."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from ecoplatoon import solver as solver_mod
 from ecoplatoon.costs import CostWeights, schedule_targets, trajectory_cost
 from ecoplatoon.errors import BackwardPassError, ConfigError
 from ecoplatoon.platoon import ControlTrajectory, rollout
-from ecoplatoon.scenario import load_scenario, resolve_scenario_path
+from ecoplatoon.scenario import load_scenario, override_ds, resolve_scenario_path
 from ecoplatoon.solver import (
     _COARSE_FACTOR,
     _TEST_CHUNK,
@@ -879,6 +880,20 @@ class TestSolverOptions:
         with pytest.raises(ConfigError, match=f"solver option {name}"):
             SolverOptions(**{name: value})
 
+    def test_rho_factor_one_solves_constrained_problem(self):
+        # a binding acceleration box needs more than one outer pass; a
+        # factor of 1 updates the multipliers but never escalates rho
+        scen = override_ds(load_scenario(resolve_scenario_path("collector")), 1.0)
+        box = tuple(
+            dataclasses.replace(v, a_min=-1.5, a_max=1.0) for v in scen.config.vehicles
+        )
+        cfg = dataclasses.replace(scen.config, vehicles=box)
+        t0, pi0, targets = scen.initial_state()
+        options = dataclasses.replace(scen.solver_options, rho_factor=1.0)
+        report = solve(cfg, scen.weights, scen.profile, t0, pi0, options, targets=targets)
+        assert max(it.outer for it in report.iterations) >= 1
+        assert np.all(np.isfinite(report.controls.accels))
+
 
 def cold_problem(k_steps, n=2, ds=0.5):
     cfg = make_config(n=n, ds=ds, horizon_steps=k_steps)
@@ -970,6 +985,20 @@ class TestColdStart:
         assert abs(cold.cost.total - zero.cost.total) <= 10 * opts.tol_cost_rel * abs(
             zero.cost.total
         )
+
+    def test_collector_coarse_phase_descends(self, monkeypatch):
+        scen = load_scenario(resolve_scenario_path("collector"))
+        t0, pi0, targets = scen.initial_state()
+        phases = spy_phases(monkeypatch)
+        report = solve(
+            scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options,
+            targets=targets,
+        )
+        coarse = phases[0]["report"]
+        assert phases[0]["config"].horizon_steps == scen.config.horizon_steps // _COARSE_FACTOR
+        assert len(coarse.iterations) == report.coarse_iterations > 0
+        augs = [it.aug_cost for it in coarse.iterations]
+        assert all(b <= a + 1e-9 * max(1, abs(a)) for a, b in zip(augs, augs[1:]))
 
     def test_held_plan_out_of_domain_falls_back_to_zero_start(self, monkeypatch):
         cfg, w, prof, t0, pi0 = cold_problem(200)
