@@ -8,7 +8,8 @@ ECOPLATOON_PRESET_DIR overrides the preset search path. All outputs are
 written atomically (write-then-rename) with fixed column orders, so repeated
 runs of the same scenario produce byte-identical files. The CLI renders no
 graphics. ``--ds`` and ``--window`` must be finite and positive, as the
-scenario's own ``window_m`` must.
+scenario's own ``window_m`` and every ``bench`` sweep value must;
+``--max-executions`` must be at least 1.
 
 Exit codes: 0 success, 2 configuration error, 3 non-convergence, 4 runtime
 failure.
@@ -38,12 +39,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_RUNTIME = 4
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
-
-
 def atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -57,10 +52,16 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(path: Path, header: list, rows) -> None:
+def write_csv(path: Path, header: list, columns) -> None:
+    """Write equal-length columns under ``header``, one row per element.
+
+    Integer (and boolean) columns print as integers, every other column as
+    ``%.12g`` of its float value.
+    """
+    columns = [np.asarray(col) for col in columns]
+    row_format = ",".join("%d" if col.dtype.kind in "biu" else "%.12g" for col in columns)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += [row_format % row for row in zip(*(col.tolist() for col in columns))]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -83,22 +84,20 @@ def _grid_series(fuel_series, ds: float, route_length: float):
 def _write_trajectories(out: Path, scenario, states, controls, equiv):
     cfg = scenario.config
     k_total = controls.accels.shape[1]
+    steps = np.arange(k_total + 1)
+    # controls hold their last value on the terminal row
+    held = np.minimum(steps, k_total - 1)
     header = ["step", "s_m"]
+    cols = [steps, steps * cfg.ds]
     for i in range(cfg.n_vehicles):
         header += [f"t{i + 1}_s", f"v{i + 1}_mps", f"a{i + 1}_mps2", f"aeq{i + 1}_mps2"]
-    rows = []
-    for k in range(k_total + 1):
-        kc = min(k, k_total - 1)
-        row = [k, k * cfg.ds]
-        for i in range(cfg.n_vehicles):
-            row += [
-                states.arrival_times[i, k],
-                1.0 / states.slownesses[i, k],
-                controls.accels[i, kc],
-                equiv[i, kc],
-            ]
-        rows.append(row)
-    write_csv(out / "trajectories.csv", header, rows)
+        cols += [
+            states.arrival_times[i],
+            1.0 / states.slownesses[i],
+            controls.accels[i, held],
+            equiv[i, held],
+        ]
+    write_csv(out / "trajectories.csv", header, cols)
 
 
 def _write_fuel_series(out: Path, scenario, eco_series, base_series=None):
@@ -110,8 +109,7 @@ def _write_fuel_series(out: Path, scenario, eco_series, base_series=None):
         _, base_cols = _grid_series(base_series, cfg.ds, cfg.route_length)
         header += [f"base_v{i + 1}_L" for i in range(len(base_cols))] + ["base_total_L"]
         cols += list(base_cols) + [np.sum(base_cols, axis=0)]
-    rows = [[grid[j]] + [c[j] for c in cols] for j in range(grid.size)]
-    write_csv(out / "fuel_series.csv", header, rows)
+    write_csv(out / "fuel_series.csv", header, [grid] + cols)
 
 
 def _solve_stats(eco):
@@ -172,7 +170,7 @@ def cmd_compare(scenario, out: Path) -> int:
     write_csv(
         out / "segment_deltas.csv",
         ["seg_start_m", "seg_end_m", "grade_rad", "saving_L"],
-        cmp_result.segment_deltas,
+        list(zip(*cmp_result.segment_deltas)),
     )
     cfg = scenario.config
     k_total = controls.accels.shape[1]
@@ -192,15 +190,10 @@ def cmd_compare(scenario, out: Path) -> int:
         base_aeq.append(np.interp(grid, tr["position"], a_eq_series))
     header += [f"base_v{i + 1}_mps" for i in range(n)]
     header += [f"base_aeq{i + 1}_mps2" for i in range(n)]
-    rows = []
-    for k in range(k_total):
-        row = [grid[k]]
-        row += [1.0 / states.slownesses[i, k] for i in range(n)]
-        row += [eco.equiv_accels[i, k] for i in range(n)]
-        row += [base_v[i][k] for i in range(n)]
-        row += [base_aeq[i][k] for i in range(n)]
-        rows.append(row)
-    write_csv(out / "speed_series.csv", header, rows)
+    cols = [grid]
+    cols += [1.0 / states.slownesses[i, :k_total] for i in range(n)]
+    cols += [eco.equiv_accels[i] for i in range(n)]
+    write_csv(out / "speed_series.csv", header, cols + base_v + base_aeq)
     summary = {
         "scenario": scenario.name,
         "converged": bool(eco.converged),
@@ -225,31 +218,29 @@ def cmd_stability(scenario, out: Path) -> int:
         raise ConfigError("scenario has no perturbation section")
     result = experiments.run_stability(scenario)
     report = result.report
-    rows = [
-        [j, report.gamma[j], report.gamma_vs_leader[j]]
-        for j in sorted(report.gamma)
-    ]
-    write_csv(out / "gamma.csv", ["vehicle", "gamma_adjacent", "gamma_vs_leader"], rows)
+    vehicles = sorted(report.gamma)
+    write_csv(
+        out / "gamma.csv",
+        ["vehicle", "gamma_adjacent", "gamma_vs_leader"],
+        [
+            vehicles,
+            [report.gamma[j] for j in vehicles],
+            [report.gamma_vs_leader[j] for j in vehicles],
+        ],
+    )
     cfg = scenario.config
     n, ksteps = report.deviations.shape
-    dev_rows = [
-        [k * cfg.ds] + [report.deviations[i, k] for i in range(n)]
-        for k in range(ksteps)
-    ]
     write_csv(
         out / "deviations.csv",
         ["s_m"] + [f"daeq{i + 1}_mps2" for i in range(n)],
-        dev_rows,
+        [np.arange(ksteps) * cfg.ds] + list(report.deviations),
     )
     err = result.errors
-    err_rows = [
-        [k, k * cfg.ds] + [err[i, k] for i in range(err.shape[0])]
-        for k in range(err.shape[1])
-    ]
+    steps = np.arange(err.shape[1])
     write_csv(
         out / "following_errors.csv",
         ["step", "s_m"] + [f"err{i + 1}_s" for i in range(err.shape[0])],
-        err_rows,
+        [steps, steps * cfg.ds] + list(err),
     )
     write_json(
         out / "stability.json",
@@ -267,14 +258,30 @@ def cmd_stability(scenario, out: Path) -> int:
     return EXIT_OK
 
 
+def _check_positive(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be positive and finite, got {value}")
+
+
 def cmd_bench(scenario, out: Path, ds_values, windows, max_executions: int) -> int:
+    for flag, values in (("--ds-sweep", ds_values), ("--window-sweep", windows)):
+        for value in values:
+            _check_positive(flag, value)
+    if max_executions < 1:
+        raise ConfigError(f"--max-executions must be at least 1, got {max_executions}")
     rows = experiments.run_bench(
         scenario, ds_values=ds_values, windows=windows, max_executions=max_executions
     )
     write_csv(
         out / "timings.csv",
         ["ds_m", "window_m", "executions", "mean_s", "max_s"],
-        [[r.ds, r.window, r.executions, r.mean_time, r.max_time] for r in rows],
+        [
+            [r.ds for r in rows],
+            [r.window for r in rows],
+            [r.executions for r in rows],
+            [r.mean_time for r in rows],
+            [r.max_time for r in rows],
+        ],
     )
     write_json(
         out / "timings.json",
@@ -329,8 +336,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         if args.window is not None:
-            if not (math.isfinite(args.window) and args.window > 0):
-                raise ConfigError(f"--window must be positive and finite, got {args.window}")
+            _check_positive("--window", args.window)
             scenario = dataclasses.replace(scenario, window_m=args.window)
         if args.ilqr:
             scenario = dataclasses.replace(

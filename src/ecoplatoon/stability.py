@@ -79,8 +79,11 @@ def run_perturbation(
     The unperturbed plan starts the platoon at the target speed with exact
     spacing; a precomputed ``baseline_report`` for that configuration may be
     passed to amortize sweeps. Step perturbations shift the leader's entry
-    speed by the magnitude; pulse perturbations inject the shift at the onset
-    position (and remove it after ``duration`` meters) during a
+    speed by the magnitude and re-plan cold (coarse plan, then full
+    resolution) toward the unperturbed plan's targets. A re-plan warm-started
+    from the unperturbed plan would stop at ``tol_cost_rel`` next to that plan
+    and under-report the response. Pulse perturbations inject the shift at
+    the onset position (and remove it after ``duration`` meters) during a
     receding-horizon execution.
     """
     n = config.n_vehicles
@@ -101,7 +104,6 @@ def run_perturbation(
             pi0_pert,
             options,
             targets=baseline_report.targets,
-            initial_controls=baseline_report.controls.accels,
         )
         base_accel = equivalent_accel_grid(
             baseline_report.states, baseline_report.controls, profile, config

@@ -1,11 +1,13 @@
 """Command-line front end: outputs, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ecoplatoon.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from ecoplatoon.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main, write_csv
 
 
 @pytest.fixture
@@ -205,3 +207,55 @@ class TestBench:
         assert all(r["mean_s"] > 0 and r["max_s"] >= r["mean_s"] for r in rows)
         # larger window never solves faster on average
         assert rows[1]["mean_s"] >= rows[0]["mean_s"] * 0.8
+
+    @pytest.mark.parametrize(
+        "flag, values",
+        [("--ds-sweep", "1.0 nan"), ("--window-sweep", "20 nan"), ("--window-sweep", "inf"),
+         ("--window-sweep", "0"), ("--window-sweep", "-20"),
+         ("--max-executions", "0"), ("--max-executions", "-1")],
+    )
+    def test_bad_sweep_exits_config(self, fast_scenario, tmp_path, capsys, flag, values):
+        out = tmp_path / "bench"
+        rc = main([
+            "bench", "--scenario", str(fast_scenario), "--out", str(out),
+            "--ds-sweep", "1.0", "--max-executions", "1", flag, *values.split(),
+        ])
+        assert rc == EXIT_CONFIG
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (out / "timings.csv").exists()
+
+
+class TestWriteCsv:
+    def test_matches_per_cell_formatting(self, tmp_path):
+        # integer columns print as integers, every other column as %.12g of
+        # its float value, byte for byte what per-cell formatting gives
+        ints = np.array([0, -3, 7, 2**40, -(2**53), 12])
+        floats = np.array(
+            [-0.0, math.inf, -math.inf, math.nan, 1e-300, 0.1 + 0.2]
+        )
+        rounding = np.array(
+            [123456789012.5, 1.0000000000005, 9.9999999999995, 2.5e15, 1 / 3, 5e-324]
+        )
+        int_like_floats = np.array([0.0, 1.0, -2.0, 1e12, 1e13, 3.0])
+        path = tmp_path / "t.csv"
+        cols = [ints, floats, rounding, int_like_floats, list(range(6))]
+        write_csv(path, ["i", "f", "r", "g", "n"], cols)
+        expected = ["i,f,r,g,n"]
+        for k in range(6):
+            cells = [str(int(ints[k]))]
+            cells += [format(float(c[k]), ".12g") for c in (floats, rounding, int_like_floats)]
+            cells.append(str(k))
+            expected.append(",".join(cells))
+        assert path.read_text() == "\n".join(expected) + "\n"
+        lines = path.read_text().splitlines()
+        assert lines[1] == "0,-0,123456789012,0,0"
+        assert lines[2] == "-3,inf,1,1,1"
+        assert lines[3] == "7,-inf,10,-2,2"
+        assert lines[4] == f"{2**40},nan,2.5e+15,1e+12,3"
+        assert lines[5] == f"{-(2**53)},1e-300,0.333333333333,1e+13,4"
+        assert lines[6] == "12,0.3,4.94065645841e-324,3,5"
+
+    def test_empty_columns_write_header_only(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_csv(path, ["a", "b"], [np.arange(0), np.zeros(0)])
+        assert path.read_text() == "a,b\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config
+from ecoplatoon import solver as solver_mod
 from ecoplatoon.costs import CostWeights
 from ecoplatoon.errors import ConfigError
 from ecoplatoon.platoon import PlatoonState, rollout
@@ -111,3 +112,44 @@ class TestRunPerturbation:
         assert report.deviations.shape[0] == 2
         # the jolt leaves a measurable signature
         assert report.deviation_norms[0] > 1e-6
+
+    def test_step_replan_matches_tightly_converged_replan(self):
+        # the step re-plan lands on the converged response: a re-plan warm-
+        # started from the unperturbed plan stopped next to it and read the
+        # leader ratio 3.5e-3 low
+        cfg = self._coarse_config()
+        spec = PerturbationSpec(magnitude=0.25)
+        prof = build_preset("collector")
+        default = run_perturbation(cfg, CAL_WEIGHTS, prof, spec, SolverOptions())
+        tight = run_perturbation(
+            cfg, CAL_WEIGHTS, prof, spec, SolverOptions(tol_cost_rel=1e-10)
+        )
+        assert default.gamma_vs_leader[2] == pytest.approx(
+            tight.gamma_vs_leader[2], rel=5e-4
+        )
+
+    def test_step_replan_starts_cold(self, monkeypatch):
+        cfg = self._coarse_config(n=2)
+        prof = build_preset("collector")
+        t0 = -np.arange(2) * cfg.headway
+        pi0 = np.full(2, 1.0 / cfg.target_speed)
+        baseline = solver_mod.solve(cfg, CAL_WEIGHTS, prof, t0, pi0, SolverOptions())
+        calls = []
+        inner = solver_mod.solve
+
+        def spy(*args, **kwargs):
+            report = inner(*args, **kwargs)
+            calls.append((args, kwargs, report))
+            return report
+
+        monkeypatch.setattr(solver_mod, "solve", spy)
+        run_perturbation(
+            cfg, CAL_WEIGHTS, prof, PerturbationSpec(magnitude=0.5), SolverOptions(),
+            baseline_report=baseline,
+        )
+        assert len(calls) == 1
+        args, kwargs, report = calls[0]
+        # initial_controls is solve's eighth parameter: absent either way
+        assert "initial_controls" not in kwargs and len(args) < 8
+        assert kwargs["targets"] is baseline.targets
+        assert report.coarse_iterations > 0
