@@ -10,6 +10,18 @@ One solve alternates two phases until tolerances or iteration caps are hit:
 * outer phase: slack, multiplier, and penalty updates for the inequality
   constraints, after which the inner phase resumes on the reshaped cost.
 
+The inner phase stops when the predicted or the accepted decrease falls
+below a relative tolerance of the augmented cost. That tolerance is
+``tol_cost_rel`` for a plan within ``tol_violation`` of the constraints;
+for an infeasible plan it is max(tol_cost_rel, 1e-2 / 10**k) at outer pass
+k, so a subproblem whose answer still breaks the box is not polished
+(Conn, Gould & Toint, SIAM J. Numer. Anal. 1991). After each multiplier
+update the first prediction may not end the inner phase: the line search
+runs, and if no trial passes Armijo the inner phase ends at the same
+Levenberg shift. A solve whose plans stay feasible never sees the loose
+tolerance, and one that converges in its first outer pass never sees the
+forced step.
+
 The backward pass stacks each step's quadratic model into one block over
 [dx; 1; du], with the gradients in the row and column of the constant
 coordinate, so a step costs one product with the dynamics Jacobian, added
@@ -172,6 +184,29 @@ _TEST_CHUNK = 64
 # A cold solve first plans on a grid this many times coarser and starts
 # the full-resolution solve from that plan (see ``solve``).
 _COARSE_FACTOR = 10
+
+# While the plan being judged breaks the constraints by more than
+# ``tol_violation``, outer pass k stops its inner loop at the relative
+# tolerance max(tol_cost_rel, _LOOSE_TOL / 10**k) (see ``_inner_tolerance``).
+_LOOSE_TOL = 1e-2
+
+# After a multiplier update, the next outer pass's first prediction may not
+# end the inner loop: the line search runs (see ``_solve``).
+_STEP_AFTER_UPDATE = True
+
+
+def _inner_tolerance(options, violation, outer):
+    """The inner loop's relative stopping tolerance for a plan of this violation.
+
+    ``tol_cost_rel`` for a feasible plan; while the plan is infeasible the
+    subproblem of outer pass ``outer`` is solved only as tightly as
+    ``_LOOSE_TOL / 10**outer``, never below ``tol_cost_rel``.
+    """
+    if violation <= options.tol_violation:
+        return options.tol_cost_rel
+    # Dividing gives exact decades (1e-2 * 10.0**-4 rounds above 1e-6); the
+    # clamp keeps the power finite for any max_outer.
+    return max(options.tol_cost_rel, _LOOSE_TOL / 10.0 ** min(outer, 300))
 
 
 def _test_definite(control_hessians, lo, hi, regularization):
@@ -463,6 +498,16 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     ``solve`` runs both its coarse and its full-resolution phase through
     here, so one public call stays one plan. ``wall_time`` covers this
     phase only; ``solve`` replaces it.
+
+    Each stopping test of the inner loop (predicted decrease, accepted
+    decrease, the ``reg_max`` fallback) uses ``_inner_tolerance`` of the
+    plan it judges: loose while that plan is infeasible, ``tol_cost_rel``
+    once it is not. The accepted-decrease test judges the accepted plan, so
+    a converged report was last judged at ``tol_cost_rel`` on the plan it
+    returns. After a multiplier update (outer pass > 0) the first backward
+    pass runs the line search even if its prediction is below tolerance;
+    when no trial passes Armijo there, the inner loop ends without raising
+    the Levenberg shift.
     """
     start = time.perf_counter()
     k_steps = config.horizon_steps
@@ -487,6 +532,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     al = cons.update_slack(al, e_vals)
     aug_cost = true_cost + cons.penalty(e_vals, al)
 
+    violation = cons.max_violation(e_vals)
     iterations: list = []
     reg = options.reg_init
     converged = False
@@ -494,6 +540,9 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     for outer in range(options.max_outer):
         inner_converged = False
         inner_count = 0
+        # Set after a multiplier update: the first prediction of this outer
+        # pass may not end the inner loop before the line search has run.
+        force_step = outer > 0 and _STEP_AFTER_UPDATE
         while inner_count < options.max_inner:
             state_obj = PlatoonState(arrival_times=times, slownesses=slows)
             ctrl_obj = ControlTrajectory(accels=accels)
@@ -514,9 +563,13 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
             except BackwardPassError:
                 pass
             accepted = False
+            forced = False
             if bp is not None:
                 scale = max(1.0, abs(aug_cost))
-                if bp.expected_decrease(1.0) <= options.tol_cost_rel * scale:
+                tol = _inner_tolerance(options, violation, outer)
+                stationary = bp.expected_decrease(1.0) <= tol * scale
+                forced, force_step = force_step and stationary, False
+                if stationary and not forced:
                     inner_converged = True
                     break
                 alpha = 1.0
@@ -549,12 +602,13 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                 true_cost, breakdown, e_vals = new_true, new_breakdown, new_e
                 al = cons.update_slack(al, e_vals)
                 aug_cost = true_cost + cons.penalty(e_vals, al)
+                violation = cons.max_violation(e_vals)
                 iterations.append(
                     IterationRecord(
                         outer=outer,
                         cost=true_cost,
                         aug_cost=aug_cost,
-                        max_violation=cons.max_violation(e_vals),
+                        max_violation=violation,
                         step_length=alpha,
                         regularization=reg,
                         expected_decrease=expected,
@@ -563,21 +617,25 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                 )
                 inner_count += 1
                 reg = max(options.reg_init, reg / options.reg_factor)
-                if actual <= options.tol_cost_rel * max(1.0, abs(aug_cost)):
+                # Judged on the accepted plan, the one the report returns.
+                tol = _inner_tolerance(options, violation, outer)
+                if actual <= tol * max(1.0, abs(aug_cost)):
                     inner_converged = True
                     break
                 continue
+            if forced:
+                # The forced step found no descent from a stationary plan.
+                inner_converged = True
+                break
             # The shifted Q_uu failed its Cholesky test or no step length
             # passed Armijo: retry with a larger Levenberg shift.
             reg *= options.reg_factor
             if reg > options.reg_max:
                 inner_converged = (
-                    bp is not None
-                    and bp.expected_decrease(1.0) <= 10 * options.tol_cost_rel * scale
+                    bp is not None and bp.expected_decrease(1.0) <= 10 * tol * scale
                 )
                 break
 
-        violation = cons.max_violation(e_vals)
         if inner_converged and violation <= options.tol_violation:
             converged = True
             break
@@ -596,7 +654,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
         iterations=iterations,
         wall_time=wall,
         converged=converged,
-        max_violation=cons.max_violation(e_vals),
+        max_violation=violation,
         targets=targets,
     )
 
@@ -632,7 +690,29 @@ def receding_horizon_run(
     silently forgiven. ``state_hook(position, t, pi) -> (t, pi)`` lets a
     caller inject boundary perturbations between executions. Per-execution
     wall time covers the window solve only.
+
+    Raises ConfigError before any solve unless ``window_m``, ``replan_m`` and
+    ``route_length`` (when given) are finite and > 0 and ``max_executions``
+    is None or an integer >= 1.
     """
+    lengths = [("window_m", window_m), ("replan_m", replan_m)]
+    if route_length is not None:
+        lengths.append(("route_length", route_length))
+    for name, value in lengths:
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0)
+        ):
+            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+    if max_executions is not None and (
+        isinstance(max_executions, bool)
+        or not isinstance(max_executions, numbers.Integral)
+        or max_executions < 1
+    ):
+        raise ConfigError(
+            f"max_executions must be None or an integer >= 1, got {max_executions!r}"
+        )
     if replan_m > window_m:
         raise ConfigError("replan interval cannot exceed the window length")
     ds = config.ds

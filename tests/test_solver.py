@@ -844,6 +844,40 @@ class TestRecedingHorizon:
         assert len(run.exec_times) == len(run.windows)
         assert all(t > 0 for t in run.exec_times)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window_m", float("nan")),
+            ("window_m", float("inf")),
+            ("window_m", 0.0),
+            ("replan_m", float("nan")),
+            ("replan_m", 0.0),
+            ("replan_m", -5.0),
+            ("replan_m", "10"),
+            ("route_length", float("nan")),
+            ("route_length", 0.0),
+            ("max_executions", 0),
+            ("max_executions", -1),
+            ("max_executions", True),
+            ("max_executions", 2.0),
+        ],
+    )
+    def test_malformed_arguments_rejected_before_any_solve(self, monkeypatch, field, value):
+        cfg = make_config(n=2, ds=1.0, horizon_steps=100)
+        w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
+        t0 = -np.arange(2) * cfg.headway
+        pi0 = np.full(2, 1.0 / cfg.target_speed)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called before the arguments were checked")
+
+        monkeypatch.setattr(solver_mod, "solve", no_solve)
+        kwargs = {"window_m": 20.0, "replan_m": 5.0, field: value}
+        with pytest.raises(ConfigError, match=field):
+            receding_horizon_run(
+                cfg, w, build_preset("collector"), t0, pi0, SolverOptions(), **kwargs
+            )
+
 
 class TestSolverOptions:
     def test_defaults_valid(self):
@@ -1057,3 +1091,171 @@ class TestColdStart:
         again = solve(cfg, w, prof, t0, pi0, SolverOptions())
         assert_same_plan(first, again)
         assert first.coarse_iterations == again.coarse_iterations
+
+
+def comfort_scenario(ds=None):
+    """The collector preset inside the comfort box a in [-1.5, 1.0] m/s^2."""
+    scen = load_scenario(resolve_scenario_path("collector"))
+    if ds is not None:
+        scen = override_ds(scen, ds)
+    box = tuple(dataclasses.replace(v, a_min=-1.5, a_max=1.0) for v in scen.config.vehicles)
+    return dataclasses.replace(scen, config=dataclasses.replace(scen.config, vehicles=box))
+
+
+class TestOuterSchedule:
+    """The AL outer loop: loose subproblems while infeasible, a step after each update."""
+
+    def test_comfort_receding_windows_converge(self):
+        # window 10 ran out of outer passes after two that took no step
+        scen = comfort_scenario()
+        t0, pi0, _ = scen.initial_state()
+        run = receding_horizon_run(
+            scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options,
+            window_m=40.0, replan_m=10.0, max_executions=10,
+        )
+        assert len(run.exec_times) == 10
+        assert run.all_converged
+
+    def test_comfort_one_shot_plan_converges(self):
+        scen = comfort_scenario()
+        t0, pi0, targets = scen.initial_state()
+        report = solve(
+            scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options,
+            targets=targets,
+        )
+        assert report.converged
+        assert report.max_violation <= 1e-3
+
+    def test_schedule_off_leaves_an_idle_al_solve_bit_identical(self, monkeypatch):
+        scen = override_ds(load_scenario(resolve_scenario_path("collector")), 1.0)
+        t0, pi0, targets = scen.initial_state()
+        args = (scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options)
+        updates = []
+        inner_update = cons.update_multipliers
+
+        def counting(al, e_values):
+            updates.append(1)
+            return inner_update(al, e_values)
+
+        monkeypatch.setattr(cons, "update_multipliers", counting)
+        with_schedule = solve(*args, targets=targets)
+        assert not updates  # the AL loop stays idle on the preset
+        monkeypatch.setattr(solver_mod, "_LOOSE_TOL", 0.0)
+        monkeypatch.setattr(solver_mod, "_STEP_AFTER_UPDATE", False)
+        without = solve(*args, targets=targets)
+        assert_same_plan(with_schedule, without)
+        assert with_schedule.max_violation == without.max_violation
+        assert with_schedule.coarse_iterations == without.coarse_iterations
+        assert with_schedule.cost == without.cost
+
+    def test_converged_report_judged_tightly_on_the_returned_plan(self, monkeypatch):
+        scen = comfort_scenario(ds=1.0)
+        t0, pi0, targets = scen.initial_state()
+        opts = scen.solver_options
+        calls = []  # (violation, outer, tolerance) per call
+        inner = solver_mod._inner_tolerance
+
+        def spy(options, violation, outer):
+            tol = inner(options, violation, outer)
+            calls.append((violation, outer, tol))
+            return tol
+
+        monkeypatch.setattr(solver_mod, "_inner_tolerance", spy)
+        report = solve(
+            scen.config, scen.weights, scen.profile, t0, pi0, opts, targets=targets
+        )
+        assert report.converged
+        assert any(tol > opts.tol_cost_rel for _, _, tol in calls)  # the loose phase ran
+        violation, _, tol = calls[-1]
+        assert tol == opts.tol_cost_rel
+        cset = cons.ConstraintSet.from_config(scen.config)
+        e = cons.evaluate(cset, report.states.slownesses[:, :-1], report.controls.accels)
+        assert violation == report.max_violation == cons.max_violation(e)
+        assert all(tol >= opts.tol_cost_rel for _, _, tol in calls)
+
+    @pytest.mark.parametrize("tol_cost_rel", [1e-12, 1e-6, 1e-3, 0.5])
+    def test_loose_tolerance_never_below_tol_cost_rel(self, tol_cost_rel):
+        opts = SolverOptions(tol_cost_rel=tol_cost_rel)
+        outers = list(range(40)) + [400, 5000]
+        loose = [solver_mod._inner_tolerance(opts, 0.3, k) for k in outers]
+        assert all(tol >= tol_cost_rel for tol in loose)
+        assert all(b <= a for a, b in zip(loose, loose[1:]))
+        assert loose[-1] == tol_cost_rel
+        for violation in (0.0, opts.tol_violation):
+            assert all(
+                solver_mod._inner_tolerance(opts, violation, k) == tol_cost_rel for k in outers
+            )
+
+    def test_default_schedule_tightens_tenfold_per_outer_pass(self):
+        opts = SolverOptions()
+        schedule = [solver_mod._inner_tolerance(opts, 1.0, k) for k in range(6)]
+        assert schedule == [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-6]
+
+    def test_line_search_runs_after_every_multiplier_update(self, monkeypatch):
+        scen = comfort_scenario(ds=1.0)
+        t0, pi0, targets = scen.initial_state()
+        events = []
+        for module, name in (
+            (solver_mod, "backward_pass"),
+            (solver_mod, "forward_pass"),
+            (cons, "update_multipliers"),
+            (solver_mod, "_solve"),
+        ):
+            def spy(*args, _inner=getattr(module, name), _name=name, **kwargs):
+                events.append(_name)
+                try:
+                    return _inner(*args, **kwargs)
+                except BackwardPassError:
+                    events.append("raised")
+                    raise
+
+            monkeypatch.setattr(module, name, spy)
+        solve(
+            scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options,
+            targets=targets,
+        )
+        # the first backward pass that succeeds after an update, in the same
+        # phase, is followed by a trial rollout
+        checked = 0
+        for i in (i for i, e in enumerate(events) if e == "update_multipliers"):
+            after = events[i + 1 :]
+            for j, event in enumerate(after[:-1]):
+                if event == "_solve":
+                    break
+                if event == "backward_pass" and after[j + 1] != "raised":
+                    assert after[j + 1] == "forward_pass"
+                    checked += 1
+                    break
+        assert checked > 0
+
+    def test_forced_step_without_descent_keeps_the_shift(self, monkeypatch):
+        # every prediction counts as converged and every trial is rejected:
+        # the pass after an update runs the line search, then ends the inner
+        # loop at the same shift instead of climbing the Levenberg ladder
+        cfg = make_config(n=2, ds=1.0, horizon_steps=50, a_max=1.0)
+        w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
+        t0 = -np.arange(2) * cfg.headway
+        pi0 = np.full(2, 1.0 / cfg.target_speed)
+        opts = SolverOptions()
+        shifts = []
+        trials = []
+        inner_backward = solver_mod.backward_pass
+
+        def backward(*args):
+            shifts.append(args[8])
+            trials.append(0)
+            return inner_backward(*args)
+
+        def reject(*args):
+            trials[-1] += 1
+            return None
+
+        monkeypatch.setattr(solver_mod, "backward_pass", backward)
+        monkeypatch.setattr(solver_mod, "forward_pass", reject)
+        monkeypatch.setattr(solver_mod, "_inner_tolerance", lambda options, v, k: 1e300)
+        report = solve(
+            cfg, w, FLAT, t0, pi0, opts, initial_controls=np.full((2, 50), 1.2)
+        )
+        assert report.max_violation > opts.tol_violation and not report.converged
+        assert shifts == [opts.reg_init] * opts.max_outer
+        assert trials[0] == 0 and all(n > 0 for n in trials[1:])
