@@ -11,16 +11,9 @@ One solve alternates two phases until tolerances or iteration caps are hit:
   constraints, after which the inner phase resumes on the reshaped cost.
 
 The inner phase stops when the predicted or the accepted decrease falls
-below a relative tolerance of the augmented cost. That tolerance is
-``tol_cost_rel`` for a plan within ``tol_violation`` of the constraints;
-for an infeasible plan it is max(tol_cost_rel, 1e-2 / 10**k) at outer pass
-k, so a subproblem whose answer still breaks the box is not polished
-(Conn, Gould & Toint, SIAM J. Numer. Anal. 1991). After each multiplier
-update the first prediction may not end the inner phase: the line search
-runs, and if no trial passes Armijo the inner phase ends at the same
-Levenberg shift. A solve whose plans stay feasible never sees the loose
-tolerance, and one that converges in its first outer pass never sees the
-forced step.
+below a relative tolerance of the augmented cost, looser while the plan
+breaks the constraints; after each multiplier update it takes at least one
+line search (see ``_LOOSE_TOL``).
 
 The backward pass stacks each step's quadratic model into one block over
 [dx; 1; du], with the gradients in the row and column of the constant
@@ -185,14 +178,18 @@ _TEST_CHUNK = 64
 # the full-resolution solve from that plan (see ``solve``).
 _COARSE_FACTOR = 10
 
-# While the plan being judged breaks the constraints by more than
-# ``tol_violation``, outer pass k stops its inner loop at the relative
-# tolerance max(tol_cost_rel, _LOOSE_TOL / 10**k) (see ``_inner_tolerance``).
+# The inner loop's stopping schedule, two standard augmented-Lagrangian rules
+# (Conn, Gould & Toint, SIAM J. Numer. Anal. 1991). While the plan being
+# judged breaks the constraints by more than ``tol_violation``, outer pass k
+# stops its inner loop at the relative tolerance
+# max(tol_cost_rel, _LOOSE_TOL / 10**k), so a subproblem whose answer still
+# breaks the box is not polished. After each multiplier update (outer pass
+# k > 0) the first prediction may not end the inner loop: the line search
+# runs, and if no trial passes Armijo the inner loop ends at the same
+# Levenberg shift. A solve whose plans stay feasible never sees the loose
+# tolerance, and one that converges in its first outer pass never sees the
+# forced step.
 _LOOSE_TOL = 1e-2
-
-# After a multiplier update, the next outer pass's first prediction may not
-# end the inner loop: the line search runs (see ``_solve``).
-_STEP_AFTER_UPDATE = True
 
 
 def _inner_tolerance(options, violation, outer):
@@ -499,15 +496,11 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     here, so one public call stays one plan. ``wall_time`` covers this
     phase only; ``solve`` replaces it.
 
-    Each stopping test of the inner loop (predicted decrease, accepted
-    decrease, the ``reg_max`` fallback) uses ``_inner_tolerance`` of the
-    plan it judges: loose while that plan is infeasible, ``tol_cost_rel``
-    once it is not. The accepted-decrease test judges the accepted plan, so
-    a converged report was last judged at ``tol_cost_rel`` on the plan it
-    returns. After a multiplier update (outer pass > 0) the first backward
-    pass runs the line search even if its prediction is below tolerance;
-    when no trial passes Armijo there, the inner loop ends without raising
-    the Levenberg shift.
+    Every stopping test of the inner loop uses ``_inner_tolerance`` of the
+    plan it judges, and each outer pass after a multiplier update starts
+    with a forced step (see ``_LOOSE_TOL``). The accepted-decrease test
+    judges the accepted plan, so a converged report was last judged at
+    ``tol_cost_rel`` on the plan it returns.
     """
     start = time.perf_counter()
     k_steps = config.horizon_steps
@@ -540,9 +533,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     for outer in range(options.max_outer):
         inner_converged = False
         inner_count = 0
-        # Set after a multiplier update: the first prediction of this outer
-        # pass may not end the inner loop before the line search has run.
-        force_step = outer > 0 and _STEP_AFTER_UPDATE
+        force_step = outer > 0
         while inner_count < options.max_inner:
             state_obj = PlatoonState(arrival_times=times, slownesses=slows)
             ctrl_obj = ControlTrajectory(accels=accels)

@@ -1126,10 +1126,11 @@ class TestOuterSchedule:
         assert report.converged
         assert report.max_violation <= 1e-3
 
-    def test_schedule_off_leaves_an_idle_al_solve_bit_identical(self, monkeypatch):
+    def test_loose_tolerance_off_leaves_an_idle_al_solve_bit_identical(self, monkeypatch):
         scen = override_ds(load_scenario(resolve_scenario_path("collector")), 1.0)
         t0, pi0, targets = scen.initial_state()
-        args = (scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options)
+        opts = scen.solver_options
+        args = (scen.config, scen.weights, scen.profile, t0, pi0, opts)
         updates = []
         inner_update = cons.update_multipliers
 
@@ -1137,11 +1138,23 @@ class TestOuterSchedule:
             updates.append(1)
             return inner_update(al, e_values)
 
+        judged = []  # violations of the plans the inner loop judged
+        inner_tolerance = solver_mod._inner_tolerance
+
+        def spy(options, violation, outer):
+            judged.append(violation)
+            return inner_tolerance(options, violation, outer)
+
         monkeypatch.setattr(cons, "update_multipliers", counting)
+        monkeypatch.setattr(solver_mod, "_inner_tolerance", spy)
         with_schedule = solve(*args, targets=targets)
-        assert not updates  # the AL loop stays idle on the preset
+        # No multiplier update, so no outer pass past 0 and no forced step:
+        # the forced step is absent here by construction. The loose
+        # tolerance is not: some judged plan (in the coarse phase) is
+        # infeasible, yet none of those judgments ends an inner loop.
+        assert not updates
+        assert any(v > opts.tol_violation for v in judged)
         monkeypatch.setattr(solver_mod, "_LOOSE_TOL", 0.0)
-        monkeypatch.setattr(solver_mod, "_STEP_AFTER_UPDATE", False)
         without = solve(*args, targets=targets)
         assert_same_plan(with_schedule, without)
         assert with_schedule.max_violation == without.max_violation
