@@ -23,7 +23,6 @@ from .platoon import (
     PlatoonConfig,
     PlatoonState,
     VehicleParams,
-    diff_state,
     resimulate_time_domain,
     slowness,
     step_dynamics,
@@ -59,7 +58,6 @@ __all__ = [
     "VehicleParams",
     "baseline_step",
     "build_preset",
-    "diff_state",
     "equivalent_traction_accel",
     "following_errors",
     "fuel_rate",

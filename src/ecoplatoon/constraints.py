@@ -6,15 +6,20 @@ vehicles has 4N constraint functions. The speed bounds act on v = 1/pi and
 are therefore nonlinear in the slowness state; their curvature is kept in
 the Hessian blocks. The acceleration bounds are affine in the control.
 
-Each inequality is handled as the equality C = e + s with a non-negative
-slack s. The penalized stage cost adds lambda*C + rho*C^2/2 per constraint.
-Slack and multiplier updates follow the classical projected rules
+Each inequality carries the closed-form Powell-Hestenes-Rockafellar (PHR)
+penalty
 
-    s      <- max(0, -lambda/rho - e)
-    lambda <- max(0, lambda + rho*(e + s))
+    (w^2 - lambda^2) / (2 rho),    w = max(0, lambda + rho*e),
 
-which for the slack above reduces to lambda <- max(0, lambda + rho*e).
-A solve owns one ALState; multipliers, penalties, and slacks are arrays over
+whose gradient is the force w times the gradient of e, and the multiplier
+update is lambda <- w. The penalty is flat in e wherever lambda + rho*e <= 0.
+The Gauss-Newton curvature rho de de^T is kept wherever lambda + rho*e > 0
+or lambda > 0, the active set I_mu of ALTRO (Howell, Jackson & Manchester,
+IROS 2019): a constraint that has earned a multiplier keeps its curvature
+while the plan sits inside the bound. With curvature on lambda + rho*e > 0
+alone, the one-shot comfort plan ends unconverged after eight outer passes.
+
+A solve owns one ALState; multipliers and penalty weights are arrays over
 (step, constraint) because every step carries its own constraint instances.
 """
 
@@ -57,7 +62,7 @@ class ConstraintSet:
 
 @dataclass
 class ALState:
-    """Penalty weights, multipliers, and slacks, one triple per constraint.
+    """Penalty weights and multipliers, one pair per constraint.
 
     Arrays share a shape; the solver uses (K, 4N) so every step's constraint
     instances carry independent multipliers.
@@ -65,23 +70,22 @@ class ALState:
 
     rho: np.ndarray
     lam: np.ndarray
-    slack: np.ndarray
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
         self.lam = np.asarray(self.lam, dtype=float)
-        self.slack = np.asarray(self.slack, dtype=float)
-        if not (self.rho.shape == self.lam.shape == self.slack.shape):
-            raise ConfigError("rho, lam, slack must share a shape")
-        if np.any(self.rho <= 0):
+        if self.rho.shape != self.lam.shape:
+            raise ConfigError("rho and lam must share a shape")
+        # Negated so that NaN entries fail too.
+        if not np.all(self.rho > 0):
             raise ConfigError("penalty weights must be positive")
-        if np.any(self.lam < 0) or np.any(self.slack < 0):
-            raise ConfigError("multipliers and slacks must be non-negative")
+        if not np.all(self.lam >= 0):
+            raise ConfigError("multipliers must be non-negative")
 
     @classmethod
     def initial(cls, n_steps: int, n_constraints: int, rho0: float = 10.0) -> "ALState":
         shape = (n_steps, n_constraints)
-        return cls(rho=np.full(shape, rho0), lam=np.zeros(shape), slack=np.zeros(shape))
+        return cls(rho=np.full(shape, rho0), lam=np.zeros(shape))
 
 
 def evaluate(cset: ConstraintSet, pi, a) -> np.ndarray:
@@ -109,33 +113,31 @@ def max_violation(e_values: np.ndarray) -> float:
     return float(np.maximum(e_values, 0.0).max(initial=0.0))
 
 
+def _force(e_values: np.ndarray, al: ALState) -> np.ndarray:
+    """The PHR force w = max(0, lambda + rho e), the multiplier after an update."""
+    return np.maximum(0.0, al.lam + al.rho * e_values)
+
+
 def penalty(e_values: np.ndarray, al: ALState) -> float:
-    """Total penalty sum [lambda C + rho C^2 / 2] over constraint values, C = e + s."""
-    c = e_values + al.slack
-    return float(np.sum(al.lam * c) + 0.5 * np.sum(al.rho * c * c))
+    """Total PHR penalty sum (w^2 - lambda^2) / (2 rho) over constraint values."""
+    w = _force(e_values, al)
+    return 0.5 * float(np.sum((w * w - al.lam * al.lam) / al.rho))
 
 
-def al_derivative_batch(cset: ConstraintSet, al: ALState, pi, a, active_set: bool = False):
+def al_derivative_batch(cset: ConstraintSet, al: ALState, pi, a):
     """Vectorized AL derivative blocks over a trajectory.
 
     Returns stacked (lx, lu, lxx, luu, lux) with leading step axis. The force
-    multiplier w = lambda + rho*(e + s) scales constraint gradients in the
-    first-order blocks; Hessians keep both the Gauss-Newton outer product
-    rho * de de^T and, for the curved speed bounds, the w-weighted second
-    derivative of e itself.
-
-    With ``active_set`` the Gauss-Newton curvature is dropped wherever the
-    constraint force vanishes. That matches the penalty actually optimized
-    when slacks are re-projected after every step (flat on inactive
-    constraints) instead of the fixed-slack quadratic; the solver uses this
-    variant to keep Newton steps from being damped by phantom curvature.
+    w scales constraint gradients in the first-order blocks; Hessians keep
+    the w-weighted second derivative of the curved speed bounds and the
+    Gauss-Newton outer product rho de de^T on the active set I_mu
+    (lambda + rho e > 0 or lambda > 0).
     """
     pi = np.asarray(pi, dtype=float)
     a = np.asarray(a, dtype=float)
     n, k_steps = pi.shape
-    e = evaluate(cset, pi, a)  # (K, 4N)
-    w = al.lam + al.rho * (e + al.slack)  # (K, 4N)
-    rho_eff = np.where(w > 0.0, al.rho, 0.0) if active_set else al.rho
+    w = _force(evaluate(cset, pi, a), al)  # (K, 4N)
+    rho_eff = np.where((w > 0.0) | (al.lam > 0.0), al.rho, 0.0)
 
     inv_pi2 = (1.0 / pi**2).T  # (K, N)
     inv_pi3 = (1.0 / pi**3).T
@@ -163,19 +165,12 @@ def al_derivative_batch(cset: ConstraintSet, al: ALState, pi, a, active_set: boo
     return lx, lu, lxx, luu, lux
 
 
-def update_slack(al: ALState, e_values: np.ndarray) -> ALState:
-    """Recompute slacks from current constraint values, projected to s >= 0."""
-    raw = -al.lam / al.rho - e_values
-    return ALState(rho=al.rho, lam=al.lam, slack=np.maximum(0.0, raw))
-
-
 def update_multipliers(al: ALState, e_values: np.ndarray) -> ALState:
-    """Penalty-scaled multiplier step on C = e + s, projected to lambda >= 0."""
-    lam = np.maximum(0.0, al.lam + al.rho * (e_values + al.slack))
-    return ALState(rho=al.rho, lam=lam, slack=al.slack)
+    """PHR multiplier step lambda <- max(0, lambda + rho e)."""
+    return ALState(rho=al.rho, lam=_force(e_values, al))
 
 
-def escalate_penalty(al: ALState, e_values: np.ndarray, factor: float, tol: float = 1e-3) -> ALState:
+def escalate_penalty(al: ALState, e_values: np.ndarray, factor: float, tol: float) -> ALState:
     """Scale rho by ``factor`` on constraints still violated beyond ``tol``.
 
     A factor of 1 never escalates.
@@ -183,4 +178,4 @@ def escalate_penalty(al: ALState, e_values: np.ndarray, factor: float, tol: floa
     if not (np.isfinite(factor) and factor >= 1.0):
         raise ConfigError(f"penalty escalation factor must be finite and >= 1, got {factor}")
     rho = np.where(e_values > tol, al.rho * factor, al.rho)
-    return ALState(rho=rho, lam=al.lam, slack=al.slack)
+    return ALState(rho=rho, lam=al.lam)

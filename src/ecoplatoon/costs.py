@@ -93,14 +93,6 @@ class CostBreakdown:
     def total(self) -> float:
         return self.cacc + self.ecology + self.effort + self.terminal
 
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            cacc=self.cacc + other.cacc,
-            ecology=self.ecology + other.ecology,
-            effort=self.effort + other.effort,
-            terminal=self.terminal + other.terminal,
-        )
-
     def as_dict(self) -> dict:
         return {
             "cacc": self.cacc,

@@ -9,8 +9,7 @@ longitudinal acceleration a_k. One step of length ds advances
     pi' = pi - a * pi**3 * ds
 
 which is the first-order space discretization of dt/ds = pi and
-d(pi)/ds = -a * pi**3. The platoon-difference view used by the gap cost is
-provided by :func:`diff_state`.
+d(pi)/ds = -a * pi**3.
 
 Everything here is a pure function over value types; concurrent evaluation
 of independent rollouts is safe.
@@ -149,22 +148,6 @@ def slowness(v):
         raise ConfigError(f"slowness undefined for non-positive speed {v!r}")
     out = 1.0 / v_arr
     return float(out) if np.isscalar(v) or v_arr.ndim == 0 else out
-
-
-def diff_state(state: PlatoonState, k: int, config: PlatoonConfig) -> np.ndarray:
-    """Leader-relative difference vector at step k, length 2(N-1).
-
-    Entries are [t1-t2-h, pi1-pi2, ..., t1-tN-(N-1)h, pi1-piN]; the gap-error
-    components double as the longitudinal following errors.
-    """
-    t = state.arrival_times[:, k]
-    pi = state.slownesses[:, k]
-    n = config.n_vehicles
-    out = np.empty(2 * (n - 1))
-    ranks = np.arange(1, n)
-    out[0::2] = t[0] - t[1:] - ranks * config.headway
-    out[1::2] = pi[0] - pi[1:]
-    return out
 
 
 def step_dynamics(t, pi, a, ds):

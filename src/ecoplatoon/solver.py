@@ -7,7 +7,7 @@ One solve alternates two phases until tolerances or iteration caps are hit:
   extracting an affine feedback law u(x) = u_ref + h_k (x - x_ref) + j_k,
   then a forward rollout of the true nonlinear dynamics with a backtracking
   line search on the feedforward term;
-* outer phase: slack, multiplier, and penalty updates for the inequality
+* outer phase: multiplier and penalty-weight updates for the inequality
   constraints, after which the inner phase resumes on the reshaped cost.
 
 The inner phase stops when the predicted or the accepted decrease falls
@@ -286,7 +286,7 @@ def backward_pass(
     )
     add_blocks(stage["lx"], stage["lu"], stage["lxx"], stage["luu"], stage["lux"])
     del stage
-    add_blocks(*cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels, active_set=True))
+    add_blocks(*cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels))
     stage_model[:, ui, ui] += regularization
 
     g, fu_c, cxx, cux = dynamics_derivatives(pi_traj[:, :-1], accels, ds)
@@ -520,9 +520,6 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
         return true_cost, breakdown, e
 
     true_cost, breakdown, e_vals = eval_true(times, slows, accels)
-    # Slacks track the trajectory: s = max(0, -lam/rho - e) zeroes the penalty
-    # on satisfied constraints, so only violations shape the inner problem.
-    al = cons.update_slack(al, e_vals)
     aug_cost = true_cost + cons.penalty(e_vals, al)
 
     violation = cons.max_violation(e_vals)
@@ -591,7 +588,6 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
             if accepted:
                 times, slows, accels = t_new, pi_new, a_new
                 true_cost, breakdown, e_vals = new_true, new_breakdown, new_e
-                al = cons.update_slack(al, e_vals)
                 aug_cost = true_cost + cons.penalty(e_vals, al)
                 violation = cons.max_violation(e_vals)
                 iterations.append(
@@ -631,10 +627,8 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
             converged = True
             break
 
-        al = cons.update_slack(al, e_vals)
         al = cons.update_multipliers(al, e_vals)
         al = cons.escalate_penalty(al, e_vals, options.rho_factor, options.tol_violation)
-        al = cons.update_slack(al, e_vals)
         aug_cost = true_cost + cons.penalty(e_vals, al)
 
     wall = time.perf_counter() - start

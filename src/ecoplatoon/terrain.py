@@ -46,14 +46,18 @@ class SlopeProfile:
             raise ConfigError(
                 f"grades: expected {bp.size - 1} segment angles, got {gr.size}"
             )
+        if not np.all(np.isfinite(bp)):
+            j = int(np.flatnonzero(~np.isfinite(bp))[0])
+            raise ConfigError(f"breakpoints[{j}]: position must be finite, got {bp[j]}")
         if bp[0] != 0.0:
             raise ConfigError(f"breakpoints[0]: must be 0, got {bp[0]}")
         if np.any(np.diff(bp) <= 0):
             j = int(np.flatnonzero(np.diff(bp) <= 0)[0]) + 1
             raise ConfigError(f"breakpoints[{j}]: positions must be strictly increasing")
-        if np.any(np.abs(gr) >= math.pi / 2):
-            j = int(np.flatnonzero(np.abs(gr) >= math.pi / 2)[0])
-            raise ConfigError(f"grades[{j}]: |angle| must be below pi/2")
+        # Negated so that NaN angles fail too.
+        if not np.all(np.abs(gr) < math.pi / 2):
+            j = int(np.flatnonzero(~(np.abs(gr) < math.pi / 2))[0])
+            raise ConfigError(f"grades[{j}]: |angle| must be below pi/2, got {gr[j]}")
         bp.setflags(write=False)
         gr.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
@@ -78,21 +82,6 @@ def grade_at(profile: SlopeProfile, s):
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
-def elevation_change(profile: SlopeProfile, s_end: float | None = None) -> float:
-    """Net elevation gain (m) from 0 to ``s_end`` (route end by default)."""
-    s_end = profile.total_length if s_end is None else float(s_end)
-    if not 0.0 <= s_end <= profile.total_length:
-        raise ConfigError(f"position out of range: {s_end}")
-    rise = 0.0
-    bp = profile.breakpoints
-    for j, theta in enumerate(profile.grades):
-        lo, hi = bp[j], min(bp[j + 1], s_end)
-        if hi <= lo:
-            break
-        rise += math.tan(theta) * (hi - lo)
-    return rise
-
-
 def build_preset(kind: str) -> SlopeProfile:
     """Construct an 800 m rolling-terrain profile for a road class.
 
@@ -107,17 +96,6 @@ def build_preset(kind: str) -> SlopeProfile:
     breakpoints = np.arange(0.0, 900.0, 100.0)
     grades = np.array([peak if j % 2 == 0 else -peak for j in range(8)])
     return SlopeProfile(breakpoints=breakpoints, grades=grades)
-
-
-def save_profile(profile: SlopeProfile, path) -> None:
-    """Write a profile as JSON with percent grades."""
-    payload = {
-        "breakpoints_m": [float(b) for b in profile.breakpoints],
-        "percent_grades": [100.0 * math.tan(g) for g in profile.grades],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def load_profile(path) -> SlopeProfile:
@@ -138,8 +116,9 @@ def load_profile(path) -> SlopeProfile:
     for key in ("breakpoints_m", "percent_grades"):
         if key not in raw:
             raise ConfigError(f"{path}: missing field {key!r}")
+        # bool is an int subclass: JSON true would load as 1.
         if not isinstance(raw[key], list) or not all(
-            isinstance(x, (int, float)) for x in raw[key]
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw[key]
         ):
             raise ConfigError(f"{path}: field {key!r} must be a list of numbers")
     grades = np.arctan(np.asarray(raw["percent_grades"], dtype=float) / 100.0)

@@ -91,6 +91,21 @@ class TestSimulate:
         assert "gravity" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "grades", [[math.nan] * 8, [15.0] * 7 + [math.inf], [True] + [15.0] * 7]
+    )
+    def test_non_finite_profile_exits_config(self, fast_scenario, tmp_path, capsys, grades):
+        (tmp_path / "road.json").write_text(json.dumps({
+            "breakpoints_m": [100.0 * j for j in range(9)], "percent_grades": grades,
+        }))
+        raw = json.loads(fast_scenario.read_text())
+        raw["road"] = {"profile_file": "road.json"}
+        bad = tmp_path / "bad_road.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "road.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [("weights", "q1", "heavy"), ("solver", "backtrack_factor", 1.0)],
     )

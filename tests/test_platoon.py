@@ -9,7 +9,6 @@ from ecoplatoon.errors import ConfigError, IntegrationError
 from ecoplatoon.platoon import (
     ControlTrajectory,
     PlatoonState,
-    diff_state,
     dynamics_derivatives,
     resimulate_time_domain,
     rollout,
@@ -19,6 +18,20 @@ from ecoplatoon.platoon import (
 from ecoplatoon.terrain import SlopeProfile
 
 MPH = 0.44704
+
+
+def diff_state(state, k, config):
+    """Leader-relative difference vector at step k, length 2(N-1).
+
+    Entries are [t1-t2-h, pi1-pi2, ..., t1-tN-(N-1)h, pi1-piN]: the gap
+    errors of the CACC cost and the slowness differences that drive them.
+    """
+    t = state.arrival_times[:, k]
+    pi = state.slownesses[:, k]
+    out = np.empty(2 * (config.n_vehicles - 1))
+    out[0::2] = t[0] - t[1:] - np.arange(1, config.n_vehicles) * config.headway
+    out[1::2] = pi[0] - pi[1:]
+    return out
 
 
 class TestSlowness:

@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ecoplatoon.errors import ConfigError
-from ecoplatoon.terrain import (
-    SlopeProfile,
-    build_preset,
-    elevation_change,
-    grade_at,
-    load_profile,
-    save_profile,
-)
+from ecoplatoon.terrain import SlopeProfile, build_preset, grade_at, load_profile
 
 
 def test_flat_profile_returns_zero():
@@ -73,7 +66,9 @@ def test_preset_zero_net_elevation(kind):
     mid = 0.5 * (s[:-1] + s[1:])
     rise = float(np.sum(np.tan(grade_at(prof, mid)) * np.diff(s)))
     assert abs(rise) < 1e-9
-    assert elevation_change(prof) == pytest.approx(0.0, abs=1e-12)
+    # and segment by segment: sum of tan(theta) times segment length
+    by_segment = float(np.sum(np.tan(prof.grades) * np.diff(prof.breakpoints)))
+    assert by_segment == pytest.approx(0.0, abs=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=800.0))
@@ -93,12 +88,21 @@ def test_profile_validation():
         SlopeProfile(breakpoints=[0.0, 800.0], grades=[math.pi / 2])
     with pytest.raises(ConfigError):
         SlopeProfile(breakpoints=[0.0, 400.0, 800.0], grades=[0.0])
+    with pytest.raises(ConfigError, match=r"grades\[0\]"):
+        SlopeProfile(breakpoints=[0.0, 400.0, 800.0], grades=[math.nan, 0.0])
+    with pytest.raises(ConfigError, match=r"breakpoints\[2\]"):
+        SlopeProfile(breakpoints=[0.0, 400.0, math.inf], grades=[0.0, 0.0])
+    with pytest.raises(ConfigError, match=r"breakpoints\[1\]"):
+        SlopeProfile(breakpoints=[0.0, math.nan, 800.0], grades=[0.0, 0.0])
 
 
 def test_profile_json_round_trip(tmp_path):
     prof = build_preset("major_arterial")
     path = tmp_path / "prof.json"
-    save_profile(prof, path)
+    path.write_text(json.dumps({
+        "breakpoints_m": [float(b) for b in prof.breakpoints],
+        "percent_grades": [100.0 * math.tan(g) for g in prof.grades],
+    }))
     loaded = load_profile(path)
     assert np.allclose(loaded.breakpoints, prof.breakpoints)
     assert np.allclose(loaded.grades, prof.grades)
@@ -117,3 +121,21 @@ def test_loader_diagnostics(tmp_path):
         load_profile(path)
     with pytest.raises(ConfigError, match="not found"):
         load_profile(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        ({"breakpoints_m": [0, 100, 200], "percent_grades": [math.nan, 3]}, "grades"),
+        ({"breakpoints_m": [0, 100, 200], "percent_grades": [3, -math.inf]}, "grades"),
+        ({"breakpoints_m": [0, 100, math.inf], "percent_grades": [1, 2]}, "breakpoints"),
+        ({"breakpoints_m": [0, math.nan, 200], "percent_grades": [1, 2]}, "breakpoints"),
+        ({"breakpoints_m": [0, 100, 200], "percent_grades": [True, 3]}, "percent_grades"),
+        ({"breakpoints_m": [0, False, 200], "percent_grades": [1, 3]}, "breakpoints_m"),
+    ],
+)
+def test_loader_rejects_non_finite_and_boolean_values(tmp_path, raw, field):
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=field):
+        load_profile(path)
