@@ -28,13 +28,14 @@ runs batched once per 64-step chunk of the sweep and names the highest
 failing step, as a per-step test would. The forward rollout runs in the
 row-major interleaved state and checks the slowness domain once at the end.
 
-A solve given no initial controls starts cold from a coarse plan, the idea
-of mesh refinement: it solves the same problem on a grid ten times coarser
-(stage weights scaled by the step ratio), holds each coarse control over
-the fine steps it covers and starts the full-resolution solve there. On
-the collector preset that takes the full-resolution solve from 14 backward
-passes down to 3. Explicit initial controls, zeros included, skip the
-coarse phase.
+A solve given no initial controls starts cold through a grid hierarchy,
+nested iteration in the sense of Brandt (Math. Comp. 31, 1977): each level
+is the same problem on a grid whose step is exactly five times that of the
+level above (stage weights scaled by five), solved from the plan of the
+level below it held over the steps it covers, down to a level of at least
+``_COARSE_FLOOR`` steps. On the collector preset that takes the
+full-resolution solve from 14 backward passes down to 2. Explicit initial
+controls, zeros included, skip the hierarchy.
 
 A solve is single-threaded and deterministic; independent solves may run
 concurrently since all mutable state is owned per call.
@@ -149,7 +150,7 @@ class SolveReport:
     converged: bool
     max_violation: float
     targets: np.ndarray
-    coarse_iterations: int = 0  # accepted iterations of a cold start's coarse phase
+    coarse_iterations: int = 0  # accepted iterations of a cold start's coarse levels
 
     @property
     def n_iterations(self) -> int:
@@ -174,9 +175,16 @@ class BackwardPassResult:
 # would run failing sweeps down to step 0.
 _TEST_CHUNK = 64
 
-# A cold solve first plans on a grid this many times coarser and starts
-# the full-resolution solve from that plan (see ``solve``).
-_COARSE_FACTOR = 10
+# A cold solve first plans on a grid whose step is exactly this many times
+# longer, recursively, and starts each level from the plan of the level
+# below it (see ``_cold_plan``). A non-integer step ratio puts the coarse
+# grid points between the fine ones, and the fine solve then takes several
+# times the passes.
+_COARSE_FACTOR = 5
+
+# The fewest steps of a coarse level. Below it a level's fixed cost per pass
+# outweighs what its plan saves the level above, which starts from zeros.
+_COARSE_FLOOR = 100
 
 # The inner loop's stopping schedule, two standard augmented-Lagrangian rules
 # (Conn, Gould & Toint, SIAM J. Numer. Anal. 1991). While the plan being
@@ -420,58 +428,47 @@ def solve(
     trajectory found plus its iteration history.
 
     ``initial_controls`` (N, K) starts the solve from that plan. Without
-    them the solve starts cold: it first plans the same problem on a grid
-    ``_COARSE_FACTOR`` times coarser (Kc = K // _COARSE_FACTOR steps of
-    length ds K / Kc, stage weights q1, q2 and r1 scaled by that step
-    ratio, the same targets, terminal weights and options, from zero
-    controls), holds coarse step (j Kc) // K over fine step j, and starts
-    from that plan, converged or not. It starts from zero controls instead
-    when Kc < 2 or when the held plan leaves the slowness domain at full
-    resolution. Explicit zero controls give the plain zero start.
+    them the solve starts cold from ``_cold_plan``: the same problem solved
+    on a hierarchy of grids, each ``_COARSE_FACTOR`` times coarser than the
+    one above, every level started from the plan of the level below it. It
+    starts from zero controls instead when the first level would have fewer
+    than ``_COARSE_FLOOR`` steps or when the held plan leaves the slowness
+    domain. Explicit zero controls give the plain zero start.
     ``iterations`` holds the full-resolution iterations only,
-    ``coarse_iterations`` counts the coarse phase, and ``wall_time`` covers
-    both.
+    ``coarse_iterations`` sums the accepted iterations of every coarse
+    level, and ``wall_time`` covers all levels.
+
+    Raises ConfigError when ``t0``, ``pi0`` or ``targets`` is not a finite
+    array of shape (N,), when a slowness is not positive, or when
+    ``start_position`` is not finite.
     """
     start = time.perf_counter()
-    t0 = np.asarray(t0, dtype=float)
-    pi0 = np.asarray(pi0, dtype=float)
     n = config.n_vehicles
-    if t0.shape != (n,) or pi0.shape != (n,):
-        raise ConfigError(f"initial state must have shape ({n},)")
+    t0 = _finite_vector("initial times", t0, n)
+    pi0 = _finite_vector("initial slownesses", pi0, n)
     if np.any(pi0 <= 0):
         raise ConfigError("initial slowness must be positive")
+    if (
+        isinstance(start_position, bool)
+        or not isinstance(start_position, numbers.Real)
+        or not math.isfinite(start_position)
+    ):
+        raise ConfigError(f"start position must be finite, got {start_position!r}")
     k_steps = config.horizon_steps
-    ds = config.ds
     if targets is None:
         targets = costs.schedule_targets(config, t0)
-    targets = np.asarray(targets, dtype=float)
+    targets = _finite_vector("targets", targets, n)
 
-    coarse_iterations = 0
-    reference = None
     if initial_controls is None:
-        k_coarse = k_steps // _COARSE_FACTOR
-        if k_coarse >= 2:
-            ratio = k_steps / k_coarse
-            coarse_config = dataclasses.replace(config, ds=ds * ratio, horizon_steps=k_coarse)
-            coarse_weights = dataclasses.replace(
-                weights, q1=weights.q1 * ratio, q2=weights.q2 * ratio, r1=weights.r1 * ratio
-            )
-            zeros = np.zeros((n, k_coarse))
-            coarse = _solve(
-                coarse_config, coarse_weights, profile, options, targets, start_position,
-                zeros, rollout(t0, pi0, zeros, coarse_config.ds),
-            )
-            coarse_iterations = coarse.n_iterations
-            accels = coarse.controls.accels[:, np.arange(k_steps) * k_coarse // k_steps]
-            reference = _feasible_rollout(t0, pi0, accels, ds)
-        if reference is None:
-            accels = np.zeros((n, k_steps))
-            reference = rollout(t0, pi0, accels, ds)
+        accels, reference, coarse_iterations = _cold_plan(
+            config, weights, profile, options, targets, start_position, t0, pi0
+        )
     else:
+        coarse_iterations = 0
         accels = np.array(initial_controls, dtype=float)
         if accels.shape != (n, k_steps):
             raise ConfigError(f"initial controls must have shape ({n}, {k_steps})")
-        reference = _feasible_rollout(t0, pi0, accels, ds)
+        reference = _feasible_rollout(t0, pi0, accels, config.ds)
         if reference is None:
             raise ConfigError("initial controls are infeasible (slowness left the domain)")
 
@@ -479,6 +476,62 @@ def solve(
     report.coarse_iterations = coarse_iterations
     report.wall_time = time.perf_counter() - start
     return report
+
+
+def _finite_vector(name, values, n):
+    """``values`` as a float array of shape (n,); ConfigError unless all finite."""
+    out = np.asarray(values, dtype=float)
+    if out.shape != (n,):
+        raise ConfigError(f"{name} must have shape ({n},), got {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{name} must be finite, got {out}")
+    return out
+
+
+def _cold_plan(config, weights, profile, options, targets, start_position, t0, pi0):
+    """A starting plan for a cold solve: (accels, its rollout, coarse iterations).
+
+    The level below has Kc = ceil(K / _COARSE_FACTOR) steps of exactly
+    ``_COARSE_FACTOR`` ds, stage weights q1, q2 and r1 scaled by that
+    factor, and the same terminal weights, options and start position. Its
+    last step may overhang the horizon by o = (_COARSE_FACTOR Kc - K) ds,
+    so its targets move later by o / target_speed. That level is planned
+    the same way, recursively, and solved with ``_solve``; fine step j
+    then holds coarse step j // _COARSE_FACTOR, converged or not. The plan
+    is zero controls when Kc < ``_COARSE_FLOOR`` or when the held plan
+    leaves the slowness domain. The iteration count sums the accepted
+    iterations of every level solved, fallbacks included.
+    """
+    n, k_steps, ds = config.n_vehicles, config.horizon_steps, config.ds
+    k_coarse = -(-k_steps // _COARSE_FACTOR)
+    iterations = 0
+    if k_coarse >= _COARSE_FLOOR:
+        coarse_config = dataclasses.replace(
+            config, ds=ds * _COARSE_FACTOR, horizon_steps=k_coarse
+        )
+        coarse_weights = dataclasses.replace(
+            weights,
+            q1=weights.q1 * _COARSE_FACTOR,
+            q2=weights.q2 * _COARSE_FACTOR,
+            r1=weights.r1 * _COARSE_FACTOR,
+        )
+        overhang = (_COARSE_FACTOR * k_coarse - k_steps) * ds
+        coarse_targets = targets + overhang / config.target_speed
+        accels, reference, iterations = _cold_plan(
+            coarse_config, coarse_weights, profile, options, coarse_targets,
+            start_position, t0, pi0,
+        )
+        coarse = _solve(
+            coarse_config, coarse_weights, profile, options, coarse_targets,
+            start_position, accels, reference,
+        )
+        iterations += coarse.n_iterations
+        held = np.repeat(coarse.controls.accels, _COARSE_FACTOR, axis=1)[:, :k_steps]
+        reference = _feasible_rollout(t0, pi0, held, ds)
+        if reference is not None:
+            return held, reference, iterations
+    zeros = np.zeros((n, k_steps))
+    return zeros, rollout(t0, pi0, zeros, ds), iterations
 
 
 def _feasible_rollout(t0, pi0, accels, ds):
@@ -492,7 +545,7 @@ def _feasible_rollout(t0, pi0, accels, ds):
 def _solve(config, weights, profile, options, targets, start_position, accels, reference):
     """The solve proper, from the plan ``accels`` and its rollout ``reference``.
 
-    ``solve`` runs both its coarse and its full-resolution phase through
+    ``solve`` runs every coarse level and its full-resolution phase through
     here, so one public call stays one plan. ``wall_time`` covers this
     phase only; ``solve`` replaces it.
 

@@ -79,7 +79,7 @@ def run_perturbation(
     The unperturbed plan starts the platoon at the target speed with exact
     spacing; a precomputed ``baseline_report`` for that configuration may be
     passed to amortize sweeps. Step perturbations shift the leader's entry
-    speed by the magnitude and re-plan cold (coarse plan, then full
+    speed by the magnitude and re-plan cold (coarse grid levels, then full
     resolution) toward the unperturbed plan's targets. A re-plan warm-started
     from the unperturbed plan would stop at ``tol_cost_rel`` next to that plan
     and under-report the response. Pulse perturbations inject the shift at

@@ -69,10 +69,11 @@ def grade_at(profile: SlopeProfile, s):
     """Grade angle (rad) at position ``s`` (m); scalar or array.
 
     Right-continuous at breakpoints. Raises ConfigError when any queried
-    position falls outside [0, total_length].
+    position is NaN or falls outside [0, total_length].
     """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(s_arr > profile.total_length):
+    # Negated so that NaN positions fail too.
+    if not np.all((s_arr >= 0.0) & (s_arr <= profile.total_length)):
         raise ConfigError(
             f"position out of range [0, {profile.total_length}]: {s!r}"
         )

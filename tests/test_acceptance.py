@@ -14,6 +14,7 @@ import pytest
 
 from conftest import one_step_cost, one_step_stage_blocks
 from ecoplatoon import constraints as cons
+from ecoplatoon import solver as solver_mod
 from ecoplatoon.cli import main as cli_main
 from ecoplatoon.costs import CostWeights
 from ecoplatoon.experiments import run_bench, run_compare
@@ -199,16 +200,44 @@ class TestCriterion5SolverProperties:
             f"worst relative error {worst:.2e} over 100 random points",
         )
 
-    def test_monotone_descent_and_feasibility(self, comparisons):
+    def test_monotone_descent_and_feasibility(self, comparisons, monkeypatch):
+        # The full-resolution phase takes a single iteration from a cold
+        # start, so the comparisons' solves are repeated with every level of
+        # the grid hierarchy recorded, and each level must descend.
+        levels = []
+        inner = solver_mod._solve
+
+        def spy(config, *args):
+            level = inner(config, *args)
+            levels.append((config.horizon_steps, level))
+            return level
+
+        monkeypatch.setattr(solver_mod, "_solve", spy)
         ok = True
         details = []
         for name in ("collector", "major_arterial"):
-            rep = comparisons[name][1].eco.report
-            augs = [it.aug_cost for it in rep.iterations]
-            monotone = all(b <= a + 1e-9 * max(1, abs(a)) for a, b in zip(augs, augs[1:]))
-            ok = ok and monotone and rep.converged and rep.max_violation <= 1e-3
+            scen, comp = comparisons[name]
+            rep = comp.eco.report
+            t0, pi0, targets = scen.initial_state()
+            levels.clear()
+            again = solver_mod.solve(
+                scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options,
+                targets=targets,
+            )
+            same = levels[-1][1].iterations is again.iterations and np.array_equal(
+                again.controls.accels, rep.controls.accels
+            )
+            monotone = True
+            counts = []
+            for k_steps, level in levels:
+                augs = [it.aug_cost for it in level.iterations]
+                monotone = monotone and all(
+                    b <= a + 1e-9 * max(1, abs(a)) for a, b in zip(augs, augs[1:])
+                )
+                counts.append(f"{len(augs)} at K={k_steps}")
+            ok = ok and same and monotone and rep.converged and rep.max_violation <= 1e-3
             details.append(
-                f"{name}: {len(augs)} iterations, max violation {rep.max_violation:.2e}"
+                f"{name}: iterations {', '.join(counts)}, max violation {rep.max_violation:.2e}"
             )
         report(5, "monotone descent and constraint satisfaction", ok, "; ".join(details))
 

@@ -776,6 +776,48 @@ class TestSolve:
         with pytest.raises(ConfigError, match="initial controls are infeasible"):
             solve(cfg, w, FLAT, t0, pi0, SolverOptions(), initial_controls=init)
 
+    @staticmethod
+    def short_collector():
+        """The collector preset at ds = 1 m over its first 60 steps."""
+        scen = override_ds(load_scenario(resolve_scenario_path("collector")), 1.0)
+        cfg = dataclasses.replace(scen.config, horizon_steps=60)
+        t0, pi0, targets = scen.initial_state()
+        return (cfg, scen.weights, scen.profile), t0, pi0, targets, scen.solver_options
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_targets_rejected(self, value):
+        problem, t0, pi0, targets, opts = self.short_collector()
+        targets = targets.copy()
+        targets[1] = value
+        with pytest.raises(ConfigError, match="targets must be finite"):
+            solve(*problem, t0, pi0, opts, targets=targets)
+
+    def test_too_few_targets_rejected(self):
+        problem, t0, pi0, targets, opts = self.short_collector()
+        with pytest.raises(ConfigError, match=r"targets must have shape \(3,\)"):
+            solve(*problem, t0, pi0, opts, targets=targets[:2])
+
+    def test_nan_entry_time_rejected(self):
+        problem, t0, pi0, targets, opts = self.short_collector()
+        t0 = t0.copy()
+        t0[2] = np.nan
+        with pytest.raises(ConfigError, match="initial times must be finite"):
+            solve(*problem, t0, pi0, opts, targets=targets)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_slowness_rejected(self, value):
+        problem, t0, pi0, targets, opts = self.short_collector()
+        pi0 = pi0.copy()
+        pi0[0] = value
+        with pytest.raises(ConfigError, match="initial slownesses must be finite"):
+            solve(*problem, t0, pi0, opts, targets=targets)
+
+    @pytest.mark.parametrize("position", [np.nan, np.inf, "12"])
+    def test_non_finite_start_position_rejected(self, position):
+        problem, t0, pi0, targets, opts = self.short_collector()
+        with pytest.raises(ConfigError, match="start position must be finite"):
+            solve(*problem, t0, pi0, opts, targets=targets, start_position=position)
+
     def test_determinism(self):
         cfg = make_config(n=3, ds=0.5, horizon_steps=1600)
         w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
@@ -971,7 +1013,7 @@ def assert_same_plan(a, b):
 
 class TestColdStart:
     def test_one_public_call_per_plan(self, monkeypatch):
-        cfg, w, prof, t0, pi0 = cold_problem(200)
+        cfg, w, prof, t0, pi0 = cold_problem(2500, ds=0.1)
         phases = spy_phases(monkeypatch)
         public = []
         inner = solver_mod.solve
@@ -983,30 +1025,40 @@ class TestColdStart:
         monkeypatch.setattr(solver_mod, "solve", counting)
         report = solver_mod.solve(cfg, w, prof, t0, pi0, SolverOptions())
         assert len(public) == 1
-        assert [p["config"].horizon_steps for p in phases] == [20, 200]
-        coarse, fine = phases
-        assert report.coarse_iterations == coarse["report"].n_iterations > 0
+        assert [p["config"].horizon_steps for p in phases] == [100, 500, 2500]
+        *coarse, fine = phases
+        assert report.coarse_iterations == sum(c["report"].n_iterations for c in coarse) > 0
         assert report.iterations is fine["report"].iterations
-        # the report's wall time covers both phases, each timed on its own
-        assert report.wall_time >= coarse["wall"] + fine["wall"]
+        # the report's wall time covers every level, each timed on its own
+        assert report.wall_time >= sum(p["wall"] for p in phases)
 
     def test_coarse_problem_is_the_same_problem_on_a_coarser_grid(self, monkeypatch):
-        cfg, w, prof, t0, pi0 = cold_problem(200)
+        # 2498 steps: each level's last step overhangs the level above
+        cfg, w, prof, t0, pi0 = cold_problem(2498, ds=0.1)
         phases = spy_phases(monkeypatch)
         targets = np.array([30.0, 29.5])
         solve(cfg, w, prof, t0, pi0, SolverOptions(), targets=targets, start_position=12.5)
-        coarse, fine = phases
-        k_coarse = cfg.horizon_steps // _COARSE_FACTOR
-        ratio = cfg.horizon_steps / k_coarse
-        assert coarse["config"].horizon_steps == k_coarse
-        assert coarse["config"].ds == cfg.ds * ratio
-        assert coarse["config"].route_length == pytest.approx(cfg.route_length, rel=1e-15)
-        cw = coarse["weights"]
-        assert (cw.q1, cw.q2, cw.r1) == (w.q1 * ratio, w.q2 * ratio, w.r1 * ratio)
-        assert (cw.q3, cw.qv, cw.power_floor) == (w.q3, w.qv, w.power_floor)
-        assert np.array_equal(coarse["targets"], targets)
-        assert coarse["start_position"] == fine["start_position"] == 12.5
-        assert not np.any(coarse["accels"])
+        assert [p["config"].horizon_steps for p in phases] == [100, 500, 2498]
+        assert phases[-1]["config"] is cfg and phases[-1]["weights"] is w
+        assert np.array_equal(phases[-1]["targets"], targets)
+        for coarse, fine in zip(phases, phases[1:]):
+            cc, fc = coarse["config"], fine["config"]
+            k_coarse = -(-fc.horizon_steps // _COARSE_FACTOR)
+            assert cc.horizon_steps == k_coarse
+            assert cc.ds == fc.ds * _COARSE_FACTOR
+            overhang = (_COARSE_FACTOR * k_coarse - fc.horizon_steps) * fc.ds
+            assert cc.route_length == pytest.approx(fc.route_length + overhang, rel=1e-15)
+            assert np.array_equal(
+                coarse["targets"], fine["targets"] + overhang / cfg.target_speed
+            )
+            cw, fw = coarse["weights"], fine["weights"]
+            assert (cw.q1, cw.q2, cw.r1) == (
+                fw.q1 * _COARSE_FACTOR, fw.q2 * _COARSE_FACTOR, fw.r1 * _COARSE_FACTOR
+            )
+            assert (cw.q3, cw.qv, cw.power_floor) == (w.q3, w.qv, w.power_floor)
+            assert coarse["start_position"] == fine["start_position"] == 12.5
+        assert phases[1]["targets"][0] > targets[0]  # 2500 - 2498 steps of overhang
+        assert not np.any(phases[0]["accels"])
 
     def test_collector_preset_cold_matches_zero_start(self):
         scen = load_scenario(resolve_scenario_path("collector"))
@@ -1030,15 +1082,16 @@ class TestColdStart:
             scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options,
             targets=targets,
         )
-        coarse = phases[0]["report"]
-        assert phases[0]["config"].horizon_steps == scen.config.horizon_steps // _COARSE_FACTOR
-        assert len(coarse.iterations) == report.coarse_iterations > 0
-        augs = [it.aug_cost for it in coarse.iterations]
-        assert all(b <= a + 1e-9 * max(1, abs(a)) for a, b in zip(augs, augs[1:]))
+        assert [p["config"].horizon_steps for p in phases] == [320, 1600, 8000]
+        coarse = [p["report"] for p in phases[:-1]]
+        assert sum(len(c.iterations) for c in coarse) == report.coarse_iterations > 0
+        for level in coarse:
+            augs = [it.aug_cost for it in level.iterations]
+            assert all(b <= a + 1e-9 * max(1, abs(a)) for a, b in zip(augs, augs[1:]))
 
     def test_held_plan_out_of_domain_falls_back_to_zero_start(self, monkeypatch):
-        cfg, w, prof, t0, pi0 = cold_problem(200)
-        zero = solve(cfg, w, prof, t0, pi0, SolverOptions(), initial_controls=np.zeros((2, 200)))
+        cfg, w, prof, t0, pi0 = cold_problem(500)
+        zero = solve(cfg, w, prof, t0, pi0, SolverOptions(), initial_controls=np.zeros((2, 500)))
 
         def blow_up(config, report):
             if config.horizon_steps < cfg.horizon_steps:
@@ -1073,19 +1126,41 @@ class TestColdStart:
         assert report.coarse_iterations == 0
 
     def test_every_fine_step_holds_a_coarse_control(self, monkeypatch):
-        cfg, w, prof, t0, pi0 = cold_problem(95)
+        cfg, w, prof, t0, pi0 = cold_problem(498)
         phases = spy_phases(monkeypatch)
         solve(cfg, w, prof, t0, pi0, SolverOptions())
         coarse, fine = phases
         plan = coarse["report"].controls.accels
-        assert plan.shape == (2, 9)
+        assert plan.shape == (2, 100)
         held = fine["accels"]
-        assert held.shape == (2, 95)
-        owner = np.arange(95) * 9 // 95
+        assert held.shape == (2, 498)
+        # fine step j holds step j // 5 of the level below
+        owner = np.arange(498) // _COARSE_FACTOR
         assert np.array_equal(held, plan[:, owner])
-        assert set(owner) == set(range(9))
-        # each coarse step covers 95 / 9 fine steps, rounded down or up
-        assert set(np.bincount(owner)) == {10, 11}
+        assert set(owner) == set(range(100))
+        # every coarse step covers 5 fine steps but the last, which overhangs
+        assert np.array_equal(np.bincount(owner), [5] * 99 + [3])
+
+    def test_non_divisible_horizon_needs_no_extra_full_resolution_passes(self, monkeypatch):
+        # At 1599 steps a coarse grid of K / 10 steps had a non-integer step,
+        # and the full-resolution solve took 13 backward passes against 7.
+        scen = override_ds(load_scenario(resolve_scenario_path("collector")), 0.5)
+        t0, pi0, _ = scen.initial_state()
+        horizons = []
+        inner = solver_mod.backward_pass
+
+        def counting(states, controls, thetas, config, *args):
+            horizons.append(config.horizon_steps)
+            return inner(states, controls, thetas, config, *args)
+
+        monkeypatch.setattr(solver_mod, "backward_pass", counting)
+        passes = {}
+        for k_steps in (1600, 1599):
+            cfg = dataclasses.replace(scen.config, horizon_steps=k_steps)
+            report = solve(cfg, scen.weights, scen.profile, t0, pi0, scen.solver_options)
+            assert report.converged
+            passes[k_steps] = horizons.count(k_steps)
+        assert passes[1599] <= passes[1600]
 
     def test_cold_reruns_bit_identical(self):
         cfg, w, prof, t0, pi0 = cold_problem(400)
@@ -1129,7 +1204,7 @@ class TestOuterSchedule:
         assert report.max_violation <= 1e-3
 
     def test_loose_tolerance_off_leaves_an_idle_al_solve_bit_identical(self, monkeypatch):
-        scen = override_ds(load_scenario(resolve_scenario_path("collector")), 1.0)
+        scen = override_ds(load_scenario(resolve_scenario_path("collector")), 0.2)
         t0, pi0, targets = scen.initial_state()
         opts = scen.solver_options
         args = (scen.config, scen.weights, scen.profile, t0, pi0, opts)
@@ -1152,7 +1227,7 @@ class TestOuterSchedule:
         with_schedule = solve(*args, targets=targets)
         # No multiplier update, so no outer pass past 0 and no forced step:
         # the forced step is absent here by construction. The loose
-        # tolerance is not: some judged plan (in the coarse phase) is
+        # tolerance is not: some judged plan (on a coarse level) is
         # infeasible, yet none of those judgments ends an inner loop.
         assert not updates
         assert any(v > opts.tol_violation for v in judged)

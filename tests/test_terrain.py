@@ -33,6 +33,13 @@ def test_out_of_range_query_rejected():
         grade_at(prof, 800.1)
 
 
+@pytest.mark.parametrize("s", [np.nan, [10.0, np.nan], np.inf])
+def test_non_finite_query_rejected(s):
+    prof = build_preset("collector")
+    with pytest.raises(ConfigError, match="position out of range"):
+        grade_at(prof, s)
+
+
 @pytest.mark.parametrize(
     "kind,peak", [("major_arterial", 0.06), ("collector", 0.15)]
 )
