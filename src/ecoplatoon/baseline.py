@@ -32,8 +32,9 @@ class CaccGains:
     kp_speed: float = 0.8  # 1/s, leader speed-tracking gain
 
     def __post_init__(self):
-        if min(self.kp_gap, self.kd_gap, self.kp_speed) <= 0:
-            raise ConfigError("CACC gains must be positive")
+        # Negated so that NaN gains fail too.
+        if not all(0 < g < np.inf for g in (self.kp_gap, self.kd_gap, self.kp_speed)):
+            raise ConfigError(f"CACC gains must be positive and finite, got {self}")
 
 
 def baseline_step(positions, speeds, config: PlatoonConfig, gains: CaccGains, dt: float):

@@ -214,8 +214,6 @@ def cmd_compare(scenario, out: Path) -> int:
 
 
 def cmd_stability(scenario, out: Path) -> int:
-    if scenario.perturbation is None:
-        raise ConfigError("scenario has no perturbation section")
     result = experiments.run_stability(scenario)
     report = result.report
     vehicles = sorted(report.gamma)
@@ -329,12 +327,6 @@ def main(argv=None) -> int:
         scenario = load_scenario(resolve_scenario_path(args.scenario))
         if args.ds is not None:
             scenario = override_ds(scenario, args.ds)
-        if args.ds is not None and abs(args.ds - 0.1) > 1e-12:
-            print(
-                f"warning: ds = {args.ds} m rescales the effective cost weights, "
-                "which were tuned for ds = 0.1 m",
-                file=sys.stderr,
-            )
         if args.window is not None:
             _check_positive("--window", args.window)
             scenario = dataclasses.replace(scenario, window_m=args.window)

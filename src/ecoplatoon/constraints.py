@@ -52,12 +52,8 @@ class ConstraintSet:
         )
 
     @property
-    def n_vehicles(self) -> int:
-        return self.a_max.size
-
-    @property
     def n_constraints(self) -> int:
-        return 4 * self.n_vehicles
+        return 4 * self.a_max.size
 
 
 @dataclass
@@ -83,7 +79,7 @@ class ALState:
             raise ConfigError("multipliers must be non-negative")
 
     @classmethod
-    def initial(cls, n_steps: int, n_constraints: int, rho0: float = 10.0) -> "ALState":
+    def initial(cls, n_steps: int, n_constraints: int, rho0: float) -> "ALState":
         shape = (n_steps, n_constraints)
         return cls(rho=np.full(shape, rho0), lam=np.zeros(shape))
 

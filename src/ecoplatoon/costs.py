@@ -7,8 +7,8 @@ The running cost at a spatial step sums three groups over the platoon:
   + xi v^3) per vehicle, i.e. q2 times the traction power in watts,
 * a control effort cost r1 * a^2 per vehicle.
 
-Step costs are summed over the horizon without a ds factor, so the effective
-weighting depends on the step length; shipped presets assume ds = 0.1 m.
+q1, q2 and r1 price 0.1 m of road: a step of length ds weighs ds / 0.1 m of
+them (``step_weight``), so ds sets only the resolution of one cost integral.
 The ecology term prices traction power through a smooth hinge
 max(P, power_floor) when ``CostWeights.power_floor`` is set, as in both
 shipped presets (floor 0: braking and descending earn nothing); with no
@@ -36,11 +36,14 @@ import numpy as np
 from .errors import ConfigError
 from .platoon import PlatoonConfig
 
+_DS_REF = 0.1  # m, the road length that q1, q2 and r1 price
+
 
 @dataclass(frozen=True)
 class CostWeights:
     """Non-negative weights for the gap, ecology, terminal, and effort terms.
 
+    ``q1``, ``q2`` and ``r1`` price 0.1 m of road, whatever the step length.
     ``qv`` prices the terminal speed against the target speed ((v_K - v^d)^2
     per vehicle). At 0 the horizon end is free, which lets a finite-horizon
     plan profitably dump its kinetic energy in the last meters (the signed
@@ -187,14 +190,24 @@ def terminal_derivatives(
     return lf_x, lf_xx
 
 
-def _gap_hessian_tt(config: PlatoonConfig, weights: CostWeights) -> np.ndarray:
+def step_weight(ds: float) -> float:
+    """How much one step of length ``ds`` weighs against one of ``_DS_REF``."""
+    return ds / _DS_REF
+
+
+def _stage_weights(config: PlatoonConfig, weights: CostWeights):
+    """(q1, q2, r1) for one step of ``config.ds``, each scaled by ``step_weight``."""
+    scale = step_weight(config.ds)
+    return weights.q1 * scale, weights.q2 * scale, weights.r1 * scale
+
+
+def _gap_hessian_tt(n: int, q1: float) -> np.ndarray:
     """Constant Hessian of the gap cost over arrival-time coordinates."""
-    n = config.n_vehicles
     h_tt = np.zeros((n, n))
-    h_tt[0, 0] = 2.0 * weights.q1 * (n - 1)
+    h_tt[0, 0] = 2.0 * q1 * (n - 1)
     for i in range(1, n):
-        h_tt[0, i] = h_tt[i, 0] = -2.0 * weights.q1
-        h_tt[i, i] = 2.0 * weights.q1
+        h_tt[0, i] = h_tt[i, 0] = -2.0 * q1
+        h_tt[i, i] = 2.0 * q1
     return h_tt
 
 
@@ -211,7 +224,7 @@ def stage_derivatives_batch(t, pi, a, thetas, config: PlatoonConfig, weights: Co
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     n, k_steps = t.shape
     m = config.masses
-    q1, q2, r1 = weights.q1, weights.q2, weights.r1
+    q1, q2, r1 = _stage_weights(config, weights)
     ti = np.arange(n) * 2
     pj = ti + 1
 
@@ -225,7 +238,7 @@ def stage_derivatives_batch(t, pi, a, thetas, config: PlatoonConfig, weights: Co
     gaps = t[0] - t[1:] - (np.arange(1, n) * config.headway)[:, None]  # (N-1, K)
     lx[:, ti[0]] = 2.0 * q1 * np.sum(gaps, axis=0)
     lx[:, ti[1:]] = -2.0 * q1 * gaps.T
-    h_tt = _gap_hessian_tt(config, weights)
+    h_tt = _gap_hessian_tt(n, q1)
     lxx[:, ti[:, None], ti[None, :]] = h_tt
 
     # Ecology cost: depends on slowness (v = 1/pi) and acceleration. With a
@@ -264,6 +277,7 @@ def trajectory_cost(states_t, states_pi, accels, thetas, config, weights, target
     a = np.asarray(accels, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     k_steps = a.shape[1]
+    q1, q2, r1 = _stage_weights(config, weights)
     v = 1.0 / pi[:, :k_steps]
     m = config.masses[:, None]
     gaps = (
@@ -271,10 +285,10 @@ def trajectory_cost(states_t, states_pi, accels, thetas, config, weights, target
         - t[1:, :k_steps]
         - (np.arange(1, config.n_vehicles) * config.headway)[:, None]
     )
-    cacc = weights.q1 * float(np.sum(gaps**2))
+    cacc = q1 * float(np.sum(gaps**2))
     power = m * a * v + grade_force(config, thetas).T * v + config.drag_coeff * v**3
-    ecology = weights.q2 * float(np.sum(ecology_power_cost(power, weights)))
-    effort = weights.r1 * float(np.sum(a**2))
+    ecology = q2 * float(np.sum(ecology_power_cost(power, weights)))
+    effort = r1 * float(np.sum(a**2))
     terminal = terminal_cost(t[:, -1], config, weights, targets, pi_final=pi[:, -1])
     breakdown = CostBreakdown(cacc=cacc, ecology=ecology, effort=effort, terminal=terminal)
     return breakdown.total, breakdown

@@ -14,6 +14,7 @@ import numpy as np
 from . import constraints as cons
 from . import solver as solver_mod
 from .baseline import simulate_baseline
+from .errors import ConfigError
 from .fuel import equivalent_accel_grid, platoon_fuel, segment_fuel_deltas
 from .platoon import resimulate_time_domain
 from .scenario import Scenario, override_ds
@@ -138,7 +139,7 @@ class StabilityResult:
 
 def run_stability(scenario: Scenario) -> StabilityResult:
     if scenario.perturbation is None:
-        raise ValueError("scenario has no perturbation section")
+        raise ConfigError("scenario has no perturbation section")
     report = run_perturbation(
         scenario.config,
         scenario.weights,

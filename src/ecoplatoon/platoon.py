@@ -17,6 +17,7 @@ of independent rollouts is safe.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +74,11 @@ class PlatoonConfig:
             raise ConfigError(
                 f"need 0 < target_speed <= speed_limit, got {self.target_speed} vs {self.speed_limit}"
             )
-        if not self.ds > 0:
-            raise ConfigError(f"ds must be positive, got {self.ds}")
-        if self.horizon_steps < 1:
-            raise ConfigError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
+        if not 0 < self.ds < np.inf:
+            raise ConfigError(f"ds must be positive and finite, got {self.ds}")
+        steps = self.horizon_steps
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+            raise ConfigError(f"horizon_steps must be an integer >= 1, got {steps!r}")
         if not 0 < self.speed_floor < self.target_speed:
             raise ConfigError(f"speed_floor must lie in (0, target_speed), got {self.speed_floor}")
         if not 0 < self.gravity < np.inf:
@@ -115,18 +117,6 @@ class PlatoonState:
             raise ConfigError("arrival_times and slownesses must share a shape")
         if np.any(self.slownesses <= 0):
             raise ConfigError("slowness must be positive everywhere")
-
-    @property
-    def speeds(self) -> np.ndarray:
-        return 1.0 / self.slownesses
-
-    @property
-    def n_vehicles(self) -> int:
-        return self.arrival_times.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.arrival_times.shape[1] - 1
 
 
 @dataclass

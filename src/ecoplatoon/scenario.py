@@ -176,7 +176,7 @@ def load_scenario(path) -> Scenario:
             rolling_coeff=float(plat.get("rolling_coeff", 0.015)),
             drag_coeff=float(plat.get("drag_coeff", 0.000024)),
             ds=ds,
-            horizon_steps=int(round(route_length / ds)),
+            horizon_steps=_horizon_steps(route_length, ds),
             speed_floor=float(plat.get("speed_floor", 0.1)),
         )
     except KeyError as exc:
@@ -283,11 +283,16 @@ def load_scenario(path) -> Scenario:
     )
 
 
+def _horizon_steps(route_length: float, ds: float) -> int:
+    """The nearest whole number of ``ds`` steps in ``route_length``, both finite and > 0."""
+    for name, value in (("ds", ds), ("route length", route_length)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return int(round(route_length / ds))
+
+
 def override_ds(scenario: Scenario, ds: float) -> Scenario:
     """Rebuild a scenario on a different spatial step, keeping the route length."""
-    if not (math.isfinite(ds) and ds > 0):
-        raise ConfigError(f"ds must be positive and finite, got {ds}")
     cfg = scenario.config
-    route = cfg.route_length
-    new_cfg = replace(cfg, ds=ds, horizon_steps=int(round(route / ds)))
+    new_cfg = replace(cfg, ds=ds, horizon_steps=_horizon_steps(cfg.route_length, ds))
     return replace(scenario, config=new_cfg)

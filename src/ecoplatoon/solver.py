@@ -9,6 +9,8 @@ One solve alternates two phases until tolerances or iteration caps are hit:
   line search on the feedforward term;
 * outer phase: multiplier and penalty-weight updates for the inequality
   constraints, after which the inner phase resumes on the reshaped cost.
+  Penalty weights start at ``rho_init`` times ``costs.step_weight``, so
+  the augmented cost weighs each step by its length, as the cost does.
 
 The inner phase stops when the predicted or the accepted decrease falls
 below a relative tolerance of the augmented cost, looser while the plan
@@ -31,11 +33,11 @@ row-major interleaved state and checks the slowness domain once at the end.
 A solve given no initial controls starts cold through a grid hierarchy,
 nested iteration in the sense of Brandt (Math. Comp. 31, 1977): each level
 is the same problem on a grid whose step is exactly five times that of the
-level above (stage weights scaled by five), solved from the plan of the
-level below it held over the steps it covers, down to a level of at least
-``_COARSE_FLOOR`` steps. On the collector preset that takes the
-full-resolution solve from 14 backward passes down to 2. Explicit initial
-controls, zeros included, skip the hierarchy.
+level above, solved from the plan of the level below it held over the steps
+it covers, down to a level of at least ``_COARSE_FLOOR`` steps. On the
+collector preset that takes the full-resolution solve from 14 backward
+passes down to 2. Explicit initial controls, zeros included, skip the
+hierarchy.
 
 A solve is single-threaded and deterministic; independent solves may run
 concurrently since all mutable state is owned per call.
@@ -492,8 +494,8 @@ def _cold_plan(config, weights, profile, options, targets, start_position, t0, p
     """A starting plan for a cold solve: (accels, its rollout, coarse iterations).
 
     The level below has Kc = ceil(K / _COARSE_FACTOR) steps of exactly
-    ``_COARSE_FACTOR`` ds, stage weights q1, q2 and r1 scaled by that
-    factor, and the same terminal weights, options and start position. Its
+    ``_COARSE_FACTOR`` ds and the same weights, options and start position;
+    the cost weighs each step by its length, so it is the same problem. Its
     last step may overhang the horizon by o = (_COARSE_FACTOR Kc - K) ds,
     so its targets move later by o / target_speed. That level is planned
     the same way, recursively, and solved with ``_solve``; fine step j
@@ -509,20 +511,14 @@ def _cold_plan(config, weights, profile, options, targets, start_position, t0, p
         coarse_config = dataclasses.replace(
             config, ds=ds * _COARSE_FACTOR, horizon_steps=k_coarse
         )
-        coarse_weights = dataclasses.replace(
-            weights,
-            q1=weights.q1 * _COARSE_FACTOR,
-            q2=weights.q2 * _COARSE_FACTOR,
-            r1=weights.r1 * _COARSE_FACTOR,
-        )
         overhang = (_COARSE_FACTOR * k_coarse - k_steps) * ds
         coarse_targets = targets + overhang / config.target_speed
         accels, reference, iterations = _cold_plan(
-            coarse_config, coarse_weights, profile, options, coarse_targets,
+            coarse_config, weights, profile, options, coarse_targets,
             start_position, t0, pi0,
         )
         coarse = _solve(
-            coarse_config, coarse_weights, profile, options, coarse_targets,
+            coarse_config, weights, profile, options, coarse_targets,
             start_position, accels, reference,
         )
         iterations += coarse.n_iterations
@@ -562,7 +558,9 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     thetas = grade_at(profile, np.minimum(grid, profile.total_length))
 
     cset = cons.ConstraintSet.from_config(config)
-    al = cons.ALState.initial(k_steps, cset.n_constraints, options.rho_init)
+    # rho, and so every multiplier, scaled by the step weight scales the PHR sum by it
+    rho0 = options.rho_init * costs.step_weight(ds)
+    al = cons.ALState.initial(k_steps, cset.n_constraints, rho0)
     times, slows = reference.arrival_times, reference.slownesses
 
     def eval_true(t_arr, pi_arr, a_arr):

@@ -16,6 +16,14 @@ def test_gains_validated():
         CaccGains(kp_gap=0.0)
 
 
+@pytest.mark.parametrize("name", ["kp_gap", "kd_gap", "kp_speed"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+def test_non_finite_or_negative_gain_rejected(name, value):
+    # a NaN gain used to pass and surface later as a NaN position
+    with pytest.raises(ConfigError, match="CACC gains must be positive and finite"):
+        CaccGains(**{name: value})
+
+
 class TestBaselineStep:
     def test_equilibrium_commands_zero(self):
         cfg = make_config(n=3)

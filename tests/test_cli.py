@@ -136,6 +136,23 @@ class TestSimulate:
         assert rc == EXIT_CONFIG
         assert flag.lstrip("-") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ds", [0, -0.1])
+    def test_bad_scenario_ds_exits_config(self, fast_scenario, tmp_path, capsys, ds):
+        raw = json.loads(fast_scenario.read_text())
+        raw["platoon"]["ds_m"] = ds
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "ds must be positive and finite" in capsys.readouterr().err
+
+    def test_ds_override_is_silent(self, fast_scenario, tmp_path, capsys):
+        # ds sets the resolution only, so overriding it warns about nothing
+        rc = main(["simulate", "--scenario", str(fast_scenario), "--out", str(tmp_path / "o"),
+                   "--ds", "1.0"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_non_convergence_exit_code(self, fast_scenario, tmp_path):
         raw = json.loads(fast_scenario.read_text())
         raw["solver"] = {"max_inner": 1, "max_outer": 1}

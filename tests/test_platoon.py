@@ -70,6 +70,20 @@ class TestPlatoonConfig:
         with pytest.raises(ConfigError, match=name):
             make_config(**{name: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_non_finite_or_non_positive_ds_rejected(self, value):
+        with pytest.raises(ConfigError, match="ds must be positive and finite"):
+            make_config(ds=value)
+
+    @pytest.mark.parametrize("value", [2.5, True, 0, -3])
+    def test_horizon_steps_must_be_a_positive_integer(self, value):
+        # 2.5 steps gave a 0.25 m route and True a 0.1 m one
+        with pytest.raises(ConfigError, match="horizon_steps must be an integer >= 1"):
+            make_config(horizon_steps=value)
+
+    def test_numpy_integer_horizon_accepted(self):
+        assert make_config(horizon_steps=np.int64(40)).route_length == pytest.approx(4.0)
+
 
 class TestDiffState:
     def test_equilibrium_zero(self):

@@ -125,6 +125,22 @@ class TestLoading:
         with pytest.raises(ConfigError, match="exceeds"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("ds_m", 0, "ds must be positive and finite"),
+            ("ds_m", -0.1, "ds must be positive and finite"),
+            ("route_length_m", float("inf"), "route length must be positive and finite"),
+        ],
+    )
+    def test_step_and_route_checked_before_dividing(self, tmp_path, key, value, message):
+        path = self._minimal(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["platoon"][key] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(path)
+
     def test_wrong_error_vector_length(self, tmp_path):
         with pytest.raises(ConfigError, match="initial_time_errors_s"):
             load_scenario(self._minimal(tmp_path, initial_time_errors_s=[0.0]))
@@ -237,6 +253,13 @@ class TestLoading:
         scen = load_scenario(path)
         assert scen.profile.total_length == 800.0
         assert np.tan(scen.profile.grades[0]) == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("ds", [0.0, -0.1, float("nan"), float("inf")])
+def test_override_ds_rejects_a_bad_step(ds):
+    scen = load_scenario(resolve_scenario_path("collector"))
+    with pytest.raises(ConfigError, match="ds must be positive and finite"):
+        override_ds(scen, ds)
 
 
 def test_override_ds_keeps_route_length():
