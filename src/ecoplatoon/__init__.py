@@ -7,7 +7,7 @@ meters fuel with a log-polynomial consumption model, and verifies string
 stability empirically.
 """
 
-from .baseline import CaccGains, baseline_step, simulate_baseline, torque_of
+from .baseline import CaccGains, baseline_step, simulate_baseline
 from .constraints import ALState, ConstraintSet
 from .costs import CostBreakdown, CostWeights
 from .errors import (
@@ -24,7 +24,6 @@ from .platoon import (
     PlatoonState,
     VehicleParams,
     resimulate_time_domain,
-    slowness,
     step_dynamics,
 )
 from .scenario import Scenario, load_scenario
@@ -68,9 +67,7 @@ __all__ = [
     "resimulate_time_domain",
     "run_perturbation",
     "simulate_baseline",
-    "slowness",
     "trajectory_fuel",
     "solve",
     "step_dynamics",
-    "torque_of",
 ]

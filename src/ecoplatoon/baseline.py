@@ -5,8 +5,10 @@ constant time gap regardless of grade: the front vehicle tracks the target
 speed with a proportional law, each follower closes its spacing error with a
 PD law on gap and relative speed, and the commanded acceleration is assumed
 to be realized exactly by a low-level torque loop that compensates slope and
-resistance (see :func:`torque_of`). It has no fuel term, which is exactly
-what makes it the reference for the eco planner.
+resistance; the traction that loop demands is
+:func:`ecoplatoon.fuel.equivalent_traction_accel`, the signal the fuel meter
+reads. It has no fuel term, which is exactly what makes it the reference
+for the eco planner.
 
 Vehicle 0 is the physical front vehicle here; followers are indexed in
 driving order behind it.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StallError
-from .platoon import PlatoonConfig, VehicleParams
+from .platoon import PlatoonConfig
 from .terrain import SlopeProfile, grade_at
 
 
@@ -63,21 +65,6 @@ def baseline_step(positions, speeds, config: PlatoonConfig, gains: CaccGains, dt
     a_min = np.array([veh.a_min for veh in config.vehicles])
     a_max = np.array([veh.a_max for veh in config.vehicles])
     return np.clip(cmd, a_min, a_max)
-
-
-def torque_of(
-    a: float,
-    v: float,
-    theta: float,
-    params: VehicleParams,
-    config: PlatoonConfig,
-    tire_radius: float,
-) -> float:
-    """Wheel torque (N m) that realizes acceleration ``a`` at speed ``v`` on grade ``theta``."""
-    g = config.gravity
-    m = params.mass
-    resist = g * np.sin(theta) + config.rolling_coeff * g * np.cos(theta)
-    return (a + resist + config.drag_coeff * v**2 / m) * m * tire_radius
 
 
 def simulate_baseline(

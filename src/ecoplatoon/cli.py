@@ -32,6 +32,7 @@ from . import experiments
 from .errors import ConfigError, EcoPlatoonError
 from .fuel import equivalent_traction_accel
 from .scenario import load_scenario, override_ds, resolve_scenario_path
+from .solver import RecedingRun
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,28 +113,27 @@ def _write_fuel_series(out: Path, scenario, eco_series, base_series=None):
     write_csv(out / "fuel_series.csv", header, [grid] + cols)
 
 
-def _solve_stats(eco):
-    report = eco.report
-    stats = {"wall_time_s": eco.wall_time}
-    if hasattr(report, "iterations"):
+def _solve_stats(report):
+    """Solve timings plus, for a one-shot plan, its iteration counts and violation."""
+    stats = {"wall_time_s": report.wall_time}
+    if isinstance(report, RecedingRun):
+        times = np.asarray(report.exec_times)
+        stats["exec_mean_s"] = float(times.mean())
+        stats["exec_max_s"] = float(times.max())
+    else:
         stats["iterations"] = len(report.iterations)
         stats["coarse_iterations"] = report.coarse_iterations
         stats["max_violation"] = report.max_violation
-    if eco.exec_times:
-        times = np.asarray(eco.exec_times)
-        stats["exec_mean_s"] = float(times.mean())
-        stats["exec_max_s"] = float(times.max())
     return stats
 
 
 def cmd_simulate(scenario, out: Path) -> int:
     eco = experiments.run_eco(scenario)
-    states = eco.report.states
-    controls = eco.report.controls
-    _write_trajectories(out, scenario, states, controls, eco.equiv_accels)
-    _write_fuel_series(out, scenario, eco.fuel_series)
     report = eco.report
-    if hasattr(report, "iterations"):
+    _write_trajectories(out, scenario, report.states, report.controls, eco.equiv_accels)
+    _write_fuel_series(out, scenario, eco.fuel_series)
+    one_shot = not isinstance(report, RecedingRun)
+    if one_shot:
         write_json(
             out / "solve_report.json",
             {
@@ -147,16 +147,17 @@ def cmd_simulate(scenario, out: Path) -> int:
         )
     summary = {
         "scenario": scenario.name,
-        "converged": bool(eco.converged),
+        "converged": bool(report.converged),
         "fuel_total_L": {"eco": eco.fuel_total},
         "fuel_per_vehicle_L": {"eco": eco.fuel_per_vehicle},
         "savings_pct": None,
         "max_violation": eco.max_violation,
-        "wall_time": _solve_stats(eco),
+        "wall_time": _solve_stats(report),
     }
     write_json(out / "summary.json", summary)
-    if not eco.converged:
-        print("solver did not converge; see solve_report.json", file=sys.stderr)
+    if not report.converged:
+        details = "solve_report.json" if one_shot else "summary.json"
+        print(f"solver did not converge; see {details}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -185,7 +186,7 @@ def cmd_compare(scenario, out: Path) -> int:
         tr = base.traces[i]
         base_v.append(np.interp(grid, tr["position"], tr["speed"]))
         a_eq_series = equivalent_traction_accel(
-            tr["accel"], tr["speed"], tr["grade"], cfg.vehicles[i], cfg
+            tr["accel"], tr["speed"], tr["grade"], cfg.vehicles[i].mass, cfg
         )
         base_aeq.append(np.interp(grid, tr["position"], a_eq_series))
     header += [f"base_v{i + 1}_mps" for i in range(n)]
@@ -196,7 +197,7 @@ def cmd_compare(scenario, out: Path) -> int:
     write_csv(out / "speed_series.csv", header, cols + base_v + base_aeq)
     summary = {
         "scenario": scenario.name,
-        "converged": bool(eco.converged),
+        "converged": bool(eco.report.converged),
         "fuel_total_L": {"eco": eco.fuel_total, "baseline": base.fuel_total},
         "fuel_per_vehicle_L": {
             "eco": eco.fuel_per_vehicle,
@@ -204,10 +205,10 @@ def cmd_compare(scenario, out: Path) -> int:
         },
         "savings_pct": cmp_result.savings_pct,
         "max_violation": eco.max_violation,
-        "wall_time": _solve_stats(eco),
+        "wall_time": _solve_stats(eco.report),
     }
     write_json(out / "summary.json", summary)
-    if not eco.converged:
+    if not eco.report.converged:
         print("solver did not converge; see summary.json", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK

@@ -85,23 +85,17 @@ class ALState:
 
 
 def evaluate(cset: ConstraintSet, pi, a) -> np.ndarray:
-    """Constraint values for states (N, ...) -> (..., 4N); e <= 0 is satisfied.
-
-    Accepts single-step vectors (N,) or whole trajectories (N, K).
-    """
+    """Constraint values for trajectories (N, K) -> (K, 4N); e <= 0 is satisfied."""
     pi = np.asarray(pi, dtype=float)
     a = np.asarray(a, dtype=float)
-    single = pi.ndim == 1
-    pi2 = pi[:, None] if single else pi
-    a2 = a[:, None] if single else a
-    v = 1.0 / pi2
-    n, k_steps = pi2.shape
+    v = 1.0 / pi
+    n, k_steps = pi.shape
     e = np.empty((k_steps, 4 * n))
     e[:, 0::4] = (v - cset.v_max).T
     e[:, 1::4] = (cset.v_floor - v).T
-    e[:, 2::4] = (a2 - cset.a_max[:, None]).T
-    e[:, 3::4] = (cset.a_min[:, None] - a2).T
-    return e[0] if single else e
+    e[:, 2::4] = (a - cset.a_max[:, None]).T
+    e[:, 3::4] = (cset.a_min[:, None] - a).T
+    return e
 
 
 def max_violation(e_values: np.ndarray) -> float:

@@ -17,9 +17,9 @@ The fuel meter in :mod:`ecoplatoon.fuel` is a separate model (it clamps at
 idle, as a consumption model must).
 
 The terminal cost anchors mobility: q3 * (t_K - target_i)^2 per vehicle,
-where target_i defaults to the route time at the target speed measured from
-each vehicle's own entry time (identical to a single shared target when all
-entry times are zero).
+where target_i is the route time at the target speed measured from each
+vehicle's own entry time (``schedule_targets``, the solver's default;
+identical to a single shared target when all entry times are zero).
 
 Derivatives use the flat interleaved state [t1, pi1, ..., tN, piN] and
 control [a1, ..., aN]; note v = 1/pi makes the ecology term couple a_i with
@@ -146,19 +146,14 @@ def schedule_targets(config: PlatoonConfig, entry_times) -> np.ndarray:
     return entry + config.route_length / config.target_speed
 
 
-def terminal_cost(
-    t_final, config: PlatoonConfig, weights: CostWeights, targets=None, pi_final=None
-):
+def terminal_cost(t_final, config: PlatoonConfig, weights: CostWeights, targets, pi_final=None):
     """Mobility cost q3 * sum_i (t_i,K - target_i)^2 (+ optional speed anchor).
 
-    With ``targets`` omitted, every vehicle is held to the shared target
-    K*ds/v^d (the entry-anchored schedule of a platoon whose clocks start
-    at zero). When ``weights.qv`` is positive and ``pi_final`` given, each
-    vehicle additionally pays qv * (v_K - v^d)^2.
+    ``targets`` are the per-vehicle arrival targets (see
+    :func:`schedule_targets`). When ``weights.qv`` is positive and
+    ``pi_final`` given, each vehicle additionally pays qv * (v_K - v^d)^2.
     """
     t_final = np.asarray(t_final, dtype=float)
-    if targets is None:
-        targets = np.full(t_final.shape, config.route_length / config.target_speed)
     resid = t_final - np.asarray(targets, dtype=float)
     cost = weights.q3 * float(np.sum(resid**2))
     if weights.qv > 0.0 and pi_final is not None:
@@ -168,13 +163,11 @@ def terminal_cost(
 
 
 def terminal_derivatives(
-    t_final, config: PlatoonConfig, weights: CostWeights, targets=None, pi_final=None
+    t_final, config: PlatoonConfig, weights: CostWeights, targets, pi_final=None
 ):
     """Gradient and Hessian of the terminal cost in flat-state coordinates."""
     t_final = np.asarray(t_final, dtype=float)
     n = t_final.size
-    if targets is None:
-        targets = np.full(n, config.route_length / config.target_speed)
     resid = t_final - np.asarray(targets, dtype=float)
     lf_x = np.zeros(2 * n)
     lf_xx = np.zeros((2 * n, 2 * n))
@@ -270,7 +263,7 @@ def stage_derivatives_batch(t, pi, a, thetas, config: PlatoonConfig, weights: Co
     return {"lx": lx, "lu": lu, "lxx": lxx, "luu": luu, "lux": lux}
 
 
-def trajectory_cost(states_t, states_pi, accels, thetas, config, weights, targets=None):
+def trajectory_cost(states_t, states_pi, accels, thetas, config, weights, targets):
     """Total plan cost in one vectorized pass. Returns (total, CostBreakdown)."""
     t = np.asarray(states_t, dtype=float)
     pi = np.asarray(states_pi, dtype=float)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constraints as cons
 from . import solver as solver_mod
 from .baseline import simulate_baseline
 from .errors import ConfigError
@@ -31,10 +30,10 @@ class EcoResult:
     fuel_per_vehicle: list
     fuel_series: list  # (positions, cumulative) per vehicle
     equiv_accels: np.ndarray  # (N, K) on the spatial grid
-    converged: bool
-    wall_time: float
-    exec_times: list  # receding mode only
-    max_violation: float = 0.0
+
+    @property
+    def max_violation(self) -> float:
+        return self.report.max_violation
 
 
 @dataclass
@@ -57,42 +56,12 @@ def run_eco(scenario: Scenario, resim_dt: float = 0.005) -> EcoResult:
     """Plan the scenario and meter the plan's fuel through the time domain."""
     cfg = scenario.config
     t0, pi0, targets = scenario.initial_state()
+    args = (cfg, scenario.weights, scenario.profile, t0, pi0, scenario.solver_options)
     if scenario.horizon_mode == "receding":
-        run = solver_mod.receding_horizon_run(
-            cfg,
-            scenario.weights,
-            scenario.profile,
-            t0,
-            pi0,
-            scenario.solver_options,
-            scenario.window_m,
-            scenario.replan_m,
-        )
-        states, controls = run.states, run.controls
-        converged = run.all_converged
-        wall = float(sum(run.exec_times))
-        exec_times = run.exec_times
-        report = run
-        # post-hoc constraint scan over the stitched, executed trajectory
-        cset = cons.ConstraintSet.from_config(cfg)
-        violation = cons.max_violation(
-            cons.evaluate(cset, states.slownesses[:, :-1], controls.accels)
-        )
+        report = solver_mod.receding_horizon_run(*args, scenario.window_m, scenario.replan_m)
     else:
-        report = solver_mod.solve(
-            cfg,
-            scenario.weights,
-            scenario.profile,
-            t0,
-            pi0,
-            scenario.solver_options,
-            targets=targets,
-        )
-        states, controls = report.states, report.controls
-        converged = report.converged
-        wall = report.wall_time
-        exec_times = []
-        violation = report.max_violation
+        report = solver_mod.solve(*args, targets=targets)
+    states, controls = report.states, report.controls
     traces = resimulate_time_domain(states, controls, scenario.profile, cfg.ds, dt=resim_dt)
     total, per_vehicle, series = platoon_fuel(scenario.fuel_model, traces, cfg)
     return EcoResult(
@@ -102,10 +71,6 @@ def run_eco(scenario: Scenario, resim_dt: float = 0.005) -> EcoResult:
         fuel_per_vehicle=per_vehicle,
         fuel_series=series,
         equiv_accels=equivalent_accel_grid(states, controls, scenario.profile, cfg),
-        converged=converged,
-        wall_time=wall,
-        exec_times=exec_times,
-        max_violation=violation,
     )
 
 

@@ -83,8 +83,12 @@ class FuelModel:
         return cls.from_dict(raw, origin=_DEFAULT_RESOURCE)
 
 
-def equivalent_traction_accel(a, v, theta, params: VehicleParams, config: PlatoonConfig):
-    """Traction force over mass: a + g sin(theta) + mu g cos(theta) + xi v^2 / m."""
+def equivalent_traction_accel(a, v, theta, mass, config: PlatoonConfig):
+    """Traction force over mass: a + g sin(theta) + mu g cos(theta) + xi v^2 / m.
+
+    ``mass`` is a scalar or an array that broadcasts against the others, such
+    as a per-vehicle column (N, 1) against (N, K) accelerations.
+    """
     a = np.asarray(a, dtype=float)
     v = np.asarray(v, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -93,7 +97,7 @@ def equivalent_traction_accel(a, v, theta, params: VehicleParams, config: Platoo
         a
         + g * np.sin(theta)
         + config.rolling_coeff * g * np.cos(theta)
-        + config.drag_coeff * v**2 / params.mass
+        + config.drag_coeff * v**2 / mass
     )
     return float(out) if out.ndim == 0 else out
 
@@ -103,12 +107,10 @@ def equivalent_accel_grid(states, controls, profile: SlopeProfile, config: Plato
     accels = controls.accels
     k_steps = accels.shape[1]
     grid = np.minimum(config.ds * np.arange(k_steps), profile.total_length)
-    thetas = grade_at(profile, grid)
     speeds = 1.0 / states.slownesses[:, :k_steps]
-    out = np.empty_like(accels)
-    for i, params in enumerate(config.vehicles):
-        out[i] = equivalent_traction_accel(accels[i], speeds[i], thetas, params, config)
-    return out
+    return equivalent_traction_accel(
+        accels, speeds, grade_at(profile, grid), config.masses[:, None], config
+    )
 
 
 def fuel_rate(model: FuelModel, v, a_eq):
@@ -153,7 +155,7 @@ def trajectory_fuel(
         return 0.0, np.array([]), np.array([])
     if s[-1] < route_length - 1e-6:
         raise StallError("trace ends before the route does; cannot meter fuel")
-    a_eq = equivalent_traction_accel(a, v, theta, params, config)
+    a_eq = equivalent_traction_accel(a, v, theta, params.mass, config)
     rate = fuel_rate(model, v, a_eq)
     dt = np.diff(t)
     seg_fuel = rate[:-1] * dt

@@ -37,11 +37,13 @@ class VehicleParams:
     a_max: float  # m/s^2, > 0
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ConfigError(f"vehicle mass must be positive, got {self.mass}")
-        if not (self.a_min < 0 < self.a_max):
+        # Chained and negated so that NaN and infinite values fail too.
+        if not 0 < self.mass < np.inf:
+            raise ConfigError(f"vehicle mass must be positive and finite, got {self.mass}")
+        if not -np.inf < self.a_min < 0 < self.a_max < np.inf:
             raise ConfigError(
-                f"acceleration bounds must straddle zero, got [{self.a_min}, {self.a_max}]"
+                "acceleration bounds must be finite and straddle zero, "
+                f"got [{self.a_min}, {self.a_max}]"
             )
 
 
@@ -68,11 +70,12 @@ class PlatoonConfig:
     def __post_init__(self):
         if len(self.vehicles) < 2:
             raise ConfigError("platoon needs at least two vehicles")
-        if not self.headway > 0:
-            raise ConfigError(f"headway must be positive, got {self.headway}")
-        if not 0 < self.target_speed <= self.speed_limit:
+        if not 0 < self.headway < np.inf:
+            raise ConfigError(f"headway must be positive and finite, got {self.headway}")
+        if not 0 < self.target_speed <= self.speed_limit < np.inf:
             raise ConfigError(
-                f"need 0 < target_speed <= speed_limit, got {self.target_speed} vs {self.speed_limit}"
+                "need 0 < target_speed <= speed_limit < inf, "
+                f"got {self.target_speed} vs {self.speed_limit}"
             )
         if not 0 < self.ds < np.inf:
             raise ConfigError(f"ds must be positive and finite, got {self.ds}")
@@ -129,15 +132,6 @@ class ControlTrajectory:
         self.accels = np.asarray(self.accels, dtype=float)
         if not np.all(np.isfinite(self.accels)):
             raise ConfigError("accelerations must be finite")
-
-
-def slowness(v):
-    """Reciprocal speed (s/m). Undefined at or below standstill."""
-    v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr <= 0):
-        raise ConfigError(f"slowness undefined for non-positive speed {v!r}")
-    out = 1.0 / v_arr
-    return float(out) if np.isscalar(v) or v_arr.ndim == 0 else out
 
 
 def step_dynamics(t, pi, a, ds):

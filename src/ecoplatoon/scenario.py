@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import CaccGains
-from .costs import CostWeights
+from .costs import CostWeights, schedule_targets
 from .errors import ConfigError
 from .fuel import FuelModel
 from .platoon import MPH_TO_MPS, PlatoonConfig, VehicleParams
@@ -46,7 +46,6 @@ class Scenario:
     weights: CostWeights
     solver_options: SolverOptions
     gains: CaccGains
-    tire_radius: float
     fuel_model: FuelModel
     perturbation: PerturbationSpec | None
     horizon_mode: str  # "one_shot" | "receding"
@@ -62,8 +61,7 @@ class Scenario:
         ideal = -np.arange(n) * self.config.headway
         t0 = ideal + self.initial_time_errors
         pi0 = np.full(n, 1.0 / self.initial_speed)
-        targets = ideal + self.config.route_length / self.config.target_speed
-        return t0, pi0, targets
+        return t0, pi0, schedule_targets(self.config, ideal)
 
 
 def _speed(node, where: str) -> float:
@@ -75,7 +73,10 @@ def _speed(node, where: str) -> float:
             raise ConfigError(f"{where}: expected {{'value': <num>, 'units': 'mph'|'m/s'}}")
         if unit not in _SPEED_UNITS:
             raise ConfigError(f"{where}: unknown speed unit {unit!r}")
-        return value * _SPEED_UNITS[unit]
+        speed = value * _SPEED_UNITS[unit]
+        if not 0 < speed < math.inf:
+            raise ConfigError(f"{where}: speed must be positive and finite, got {speed} m/s")
+        return speed
     raise ConfigError(f"{where}: speeds must carry an explicit unit tag")
 
 
@@ -222,7 +223,6 @@ def load_scenario(path) -> Scenario:
         kd_gap=_number(bsec, "kd_gap", 1.2, where),
         kp_speed=_number(bsec, "kp_speed", 0.8, where),
     )
-    tire_radius = _number(bsec, "tire_radius_m", 0.3, where, positive=True)
     baseline_dt = _number(bsec, "dt_s", 0.05, where, positive=True)
 
     fm = raw.get("fuel_model", "default")
@@ -271,7 +271,6 @@ def load_scenario(path) -> Scenario:
         weights=weights,
         solver_options=solver_options,
         gains=gains,
-        tire_radius=tire_radius,
         fuel_model=fuel_model,
         perturbation=perturbation,
         horizon_mode=mode,

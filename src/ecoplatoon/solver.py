@@ -697,13 +697,24 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
 
 @dataclass
 class RecedingRun:
-    """Stitched output of a receding-horizon execution."""
+    """Stitched output of a receding-horizon execution.
+
+    ``converged``, ``max_violation`` and ``wall_time`` summarize the run
+    under the names :class:`SolveReport` uses: every window converged, the
+    largest bound violation of the stitched plan, and the summed window
+    solve times.
+    """
 
     states: PlatoonState
     controls: ControlTrajectory
     exec_times: list  # seconds per window solve
     windows: list  # (start_position, window_length) per execution
-    all_converged: bool
+    converged: bool
+    max_violation: float
+
+    @property
+    def wall_time(self) -> float:
+        return float(sum(self.exec_times))
 
 
 def receding_horizon_run(
@@ -760,7 +771,7 @@ def receding_horizon_run(
 
     exec_times = []
     windows = []
-    all_converged = True
+    converged = True
     times_out = [t_cur.copy()]
     slows_out = [pi_cur.copy()]
     accel_cols = []
@@ -796,7 +807,7 @@ def receding_horizon_run(
         )
         exec_times.append(time.perf_counter() - tic)
         windows.append((s0, w_eff))
-        all_converged = all_converged and report.converged
+        converged = converged and report.converged
 
         exec_steps = kw if s0 + w_eff >= route_length - 1e-9 else min(
             kw, max(1, int(round(replan_m / ds)))
@@ -817,10 +828,12 @@ def receding_horizon_run(
     times = np.column_stack([times_out[0][:, None]] + times_out[1:])
     slows = np.column_stack([slows_out[0][:, None]] + slows_out[1:])
     accels = np.column_stack(accel_cols) if accel_cols else np.zeros((n, 0))
+    cset = cons.ConstraintSet.from_config(config)
     return RecedingRun(
         states=PlatoonState(arrival_times=times, slownesses=slows),
         controls=ControlTrajectory(accels=accels),
         exec_times=exec_times,
         windows=windows,
-        all_converged=all_converged,
+        converged=converged,
+        max_violation=cons.max_violation(cons.evaluate(cset, slows[:, :-1], accels)),
     )

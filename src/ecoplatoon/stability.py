@@ -35,6 +35,10 @@ class PerturbationSpec:
     duration: float = 0.0  # m, pulse only
 
     def __post_init__(self):
+        for name in ("magnitude", "onset_position", "duration"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigError(f"perturbation {name} must be finite, got {value}")
         if self.magnitude == 0.0:
             raise ConfigError("perturbation magnitude must be nonzero")
         if self.shape not in ("step", "pulse"):
@@ -105,12 +109,6 @@ def run_perturbation(
             options,
             targets=baseline_report.targets,
         )
-        base_accel = equivalent_accel_grid(
-            baseline_report.states, baseline_report.controls, profile, config
-        )
-        pert_accel = equivalent_accel_grid(
-            perturbed.states, perturbed.controls, profile, config
-        )
     else:
         window = max(40.0 * config.ds, 40.0)
         replan = window / 4.0
@@ -146,13 +144,11 @@ def run_perturbation(
             config, weights, profile, t0, pi0, options, window, replan,
             state_hook=make_hook(),
         )
-        base_accel = equivalent_accel_grid(
-            baseline_report.states, baseline_report.controls, profile, config
-        )
-        pert_accel = equivalent_accel_grid(
-            perturbed.states, perturbed.controls, profile, config
-        )
 
+    base_accel = equivalent_accel_grid(
+        baseline_report.states, baseline_report.controls, profile, config
+    )
+    pert_accel = equivalent_accel_grid(perturbed.states, perturbed.controls, profile, config)
     k_steps = min(base_accel.shape[1], pert_accel.shape[1])
     deviations = pert_accel[:, :k_steps] - base_accel[:, :k_steps]
     norms = np.sqrt(np.sum(deviations**2, axis=1) * config.ds)

@@ -94,8 +94,8 @@ class TestCriterion1FuelSaving:
             and coll.savings_pct > art.savings_pct
             and 15.0 <= coll.savings_pct <= 55.0
             and 5.0 <= art.savings_pct <= 30.0
-            and coll.eco.converged
-            and art.eco.converged
+            and coll.eco.report.converged
+            and art.eco.report.converged
             and comparisons["elapsed"] < 120.0
         )
         report(1, "fuel-saving reproduction", ok, detail)

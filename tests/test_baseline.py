@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_config
-from ecoplatoon.baseline import CaccGains, baseline_step, simulate_baseline, torque_of
+from ecoplatoon.baseline import CaccGains, baseline_step, simulate_baseline
 from ecoplatoon.errors import ConfigError
+from ecoplatoon.fuel import equivalent_traction_accel
 from ecoplatoon.terrain import SlopeProfile, build_preset
 
 MPH = 0.44704
@@ -52,23 +53,24 @@ class TestBaselineStep:
 
 
 class TestTorque:
+    """The traction the low-level torque loop must deliver, per unit mass."""
+
     def test_free_rolling_zero(self):
         cfg = make_config(rolling_coeff=0.0, drag_coeff=0.0)
-        assert torque_of(0.0, 10.0, 0.0, cfg.vehicles[0], cfg, 0.3) == 0.0
+        assert equivalent_traction_accel(0.0, 10.0, 0.0, cfg.vehicles[0].mass, cfg) == 0.0
 
     def test_direct_substitution(self):
-        # independent spreadsheet evaluation of the torque expression
+        # independent spreadsheet evaluation of the traction expression
         cfg = make_config(mass=1400.0, rolling_coeff=0.015, drag_coeff=0.000024)
-        expected = (1.0 + 0.147 + 0.000024 * 400.0 / 1400.0) * 1400.0 * 0.3
-        got = torque_of(1.0, 20.0, 0.0, cfg.vehicles[0], cfg, 0.3)
+        expected = 1.0 + 0.147 + 0.000024 * 400.0 / 1400.0
+        got = equivalent_traction_accel(1.0, 20.0, 0.0, cfg.vehicles[0].mass, cfg)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_grade(self):
         cfg = make_config()
-        veh = cfg.vehicles[0]
         thetas = np.linspace(0.0, 0.3, 20)
-        torques = [torque_of(1.0, 20.0, th, veh, cfg, 0.3) for th in thetas]
-        assert all(b > a for a, b in zip(torques, torques[1:]))
+        demands = equivalent_traction_accel(1.0, 20.0, thetas, cfg.vehicles[0].mass, cfg)
+        assert np.all(np.diff(demands) > 0.0)
 
 
 class TestSimulation:

@@ -90,6 +90,19 @@ class TestSimulate:
         assert rc == EXIT_CONFIG
         assert "gravity" in capsys.readouterr().err
 
+    def test_infinite_mass_exits_config(self, fast_scenario, tmp_path, capsys):
+        # an inf-blind mass check let this plan run, exit 3 and write a summary
+        raw = json.loads(fast_scenario.read_text())
+        raw["platoon"]["mass_kg"] = math.inf
+        bad = tmp_path / "inf_mass.json"
+        bad.write_text(json.dumps(raw))
+        assert '"mass_kg": Infinity' in bad.read_text()
+        out = tmp_path / "o"
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "mass" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize(
         "grades", [[math.nan] * 8, [15.0] * 7 + [math.inf], [True] + [15.0] * 7]
     )
@@ -160,6 +173,19 @@ class TestSimulate:
         strict.write_text(json.dumps(raw))
         rc = main(["simulate", "--scenario", str(strict), "--out", str(tmp_path / "o2")])
         assert rc == EXIT_NO_CONVERGENCE
+
+    def test_receding_non_convergence_points_at_summary(self, fast_scenario, tmp_path, capsys):
+        # a receding run writes no solve_report.json for the message to name
+        raw = json.loads(fast_scenario.read_text())
+        raw["solver"] = {"max_inner": 1, "max_outer": 1}
+        raw["horizon"] = {"mode": "receding", "window_m": 40.0, "replan_m": 10.0}
+        strict = tmp_path / "strict_receding.json"
+        strict.write_text(json.dumps(raw))
+        out = tmp_path / "o3"
+        rc = main(["simulate", "--scenario", str(strict), "--out", str(out)])
+        assert rc == EXIT_NO_CONVERGENCE
+        assert not (out / "solve_report.json").exists()
+        assert "see summary.json" in capsys.readouterr().err
 
     def test_reruns_byte_identical(self, fast_scenario, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

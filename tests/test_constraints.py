@@ -14,6 +14,11 @@ def cset(config):
     return cons.ConstraintSet.from_config(config)
 
 
+def evaluate_k1(cset, pi, a):
+    """``evaluate`` at one step (K = 1): the (4N,) constraint values."""
+    return cons.evaluate(cset, pi[:, None], a[:, None])[0]
+
+
 def al_blocks_k1(cset, al, pi, a):
     """``al_derivative_batch`` at one step (K = 1)."""
     al_k1 = cons.ALState(rho=np.atleast_2d(al.rho), lam=np.atleast_2d(al.lam))
@@ -33,29 +38,29 @@ def slack_form_penalty(e, lam, rho):
 
 class TestEvaluate:
     def test_count_is_four_per_vehicle(self, config, cset):
-        e = cons.evaluate(cset, np.full(3, 0.05), np.zeros(3))
-        assert e.shape == (4 * config.n_vehicles,)
+        e = cons.evaluate(cset, np.full((3, 5), 0.05), np.zeros((3, 5)))
+        assert e.shape == (5, 4 * config.n_vehicles)
 
     def test_speed_cap_boundary(self, config, cset):
-        pi = np.full(3, 1.0 / config.speed_limit)
-        e = cons.evaluate(cset, pi, np.zeros(3))
-        assert e[0::4] == pytest.approx(np.zeros(3), abs=1e-12)
+        pi = np.full((3, 5), 1.0 / config.speed_limit)
+        e = cons.evaluate(cset, pi, np.zeros((3, 5)))
+        assert e[:, 0::4] == pytest.approx(np.zeros((5, 3)), abs=1e-12)
 
     def test_accel_cap_boundary(self, cset):
-        e = cons.evaluate(cset, np.full(3, 0.05), np.full(3, 3.0))
-        assert e[2::4] == pytest.approx(np.zeros(3), abs=1e-12)
+        e = cons.evaluate(cset, np.full((3, 5), 0.05), np.full((3, 5), 3.0))
+        assert e[:, 2::4] == pytest.approx(np.zeros((5, 3)), abs=1e-12)
 
     def test_signs_match_direct_checks(self, config, cset, rng):
-        for _ in range(50):
-            pi = rng.uniform(0.01, 20.0, size=3)
-            a = rng.uniform(-8.0, 6.0, size=3)
-            e = cons.evaluate(cset, pi, a)
+        pi = rng.uniform(0.01, 20.0, size=(3, 50))
+        a = rng.uniform(-8.0, 6.0, size=(3, 50))
+        e = cons.evaluate(cset, pi, a)
+        for k in range(50):
             for i in range(3):
-                v = 1.0 / pi[i]
-                assert (e[4 * i + 0] <= 0) == (v <= config.speed_limit)
-                assert (e[4 * i + 1] <= 0) == (v >= config.speed_floor)
-                assert (e[4 * i + 2] <= 0) == (a[i] <= 3.0)
-                assert (e[4 * i + 3] <= 0) == (a[i] >= -5.0)
+                v = 1.0 / pi[i, k]
+                assert (e[k, 4 * i + 0] <= 0) == (v <= config.speed_limit)
+                assert (e[k, 4 * i + 1] <= 0) == (v >= config.speed_floor)
+                assert (e[k, 4 * i + 2] <= 0) == (a[i, k] <= 3.0)
+                assert (e[k, 4 * i + 3] <= 0) == (a[i, k] >= -5.0)
 
 
 class TestAugmentedCost:
@@ -63,9 +68,7 @@ class TestAugmentedCost:
         al = cons.ALState.initial(1, cset.n_constraints, 10.0)
         pi = np.full(3, 0.05)
         a = np.zeros(3)
-        got = 42.0 + cons.penalty(
-            cons.evaluate(cset, pi, a), cons.ALState(rho=al.rho[0], lam=al.lam[0])
-        )
+        got = 42.0 + cons.penalty(cons.evaluate(cset, pi[:, None], a[:, None]), al)
         assert got == 42.0
 
     def test_single_constraint_substitution(self):
@@ -95,7 +98,7 @@ class TestAugmentedCost:
             al = cons.ALState(
                 rho=rng.uniform(1.0, 20.0, size=12), lam=rng.uniform(0.0, 5.0, size=12)
             )
-            e = cons.evaluate(cset, pi, a)
+            e = evaluate_k1(cset, pi, a)
             expected = 7.0 + sum(
                 slack_form_penalty(e[i], al.lam[i], al.rho[i]) for i in range(12)
             )
@@ -131,7 +134,7 @@ class TestDerivativeTerms:
         pi = np.full(3, 0.05)
         a = np.array([3.5, 0.0, 0.0])  # vehicle 1 violating the cap
         al = cons.ALState(rho=np.full(12, 10.0), lam=np.zeros(12))
-        e = cons.evaluate(cset, pi, a)
+        e = evaluate_k1(cset, pi, a)
         lx, lu, *_ = al_blocks_k1(cset, al, pi, a)
         expected = 10.0 * e[2]
         assert lu[0] == pytest.approx(expected)
@@ -148,12 +151,12 @@ class TestDerivativeTerms:
             a = rng.uniform(-6.0, 4.0, size=3)
             rho = rng.uniform(1.0, 20.0, size=12)
             lam = rng.uniform(0.0, 5.0, size=12)
-            e = cons.evaluate(cset, pi, a)
+            e = evaluate_k1(cset, pi, a)
             lam[lam + rho * e <= 0.0] = 0.0
             al = cons.ALState(rho=rho, lam=lam)
 
             def active(pi_, a_):
-                return lam + rho * cons.evaluate(cset, pi_, a_) > 0.0
+                return lam + rho * evaluate_k1(cset, pi_, a_) > 0.0
 
             steps = [sign * d for d in np.eye(3) * eps2 for sign in (-1.0, 1.0)]
             stencil = [(pi + d, a) for d in steps] + [(pi, a + d) for d in steps]
@@ -162,7 +165,7 @@ class TestDerivativeTerms:
             checked += 1
 
             def aug(pi_, a_):
-                return cons.penalty(cons.evaluate(cset, pi_, a_), al)
+                return cons.penalty(evaluate_k1(cset, pi_, a_), al)
 
             lx, lu, lxx, luu, lux = al_blocks_k1(cset, al, pi, a)
             for p in range(3):
@@ -194,7 +197,7 @@ class TestDerivativeTerms:
         lam[2] = 1.0  # vehicle 1 accel cap: e = -3, w = 0
         lam[10] = 30.0  # vehicle 3 accel cap: e = -3, lam + rho e = 0 exactly
         al = cons.ALState(rho=rho, lam=lam)
-        e = cons.evaluate(cset, pi, a)
+        e = evaluate_k1(cset, pi, a)
         assert lam[10] + rho[10] * e[10] == 0.0
         lx, lu, lxx, luu, lux = al_blocks_k1(cset, al, pi, a)
         inv_pi4 = 1.0 / pi**4
@@ -263,7 +266,7 @@ class TestUpdates:
         for _ in range(50):
             pi = rng.uniform(0.02, 0.2, size=3)
             a = rng.uniform(-7.0, 5.0, size=3)
-            e = cons.evaluate(cset, pi, a)
+            e = evaluate_k1(cset, pi, a)
             base = float(rng.normal())
 
             al0 = cons.ALState(rho=rng.uniform(1.0, 50.0, size=12), lam=np.zeros(12))

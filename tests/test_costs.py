@@ -87,13 +87,15 @@ class TestTerminalCost:
         cfg = make_config(n=3, ds=0.1, horizon_steps=8000)
         w = CostWeights(q3=5000)
         target = cfg.route_length / cfg.target_speed
-        assert terminal_cost(np.full(3, target), cfg, w) == 0.0
+        targets = schedule_targets(cfg, np.zeros(3))
+        assert terminal_cost(np.full(3, target), cfg, w, targets) == 0.0
 
     def test_one_second_late(self):
         cfg = make_config(n=2, ds=0.1, horizon_steps=8000)
         w = CostWeights(q3=5000)
         target = cfg.route_length / cfg.target_speed
-        cost = terminal_cost(np.array([target, target + 1.0]), cfg, w)
+        targets = schedule_targets(cfg, np.zeros(2))
+        cost = terminal_cost(np.array([target, target + 1.0]), cfg, w, targets)
         assert cost == pytest.approx(5000.0)
 
     def test_matches_bruteforce(self, rng):

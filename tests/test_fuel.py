@@ -14,7 +14,6 @@ from ecoplatoon.fuel import (
     platoon_fuel,
     trajectory_fuel,
 )
-from ecoplatoon.baseline import torque_of
 from ecoplatoon.errors import ConfigError, StallError
 from ecoplatoon.platoon import ControlTrajectory, rollout, resimulate_time_domain
 from ecoplatoon.terrain import SlopeProfile
@@ -103,32 +102,18 @@ class TestFuelRate:
 class TestEquivalentTractionAccel:
     def test_no_resistance_reduces_to_accel(self, make=make_config):
         cfg = make(rolling_coeff=0.0, drag_coeff=0.0)
-        a_eq = equivalent_traction_accel(1.2, 20.0, 0.0, cfg.vehicles[0], cfg)
+        a_eq = equivalent_traction_accel(1.2, 20.0, 0.0, cfg.vehicles[0].mass, cfg)
         assert a_eq == pytest.approx(1.2)
 
     def test_coasting_downhill_negative(self):
         cfg = make_config(rolling_coeff=0.001, drag_coeff=0.0)
-        a_eq = equivalent_traction_accel(0.0, 20.0, -0.05, cfg.vehicles[0], cfg)
+        a_eq = equivalent_traction_accel(0.0, 20.0, -0.05, cfg.vehicles[0].mass, cfg)
         assert a_eq < 0.0
 
-    def test_equals_torque_over_mass_radius(self, rng):
-        # cross-module identity: the traction acceleration is the torque
-        # divided by mass times tire radius
-        cfg = make_config()
-        veh = cfg.vehicles[0]
-        for _ in range(50):
-            a = rng.uniform(-4.0, 3.0)
-            v = rng.uniform(0.5, 33.0)
-            theta = rng.uniform(-0.15, 0.15)
-            radius = rng.uniform(0.25, 0.4)
-            a_eq = equivalent_traction_accel(a, v, theta, veh, cfg)
-            torque = torque_of(a, v, theta, veh, cfg, radius)
-            assert a_eq == pytest.approx(torque / (veh.mass * radius), rel=1e-12)
-
     def test_grid_applies_step_grades_and_speeds(self, rng):
-        # per step and vehicle, the grid helper is the scalar formula at
-        # that step's grade and the speed at the step's start; steps past
-        # the profile's end take its last grade
+        # per step and vehicle, the grid helper is exactly the scalar
+        # formula at that step's grade and the speed at the step's start;
+        # steps past the profile's end take its last grade
         cfg = make_config(n=2, ds=2.0, horizon_steps=6)
         profile = SlopeProfile(breakpoints=[0.0, 4.0, 9.0], grades=[0.03, -0.02])
         accels = rng.uniform(-1.0, 1.0, (2, 6))
@@ -138,9 +123,9 @@ class TestEquivalentTractionAccel:
         for i in range(2):
             for k in range(6):
                 want = equivalent_traction_accel(
-                    accels[i, k], 1.0 / states.slownesses[i, k], grades[k], cfg.vehicles[i], cfg
+                    accels[i, k], 1.0 / states.slownesses[i, k], grades[k], cfg.masses[i], cfg
                 )
-                assert got[i, k] == pytest.approx(want, rel=1e-12)
+                assert got[i, k] == want
 
 
 class TestTrajectoryFuel:
@@ -171,7 +156,7 @@ class TestTrajectoryFuel:
             "accel": np.zeros_like(times),
             "grade": np.zeros_like(times),
         }
-        a_eq = equivalent_traction_accel(0.0, v, 0.0, cfg.vehicles[0], cfg)
+        a_eq = equivalent_traction_accel(0.0, v, 0.0, cfg.vehicles[0].mass, cfg)
         expected = fuel_rate(model, v, a_eq) * route / v
         total, positions, cumulative = trajectory_fuel(model, trace, cfg.vehicles[0], cfg, route)
         assert total == pytest.approx(expected, rel=1e-3)

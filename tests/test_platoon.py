@@ -1,5 +1,7 @@
 """Space-domain vehicle model: dynamics, derivatives, and cross-integrator checks."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +14,9 @@ from ecoplatoon.platoon import (
     dynamics_derivatives,
     resimulate_time_domain,
     rollout,
-    slowness,
     step_dynamics,
 )
+from ecoplatoon.scenario import load_scenario
 from ecoplatoon.terrain import SlopeProfile
 
 MPH = 0.44704
@@ -34,24 +36,44 @@ def diff_state(state, k, config):
     return out
 
 
+def entry_slowness(tmp_path, value, units="m/s"):
+    """Entry slownesses of a scenario whose platoon enters at ``value`` ``units``."""
+    raw = {
+        "road": {"preset": "collector"},
+        "platoon": {
+            "n_vehicles": 2,
+            "target_speed": {"value": 45, "units": "mph"},
+            "speed_limit": {"value": 75, "units": "mph"},
+            "ds_m": 1.0,
+            "initial_speed": {"value": value, "units": units},
+        },
+    }
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(raw))
+    _, pi0, _ = load_scenario(path).initial_state()
+    return pi0
+
+
 class TestSlowness:
-    def test_identity(self):
-        assert slowness(1.0) == 1.0
+    """A plan's entry slowness is the reciprocal of the scenario's entry speed."""
 
-    def test_arithmetic(self):
-        assert slowness(20.0) == pytest.approx(0.05)
+    def test_identity(self, tmp_path):
+        assert np.all(entry_slowness(tmp_path, 1.0) == 1.0)
 
-    def test_mph_conversion(self):
+    def test_arithmetic(self, tmp_path):
+        assert entry_slowness(tmp_path, 20.0) == pytest.approx([0.05, 0.05])
+
+    def test_mph_conversion(self, tmp_path):
         # independent oracle: unit conversion then reciprocal
-        v = 65 * MPH
-        assert slowness(v) == pytest.approx(1.0 / 29.0576, rel=1e-6)
-        assert slowness(v) == pytest.approx(0.0344144, rel=1e-5)
+        pi0 = entry_slowness(tmp_path, 65.0, "mph")
+        assert pi0 == pytest.approx(np.full(2, 1.0 / 29.0576), rel=1e-6)
+        assert pi0 == pytest.approx(np.full(2, 0.0344144), rel=1e-5)
 
-    def test_standstill_rejected(self):
+    def test_standstill_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            slowness(0.0)
+            entry_slowness(tmp_path, 0.0)
         with pytest.raises(ConfigError):
-            slowness(-3.0)
+            entry_slowness(tmp_path, -3.0)
 
 
 class TestPlatoonConfig:
@@ -83,6 +105,22 @@ class TestPlatoonConfig:
 
     def test_numpy_integer_horizon_accepted(self):
         assert make_config(horizon_steps=np.int64(40)).route_length == pytest.approx(4.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"mass": float("inf")},
+            {"a_min": -float("inf")},
+            {"a_max": float("inf")},
+            {"headway": float("inf")},
+            {"speed_limit": float("inf")},
+            {"target_speed": float("inf"), "speed_limit": float("inf")},
+        ],
+    )
+    def test_infinite_parameters_rejected(self, overrides):
+        # each of these passed an inf-blind check before
+        with pytest.raises(ConfigError, match="finite|< inf"):
+            make_config(**overrides)
 
 
 class TestDiffState:

@@ -91,6 +91,21 @@ class TestLoading:
         assert scen.perturbation is None
         assert scen.fuel_model.idle_rate > 0
 
+    def test_unread_tire_radius_still_loads(self, tmp_path):
+        # older files carry baseline.tire_radius_m; nothing reads it
+        path = self._minimal(tmp_path, baseline={"tire_radius_m": 0.3, "dt_s": 0.02})
+        assert load_scenario(path).baseline_dt == 0.02
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_speed_rejected(self, tmp_path, value):
+        # zero and negative entry speeds: test_platoon's TestSlowness
+        path = self._minimal(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["platoon"]["initial_speed"] = {"value": value, "units": "m/s"}
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="initial_speed: speed must be positive and finite"):
+            load_scenario(path)
+
     def test_speed_requires_unit_tag(self, tmp_path):
         path = self._minimal(tmp_path)
         raw = json.loads(path.read_text())
@@ -187,7 +202,6 @@ class TestLoading:
             ("baseline", "kp_gap", "x"),
             ("baseline", "kd_gap", float("nan")),
             ("baseline", "dt_s", 0.0),
-            ("baseline", "tire_radius_m", None),
             ("horizon", "window_m", "far"),
             ("horizon", "window_m", -40.0),
             ("horizon", "replan_m", float("inf")),

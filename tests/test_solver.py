@@ -872,6 +872,8 @@ class TestRecedingHorizon:
         cset = cons.ConstraintSet.from_config(cfg)
         e = cons.evaluate(cset, run.states.slownesses[:, :-1], run.controls.accels)
         assert cons.max_violation(e) <= 1e-3
+        # the run reports the same scan of its stitched plan
+        assert run.max_violation == cons.max_violation(e)
         assert run.states.arrival_times.shape[1] == run.controls.accels.shape[1] + 1
         # executed plan covers the whole route
         assert run.controls.accels.shape[1] == cfg.horizon_steps
@@ -887,6 +889,7 @@ class TestRecedingHorizon:
         )
         assert len(run.exec_times) == len(run.windows)
         assert all(t > 0 for t in run.exec_times)
+        assert run.wall_time == sum(run.exec_times)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1205,7 +1208,7 @@ class TestOuterSchedule:
             window_m=40.0, replan_m=10.0, max_executions=10,
         )
         assert len(run.exec_times) == 10
-        assert run.all_converged
+        assert run.converged
 
     def test_comfort_one_shot_plan_converges(self):
         scen = comfort_scenario()

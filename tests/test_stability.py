@@ -26,6 +26,14 @@ def test_spec_validation():
         PerturbationSpec(magnitude=0.5, shape="pulse", duration=0.0)
 
 
+@pytest.mark.parametrize("name", ["magnitude", "onset_position", "duration"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_spec_rejects_non_finite_fields(name, value):
+    fields = {"magnitude": 0.5, "shape": "pulse", "duration": 10.0, name: value}
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        PerturbationSpec(**fields)
+
+
 class TestFollowingErrors:
     def test_perfect_spacing_gives_zeros(self):
         cfg = make_config(n=3)
