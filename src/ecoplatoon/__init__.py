@@ -24,7 +24,6 @@ from .platoon import (
     PlatoonState,
     VehicleParams,
     resimulate_time_domain,
-    step_dynamics,
 )
 from .scenario import Scenario, load_scenario
 from .solver import SolveReport, SolverOptions, receding_horizon_run, solve
@@ -69,5 +68,4 @@ __all__ = [
     "simulate_baseline",
     "trajectory_fuel",
     "solve",
-    "step_dynamics",
 ]

@@ -72,7 +72,6 @@ def simulate_baseline(
     gains: CaccGains,
     profile: SlopeProfile,
     dt: float = 0.05,
-    route_length: float | None = None,
     initial_speed: float | None = None,
 ):
     """Time-step the baseline platoon until the last vehicle clears the route.
@@ -82,7 +81,7 @@ def simulate_baseline(
     ``position``, ``speed``, ``accel``, and ``grade`` arrays (grades are
     clamped to the profile domain for the run-in stretch before position 0).
     """
-    route_length = config.route_length if route_length is None else float(route_length)
+    route_length = config.route_length
     v0 = config.target_speed if initial_speed is None else float(initial_speed)
     n = config.n_vehicles
     pos = -np.arange(n) * config.headway * v0

@@ -21,6 +21,9 @@ alone, the one-shot comfort plan ends unconverged after eight outer passes.
 
 A solve owns one ALState; multipliers and penalty weights are arrays over
 (step, constraint) because every step carries its own constraint instances.
+The penalty's derivatives come per (step, vehicle); only
+:func:`ecoplatoon.solver.backward_pass` knows the solver's state layout and
+places them in it.
 """
 
 from __future__ import annotations
@@ -115,17 +118,18 @@ def penalty(e_values: np.ndarray, al: ALState) -> float:
 
 
 def al_derivative_batch(cset: ConstraintSet, al: ALState, pi, a):
-    """Vectorized AL derivative blocks over a trajectory.
+    """Vectorized AL derivatives over a trajectory, per (step, vehicle).
 
-    Returns stacked (lx, lu, lxx, luu, lux) with leading step axis. The force
-    w scales constraint gradients in the first-order blocks; Hessians keep
-    the w-weighted second derivative of the curved speed bounds and the
-    Gauss-Newton outer product rho de de^T on the active set I_mu
-    (lambda + rho e > 0 or lambda > 0).
+    Returns a dict of (K, N) series: ``pi`` and ``pipi`` (slowness gradient
+    and curvature, from the speed bounds) and ``a`` and ``aa`` (control
+    gradient and curvature, from the acceleration bounds); every other
+    derivative is zero. Each gradient is the force w times the constraint
+    gradient; the curvatures keep the w-weighted second derivative of the
+    curved speed bounds and the Gauss-Newton outer product rho de de^T on
+    the active set I_mu (lambda + rho e > 0 or lambda > 0).
     """
     pi = np.asarray(pi, dtype=float)
     a = np.asarray(a, dtype=float)
-    n, k_steps = pi.shape
     w = _force(evaluate(cset, pi, a), al)  # (K, 4N)
     rho_eff = np.where((w > 0.0) | (al.lam > 0.0), al.rho, 0.0)
 
@@ -133,26 +137,16 @@ def al_derivative_batch(cset: ConstraintSet, al: ALState, pi, a):
     inv_pi3 = (1.0 / pi**3).T
     inv_pi4 = (1.0 / pi**4).T
 
-    lx = np.zeros((k_steps, 2 * n))
-    lu = np.zeros((k_steps, n))
-    lxx = np.zeros((k_steps, 2 * n, 2 * n))
-    luu = np.zeros((k_steps, n, n))
-    lux = np.zeros((k_steps, n, 2 * n))
-
-    pj = np.arange(n) * 2 + 1
-    ai = np.arange(n)
-
     w_cap, w_floor = w[:, 0::4], w[:, 1::4]
     rho_cap, rho_floor = rho_eff[:, 0::4], rho_eff[:, 1::4]
-    lx[:, pj] = (w_floor - w_cap) * inv_pi2
-    lxx[:, pj, pj] = (rho_cap + rho_floor) * inv_pi4 + 2.0 * (w_cap - w_floor) * inv_pi3
-
     w_amax, w_amin = w[:, 2::4], w[:, 3::4]
     rho_amax, rho_amin = rho_eff[:, 2::4], rho_eff[:, 3::4]
-    lu[:, ai] = w_amax - w_amin
-    luu[:, ai, ai] = rho_amax + rho_amin
-
-    return lx, lu, lxx, luu, lux
+    return {
+        "pi": (w_floor - w_cap) * inv_pi2,
+        "pipi": (rho_cap + rho_floor) * inv_pi4 + 2.0 * (w_cap - w_floor) * inv_pi3,
+        "a": w_amax - w_amin,
+        "aa": rho_amax + rho_amin,
+    }
 
 
 def update_multipliers(al: ALState, e_values: np.ndarray) -> ALState:

@@ -21,9 +21,11 @@ where target_i is the route time at the target speed measured from each
 vehicle's own entry time (``schedule_targets``, the solver's default;
 identical to a single shared target when all entry times are zero).
 
-Derivatives use the flat interleaved state [t1, pi1, ..., tN, piN] and
-control [a1, ..., aN]; note v = 1/pi makes the ecology term couple a_i with
-pi_i, so the mixed control-state block is nonzero.
+Derivatives come per vehicle, as (K, N) series over steps and vehicles,
+plus the one constant (N, N) gap Hessian over arrival times; v = 1/pi makes
+the ecology term couple a_i with pi_i, so a control-slowness cross term
+comes too. Only :func:`ecoplatoon.solver.backward_pass` knows the solver's
+state layout and places these terms in it.
 """
 
 from __future__ import annotations
@@ -146,41 +148,41 @@ def schedule_targets(config: PlatoonConfig, entry_times) -> np.ndarray:
     return entry + config.route_length / config.target_speed
 
 
-def terminal_cost(t_final, config: PlatoonConfig, weights: CostWeights, targets, pi_final=None):
+def terminal_cost(t_final, config: PlatoonConfig, weights: CostWeights, targets, pi_final):
     """Mobility cost q3 * sum_i (t_i,K - target_i)^2 (+ optional speed anchor).
 
     ``targets`` are the per-vehicle arrival targets (see
-    :func:`schedule_targets`). When ``weights.qv`` is positive and
-    ``pi_final`` given, each vehicle additionally pays qv * (v_K - v^d)^2.
+    :func:`schedule_targets`). When ``weights.qv`` is positive, each vehicle
+    additionally pays qv * (v_K - v^d)^2 on its final slowness ``pi_final``.
     """
     t_final = np.asarray(t_final, dtype=float)
     resid = t_final - np.asarray(targets, dtype=float)
     cost = weights.q3 * float(np.sum(resid**2))
-    if weights.qv > 0.0 and pi_final is not None:
+    if weights.qv > 0.0:
         v_final = 1.0 / np.asarray(pi_final, dtype=float)
         cost += weights.qv * float(np.sum((v_final - config.target_speed) ** 2))
     return cost
 
 
-def terminal_derivatives(
-    t_final, config: PlatoonConfig, weights: CostWeights, targets, pi_final=None
-):
-    """Gradient and Hessian of the terminal cost in flat-state coordinates."""
+def terminal_derivatives(t_final, config: PlatoonConfig, weights: CostWeights, targets, pi_final):
+    """Per-vehicle derivatives of the terminal cost, each an (N,) array.
+
+    Keys: ``t`` and ``pi`` (gradient in the arrival time and the slowness),
+    ``tt`` and ``pipi`` (their curvatures). No term couples two vehicles or
+    a vehicle's t with its pi.
+    """
     t_final = np.asarray(t_final, dtype=float)
-    n = t_final.size
     resid = t_final - np.asarray(targets, dtype=float)
-    lf_x = np.zeros(2 * n)
-    lf_xx = np.zeros((2 * n, 2 * n))
-    ti = np.arange(n) * 2
-    lf_x[ti] = 2.0 * weights.q3 * resid
-    lf_xx[ti, ti] = 2.0 * weights.q3
-    if weights.qv > 0.0 and pi_final is not None:
+    grad_t = 2.0 * weights.q3 * resid
+    curv_t = np.full(t_final.size, 2.0 * weights.q3)
+    grad_pi = np.zeros(t_final.size)
+    curv_pi = np.zeros(t_final.size)
+    if weights.qv > 0.0:
         pi_f = np.asarray(pi_final, dtype=float)
         v_err = 1.0 / pi_f - config.target_speed
-        pj = ti + 1
-        lf_x[pj] = -2.0 * weights.qv * v_err / pi_f**2
-        lf_xx[pj, pj] = 2.0 * weights.qv / pi_f**4 + 4.0 * weights.qv * v_err / pi_f**3
-    return lf_x, lf_xx
+        grad_pi = -2.0 * weights.qv * v_err / pi_f**2
+        curv_pi = 2.0 * weights.qv / pi_f**4 + 4.0 * weights.qv * v_err / pi_f**3
+    return {"t": grad_t, "pi": grad_pi, "tt": curv_t, "pipi": curv_pi}
 
 
 def step_weight(ds: float) -> float:
@@ -205,34 +207,29 @@ def _gap_hessian_tt(n: int, q1: float) -> np.ndarray:
 
 
 def stage_derivatives_batch(t, pi, a, thetas, config: PlatoonConfig, weights: CostWeights):
-    """Stage-cost derivative blocks for a whole trajectory at once.
+    """Stage-cost derivatives for a whole trajectory at once, per (step, vehicle).
 
     Inputs are (N, K) state/control arrays and (K,) step grades. Returns a
-    dict of stacked blocks: ``lx`` (K, 2N), ``lu`` (K, N), ``lxx``
-    (K, 2N, 2N), ``luu`` (K, N, N), ``lux`` (K, N, 2N).
+    dict of (K, N) series: ``t`` and ``pi`` (state gradient), ``pipi``
+    (slowness curvature), ``a`` and ``aa`` (control gradient and curvature)
+    and ``api`` (the control-slowness cross term), plus ``gap_tt``, the
+    constant (N, N) gap Hessian over arrival times. Every other second
+    derivative is zero: apart from the gap cost, no term couples two
+    vehicles.
     """
     t = np.atleast_2d(np.asarray(t, dtype=float))
     pi = np.atleast_2d(np.asarray(pi, dtype=float))
     a = np.atleast_2d(np.asarray(a, dtype=float))
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    n, k_steps = t.shape
+    n = t.shape[0]
     m = config.masses
     q1, q2, r1 = _stage_weights(config, weights)
-    ti = np.arange(n) * 2
-    pj = ti + 1
-
-    lx = np.zeros((k_steps, 2 * n))
-    lu = np.zeros((k_steps, n))
-    lxx = np.zeros((k_steps, 2 * n, 2 * n))
-    luu = np.zeros((k_steps, n, n))
-    lux = np.zeros((k_steps, n, 2 * n))
 
     # Gap cost: linear/quadratic in arrival times only.
     gaps = t[0] - t[1:] - (np.arange(1, n) * config.headway)[:, None]  # (N-1, K)
-    lx[:, ti[0]] = 2.0 * q1 * np.sum(gaps, axis=0)
-    lx[:, ti[1:]] = -2.0 * q1 * gaps.T
-    h_tt = _gap_hessian_tt(n, q1)
-    lxx[:, ti[:, None], ti[None, :]] = h_tt
+    grad_t = np.empty((t.shape[1], n))
+    grad_t[:, 0] = 2.0 * q1 * np.sum(gaps, axis=0)
+    grad_t[:, 1:] = -2.0 * q1 * gaps.T
 
     # Ecology cost: depends on slowness (v = 1/pi) and acceleration. With a
     # power floor, chain the raw-power derivatives through the hinge.
@@ -250,17 +247,17 @@ def stage_derivatives_batch(t, pi, a, thetas, config: PlatoonConfig, weights: Co
     else:
         power = drive * inv_pi + xi * inv_pi**3
         _, g1, g2 = _hinge(power - weights.power_floor, weights.power_smoothing)
-    lx[:, pj] = (q2 * g1 * p_pi).T
-    lxx[:, pj, pj] = (q2 * (g1 * p_pipi + g2 * p_pi**2)).T
-    lu += (q2 * g1 * p_a).T
-    luu[:, np.arange(n), np.arange(n)] += (q2 * g2 * p_a**2).T
-    lux[:, np.arange(n), pj] = (q2 * (g1 * p_api + g2 * p_a * p_pi)).T
 
-    # Control effort.
-    lu += 2.0 * r1 * a.T
-    luu[:, np.arange(n), np.arange(n)] += 2.0 * r1
-
-    return {"lx": lx, "lu": lu, "lxx": lxx, "luu": luu, "lux": lux}
+    # The ecology terms plus the control effort r1 a^2.
+    return {
+        "t": grad_t,
+        "pi": (q2 * g1 * p_pi).T,
+        "pipi": (q2 * (g1 * p_pipi + g2 * p_pi**2)).T,
+        "a": (q2 * g1 * p_a).T + 2.0 * r1 * a.T,
+        "aa": (q2 * g2 * p_a**2).T + 2.0 * r1,
+        "api": (q2 * (g1 * p_api + g2 * p_a * p_pi)).T,
+        "gap_tt": _gap_hessian_tt(n, q1),
+    }
 
 
 def trajectory_cost(states_t, states_pi, accels, thetas, config, weights, targets):

@@ -19,6 +19,8 @@ from .platoon import resimulate_time_domain
 from .scenario import Scenario, override_ds
 from .stability import StabilityReport, following_errors, run_perturbation
 
+RESIM_DT = 0.005  # s, time step of the plan's time-domain resimulation
+
 
 @dataclass
 class EcoResult:
@@ -52,7 +54,7 @@ class CompareResult:
     segment_deltas: list  # (lo, hi, grade, baseline - eco liters)
 
 
-def run_eco(scenario: Scenario, resim_dt: float = 0.005) -> EcoResult:
+def run_eco(scenario: Scenario) -> EcoResult:
     """Plan the scenario and meter the plan's fuel through the time domain."""
     cfg = scenario.config
     t0, pi0, targets = scenario.initial_state()
@@ -62,7 +64,7 @@ def run_eco(scenario: Scenario, resim_dt: float = 0.005) -> EcoResult:
     else:
         report = solver_mod.solve(*args, targets=targets)
     states, controls = report.states, report.controls
-    traces = resimulate_time_domain(states, controls, scenario.profile, cfg.ds, dt=resim_dt)
+    traces = resimulate_time_domain(states, controls, scenario.profile, cfg.ds, dt=RESIM_DT)
     total, per_vehicle, series = platoon_fuel(scenario.fuel_model, traces, cfg)
     return EcoResult(
         report=report,
@@ -88,8 +90,8 @@ def run_baseline(scenario: Scenario) -> BaselineResult:
     )
 
 
-def run_compare(scenario: Scenario, resim_dt: float = 0.005) -> CompareResult:
-    eco = run_eco(scenario, resim_dt=resim_dt)
+def run_compare(scenario: Scenario) -> CompareResult:
+    eco = run_eco(scenario)
     base = run_baseline(scenario)
     savings = 100.0 * (base.fuel_total - eco.fuel_total) / base.fuel_total
     deltas = segment_fuel_deltas(base.fuel_series, eco.fuel_series, scenario.profile)

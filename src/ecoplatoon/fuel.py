@@ -167,18 +167,14 @@ def trajectory_fuel(
     return total, positions, cumulative
 
 
-def platoon_fuel(
-    model: FuelModel,
-    traces: list,
-    config: PlatoonConfig,
-    route_length: float | None = None,
-):
-    """Total and per-vehicle route fuel for a list of per-vehicle traces."""
-    route_length = config.route_length if route_length is None else float(route_length)
+def platoon_fuel(model: FuelModel, traces: list, config: PlatoonConfig):
+    """Total and per-vehicle fuel over ``config.route_length`` for per-vehicle traces."""
     per_vehicle = []
     series = []
     for trace, params in zip(traces, config.vehicles):
-        total, positions, cumulative = trajectory_fuel(model, trace, params, config, route_length)
+        total, positions, cumulative = trajectory_fuel(
+            model, trace, params, config, config.route_length
+        )
         per_vehicle.append(total)
         series.append((positions, cumulative))
     return float(sum(per_vehicle)), per_vehicle, series

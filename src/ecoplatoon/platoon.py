@@ -134,34 +134,12 @@ class ControlTrajectory:
             raise ConfigError("accelerations must be finite")
 
 
-def step_dynamics(t, pi, a, ds):
-    """Advance per-vehicle (t, pi) one spatial step of length ds.
-
-    Raises IntegrationError if any updated slowness is non-positive, which
-    means the step tried to push speed through +infinity.
-    """
-    t = np.asarray(t, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if np.any(pi <= 0):
-        raise IntegrationError("slowness must be positive before stepping")
-    t_next = t + pi * ds
-    pi_next = pi - a * pi**3 * ds
-    if np.any(pi_next <= 0) or not np.all(np.isfinite(pi_next)):
-        raise IntegrationError(
-            "dynamics step drove slowness out of the positive domain; "
-            "reduce ds or the commanded acceleration"
-        )
-    return t_next, pi_next
-
-
 def rollout(t0, pi0, accels, ds) -> PlatoonState:
     """Roll per-vehicle dynamics over a whole control sequence (N, K).
 
-    Same arithmetic as repeated :func:`step_dynamics`, so the states match it
-    bit for bit, and the same IntegrationError when a slowness leaves the
-    positive domain; the domain is checked once, after the loop, and arrival
-    times are one running sum of pi * ds.
+    Raises IntegrationError when a slowness leaves the positive domain; the
+    domain is checked once, after the loop, and arrival times are one
+    running sum of pi * ds.
     """
     accels = np.asarray(accels, dtype=float)
     n, k_steps = accels.shape

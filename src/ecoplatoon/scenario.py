@@ -206,10 +206,14 @@ def load_scenario(path) -> Scenario:
 
     ssec = _section(raw, "solver", path)
     known = {f for f in SolverOptions.__dataclass_fields__}
+    if "ilqr" in ssec and "use_second_order" in ssec:
+        raise ConfigError(f"{path}: solver gives both 'ilqr' and 'use_second_order'")
     opts_kwargs = {}
     for key, val in ssec.items():
         if key == "ilqr":
-            opts_kwargs["use_second_order"] = not bool(val)
+            if not isinstance(val, bool):
+                raise ConfigError(f"{path}: solver.ilqr must be true or false, got {val!r}")
+            opts_kwargs["use_second_order"] = not val
         elif key in known:
             opts_kwargs[key] = val
         else:

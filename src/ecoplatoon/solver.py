@@ -17,18 +17,21 @@ below a relative tolerance of the augmented cost, looser while the plan
 breaks the constraints; after each multiplier update it takes at least one
 line search (see ``_LOOSE_TOL``).
 
-The backward pass stacks each step's quadratic model into one block over
-[dx; 1; du], with the gradients in the row and column of the constant
-coordinate, so a step costs one product with the dynamics Jacobian, added
-in place into that step's stage block, and one solve on [Q_ux | q_u]. It
-keeps the second-order dynamics terms (the value-gradient contractions
-against the step Jacobian derivatives), added through strided views of the
-stage blocks and of the value buffer; ``use_second_order`` switches them off
-for a Gauss-Newton (iLQR-style) pass. The control Hessian is made positive
-definite with a Levenberg shift that grows on failure; its Cholesky test
-runs batched once per 64-step chunk of the sweep and names the highest
-failing step, as a per-step test would. The forward rollout runs in the
-row-major interleaved state and checks the slowness domain once at the end.
+This module alone knows the interleaved state layout [t1, pi1, ..., tN,
+piN]: ``costs`` and ``constraints`` give their derivatives as per-vehicle
+series, and the backward pass places them. It stacks each step's quadratic
+model into one block over [dx; 1; du], with the gradients in the row and
+column of the constant coordinate, so a step costs one product with the
+dynamics Jacobian, added in place into that step's stage block, and one
+solve on [Q_ux | q_u]. It keeps the second-order dynamics terms (the
+value-gradient contractions against the step Jacobian derivatives), added
+through strided views of the stage blocks and of the value buffer;
+``use_second_order`` switches them off for a Gauss-Newton (iLQR-style)
+pass. The control Hessian is made positive definite with a Levenberg shift
+that grows on failure; its Cholesky test runs batched once per 64-step
+chunk of the sweep and names the highest failing step, as a per-step test
+would. The forward rollout runs in the row-major interleaved state and
+checks the slowness domain once at the end.
 
 A solve given no initial controls starts cold through a grid hierarchy,
 nested iteration in the sense of Brandt (Math. Comp. 31, 1977): each level
@@ -154,10 +157,6 @@ class SolveReport:
     targets: np.ndarray
     coarse_iterations: int = 0  # accepted iterations of a cold start's coarse levels
 
-    @property
-    def n_iterations(self) -> int:
-        return len(self.iterations)
-
 
 @dataclass
 class BackwardPassResult:
@@ -280,24 +279,25 @@ def backward_pass(
     pj = ti + 1
     ui = u0 + ai
 
-    # Stage blocks go in first and are freed before the AL blocks are built.
+    # The per-vehicle series of the cost and the AL penalty, laid out over
+    # [dx; 1; du]: each entry sums its stage term, then its AL term, then
+    # the Levenberg shift, into a zero block.
     stage_model = np.zeros((k_steps, size, size))
-
-    def add_blocks(lx, lu, lxx, luu, lux):
-        stage_model[:, :dim, :dim] += lxx
-        stage_model[:, :dim, one] += lx
-        stage_model[:, one, :dim] += lx
-        stage_model[:, u0:, :dim] += lux
-        stage_model[:, u0:, one] += lu
-        stage_model[:, u0:, u0:] += luu
-
     stage = costs.stage_derivatives_batch(
         t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights
     )
-    add_blocks(stage["lx"], stage["lu"], stage["lxx"], stage["luu"], stage["lux"])
-    del stage
-    add_blocks(*cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels))
+    stage_model[:, ti[:, None], ti] += stage["gap_tt"]
+    stage_model[:, ti, one] += stage["t"]
+    stage_model[:, one, ti] += stage["t"]
+    stage_model[:, ui, pj] += stage["api"]
+    for terms in (stage, cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels)):
+        stage_model[:, pj, one] += terms["pi"]
+        stage_model[:, one, pj] += terms["pi"]
+        stage_model[:, pj, pj] += terms["pipi"]
+        stage_model[:, ui, one] += terms["a"]
+        stage_model[:, ui, ui] += terms["aa"]
     stage_model[:, ui, ui] += regularization
+    del stage, terms  # free the series before the sweep, which sets the peak memory
 
     g, fu_c, cxx, cux = dynamics_derivatives(pi_traj[:, :-1], accels, ds)
     jac = np.zeros((k_steps, dim + 1, size))
@@ -307,13 +307,14 @@ def backward_pass(
     jac[:, pj, ui] = fu_c
     jac[:, one, one] = 1.0
 
-    lf_x, lf_xx = costs.terminal_derivatives(
-        t_traj[:, -1], config, weights, targets, pi_final=pi_traj[:, -1]
+    terminal = costs.terminal_derivatives(
+        t_traj[:, -1], config, weights, targets, pi_traj[:, -1]
     )
     value = np.zeros((dim + 1, dim + 1))
-    value[:dim, :dim] = lf_xx
-    value[:dim, one] = lf_x
-    value[one, :dim] = lf_x
+    value[ti, ti] = terminal["tt"]
+    value[pj, pj] = terminal["pipi"]
+    value[ti, one] = value[one, ti] = terminal["t"]
+    value[pj, one] = value[one, pj] = terminal["pi"]
 
     # Value-gradient contractions with the dynamics curvature: the only
     # nonzero second derivatives sit on the slowness updates, entering
@@ -521,7 +522,7 @@ def _cold_plan(config, weights, profile, options, targets, start_position, t0, p
             coarse_config, weights, profile, options, coarse_targets,
             start_position, accels, reference,
         )
-        iterations += coarse.n_iterations
+        iterations += len(coarse.iterations)
         held = np.repeat(coarse.controls.accels, _COARSE_FACTOR, axis=1)[:, :k_steps]
         reference = _feasible_rollout(t0, pi0, held, ds)
         if reference is not None:
@@ -726,7 +727,6 @@ def receding_horizon_run(
     options: SolverOptions,
     window_m: float,
     replan_m: float,
-    route_length: float | None = None,
     max_executions: int | None = None,
     state_hook=None,
 ) -> RecedingRun:
@@ -738,14 +738,10 @@ def receding_horizon_run(
     caller inject boundary perturbations between executions. Per-execution
     wall time covers the window solve only.
 
-    Raises ConfigError before any solve unless ``window_m``, ``replan_m`` and
-    ``route_length`` (when given) are finite and > 0 and ``max_executions``
-    is None or an integer >= 1.
+    Raises ConfigError before any solve unless ``window_m`` and ``replan_m``
+    are finite and > 0 and ``max_executions`` is None or an integer >= 1.
     """
-    lengths = [("window_m", window_m), ("replan_m", replan_m)]
-    if route_length is not None:
-        lengths.append(("route_length", route_length))
-    for name, value in lengths:
+    for name, value in (("window_m", window_m), ("replan_m", replan_m)):
         if (
             isinstance(value, bool)
             or not isinstance(value, numbers.Real)
@@ -763,7 +759,7 @@ def receding_horizon_run(
     if replan_m > window_m:
         raise ConfigError("replan interval cannot exceed the window length")
     ds = config.ds
-    route_length = config.route_length if route_length is None else float(route_length)
+    route_length = config.route_length
     t_cur = np.asarray(t0, dtype=float).copy()
     pi_cur = np.asarray(pi0, dtype=float).copy()
     entry_times = t_cur.copy()

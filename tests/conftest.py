@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecoplatoon.costs import schedule_targets, stage_derivatives_batch, trajectory_cost
-from ecoplatoon.platoon import PlatoonConfig, VehicleParams
+from ecoplatoon.platoon import PlatoonConfig, VehicleParams, rollout
 
 MPH = 0.44704
 
@@ -47,12 +47,52 @@ def one_step_cost(t, pi, a, theta, cfg, w):
     return total, bd
 
 
+def dense_blocks(terms):
+    """Derivative series laid out as dense blocks in the flat state [t1, pi1, ..., tN, piN].
+
+    ``terms`` is what ``stage_derivatives_batch``, ``al_derivative_batch``
+    or ``terminal_derivatives`` returns: (K, N) series, or (N,) at one step,
+    and for the stage cost the (N, N) ``gap_tt``. Absent terms are zero.
+    Returns (lx, lu, lxx, luu, lux) with shapes (K, 2N), (K, N), (K, 2N, 2N),
+    (K, N, N) and (K, N, 2N).
+    """
+    k_steps, n = np.atleast_2d(terms["pi"]).shape
+    ai = np.arange(n)
+    ti = 2 * ai
+    pj = ti + 1
+    lx = np.zeros((k_steps, 2 * n))
+    lu = np.zeros((k_steps, n))
+    lxx = np.zeros((k_steps, 2 * n, 2 * n))
+    luu = np.zeros((k_steps, n, n))
+    lux = np.zeros((k_steps, n, 2 * n))
+    lx[:, pj] = terms["pi"]
+    lxx[:, pj, pj] = terms["pipi"]
+    if "t" in terms:
+        lx[:, ti] = terms["t"]
+    if "tt" in terms:
+        lxx[:, ti, ti] = terms["tt"]
+    if "gap_tt" in terms:
+        lxx[:, ti[:, None], ti] = terms["gap_tt"]
+    if "a" in terms:
+        lu[:] = terms["a"]
+        luu[:, ai, ai] = terms["aa"]
+    if "api" in terms:
+        lux[:, ai, pj] = terms["api"]
+    return lx, lu, lxx, luu, lux
+
+
 def one_step_stage_blocks(t, pi, a, theta, cfg, w):
-    """``stage_derivatives_batch`` at one state (K = 1): (lx, lu, lxx, luu, lux)."""
-    blocks = stage_derivatives_batch(
+    """``stage_derivatives_batch`` at one state (K = 1), as dense (lx, lu, lxx, luu, lux)."""
+    terms = stage_derivatives_batch(
         np.asarray(t)[:, None], np.asarray(pi)[:, None], np.asarray(a)[:, None], [theta], cfg, w
     )
-    return tuple(blocks[name][0] for name in ("lx", "lu", "lxx", "luu", "lux"))
+    return tuple(block[0] for block in dense_blocks(terms))
+
+
+def one_step_rollout(t, pi, a, ds):
+    """``rollout`` over one step (K = 1) from per-vehicle (t, pi): the next (t, pi)."""
+    state = rollout(t, pi, np.asarray(a, dtype=float)[:, None], ds)
+    return state.arrival_times[:, 1], state.slownesses[:, 1]
 
 
 @pytest.fixture

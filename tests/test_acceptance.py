@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import one_step_cost, one_step_stage_blocks
+from conftest import one_step_cost, one_step_rollout, one_step_stage_blocks
 from ecoplatoon import constraints as cons
 from ecoplatoon import solver as solver_mod
 from ecoplatoon.cli import main as cli_main
@@ -24,7 +24,6 @@ from ecoplatoon.platoon import (
     dynamics_derivatives,
     resimulate_time_domain,
     rollout,
-    step_dynamics,
 )
 from ecoplatoon.scenario import load_scenario, override_ds, resolve_scenario_path
 from ecoplatoon.solver import SolverOptions, solve
@@ -185,9 +184,9 @@ class TestCriterion5SolverProperties:
             lx, lu, *_ = one_step_stage_blocks(t, pi, a, theta, cfg, w)
             h = 3e-5
             for p in range(3):
-                fd = fd4(lambda x: step_dynamics(t, x, a, cfg.ds)[1][p], pi.copy(), p, h)
+                fd = fd4(lambda x: one_step_rollout(t, x, a, cfg.ds)[1][p], pi.copy(), p, h)
                 worst = max(worst, abs(g[0, p] - fd) / max(abs(fd), 1e-12))
-                fd = fd4(lambda x: step_dynamics(t, pi, x, cfg.ds)[1][p], a.copy(), p, h)
+                fd = fd4(lambda x: one_step_rollout(t, pi, x, cfg.ds)[1][p], a.copy(), p, h)
                 worst = max(worst, abs(fu[0, p] - fd) / max(abs(fd), 1e-12))
                 fd = fd4(lambda x: one_step_cost(t, x, a, theta, cfg, w)[0], pi.copy(), p, h)
                 worst = max(worst, abs(lx[2 * p + 1] - fd) / max(abs(fd), 1e-6))

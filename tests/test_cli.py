@@ -149,6 +149,19 @@ class TestSimulate:
         assert rc == EXIT_CONFIG
         assert flag.lstrip("-") in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "solver", [{"ilqr": "false"}, {"ilqr": None}, {"ilqr": False, "use_second_order": True}]
+    )
+    def test_bad_ilqr_key_exits_config(self, fast_scenario, tmp_path, capsys, solver):
+        raw = json.loads(fast_scenario.read_text())
+        raw["solver"] = solver
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "ilqr" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
+
     @pytest.mark.parametrize("ds", [0, -0.1])
     def test_bad_scenario_ds_exits_config(self, fast_scenario, tmp_path, capsys, ds):
         raw = json.loads(fast_scenario.read_text())

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import dense_blocks
 from ecoplatoon import constraints as cons
 from ecoplatoon.errors import ConfigError
 
@@ -20,10 +21,10 @@ def evaluate_k1(cset, pi, a):
 
 
 def al_blocks_k1(cset, al, pi, a):
-    """``al_derivative_batch`` at one step (K = 1)."""
+    """``al_derivative_batch`` at one step (K = 1), as dense (lx, lu, lxx, luu, lux)."""
     al_k1 = cons.ALState(rho=np.atleast_2d(al.rho), lam=np.atleast_2d(al.lam))
-    blocks = cons.al_derivative_batch(cset, al_k1, pi[:, None], a[:, None])
-    return tuple(b[0] for b in blocks)
+    terms = cons.al_derivative_batch(cset, al_k1, pi[:, None], a[:, None])
+    return tuple(block[0] for block in dense_blocks(terms))
 
 
 def al_single(rho, lam):
@@ -124,9 +125,11 @@ class TestDerivativeTerms:
         pi = np.full(3, 0.05)
         a = np.zeros(3)
         al = cons.ALState.initial(1, 12, 10.0)
-        lx, lu, lxx, luu, lux = cons.al_derivative_batch(cset, al, pi[:, None], a[:, None])
-        for block in (lx, lu, lxx, luu, lux):
-            assert np.allclose(block, 0.0)
+        terms = cons.al_derivative_batch(cset, al, pi[:, None], a[:, None])
+        assert sorted(terms) == ["a", "aa", "pi", "pipi"]
+        for series in terms.values():
+            assert series.shape == (1, 3)
+            assert np.allclose(series, 0.0)
 
     def test_accel_cap_gradient_shape(self, cset):
         # for the acceleration cap, de/da = 1 so the control gradient gains

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_config, one_step_cost, one_step_stage_blocks
+from conftest import dense_blocks, make_config, one_step_cost, one_step_stage_blocks
 from ecoplatoon.costs import (
     CostBreakdown,
     CostWeights,
@@ -16,6 +16,17 @@ from ecoplatoon.costs import (
 )
 from ecoplatoon.errors import ConfigError
 from ecoplatoon.platoon import rollout
+
+
+def on_speed(cfg):
+    """Final slownesses at the target speed, where the speed anchor costs nothing."""
+    return np.full(cfg.n_vehicles, 1.0 / cfg.target_speed)
+
+
+def terminal_blocks(t_final, cfg, w, targets, pi_final):
+    """``terminal_derivatives`` as a dense flat-state gradient and Hessian."""
+    lx, _, lxx, _, _ = dense_blocks(terminal_derivatives(t_final, cfg, w, targets, pi_final))
+    return lx[0], lxx[0]
 
 
 def test_weights_must_be_nonnegative():
@@ -88,14 +99,14 @@ class TestTerminalCost:
         w = CostWeights(q3=5000)
         target = cfg.route_length / cfg.target_speed
         targets = schedule_targets(cfg, np.zeros(3))
-        assert terminal_cost(np.full(3, target), cfg, w, targets) == 0.0
+        assert terminal_cost(np.full(3, target), cfg, w, targets, on_speed(cfg)) == 0.0
 
     def test_one_second_late(self):
         cfg = make_config(n=2, ds=0.1, horizon_steps=8000)
         w = CostWeights(q3=5000)
         target = cfg.route_length / cfg.target_speed
         targets = schedule_targets(cfg, np.zeros(2))
-        cost = terminal_cost(np.array([target, target + 1.0]), cfg, w, targets)
+        cost = terminal_cost(np.array([target, target + 1.0]), cfg, w, targets, on_speed(cfg))
         assert cost == pytest.approx(5000.0)
 
     def test_matches_bruteforce(self, rng):
@@ -104,7 +115,8 @@ class TestTerminalCost:
         t_final = rng.normal(loc=30.0, scale=3.0, size=4)
         targets = rng.normal(loc=30.0, scale=1.0, size=4)
         expected = 1234.0 * sum((t_final[i] - targets[i]) ** 2 for i in range(4))
-        assert terminal_cost(t_final, cfg, w, targets) == pytest.approx(expected, rel=1e-12)
+        cost = terminal_cost(t_final, cfg, w, targets, on_speed(cfg))
+        assert cost == pytest.approx(expected, rel=1e-12)
 
     def test_entry_anchored_targets(self):
         cfg = make_config(n=3, ds=0.1, horizon_steps=8000)
@@ -253,7 +265,7 @@ class TestDerivatives:
         t_final = rng.normal(loc=40.0, size=2)
         pi_final = rng.uniform(0.04, 0.06, size=2)
         targets = rng.normal(loc=40.0, size=2)
-        lf_x, lf_xx = terminal_derivatives(t_final, cfg, w, targets, pi_final=pi_final)
+        lf_x, lf_xx = terminal_blocks(t_final, cfg, w, targets, pi_final)
         eps = 1e-7
         for p in range(2):
             d = np.zeros(2)
@@ -279,14 +291,15 @@ class TestDerivatives:
         w = CostWeights(q3=5000.0)
         t_final = rng.normal(loc=40.0, size=3)
         targets = rng.normal(loc=40.0, size=3)
-        lf_x, lf_xx = terminal_derivatives(t_final, cfg, w, targets)
+        pi_final = on_speed(cfg)
+        lf_x, lf_xx = terminal_blocks(t_final, cfg, w, targets, pi_final)
         eps = 1e-6
         for p in range(3):
             d = np.zeros(3)
             d[p] = eps
             fd = (
-                terminal_cost(t_final + d, cfg, w, targets)
-                - terminal_cost(t_final - d, cfg, w, targets)
+                terminal_cost(t_final + d, cfg, w, targets, pi_final)
+                - terminal_cost(t_final - d, cfg, w, targets, pi_final)
             ) / (2 * eps)
             assert lf_x[2 * p] == pytest.approx(fd, rel=1e-6)
         assert np.allclose(lf_xx[0::2, 0::2], np.eye(3) * 2 * 5000.0)
@@ -314,7 +327,9 @@ class TestTrajectoryCost:
                 thetas[k], cfg, w,
             )
             stepwise += c
-        stepwise += terminal_cost(state.arrival_times[:, -1], cfg, w, targets)
+        stepwise += terminal_cost(
+            state.arrival_times[:, -1], cfg, w, targets, state.slownesses[:, -1]
+        )
         assert total == pytest.approx(stepwise, rel=1e-9)
         assert bd.total == pytest.approx(stepwise, rel=1e-9)
 

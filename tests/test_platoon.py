@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_config
+from conftest import make_config, one_step_rollout
 from ecoplatoon.errors import ConfigError, IntegrationError
 from ecoplatoon.platoon import (
     ControlTrajectory,
@@ -14,7 +14,6 @@ from ecoplatoon.platoon import (
     dynamics_derivatives,
     resimulate_time_domain,
     rollout,
-    step_dynamics,
 )
 from ecoplatoon.scenario import load_scenario
 from ecoplatoon.terrain import SlopeProfile
@@ -157,18 +156,18 @@ class TestDiffState:
 
 class TestStepDynamics:
     def test_zero_control(self):
-        t, pi = step_dynamics([0.0], [0.05], [0.0], 0.1)
+        t, pi = one_step_rollout([0.0], [0.05], [0.0], 0.1)
         assert pi[0] == 0.05
         assert t[0] == pytest.approx(0.005)
 
     def test_substitution(self):
-        _, pi = step_dynamics([0.0], [0.05], [2.0], 0.1)
+        _, pi = one_step_rollout([0.0], [0.05], [2.0], 0.1)
         assert pi[0] == pytest.approx(0.049975)
 
     def test_blowup_detected(self):
         # enormous deceleration pushes slowness negative within one step
         with pytest.raises(IntegrationError):
-            step_dynamics([0.0], [0.5], [100.0], 1.0)
+            one_step_rollout([0.0], [0.5], [100.0], 1.0)
 
     def test_constant_accel_matches_kinematics(self):
         # closed-form oracle: v dv = a ds  =>  v' = sqrt(v0^2 + 2 a s)
@@ -188,7 +187,7 @@ class TestStepDynamics:
         t = rng.normal(size=3)
         pi = rng.uniform(0.03, 0.09, size=3)
         a = rng.uniform(-2.0, 2.0, size=3)
-        t2, pi2 = step_dynamics(t, pi, a, ds)
+        t2, pi2 = one_step_rollout(t, pi, a, ds)
         state = PlatoonState(
             arrival_times=np.column_stack([t, t2]), slownesses=np.column_stack([pi, pi2])
         )
@@ -266,7 +265,7 @@ class TestJacobians:
             f_x, f_u, f_xx, f_ux = step_jacobians(pi, a, ds)
 
             def step_flat(x_flat, u):
-                tt, pp = step_dynamics(x_flat[0::2], x_flat[1::2], u, ds)
+                tt, pp = one_step_rollout(x_flat[0::2], x_flat[1::2], u, ds)
                 out = np.empty(2 * n)
                 out[0::2] = tt
                 out[1::2] = pp
@@ -315,6 +314,14 @@ def test_rollout_keeps_time_monotone(v0, a):
     assert np.all(state.slownesses > 0)
 
 
+def step_recurrence(t, pi, a, ds):
+    """One space step of the model, t' = t + pi ds and pi' = pi - a pi^3 ds.
+
+    The per-step oracle that ``rollout`` must match bit for bit.
+    """
+    return t + pi * ds, pi - a * pi**3 * ds
+
+
 class TestRollout:
     def test_matches_repeated_steps_bitwise(self, rng):
         accels = rng.uniform(-1.0, 1.0, size=(3, 300))
@@ -324,7 +331,7 @@ class TestRollout:
         for k in range(300):
             assert np.array_equal(state.arrival_times[:, k], t)
             assert np.array_equal(state.slownesses[:, k], pi)
-            t, pi = step_dynamics(t, pi, accels[:, k], 0.5)
+            t, pi = step_recurrence(t, pi, accels[:, k], 0.5)
         assert np.array_equal(state.arrival_times[:, -1], t)
         assert np.array_equal(state.slownesses[:, -1], pi)
 

@@ -257,6 +257,20 @@ class TestLoading:
     def test_ilqr_flag_maps_to_second_order(self, tmp_path):
         scen = load_scenario(self._minimal(tmp_path, solver={"ilqr": True}))
         assert scen.solver_options.use_second_order is False
+        scen = load_scenario(self._minimal(tmp_path, solver={"ilqr": False}))
+        assert scen.solver_options.use_second_order is True
+
+    @pytest.mark.parametrize("value", ["false", "no", "true", None, 0, 1, [], [True]])
+    def test_ilqr_flag_must_be_a_boolean(self, tmp_path, value):
+        # "false" and "no" used to switch to iLQR, null, 0 and [] to keep DDP
+        with pytest.raises(ConfigError, match="solver.ilqr must be true or false"):
+            load_scenario(self._minimal(tmp_path, solver={"ilqr": value}))
+
+    @pytest.mark.parametrize("second_order", [True, False])
+    def test_ilqr_and_second_order_together_rejected(self, tmp_path, second_order):
+        solver = {"ilqr": True, "use_second_order": second_order}
+        with pytest.raises(ConfigError, match="both 'ilqr' and 'use_second_order'"):
+            load_scenario(self._minimal(tmp_path, solver=solver))
 
     def test_profile_file_road(self, tmp_path):
         prof_path = tmp_path / "prof.json"

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_config
+from conftest import dense_blocks, make_config
 from ecoplatoon import constraints as cons
 from ecoplatoon import costs
 from ecoplatoon import solver as solver_mod
@@ -67,10 +67,10 @@ def reference_backward_pass(
     stage = costs.stage_derivatives_batch(
         t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights
     )
-    al_blocks = cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels)
+    al_terms = cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels)
     lx, lu, lxx, luu, lux = (
-        stage[name] + block
-        for name, block in zip(("lx", "lu", "lxx", "luu", "lux"), al_blocks)
+        s_block + al_block
+        for s_block, al_block in zip(dense_blocks(stage), dense_blocks(al_terms))
     )
     pi = pi_traj[:, :-1].T
     a = accels.T
@@ -86,8 +86,11 @@ def reference_backward_pass(
     cxx = -6.0 * a * pi * ds
     cux = -3.0 * pi**2 * ds
 
-    b_val, a_val = costs.terminal_derivatives(
-        t_traj[:, -1], config, weights, targets, pi_final=pi_traj[:, -1]
+    b_val, _, a_val, _, _ = (
+        block[0]
+        for block in dense_blocks(
+            costs.terminal_derivatives(t_traj[:, -1], config, weights, targets, pi_traj[:, -1])
+        )
     )
     gains = np.empty((k_steps, n, dim))
     ff = np.empty((k_steps, n))
@@ -157,8 +160,8 @@ def per_step_backward_pass(
     stage = costs.stage_derivatives_batch(
         t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights
     )
-    add_blocks(stage["lx"], stage["lu"], stage["lxx"], stage["luu"], stage["lux"])
-    add_blocks(*cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels))
+    add_blocks(*dense_blocks(stage))
+    add_blocks(*dense_blocks(cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels)))
     stage_model[:, ui, ui] += regularization
 
     pi = pi_traj[:, :-1].T
@@ -173,13 +176,13 @@ def per_step_backward_pass(
     curv_at = np.stack([pj * size + pj, ui * size + pj])
     grad_at = pj * (dim + 1) + one
 
-    lf_x, lf_xx = costs.terminal_derivatives(
-        t_traj[:, -1], config, weights, targets, pi_final=pi_traj[:, -1]
+    lf_x, _, lf_xx, _, _ = dense_blocks(
+        costs.terminal_derivatives(t_traj[:, -1], config, weights, targets, pi_traj[:, -1])
     )
     value = np.zeros((dim + 1, dim + 1))
-    value[:dim, :dim] = lf_xx
-    value[:dim, one] = lf_x
-    value[one, :dim] = lf_x
+    value[:dim, :dim] = lf_xx[0]
+    value[:dim, one] = lf_x[0]
+    value[one, :dim] = lf_x[0]
 
     steps = np.empty((k_steps, n, dim + 1))
     control_rows = np.empty((k_steps, n, n + 1))
@@ -215,15 +218,18 @@ def per_step_backward_pass(
     )
 
 
-def make_indefinite_at(monkeypatch, steps, lux_shift=0.0):
-    """Shift the AL blocks both sweeps read so Q_uu is indefinite at ``steps``."""
+def make_indefinite_at(monkeypatch, steps, grad_shift=0.0):
+    """Shift the AL terms both sweeps read so Q_uu is indefinite at ``steps``.
+
+    ``grad_shift`` is added to the control gradient q_u at those steps.
+    """
     batch = cons.al_derivative_batch
 
     def shifted(*args, **kw):
-        lx, lu, lxx, luu, lux = batch(*args, **kw)
-        luu[steps] -= 1e8 * np.eye(luu.shape[1])
-        lux[steps] += lux_shift
-        return lx, lu, lxx, luu, lux
+        terms = batch(*args, **kw)
+        terms["aa"][steps] -= 1e8
+        terms["a"][steps] += grad_shift
+        return terms
 
     monkeypatch.setattr(cons, "al_derivative_batch", shifted)
 
@@ -467,11 +473,11 @@ class TestBackwardPass:
         assert f"at step {max(failing)} " in str(got.value)
 
     def test_thrown_away_steps_raise_no_warning(self, monkeypatch):
-        # a huge Q_ux at the failing step makes the steps after it, down to
+        # a huge q_u at the failing step makes the steps after it, down to
         # the bottom of the chunk, overflow; that work is thrown away and
         # must stay silent, as a sweep that stopped at the failing step is
         args = random_instance(3, seed=200, k_steps=200)
-        make_indefinite_at(monkeypatch, [150], lux_shift=1e200)
+        make_indefinite_at(monkeypatch, [150], grad_shift=1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BackwardPassError) as want:
@@ -885,7 +891,7 @@ class TestRecedingHorizon:
         pi0 = np.full(2, 1.0 / cfg.target_speed)
         run = receding_horizon_run(
             cfg, w, build_preset("collector"), t0, pi0, SolverOptions(),
-            window_m=20.0, replan_m=5.0, route_length=100.0,
+            window_m=20.0, replan_m=5.0,
         )
         assert len(run.exec_times) == len(run.windows)
         assert all(t > 0 for t in run.exec_times)
@@ -901,8 +907,6 @@ class TestRecedingHorizon:
             ("replan_m", 0.0),
             ("replan_m", -5.0),
             ("replan_m", "10"),
-            ("route_length", float("nan")),
-            ("route_length", 0.0),
             ("max_executions", 0),
             ("max_executions", -1),
             ("max_executions", True),
@@ -1030,7 +1034,7 @@ class TestColdStart:
         assert len(public) == 1
         assert [p["config"].horizon_steps for p in phases] == [100, 500, 2500]
         *coarse, fine = phases
-        assert report.coarse_iterations == sum(c["report"].n_iterations for c in coarse) > 0
+        assert report.coarse_iterations == sum(len(c["report"].iterations) for c in coarse) > 0
         assert report.iterations is fine["report"].iterations
         # the report's wall time covers every level, each timed on its own
         assert report.wall_time >= sum(p["wall"] for p in phases)
@@ -1069,7 +1073,7 @@ class TestColdStart:
         zero = solve(*args, targets=targets, initial_controls=np.zeros((3, cfg.horizon_steps)))
         assert cold.converged and zero.converged
         assert cold.coarse_iterations > 0 and zero.coarse_iterations == 0
-        assert cold.n_iterations < zero.n_iterations
+        assert len(cold.iterations) < len(zero.iterations)
         assert abs(cold.cost.total - zero.cost.total) <= 10 * opts.tol_cost_rel * abs(
             zero.cost.total
         )

@@ -4,9 +4,13 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ecoplatoon
+from conftest import make_config
+from ecoplatoon import constraints, costs, solver
+from ecoplatoon.platoon import ControlTrajectory, rollout
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -29,3 +33,28 @@ def test_traced_site_resolves_to_a_callable(module_name, attr):
 def test_public_name_imports(name):
     # ``from ecoplatoon import <name>`` looks the name up on the package
     assert hasattr(ecoplatoon, name)
+
+
+def test_backward_pass_looks_derivatives_up_by_module_attribute(monkeypatch):
+    # the benchmark times these two layers by wrapping the module attributes;
+    # a by-name import in the solver would bypass the wrappers
+    calls = []
+    for module, attr in ((costs, "stage_derivatives_batch"), (constraints, "al_derivative_batch")):
+
+        def counted(*args, _fn=getattr(module, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    cfg = make_config(n=3, horizon_steps=20)
+    accels = np.zeros((3, 20))
+    t0 = -np.arange(3) * cfg.headway
+    states = rollout(t0, np.full(3, 1.0 / cfg.target_speed), accels, cfg.ds)
+    cset = constraints.ConstraintSet.from_config(cfg)
+    al = constraints.ALState.initial(20, cset.n_constraints, 10.0)
+    targets = costs.schedule_targets(cfg, t0)
+    solver.backward_pass(
+        states, ControlTrajectory(accels=accels), np.zeros(20), cfg, costs.CostWeights(),
+        cset, al, targets, 1e-6,
+    )
+    assert sorted(calls) == ["al_derivative_batch", "stage_derivatives_batch"]
