@@ -82,7 +82,8 @@ class ALState:
             raise ConfigError("multipliers must be non-negative")
 
     @classmethod
-    def initial(cls, n_steps: int, n_constraints: int, rho0: float) -> "ALState":
+    def initial(cls, n_steps: int, n_constraints: int, rho0) -> "ALState":
+        """No multipliers and penalty weights ``rho0``, a float or per step (n_steps, 1)."""
         shape = (n_steps, n_constraints)
         return cls(rho=np.full(shape, rho0), lam=np.zeros(shape))
 

@@ -9,6 +9,9 @@ The running cost at a spatial step sums three groups over the platoon:
 
 q1, q2 and r1 price 0.1 m of road: a step of length ds weighs ds / 0.1 m of
 them (``step_weight``), so ds sets only the resolution of one cost integral.
+On a step grid (``platoon.step_grid``) step k is ds * grid[k] long and
+weighs grid[k] times as much; a grid of ones gives the uniform sums bit for
+bit.
 The ecology term prices traction power through a smooth hinge
 max(P, power_floor) when ``CostWeights.power_floor`` is set, as in both
 shipped presets (floor 0: braking and descending earn nothing); with no
@@ -22,7 +25,7 @@ vehicle's own entry time (``schedule_targets``, the solver's default;
 identical to a single shared target when all entry times are zero).
 
 Derivatives come per vehicle, as (K, N) series over steps and vehicles,
-plus the one constant (N, N) gap Hessian over arrival times; v = 1/pi makes
+plus the (K, N, N) gap Hessian over arrival times; v = 1/pi makes
 the ecology term couple a_i with pi_i, so a control-slowness cross term
 comes too. Only :func:`ecoplatoon.solver.backward_pass` knows the solver's
 state layout and places these terms in it.
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .platoon import PlatoonConfig
+from .platoon import PlatoonConfig, step_multiples
 
 _DS_REF = 0.1  # m, the road length that q1, q2 and r1 price
 
@@ -142,10 +145,14 @@ def grade_force(config: PlatoonConfig, theta) -> np.ndarray:
     return np.multiply.outer(slope_term, config.masses)
 
 
-def schedule_targets(config: PlatoonConfig, entry_times) -> np.ndarray:
-    """Per-vehicle terminal arrival targets: entry time plus route time at v^d."""
+def schedule_targets(config: PlatoonConfig, entry_times, grid=None) -> np.ndarray:
+    """Per-vehicle terminal arrival targets: entry time plus route time at v^d.
+
+    The route is ``config.route_length``, or ds times the sum of ``grid``.
+    """
     entry = np.asarray(entry_times, dtype=float)
-    return entry + config.route_length / config.target_speed
+    steps = config.horizon_steps if grid is None else int(np.sum(grid))
+    return entry + config.ds * steps / config.target_speed
 
 
 def terminal_cost(t_final, config: PlatoonConfig, weights: CostWeights, targets, pi_final):
@@ -196,40 +203,45 @@ def _stage_weights(config: PlatoonConfig, weights: CostWeights):
     return weights.q1 * scale, weights.q2 * scale, weights.r1 * scale
 
 
-def _gap_hessian_tt(n: int, q1: float) -> np.ndarray:
-    """Constant Hessian of the gap cost over arrival-time coordinates."""
-    h_tt = np.zeros((n, n))
-    h_tt[0, 0] = 2.0 * q1 * (n - 1)
+def _gap_hessian_tt(n: int, q1: np.ndarray) -> np.ndarray:
+    """Per-step Hessians of the gap cost over arrival times, (K, N, N) for (K,) q1."""
+    h_tt = np.zeros(q1.shape + (n, n))
+    h_tt[:, 0, 0] = 2.0 * q1 * (n - 1)
     for i in range(1, n):
-        h_tt[0, i] = h_tt[i, 0] = -2.0 * q1
-        h_tt[i, i] = 2.0 * q1
+        h_tt[:, 0, i] = h_tt[:, i, 0] = -2.0 * q1
+        h_tt[:, i, i] = 2.0 * q1
     return h_tt
 
 
-def stage_derivatives_batch(t, pi, a, thetas, config: PlatoonConfig, weights: CostWeights):
+def stage_derivatives_batch(
+    t, pi, a, thetas, config: PlatoonConfig, weights: CostWeights, grid=None
+):
     """Stage-cost derivatives for a whole trajectory at once, per (step, vehicle).
 
-    Inputs are (N, K) state/control arrays and (K,) step grades. Returns a
-    dict of (K, N) series: ``t`` and ``pi`` (state gradient), ``pipi``
-    (slowness curvature), ``a`` and ``aa`` (control gradient and curvature)
-    and ``api`` (the control-slowness cross term), plus ``gap_tt``, the
-    constant (N, N) gap Hessian over arrival times. Every other second
-    derivative is zero: apart from the gap cost, no term couples two
-    vehicles.
+    Inputs are (N, K) state/control arrays, (K,) step grades and the step
+    grid (None: uniform). Returns a dict of (K, N) series: ``t`` and ``pi``
+    (state gradient), ``pipi`` (slowness curvature), ``a`` and ``aa``
+    (control gradient and curvature) and ``api`` (the control-slowness
+    cross term), plus ``gap_tt``, the (K, N, N) gap Hessians over arrival
+    times. Every other second derivative is zero: apart from the gap cost,
+    no term couples two vehicles.
     """
     t = np.atleast_2d(np.asarray(t, dtype=float))
     pi = np.atleast_2d(np.asarray(pi, dtype=float))
     a = np.atleast_2d(np.asarray(a, dtype=float))
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    n = t.shape[0]
+    n, k_steps = t.shape
     m = config.masses
-    q1, q2, r1 = _stage_weights(config, weights)
+    # (K,) weights, each step's by its length; times 1 on a uniform grid
+    multiples = step_multiples(grid, k_steps)
+    q1, q2, r1 = (weight * multiples for weight in _stage_weights(config, weights))
+    r1_col = r1[:, None]
 
     # Gap cost: linear/quadratic in arrival times only.
     gaps = t[0] - t[1:] - (np.arange(1, n) * config.headway)[:, None]  # (N-1, K)
-    grad_t = np.empty((t.shape[1], n))
+    grad_t = np.empty((k_steps, n))
     grad_t[:, 0] = 2.0 * q1 * np.sum(gaps, axis=0)
-    grad_t[:, 1:] = -2.0 * q1 * gaps.T
+    grad_t[:, 1:] = -2.0 * q1[:, None] * gaps.T
 
     # Ecology cost: depends on slowness (v = 1/pi) and acceleration. With a
     # power floor, chain the raw-power derivatives through the hinge.
@@ -253,21 +265,26 @@ def stage_derivatives_batch(t, pi, a, thetas, config: PlatoonConfig, weights: Co
         "t": grad_t,
         "pi": (q2 * g1 * p_pi).T,
         "pipi": (q2 * (g1 * p_pipi + g2 * p_pi**2)).T,
-        "a": (q2 * g1 * p_a).T + 2.0 * r1 * a.T,
-        "aa": (q2 * g2 * p_a**2).T + 2.0 * r1,
+        "a": (q2 * g1 * p_a).T + 2.0 * r1_col * a.T,
+        "aa": (q2 * g2 * p_a**2).T + 2.0 * r1_col,
         "api": (q2 * (g1 * p_api + g2 * p_a * p_pi)).T,
         "gap_tt": _gap_hessian_tt(n, q1),
     }
 
 
-def trajectory_cost(states_t, states_pi, accels, thetas, config, weights, targets):
-    """Total plan cost in one vectorized pass. Returns (total, CostBreakdown)."""
+def trajectory_cost(states_t, states_pi, accels, thetas, config, weights, targets, grid=None):
+    """Total plan cost in one vectorized pass. Returns (total, CostBreakdown).
+
+    Each step's running terms weigh its multiple in ``grid`` (None:
+    uniform) before they are summed.
+    """
     t = np.asarray(states_t, dtype=float)
     pi = np.asarray(states_pi, dtype=float)
     a = np.asarray(accels, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     k_steps = a.shape[1]
     q1, q2, r1 = _stage_weights(config, weights)
+    multiples = step_multiples(grid, k_steps)
     v = 1.0 / pi[:, :k_steps]
     m = config.masses[:, None]
     gaps = (
@@ -275,10 +292,10 @@ def trajectory_cost(states_t, states_pi, accels, thetas, config, weights, target
         - t[1:, :k_steps]
         - (np.arange(1, config.n_vehicles) * config.headway)[:, None]
     )
-    cacc = q1 * float(np.sum(gaps**2))
+    cacc = q1 * float(np.sum(gaps**2 * multiples))
     power = m * a * v + grade_force(config, thetas).T * v + config.drag_coeff * v**3
-    ecology = q2 * float(np.sum(ecology_power_cost(power, weights)))
-    effort = r1 * float(np.sum(a**2))
+    ecology = q2 * float(np.sum(ecology_power_cost(power, weights) * multiples))
+    effort = r1 * float(np.sum(a**2 * multiples))
     terminal = terminal_cost(t[:, -1], config, weights, targets, pi_final=pi[:, -1])
     breakdown = CostBreakdown(cacc=cacc, ecology=ecology, effort=effort, terminal=terminal)
     return breakdown.total, breakdown

@@ -9,7 +9,11 @@ longitudinal acceleration a_k. One step of length ds advances
     pi' = pi - a * pi**3 * ds
 
 which is the first-order space discretization of dt/ds = pi and
-d(pi)/ds = -a * pi**3.
+d(pi)/ds = -a * pi**3. A step grid (``step_grid``) lets each step span its
+own whole number of ds: step k then has length ds * grid[k] and starts
+ds * (grid[0] + ... + grid[k-1]) from the start of the plan. Every formula
+here is elementwise in that length, and a grid of ones is the uniform grid
+of ds bit for bit.
 
 Everything here is a pure function over value types; concurrent evaluation
 of independent rollouts is safe.
@@ -134,23 +138,60 @@ class ControlTrajectory:
             raise ConfigError("accelerations must be finite")
 
 
-def rollout(t0, pi0, accels, ds) -> PlatoonState:
+def step_grid(grid, k_steps):
+    """A step grid as a (K,) integer array of multiples of ds; all ones when None.
+
+    Raises ConfigError unless ``grid`` has shape (K,) and holds integers
+    >= 1 (floats with integer values pass).
+    """
+    if grid is None:
+        return np.ones(k_steps, dtype=np.int64)
+    try:
+        values = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"step grid must be numeric, got {grid!r}") from None
+    if values.shape != (k_steps,):
+        raise ConfigError(f"step grid must have shape ({k_steps},), got {values.shape}")
+    # Negated so that NaN fails too; the cap keeps the integers exact.
+    if not np.all((values >= 1) & (values < 2.0**53) & (values == np.floor(values))):
+        raise ConfigError(f"step grid must hold integer multiples of ds >= 1, got {values}")
+    return values.astype(np.int64)
+
+
+def step_multiples(grid, k_steps):
+    """The multiples of ds in ``grid`` as floats, (K,); all ones when ``grid`` is None.
+
+    Step k is ds * step_multiples(grid, K)[k] long; times 1.0 is exact, so a
+    uniform grid gives ds itself.
+    """
+    return np.ones(k_steps) if grid is None else np.asarray(grid, dtype=float)
+
+
+def step_starts(grid):
+    """Where each step of ``grid`` starts, in whole ds from the first: (K,) integers."""
+    ends = np.cumsum(grid)
+    return ends - grid
+
+
+def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
     """Roll per-vehicle dynamics over a whole control sequence (N, K).
 
+    Step k has length ds * grid[k] (``grid`` None: ds for every step).
     Raises IntegrationError when a slowness leaves the positive domain; the
     domain is checked once, after the loop, and arrival times are one
-    running sum of pi * ds.
+    running sum of pi times the step length.
     """
     accels = np.asarray(accels, dtype=float)
     n, k_steps = accels.shape
+    lengths = ds * step_multiples(grid, k_steps)
     slows = np.empty((k_steps + 1, n))
     slows[0] = pi0
     if np.any(slows[0] <= 0):
         raise IntegrationError("slowness must be positive before stepping")
     # a blow-up overflows the cubic term; the domain check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for pi, pi_next, a in zip(slows, slows[1:], accels.T):
-            pi_next[:] = pi - a * pi**3 * ds
+        for pi, pi_next, a, h in zip(slows, slows[1:], accels.T, lengths.tolist()):
+            pi_next[:] = pi - a * pi**3 * h
     if not np.all(np.isfinite(slows)) or np.any(slows <= 0):
         raise IntegrationError(
             "dynamics step drove slowness out of the positive domain; "
@@ -158,28 +199,30 @@ def rollout(t0, pi0, accels, ds) -> PlatoonState:
         )
     times = np.empty((k_steps + 1, n))
     times[0] = t0
-    times[1:] = slows[:-1] * ds
+    times[1:] = slows[:-1] * lengths[:, None]
     np.cumsum(times, axis=0, out=times)
     return PlatoonState(
         arrival_times=np.ascontiguousarray(times.T), slownesses=np.ascontiguousarray(slows.T)
     )
 
 
-def dynamics_derivatives(pi, accels, ds):
+def dynamics_derivatives(pi, accels, ds, grid=None):
     """Per-(step, vehicle) derivatives of the slowness update along a trajectory.
 
     ``pi`` and ``accels`` are (N, K): the slowness and acceleration at the
-    start of each step. Returns (K, N) arrays g = d pi'/d pi,
-    fu = d pi'/d a, cxx = d2 pi'/d pi2 and cux = d2 pi'/d a d pi. The rest
-    of the step Jacobian is constant (d t'/d t = 1, d t'/d pi = ds) and
-    every other second derivative is zero.
+    start of each step, whose length is ds * grid[k]. Returns (K, N) arrays
+    g = d pi'/d pi, fu = d pi'/d a, cxx = d2 pi'/d pi2 and
+    cux = d2 pi'/d a d pi. The rest of the step Jacobian is d t'/d t = 1
+    and d t'/d pi = the step length, and every other second derivative is
+    zero.
     """
     pi = pi.T  # (K, N)
     a = accels.T
-    g = 1.0 - 3.0 * a * pi**2 * ds
-    fu = -(pi**3) * ds
-    cxx = -6.0 * a * pi * ds
-    cux = -3.0 * pi**2 * ds
+    h = ds * step_multiples(grid, a.shape[0])[:, None]  # step lengths, (K, 1)
+    g = 1.0 - 3.0 * a * pi**2 * h
+    fu = -(pi**3) * h
+    cxx = -6.0 * a * pi * h
+    cux = -3.0 * pi**2 * h
     return g, fu, cxx, cux
 
 

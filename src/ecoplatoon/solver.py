@@ -33,14 +33,26 @@ chunk of the sweep and names the highest failing step, as a per-step test
 would. The forward rollout runs in the row-major interleaved state and
 checks the slowness domain once at the end.
 
+The grid is a per-step array (``platoon.step_grid``): step k spans
+grid[k] whole multiples of ``config.ds``. The dynamics, their derivatives,
+the cost weights, the initial penalty weights and the grade samples are all
+elementwise in the step length, and a grid of ones (the default) is the
+uniform grid bit for bit.
+
 A solve given no initial controls starts cold through a grid hierarchy,
 nested iteration in the sense of Brandt (Math. Comp. 31, 1977): each level
-is the same problem on a grid whose step is exactly five times that of the
-level above, solved from the plan of the level below it held over the steps
-it covers, down to a level of at least ``_COARSE_FLOOR`` steps. On the
-collector preset that takes the full-resolution solve from 14 backward
-passes down to 2. Explicit initial controls, zeros included, skip the
-hierarchy.
+is the same problem on a uniform grid whose step is exactly five times that
+of the level above, solved from the plan of the level below it held over
+the steps it covers, down to a level of at least ``_COARSE_FLOOR`` steps.
+On the collector preset that takes the full-resolution solve from 14
+backward passes down to 2. Explicit initial controls, zeros included, skip
+the hierarchy.
+
+``receding_horizon_run`` solves every window but the last at ds over the
+segment it executes and at ``_COARSE_FACTOR`` ds over the rest of the
+window, when that rest spans at least ``_COARSE_FLOOR`` steps: move
+blocking in receding-horizon control. A 40 m window at ds = 0.1 m that
+executes 10 m is 160 steps instead of 400.
 
 A solve is single-threaded and deterministic; independent solves may run
 concurrently since all mutable state is owned per call.
@@ -65,6 +77,9 @@ from .platoon import (
     PlatoonState,
     dynamics_derivatives,
     rollout,
+    step_grid,
+    step_multiples,
+    step_starts,
 )
 from .terrain import SlopeProfile, grade_at
 
@@ -185,6 +200,7 @@ _COARSE_FACTOR = 5
 
 # The fewest steps of a coarse level. Below it a level's fixed cost per pass
 # outweighs what its plan saves the level above, which starts from zeros.
+# A receding window's tail is coarsened only from this many fine steps on.
 _COARSE_FLOOR = 100
 
 # The inner loop's stopping schedule, two standard augmented-Lagrangian rules
@@ -241,8 +257,11 @@ def backward_pass(
     targets: np.ndarray,
     regularization: float,
     use_second_order: bool = True,
+    grid=None,
 ) -> BackwardPassResult:
     """Build feedback laws for every step, sweeping the value model backward.
+
+    Step k is ``config.ds`` times ``grid[k]`` long (``grid`` None: uniform).
 
     Each step works on one stacked block over z = [dx; 1; du]: the stage
     model L_k (Hessian blocks, gradients in the homogeneous row and column,
@@ -273,7 +292,6 @@ def backward_pass(
     u0 = dim + 1  # first control index
     size = 3 * n + 1
     k_steps = accels.shape[1]
-    ds = config.ds
     ai = np.arange(n)
     ti = 2 * ai
     pj = ti + 1
@@ -284,9 +302,9 @@ def backward_pass(
     # the Levenberg shift, into a zero block.
     stage_model = np.zeros((k_steps, size, size))
     stage = costs.stage_derivatives_batch(
-        t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights
+        t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights, grid
     )
-    stage_model[:, ti[:, None], ti] += stage["gap_tt"]
+    stage_model[:, :dim:2, :dim:2] += stage["gap_tt"]  # the (t, t) block, a basic slice
     stage_model[:, ti, one] += stage["t"]
     stage_model[:, one, ti] += stage["t"]
     stage_model[:, ui, pj] += stage["api"]
@@ -299,10 +317,10 @@ def backward_pass(
     stage_model[:, ui, ui] += regularization
     del stage, terms  # free the series before the sweep, which sets the peak memory
 
-    g, fu_c, cxx, cux = dynamics_derivatives(pi_traj[:, :-1], accels, ds)
+    g, fu_c, cxx, cux = dynamics_derivatives(pi_traj[:, :-1], accels, config.ds, grid)
     jac = np.zeros((k_steps, dim + 1, size))
     jac[:, ti, ti] = 1.0
-    jac[:, ti, pj] = ds
+    jac[:, ti, pj] = config.ds * step_multiples(grid, k_steps)[:, None]
     jac[:, pj, pj] = g
     jac[:, pj, ui] = fu_c
     jac[:, one, one] = 1.0
@@ -374,11 +392,13 @@ def forward_pass(
     bp: BackwardPassResult,
     step_length: float,
     ds: float,
+    grid=None,
 ):
     """Roll the nonlinear dynamics under the affine law with feedforward scale alpha.
 
-    Returns (new_times, new_slownesses, new_accels) or None when the rollout
-    leaves the positive-slowness domain (the caller shrinks alpha).
+    Step k is ds times ``grid[k]`` long (``grid`` None: uniform). Returns
+    (new_times, new_slownesses, new_accels) or None when the rollout leaves
+    the positive-slowness domain (the caller shrinks alpha).
     """
     a_ref = controls.accels
     n, k_steps = a_ref.shape
@@ -390,17 +410,19 @@ def forward_pass(
     x_new[0] = x_ref[0]
     u_new = a_ref.T.copy()
     feedforward = step_length * bp.feedforward
+    # Python floats, so a step costs the same as with a scalar ds
+    lengths = (ds * step_multiples(grid, k_steps)).tolist()
     # overly aggressive trial steps can overflow the cubic term; those
     # rollouts are rejected by the finiteness check, so silence the warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for x_k, x_next, xr_k, gain, u_k, ff_k in zip(
-            x_new, x_new[1:], x_ref, bp.gains, u_new, feedforward
+        for x_k, x_next, xr_k, gain, u_k, ff_k, h in zip(
+            x_new, x_new[1:], x_ref, bp.gains, u_new, feedforward, lengths
         ):
             u_k += gain.dot(x_k - xr_k)
             u_k += ff_k
             pi_k = x_k[1::2]
-            x_next[0::2] = x_k[0::2] + pi_k * ds
-            x_next[1::2] = pi_k - u_k * pi_k**3 * ds
+            x_next[0::2] = x_k[0::2] + pi_k * h
+            x_next[1::2] = pi_k - u_k * pi_k**3 * h
     pi_new = x_new[:, 1::2]
     if not np.all(np.isfinite(pi_new)) or np.any(pi_new <= 0.0):
         return None
@@ -421,6 +443,7 @@ def solve(
     targets=None,
     initial_controls=None,
     start_position: float = 0.0,
+    grid=None,
 ) -> SolveReport:
     """Plan the platoon over ``config.horizon_steps`` spatial steps.
 
@@ -429,6 +452,10 @@ def solve(
     (default: entry-anchored schedule at the target speed). The report flags
     convergence honestly; a non-converged solve still returns the best
     trajectory found plus its iteration history.
+
+    ``grid`` (K,) sets each step's length in whole multiples of
+    ``config.ds`` (see ``platoon.step_grid``); the default is ds for every
+    step. The plan, its states and its cost are on that grid.
 
     ``initial_controls`` (N, K) starts the solve from that plan. Without
     them the solve starts cold from ``_cold_plan``: the same problem solved
@@ -442,8 +469,9 @@ def solve(
     level, and ``wall_time`` covers all levels.
 
     Raises ConfigError when ``t0``, ``pi0`` or ``targets`` is not a finite
-    array of shape (N,), when a slowness is not positive, or when
-    ``start_position`` is not finite.
+    array of shape (N,), when a slowness is not positive, when
+    ``start_position`` is not finite, or when ``grid`` is not a (K,) array
+    of integers >= 1.
     """
     start = time.perf_counter()
     n = config.n_vehicles
@@ -458,24 +486,27 @@ def solve(
     ):
         raise ConfigError(f"start position must be finite, got {start_position!r}")
     k_steps = config.horizon_steps
+    grid = step_grid(grid, k_steps)
     if targets is None:
-        targets = costs.schedule_targets(config, t0)
+        targets = costs.schedule_targets(config, t0, grid)
     targets = _finite_vector("targets", targets, n)
 
     if initial_controls is None:
         accels, reference, coarse_iterations = _cold_plan(
-            config, weights, profile, options, targets, start_position, t0, pi0
+            config, weights, profile, options, targets, start_position, t0, pi0, grid
         )
     else:
         coarse_iterations = 0
         accels = np.array(initial_controls, dtype=float)
         if accels.shape != (n, k_steps):
             raise ConfigError(f"initial controls must have shape ({n}, {k_steps})")
-        reference = _feasible_rollout(t0, pi0, accels, config.ds)
+        reference = _feasible_rollout(t0, pi0, accels, config.ds, grid)
         if reference is None:
             raise ConfigError("initial controls are infeasible (slowness left the domain)")
 
-    report = _solve(config, weights, profile, options, targets, start_position, accels, reference)
+    report = _solve(
+        config, weights, profile, options, targets, start_position, accels, reference, grid
+    )
     report.coarse_iterations = coarse_iterations
     report.wall_time = time.perf_counter() - start
     return report
@@ -491,55 +522,60 @@ def _finite_vector(name, values, n):
     return out
 
 
-def _cold_plan(config, weights, profile, options, targets, start_position, t0, pi0):
+def _cold_plan(config, weights, profile, options, targets, start_position, t0, pi0, grid):
     """A starting plan for a cold solve: (accels, its rollout, coarse iterations).
 
-    The level below has Kc = ceil(K / _COARSE_FACTOR) steps of exactly
-    ``_COARSE_FACTOR`` ds and the same weights, options and start position;
-    the cost weighs each step by its length, so it is the same problem. Its
-    last step may overhang the horizon by o = (_COARSE_FACTOR Kc - K) ds,
-    so its targets move later by o / target_speed. That level is planned
-    the same way, recursively, and solved with ``_solve``; fine step j
-    then holds coarse step j // _COARSE_FACTOR, converged or not. The plan
-    is zero controls when Kc < ``_COARSE_FLOOR`` or when the held plan
-    leaves the slowness domain. The iteration count sums the accepted
-    iterations of every level solved, fallbacks included.
+    The grid covers M = sum(grid) ds of road (M = K on a uniform grid). The
+    level below is uniform, with Kc = ceil(M / _COARSE_FACTOR) steps of
+    exactly ``_COARSE_FACTOR`` ds and the same weights, options and start
+    position; the cost weighs each step by its length, so it is the same
+    problem. Its last step may overhang the road by
+    o = (_COARSE_FACTOR Kc - M) ds, so its targets move later by
+    o / target_speed. That level is planned the same way, recursively, and
+    solved with ``_solve``; a fine step starting j ds in then holds coarse
+    step j // _COARSE_FACTOR, converged or not. The plan is zero controls
+    when Kc < ``_COARSE_FLOOR``, when Kc >= K (a grid of long steps) or
+    when the held plan leaves the slowness domain. The iteration count sums
+    the accepted iterations of every level solved, fallbacks included.
     """
     n, k_steps, ds = config.n_vehicles, config.horizon_steps, config.ds
-    k_coarse = -(-k_steps // _COARSE_FACTOR)
+    span = int(grid.sum())
+    k_coarse = -(-span // _COARSE_FACTOR)
     iterations = 0
-    if k_coarse >= _COARSE_FLOOR:
+    # a level below with no fewer steps saves the level above nothing
+    if _COARSE_FLOOR <= k_coarse < k_steps:
         coarse_config = dataclasses.replace(
             config, ds=ds * _COARSE_FACTOR, horizon_steps=k_coarse
         )
-        overhang = (_COARSE_FACTOR * k_coarse - k_steps) * ds
+        coarse_grid = step_grid(None, k_coarse)
+        overhang = (_COARSE_FACTOR * k_coarse - span) * ds
         coarse_targets = targets + overhang / config.target_speed
         accels, reference, iterations = _cold_plan(
             coarse_config, weights, profile, options, coarse_targets,
-            start_position, t0, pi0,
+            start_position, t0, pi0, coarse_grid,
         )
         coarse = _solve(
             coarse_config, weights, profile, options, coarse_targets,
-            start_position, accels, reference,
+            start_position, accels, reference, coarse_grid,
         )
         iterations += len(coarse.iterations)
-        held = np.repeat(coarse.controls.accels, _COARSE_FACTOR, axis=1)[:, :k_steps]
-        reference = _feasible_rollout(t0, pi0, held, ds)
+        held = coarse.controls.accels[:, step_starts(grid) // _COARSE_FACTOR]
+        reference = _feasible_rollout(t0, pi0, held, ds, grid)
         if reference is not None:
             return held, reference, iterations
     zeros = np.zeros((n, k_steps))
-    return zeros, rollout(t0, pi0, zeros, ds), iterations
+    return zeros, rollout(t0, pi0, zeros, ds, grid), iterations
 
 
-def _feasible_rollout(t0, pi0, accels, ds):
+def _feasible_rollout(t0, pi0, accels, ds, grid):
     """The rollout of ``accels``, or None when it leaves the slowness domain."""
     try:
-        return rollout(t0, pi0, accels, ds)
+        return rollout(t0, pi0, accels, ds, grid)
     except IntegrationError:
         return None
 
 
-def _solve(config, weights, profile, options, targets, start_position, accels, reference):
+def _solve(config, weights, profile, options, targets, start_position, accels, reference, grid):
     """The solve proper, from the plan ``accels`` and its rollout ``reference``.
 
     ``solve`` runs every coarse level and its full-resolution phase through
@@ -555,18 +591,18 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     start = time.perf_counter()
     k_steps = config.horizon_steps
     ds = config.ds
-    grid = start_position + ds * np.arange(k_steps)
-    thetas = grade_at(profile, np.minimum(grid, profile.total_length))
+    positions = start_position + ds * step_starts(grid)
+    thetas = grade_at(profile, np.minimum(positions, profile.total_length))
 
     cset = cons.ConstraintSet.from_config(config)
     # rho, and so every multiplier, scaled by the step weight scales the PHR sum by it
-    rho0 = options.rho_init * costs.step_weight(ds)
-    al = cons.ALState.initial(k_steps, cset.n_constraints, rho0)
+    rho0 = options.rho_init * costs.step_weight(ds) * grid
+    al = cons.ALState.initial(k_steps, cset.n_constraints, rho0[:, None])
     times, slows = reference.arrival_times, reference.slownesses
 
     def eval_true(t_arr, pi_arr, a_arr):
         true_cost, breakdown = costs.trajectory_cost(
-            t_arr, pi_arr, a_arr, thetas, config, weights, targets
+            t_arr, pi_arr, a_arr, thetas, config, weights, targets, grid
         )
         e = cons.evaluate(cset, pi_arr[:, :-1], a_arr)
         return true_cost, breakdown, e
@@ -599,6 +635,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                     targets,
                     reg,
                     options.use_second_order,
+                    grid,
                 )
             except BackwardPassError:
                 pass
@@ -614,7 +651,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                     break
                 alpha = 1.0
                 while alpha >= options.alpha_min:
-                    result = forward_pass(state_obj, ctrl_obj, bp, alpha, ds)
+                    result = forward_pass(state_obj, ctrl_obj, bp, alpha, ds, grid)
                     if result is not None:
                         t_new, pi_new, a_new = result
                         new_true, new_breakdown, new_e = eval_true(t_new, pi_new, a_new)
@@ -709,7 +746,7 @@ class RecedingRun:
     states: PlatoonState
     controls: ControlTrajectory
     exec_times: list  # seconds per window solve
-    windows: list  # (start_position, window_length) per execution
+    windows: list  # (start_position, window_length, solved_steps) per execution
     converged: bool
     max_violation: float
 
@@ -737,6 +774,20 @@ def receding_horizon_run(
     silently forgiven. ``state_hook(position, t, pi) -> (t, pi)`` lets a
     caller inject boundary perturbations between executions. Per-execution
     wall time covers the window solve only.
+
+    A window that is not the last is solved on a coarse tail, move blocking
+    in the sense of Cagienard et al. (J. Process Control 17, 2007): steps of
+    ds over the kr = round(replan_m / ds) steps it executes, then steps of
+    ``_COARSE_FACTOR`` ds over the rest, which only shape its end; a
+    remainder of fewer than ``_COARSE_FACTOR`` ds becomes one shorter last
+    step. Such a window of kw fine steps is solved on
+    kr + ceil((kw - kr) / _COARSE_FACTOR) steps. A tail of fewer than
+    ``_COARSE_FLOOR`` fine steps stays at ds, and the last window is
+    executed whole and solved at ds. The warm start is kept as a plan at
+    ds: a window starts from it sampled at the start of each of its steps,
+    and its solved plan is held back over the fine steps each step covers.
+    The stitched plan is uniform at ds. ``windows`` records (start,
+    length, solved steps) per execution.
 
     Raises ConfigError before any solve unless ``window_m`` and ``replan_m``
     are finite and > 0 and ``max_executions`` is None or an integer >= 1.
@@ -777,16 +828,27 @@ def receding_horizon_run(
         w_eff = min(window_m, route_length - s0)
         kw = max(1, int(round(w_eff / ds)))
         w_eff = kw * ds
+        exec_steps = kw if s0 + w_eff >= route_length - 1e-9 else min(
+            kw, max(1, int(round(replan_m / ds)))
+        )
+        # Fine steps over the executed segment, then the tail. A tail under
+        # _COARSE_FLOOR fine steps stays fine: such a window is a few dozen
+        # steps, per-solve overhead sets its time, and a coarse tail leaves
+        # windows of different lengths a step or two apart.
+        tail_step = _COARSE_FACTOR if kw - exec_steps >= _COARSE_FLOOR else 1
+        starts = np.concatenate(
+            [np.arange(exec_steps), np.arange(exec_steps, kw, tail_step)]
+        )
+        grid = np.diff(starts, append=kw)
         if state_hook is not None:
             t_cur, pi_cur = state_hook(s0, t_cur, pi_cur)
-        win_cfg = dataclasses.replace(config, horizon_steps=kw)
+        win_cfg = dataclasses.replace(config, horizon_steps=grid.size)
         targets = entry_times + (s0 + w_eff) / config.target_speed
-        if warm is not None and warm.shape[1] >= kw:
-            init = warm[:, :kw]
-        elif warm is not None:
-            init = np.concatenate(
-                [warm, np.zeros((n, kw - warm.shape[1]))], axis=1
+        if warm is not None:
+            fine = np.concatenate(
+                [warm, np.zeros((n, max(0, kw - warm.shape[1])))], axis=1
             )
+            init = fine[:, starts]
         else:
             init = None
         tic = time.perf_counter()
@@ -800,15 +862,13 @@ def receding_horizon_run(
             targets=targets,
             initial_controls=init,
             start_position=s0,
+            grid=grid,
         )
         exec_times.append(time.perf_counter() - tic)
-        windows.append((s0, w_eff))
+        windows.append((s0, w_eff, grid.size))
         converged = converged and report.converged
 
-        exec_steps = kw if s0 + w_eff >= route_length - 1e-9 else min(
-            kw, max(1, int(round(replan_m / ds)))
-        )
-        accels = report.controls.accels
+        accels = np.repeat(report.controls.accels, grid, axis=1)
         accel_cols.append(accels[:, :exec_steps])
         times_exec = report.states.arrival_times[:, 1 : exec_steps + 1]
         slows_exec = report.states.slownesses[:, 1 : exec_steps + 1]

@@ -31,20 +31,32 @@ def make_config(
     )
 
 
-def one_step_cost(t, pi, a, theta, cfg, w):
-    """Stage cost at one state, through ``trajectory_cost`` on a one-step plan.
+def plan_cost(t, pi, a, thetas, cfg, w, grid=None):
+    """Running cost of (N, K) states and controls on ``grid``, through ``trajectory_cost``.
 
-    Column 1 sits on its targets at the target speed, so the terminal term
-    is exactly zero and the total is the stage cost alone. Returns
-    (total, CostBreakdown).
+    A column K is appended on its targets at the target speed, so the
+    terminal term is exactly zero and the total is the running cost alone.
+    Returns (total, CostBreakdown).
     """
-    targets = schedule_targets(cfg, t)
+    t = np.asarray(t, dtype=float)
+    targets = schedule_targets(cfg, t[:, 0])
     states_t = np.column_stack([t, targets])
-    states_pi = np.column_stack([pi, np.full(len(pi), 1.0 / cfg.target_speed)])
-    accels = np.asarray(a, dtype=float)[:, None]
-    total, bd = trajectory_cost(states_t, states_pi, accels, [theta], cfg, w, targets)
+    states_pi = np.column_stack([pi, np.full(len(t), 1.0 / cfg.target_speed)])
+    total, bd = trajectory_cost(states_t, states_pi, a, thetas, cfg, w, targets, grid)
     assert bd.terminal == 0.0
     return total, bd
+
+
+def one_step_cost(t, pi, a, theta, cfg, w):
+    """Stage cost at one state, ``plan_cost`` of a one-step plan: (total, CostBreakdown)."""
+    return plan_cost(
+        np.asarray(t, dtype=float)[:, None],
+        np.asarray(pi, dtype=float)[:, None],
+        np.asarray(a, dtype=float)[:, None],
+        [theta],
+        cfg,
+        w,
+    )
 
 
 def dense_blocks(terms):
@@ -52,7 +64,7 @@ def dense_blocks(terms):
 
     ``terms`` is what ``stage_derivatives_batch``, ``al_derivative_batch``
     or ``terminal_derivatives`` returns: (K, N) series, or (N,) at one step,
-    and for the stage cost the (N, N) ``gap_tt``. Absent terms are zero.
+    and for the stage cost the (K, N, N) ``gap_tt``. Absent terms are zero.
     Returns (lx, lu, lxx, luu, lux) with shapes (K, 2N), (K, N), (K, 2N, 2N),
     (K, N, N) and (K, N, 2N).
     """
@@ -81,12 +93,17 @@ def dense_blocks(terms):
     return lx, lu, lxx, luu, lux
 
 
+def plan_stage_blocks(t, pi, a, thetas, cfg, w, grid=None):
+    """``stage_derivatives_batch`` of a plan of (N, K) states and controls, as dense blocks."""
+    return dense_blocks(stage_derivatives_batch(t, pi, a, thetas, cfg, w, grid))
+
+
 def one_step_stage_blocks(t, pi, a, theta, cfg, w):
     """``stage_derivatives_batch`` at one state (K = 1), as dense (lx, lu, lxx, luu, lux)."""
-    terms = stage_derivatives_batch(
+    blocks = plan_stage_blocks(
         np.asarray(t)[:, None], np.asarray(pi)[:, None], np.asarray(a)[:, None], [theta], cfg, w
     )
-    return tuple(block[0] for block in dense_blocks(terms))
+    return tuple(block[0] for block in blocks)
 
 
 def one_step_rollout(t, pi, a, ds):

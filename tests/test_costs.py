@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_blocks, make_config, one_step_cost, one_step_stage_blocks
+from conftest import (
+    dense_blocks,
+    make_config,
+    one_step_cost,
+    one_step_stage_blocks,
+    plan_cost,
+    plan_stage_blocks,
+)
 from ecoplatoon.costs import (
     CostBreakdown,
     CostWeights,
@@ -27,6 +34,108 @@ def terminal_blocks(t_final, cfg, w, targets, pi_final):
     """``terminal_derivatives`` as a dense flat-state gradient and Hessian."""
     lx, _, lxx, _, _ = dense_blocks(terminal_derivatives(t_final, cfg, w, targets, pi_final))
     return lx[0], lxx[0]
+
+
+# [1]*k + [5]*k: steps of ds, then of 5 ds
+MIXED_GRID = [1, 1, 5, 5]
+
+
+def step_functions(plan, k, thetas, cfg, w, grid):
+    """(value, blocks) of step ``k`` of ``plan`` = (t, pi, a), each (N, K), on ``grid``.
+
+    ``value(t, pi, a)`` is the plan's running cost with column k replaced;
+    the rest is constant, so its derivatives are step k's.
+    ``blocks(t, pi, a)`` is step k's dense derivative blocks at that column.
+    """
+
+    def replaced(t, pi, a):
+        columns = tuple(part.copy() for part in plan)
+        for column, value in zip(columns, (t, pi, a)):
+            column[:, k] = value
+        return columns
+
+    def value(t, pi, a):
+        return plan_cost(*replaced(t, pi, a), thetas, cfg, w, grid)[0]
+
+    def blocks(t, pi, a):
+        return tuple(b[k] for b in plan_stage_blocks(*replaced(t, pi, a), thetas, cfg, w, grid))
+
+    return value, blocks
+
+
+def check_stage_blocks_by_fd(value, blocks, t, pi, a):
+    """Every stage block at (t, pi, a) against differences of ``value`` and of ``blocks``."""
+    n = len(t)
+    lx, lu, lxx, luu, lux = blocks(t, pi, a)
+    x = np.empty(2 * n)
+    x[0::2] = t
+    x[1::2] = pi
+
+    def from_flat(xf):
+        return xf[0::2], xf[1::2]
+
+    eps = 1e-6
+    for p in range(2 * n):
+        d = np.zeros(2 * n)
+        d[p] = eps
+        tp, pp = from_flat(x + d)
+        tm, pm = from_flat(x - d)
+        fd = (value(tp, pp, a) - value(tm, pm, a)) / (2 * eps)
+        assert lx[p] == pytest.approx(fd, rel=1e-5, abs=1e-4)
+    for p in range(n):
+        d = np.zeros(n)
+        d[p] = eps
+        fd = (value(t, pi, a + d) - value(t, pi, a - d)) / (2 * eps)
+        assert lu[p] == pytest.approx(fd, rel=1e-5, abs=1e-4)
+    # Hessian blocks against gradient differences
+    for p in range(2 * n):
+        d = np.zeros(2 * n)
+        d[p] = eps
+        tp, pp = from_flat(x + d)
+        tm, pm = from_flat(x - d)
+        plus, minus = blocks(tp, pp, a), blocks(tm, pm, a)
+        np.testing.assert_allclose(
+            lxx[:, p], (plus[0] - minus[0]) / (2 * eps), rtol=1e-4, atol=1e-3
+        )
+        np.testing.assert_allclose(
+            lux[:, p], (plus[1] - minus[1]) / (2 * eps), rtol=1e-4, atol=1e-3
+        )
+    for p in range(n):
+        d = np.zeros(n)
+        d[p] = eps
+        gup = blocks(t, pi, a + d)[1]
+        gum = blocks(t, pi, a - d)[1]
+        np.testing.assert_allclose(luu[:, p], (gup - gum) / (2 * eps), rtol=1e-4, atol=1e-3)
+
+
+def check_hinged_blocks_by_fd(value, blocks, pi, a):
+    """Slowness and control blocks of a hinged cost against differences of ``value(pi, a)``."""
+    n = len(pi)
+    lx, lu, lxx, luu, lux = blocks
+    eps = 1e-6
+    for p in range(n):
+        d = np.zeros(n)
+        d[p] = eps
+        fd = (value(pi + d, a) - value(pi - d, a)) / (2 * eps)
+        assert lx[2 * p + 1] == pytest.approx(fd, rel=1e-5, abs=1e-5)
+        fd = (value(pi, a + d) - value(pi, a - d)) / (2 * eps)
+        assert lu[p] == pytest.approx(fd, rel=1e-5, abs=1e-5)
+    eps2 = 1e-4
+    for p in range(n):
+        d = np.zeros(n)
+        d[p] = eps2
+        fd2 = (value(pi, a + d) - 2 * value(pi, a) + value(pi, a - d)) / eps2**2
+        assert luu[p, p] == pytest.approx(fd2, rel=5e-3, abs=1e-3)
+        # the hinge's curvature also enters the slowness blocks
+        h = np.zeros(n)
+        h[p] = 3e-5  # slowness is O(0.05), so a smaller step
+        fd2 = (value(pi + h, a) - 2 * value(pi, a) + value(pi - h, a)) / h[p] ** 2
+        assert lxx[2 * p + 1, 2 * p + 1] == pytest.approx(fd2, rel=5e-3, abs=1e-3)
+        fd2 = (
+            value(pi + h, a + d) - value(pi + h, a - d)
+            - value(pi - h, a + d) + value(pi - h, a - d)
+        ) / (4 * h[p] * eps2)
+        assert lux[p, 2 * p + 1] == pytest.approx(fd2, rel=5e-3, abs=1e-3)
 
 
 def test_weights_must_be_nonnegative():
@@ -143,63 +252,25 @@ class TestDerivatives:
         assert np.allclose(lu, 10.0 * 1400.0 * v)
 
     def test_all_blocks_match_finite_differences(self, rng):
+        # at one uniform step, then step by step along a mixed grid, where
+        # each step's blocks must carry that step's length
         cfg = make_config(n=3, mass=1350.0)
         w = CostWeights(q1=500.0, q2=10.0, q3=5000.0, r1=2.0)
         theta = 0.08
 
-        def value(t, pi, a):
-            total, _ = one_step_cost(t, pi, a, theta, cfg, w)
-            return total
-
-        for _ in range(100):
-            t = rng.normal(scale=2.0, size=3)
-            pi = rng.uniform(0.03, 0.1, size=3)
-            a = rng.uniform(-3.0, 3.0, size=3)
-            lx, lu, lxx, luu, lux = one_step_stage_blocks(t, pi, a, theta, cfg, w)
-            x = np.empty(6)
-            x[0::2] = t
-            x[1::2] = pi
-
-            def from_flat(xf):
-                return xf[0::2], xf[1::2]
-
-            eps = 1e-6
-            for p in range(6):
-                d = np.zeros(6)
-                d[p] = eps
-                tp, pp = from_flat(x + d)
-                tm, pm = from_flat(x - d)
-                fd = (value(tp, pp, a) - value(tm, pm, a)) / (2 * eps)
-                assert lx[p] == pytest.approx(fd, rel=1e-5, abs=1e-4)
-            for p in range(3):
-                d = np.zeros(3)
-                d[p] = eps
-                fd = (value(t, pi, a + d) - value(t, pi, a - d)) / (2 * eps)
-                assert lu[p] == pytest.approx(fd, rel=1e-5, abs=1e-4)
-            # Hessian blocks against gradient differences
-            for p in range(6):
-                d = np.zeros(6)
-                d[p] = eps
-                tp, pp = from_flat(x + d)
-                tm, pm = from_flat(x - d)
-                gxp = one_step_stage_blocks(tp, pp, a, theta, cfg, w)[0]
-                gxm = one_step_stage_blocks(tm, pm, a, theta, cfg, w)[0]
-                np.testing.assert_allclose(
-                    lxx[:, p], (gxp - gxm) / (2 * eps), rtol=1e-4, atol=1e-3
+        for grid, samples in ((None, 100), (MIXED_GRID, 25)):
+            k_steps = 1 if grid is None else len(grid)
+            thetas = np.full(k_steps, theta)
+            for _ in range(samples):
+                plan = (
+                    rng.normal(scale=2.0, size=(3, k_steps)),
+                    rng.uniform(0.03, 0.1, size=(3, k_steps)),
+                    rng.uniform(-3.0, 3.0, size=(3, k_steps)),
                 )
-                gup = one_step_stage_blocks(tp, pp, a, theta, cfg, w)[1]
-                gum = one_step_stage_blocks(tm, pm, a, theta, cfg, w)[1]
-                np.testing.assert_allclose(
-                    lux[:, p], (gup - gum) / (2 * eps), rtol=1e-4, atol=1e-3
-                )
-            for p in range(3):
-                d = np.zeros(3)
-                d[p] = eps
-                gup = one_step_stage_blocks(t, pi, a + d, theta, cfg, w)[1]
-                gum = one_step_stage_blocks(t, pi, a - d, theta, cfg, w)[1]
-                np.testing.assert_allclose(
-                    luu[:, p], (gup - gum) / (2 * eps), rtol=1e-4, atol=1e-3
-                )
+                for k in range(k_steps):
+                    value, blocks = step_functions(plan, k, thetas, cfg, w, grid)
+                    t, pi, a = (column[:, k] for column in plan)
+                    check_stage_blocks_by_fd(value, blocks, t, pi, a)
 
     def test_hinged_power_limits(self):
         # far below the floor the hinge contributes nothing; far above it
@@ -219,45 +290,31 @@ class TestDerivatives:
         assert pushing_h == pytest.approx(pushing_s, rel=1e-6)
 
     def test_hinged_derivatives_match_fd(self, rng):
+        # at one uniform step, then step by step along a mixed grid
         cfg = make_config(n=2, mass=1400.0)
         w = CostWeights(q1=0.0, q2=0.01, q3=0.0, r1=0.0, power_floor=0.0,
                         power_smoothing=500.0)
         theta = -0.05
 
-        def value(pi, a):
-            return one_step_cost(np.zeros(2), pi, a, theta, cfg, w)[0]
-
-        for _ in range(50):
-            pi = rng.uniform(0.03, 0.1, size=2)
-            # sample around the hinge where curvature is largest
-            a = rng.uniform(-1.0, 1.5, size=2)
-            lx, lu, lxx, luu, lux = one_step_stage_blocks(
-                np.zeros(2), pi, a, theta, cfg, w
-            )
-            eps = 1e-6
-            for p in range(2):
-                d = np.zeros(2)
-                d[p] = eps
-                fd = (value(pi + d, a) - value(pi - d, a)) / (2 * eps)
-                assert lx[2 * p + 1] == pytest.approx(fd, rel=1e-5, abs=1e-5)
-                fd = (value(pi, a + d) - value(pi, a - d)) / (2 * eps)
-                assert lu[p] == pytest.approx(fd, rel=1e-5, abs=1e-5)
-            eps2 = 1e-4
-            for p in range(2):
-                d = np.zeros(2)
-                d[p] = eps2
-                fd2 = (value(pi, a + d) - 2 * value(pi, a) + value(pi, a - d)) / eps2**2
-                assert luu[p, p] == pytest.approx(fd2, rel=5e-3, abs=1e-3)
-                # the hinge's curvature also enters the slowness blocks
-                h = np.zeros(2)
-                h[p] = 3e-5  # slowness is O(0.05), so a smaller step
-                fd2 = (value(pi + h, a) - 2 * value(pi, a) + value(pi - h, a)) / h[p] ** 2
-                assert lxx[2 * p + 1, 2 * p + 1] == pytest.approx(fd2, rel=5e-3, abs=1e-3)
-                fd2 = (
-                    value(pi + h, a + d) - value(pi + h, a - d)
-                    - value(pi - h, a + d) + value(pi - h, a - d)
-                ) / (4 * h[p] * eps2)
-                assert lux[p, 2 * p + 1] == pytest.approx(fd2, rel=5e-3, abs=1e-3)
+        for grid, samples in ((None, 50), (MIXED_GRID, 12)):
+            k_steps = 1 if grid is None else len(grid)
+            thetas = np.full(k_steps, theta)
+            for _ in range(samples):
+                # sample around the hinge where curvature is largest
+                plan = (
+                    np.zeros((2, k_steps)),
+                    rng.uniform(0.03, 0.1, size=(2, k_steps)),
+                    rng.uniform(-1.0, 1.5, size=(2, k_steps)),
+                )
+                for k in range(k_steps):
+                    step_value, step_blocks = step_functions(plan, k, thetas, cfg, w, grid)
+                    pi, a = plan[1][:, k], plan[2][:, k]
+                    check_hinged_blocks_by_fd(
+                        lambda p, u: step_value(np.zeros(2), p, u),
+                        step_blocks(np.zeros(2), pi, a),
+                        pi,
+                        a,
+                    )
 
     def test_terminal_speed_anchor_derivatives(self, rng):
         cfg = make_config(n=2)

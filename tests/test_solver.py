@@ -38,12 +38,16 @@ def wide_open_config(**kw):
     return make_config(a_min=-50.0, a_max=50.0, speed_limit=3000.0, speed_floor=1e-6, **kw)
 
 
-def backward_with_ladder(states, ctrls, thetas, cfg, w, cset, al, targets, second=True):
+def backward_with_ladder(
+    states, ctrls, thetas, cfg, w, cset, al, targets, second=True, grid=None
+):
     """Backward pass with the same escalation ladder the solver uses."""
     reg = 1e-9
     while True:
         try:
-            return backward_pass(states, ctrls, thetas, cfg, w, cset, al, targets, reg, second)
+            return backward_pass(
+                states, ctrls, thetas, cfg, w, cset, al, targets, reg, second, grid
+            )
         except BackwardPassError:
             reg *= 10.0
             if reg > 1e6:
@@ -344,40 +348,47 @@ class TestBackwardPass:
         # b_0 is the gradient of the rolled-out policy cost with respect to
         # the initial flat state; the identity is exact where the policy's
         # own rollout coincides with its reference, so the law is built at a
-        # converged iterate of a randomized instance
-        cfg = wide_open_config(n=2, ds=0.1, horizon_steps=3)
+        # converged iterate of a randomized instance. It must hold on a
+        # mixed grid too, where every step enters with its own length.
+        for grid in ([1, 1, 1], [1, 1, 5, 5]):
+            self.check_value_gradient(rng, np.array(grid))
+
+    @staticmethod
+    def check_value_gradient(rng, grid):
+        k_steps = grid.size
+        cfg = wide_open_config(n=2, ds=0.1, horizon_steps=k_steps)
+        lengths = cfg.ds * grid
         w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=0.0)
         t0 = np.array([0.0, -1.1])
         pi0 = np.array([0.05, 0.048])
-        thetas = rng.uniform(-0.03, 0.03, size=3)
-        profile = SlopeProfile(
-            breakpoints=np.array([0.0, 0.1, 0.2, 10.0]),
-            grades=np.array([thetas[0], thetas[1], thetas[2]]),
-        )
+        thetas = rng.uniform(-0.03, 0.03, size=k_steps)
+        starts = cfg.ds * (np.cumsum(grid) - grid)  # where the solver samples grades
+        profile = SlopeProfile(breakpoints=np.append(starts, 10.0), grades=thetas)
         converged = solve(
-            cfg, w, profile, t0, pi0, SolverOptions(tol_cost_rel=1e-12, max_inner=200)
+            cfg, w, profile, t0, pi0, SolverOptions(tol_cost_rel=1e-12, max_inner=200),
+            grid=grid,
         )
         states, ctrls = converged.states, converged.controls
         accels = ctrls.accels
         targets = converged.targets
         cset = cons.ConstraintSet.from_config(cfg)
         al = idle_al(cset, ctrls)
-        bp = backward_with_ladder(states, ctrls, thetas, cfg, w, cset, al, targets)
+        bp = backward_with_ladder(states, ctrls, thetas, cfg, w, cset, al, targets, grid=grid)
 
         def policy_cost(x0_flat):
-            t = np.empty((2, 4))
-            pi = np.empty((2, 4))
-            a = np.empty((2, 3))
+            t = np.empty((2, k_steps + 1))
+            pi = np.empty((2, k_steps + 1))
+            a = np.empty((2, k_steps))
             t[:, 0] = x0_flat[0::2]
             pi[:, 0] = x0_flat[1::2]
             dx = np.empty(4)
-            for k in range(3):
+            for k in range(k_steps):
                 dx[0::2] = t[:, k] - states.arrival_times[:, k]
                 dx[1::2] = pi[:, k] - states.slownesses[:, k]
                 a[:, k] = accels[:, k] + bp.gains[k] @ dx + bp.feedforward[k]
-                t[:, k + 1] = t[:, k] + pi[:, k] * cfg.ds
-                pi[:, k + 1] = pi[:, k] - a[:, k] * pi[:, k] ** 3 * cfg.ds
-            total, _ = trajectory_cost(t, pi, a, thetas, cfg, w, targets)
+                t[:, k + 1] = t[:, k] + pi[:, k] * lengths[k]
+                pi[:, k + 1] = pi[:, k] - a[:, k] * pi[:, k] ** 3 * lengths[k]
+            total, _ = trajectory_cost(t, pi, a, thetas, cfg, w, targets, grid)
             return total
 
         x0 = np.empty(4)
@@ -849,6 +860,113 @@ class TestSolve:
         assert gn.cost.total == pytest.approx(full.cost.total, rel=1e-4)
 
 
+class TestStepGrid:
+    """Per-step lengths: a grid of ones is the default grid bit for bit."""
+
+    def test_ones_grid_bit_identical_in_rollout_and_cost(self):
+        states, ctrls, thetas, cfg, w, _, _, targets = random_instance(3, seed=21)
+        ones = np.ones(cfg.horizon_steps)
+        t0, pi0 = states.arrival_times[:, 0], states.slownesses[:, 0]
+        plain = rollout(t0, pi0, ctrls.accels, cfg.ds)
+        gridded = rollout(t0, pi0, ctrls.accels, cfg.ds, ones)
+        assert np.array_equal(plain.arrival_times, gridded.arrival_times)
+        assert np.array_equal(plain.slownesses, gridded.slownesses)
+        args = (states.arrival_times, states.slownesses, ctrls.accels, thetas, cfg, w, targets)
+        plain_total, plain_bd = trajectory_cost(*args)
+        gridded_total, gridded_bd = trajectory_cost(*args, ones)
+        assert plain_total == gridded_total and plain_bd == gridded_bd
+
+    @pytest.mark.parametrize("second", [True, False])
+    def test_ones_grid_bit_identical_in_both_passes(self, second):
+        args = random_instance(3, seed=22)
+        states, ctrls, cfg = args[0], args[1], args[3]
+        ones = np.ones(cfg.horizon_steps)
+        plain = backward_pass(*args, 1e-6, second)
+        gridded = backward_pass(*args, 1e-6, second, ones)
+        assert np.array_equal(plain.gains, gridded.gains)
+        assert np.array_equal(plain.feedforward, gridded.feedforward)
+        assert plain.d1 == gridded.d1 and plain.d2 == gridded.d2
+        assert np.array_equal(plain.value0.hessian, gridded.value0.hessian)
+        assert np.array_equal(plain.value0.gradient, gridded.value0.gradient)
+        for alpha in (1.0, 0.3):
+            got = forward_pass(states, ctrls, plain, alpha, cfg.ds)
+            want = forward_pass(states, ctrls, plain, alpha, cfg.ds, ones)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_ones_grid_bit_identical_in_a_whole_solve(self):
+        # a cold hierarchy (800 -> 160 steps) and a binding comfort box
+        scen = comfort_scenario(ds=1.0)
+        t0, pi0, targets = scen.initial_state()
+        args = (scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options)
+        plain = solve(*args, targets=targets)
+        gridded = solve(*args, targets=targets, grid=np.ones(scen.config.horizon_steps))
+        assert max(it.outer for it in plain.iterations) >= 1
+        assert_same_plan(plain, gridded)
+        assert plain.coarse_iterations == gridded.coarse_iterations
+        assert plain.max_violation == gridded.max_violation
+
+    def test_grid_of_twos_is_the_problem_at_twice_ds(self):
+        # the box binds, so the penalty weights must scale with the steps too
+        _, w, prof, t0, pi0 = cold_problem(300)
+        fine = make_config(n=2, ds=0.5, horizon_steps=300, a_min=-0.3, a_max=0.3)
+        coarse = dataclasses.replace(fine, ds=1.0)
+        zeros = np.zeros((2, 300))
+        doubled = solve(
+            fine, w, prof, t0, pi0, SolverOptions(), initial_controls=zeros,
+            grid=np.full(300, 2),
+        )
+        plain = solve(coarse, w, prof, t0, pi0, SolverOptions(), initial_controls=zeros)
+        assert doubled.converged and plain.converged
+        assert max(it.outer for it in plain.iterations) >= 1
+        np.testing.assert_allclose(
+            doubled.controls.accels, plain.controls.accels, rtol=1e-9, atol=1e-12
+        )
+        assert doubled.cost.total == pytest.approx(plain.cost.total, rel=1e-12)
+        # the default targets cover the grid's road, not horizon_steps * ds
+        assert np.array_equal(doubled.targets, plain.targets)
+
+    def test_mixed_grid_solve_is_the_problem_on_that_grid(self):
+        # the plan and its cost are those of the same problem on the mixed
+        # grid: its states are the rollout of its controls step by step
+        cfg, w, prof, t0, pi0 = cold_problem(60, ds=0.5)
+        grid = np.array([1] * 40 + [5] * 20)
+        cfg = dataclasses.replace(cfg, horizon_steps=grid.size)
+        report = solve(cfg, w, prof, t0, pi0, SolverOptions(), grid=grid)
+        assert report.converged
+        again = rollout(t0, pi0, report.controls.accels, cfg.ds, grid)
+        np.testing.assert_allclose(
+            again.arrival_times, report.states.arrival_times, rtol=1e-13
+        )
+        np.testing.assert_allclose(again.slownesses, report.states.slownesses, rtol=1e-13)
+        assert report.targets == pytest.approx(t0 + cfg.ds * 140 / cfg.target_speed)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.ones(99),
+            np.ones((1, 100)),
+            np.r_[np.ones(99), 1.5],
+            np.r_[np.ones(99), 0.0],
+            np.r_[np.ones(99), -5.0],
+            np.r_[np.ones(99), np.nan],
+            np.r_[np.ones(99), np.inf],
+            ["1"] * 99 + ["x"],
+        ],
+        ids=["short", "2d", "fraction", "zero", "negative", "nan", "inf", "text"],
+    )
+    def test_malformed_grid_rejected_before_any_solve(self, monkeypatch, grid):
+        cfg, w, prof, t0, pi0 = cold_problem(100)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(solver_mod, "_solve", no_solve)
+        monkeypatch.setattr(solver_mod, "_cold_plan", no_solve)
+        with pytest.raises(ConfigError, match="step grid"):
+            solve(cfg, w, prof, t0, pi0, SolverOptions(), grid=grid)
+
+
 class TestRecedingHorizon:
     def test_full_route_window_matches_one_shot(self):
         cfg = make_config(n=2, ds=0.5, horizon_steps=200)
@@ -896,6 +1014,81 @@ class TestRecedingHorizon:
         assert len(run.exec_times) == len(run.windows)
         assert all(t > 0 for t in run.exec_times)
         assert run.wall_time == sum(run.exec_times)
+        # (start, length, solved steps); a 15-step tail is too short to coarsen
+        assert run.windows[0] == (0.0, 20.0, 20)
+        assert run.windows[-1] == (80.0, 20.0, 20)
+
+    @pytest.mark.parametrize(
+        "ds, window_m, tail",
+        [
+            (0.1, 40.0, [5] * 60),
+            (0.1, 40.3, [5] * 60 + [3]),  # the remainder is one step of 3 ds
+            (0.1, 20.0, [5] * 20),  # a tail of exactly _COARSE_FLOOR fine steps
+            (1.0, 40.0, [1] * 30),  # a tail under _COARSE_FLOOR steps stays fine
+        ],
+    )
+    def test_non_final_windows_solved_on_a_coarse_tail(self, monkeypatch, ds, window_m, tail):
+        cfg = make_config(
+            n=2, ds=ds, horizon_steps=int(round(100.0 / ds)), a_min=-1.5, a_max=1.0
+        )
+        w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
+        t0 = np.array([0.0, -1.3])
+        pi0 = np.full(2, 1.0 / cfg.target_speed)
+        calls = []
+        inner = solver_mod.solve
+
+        def spy(config, *args, **kwargs):
+            report = inner(config, *args, **kwargs)
+            calls.append((config.horizon_steps, kwargs, report))
+            return report
+
+        seams = []
+
+        def hook(position, t, pi):
+            seams.append((position, t.copy(), pi.copy()))
+            return t, pi
+
+        monkeypatch.setattr(solver_mod, "solve", spy)
+        run = receding_horizon_run(
+            cfg, w, build_preset("collector"), t0, pi0, SolverOptions(),
+            window_m=window_m, replan_m=10.0, state_hook=hook,
+        )
+        kw, kr = int(round(window_m / ds)), int(round(10.0 / ds))
+        grid = [1] * kr + tail
+        if tail[0] == _COARSE_FACTOR:
+            assert len(grid) == kr + -(-(kw - kr) // _COARSE_FACTOR)
+        *steady, final = calls
+        # every window but the one that reaches the 100 m route end
+        starts = [10.0 * j for j in range(len(calls))]
+        assert starts[-1] + window_m >= 100.0 > starts[-2] + window_m
+        for steps, kwargs, _ in steady:
+            assert steps == len(grid) and kwargs["grid"].tolist() == grid
+        last = int(round((100.0 - starts[-1]) / ds))
+        steps, kwargs, _ = final
+        assert steps == last and kwargs["grid"].tolist() == [1] * last
+        assert [window[2] for window in run.windows] == [len(grid)] * len(steady) + [last]
+        # each warm start is the previous plan held at ds past its executed
+        # segment, zero-padded, and sampled where each step starts
+        for (_, before, plan), (_, kwargs, _) in zip(calls, calls[1:]):
+            held = np.repeat(plan.controls.accels, before["grid"], axis=1)[:, kr:]
+            steps_at = np.cumsum(kwargs["grid"]) - kwargs["grid"]
+            fine = np.concatenate([held, np.zeros((2, kw))], axis=1)
+            assert np.array_equal(kwargs["initial_controls"], fine[:, steps_at])
+        # the stitched plan is uniform at ds and continuous at every seam
+        assert run.controls.accels.shape == (2, cfg.horizon_steps)
+        assert run.states.arrival_times.shape == (2, cfg.horizon_steps + 1)
+        assert [position for position, _, _ in seams] == pytest.approx(starts)
+        for position, t, pi in seams:
+            column = int(round(position / cfg.ds))
+            assert np.array_equal(run.states.arrival_times[:, column], t)
+            assert np.array_equal(run.states.slownesses[:, column], pi)
+        for (_, _, report), (position, _, _) in zip(calls, seams):
+            column = int(round(position / cfg.ds))
+            executed = report.controls.accels[:, :kr]
+            assert np.array_equal(run.controls.accels[:, column : column + kr], executed)
+        cset = cons.ConstraintSet.from_config(cfg)
+        e = cons.evaluate(cset, run.states.slownesses[:, :-1], run.controls.accels)
+        assert run.converged and cons.max_violation(e) <= 1e-3
 
     @pytest.mark.parametrize(
         "field, value",
@@ -993,15 +1186,16 @@ def spy_phases(monkeypatch, change=None):
     calls = []
     inner = solver_mod._solve
 
-    def spy(config, weights, profile, options, targets, start_position, accels, reference):
+    def spy(config, weights, profile, options, targets, start_position, accels, reference, grid):
         report = inner(
-            config, weights, profile, options, targets, start_position, accels, reference
+            config, weights, profile, options, targets, start_position, accels, reference, grid
         )
         if change is not None:
             report = change(config, report)
         calls.append(
             {"config": config, "weights": weights, "targets": targets, "accels": accels,
-             "start_position": start_position, "report": report, "wall": report.wall_time}
+             "start_position": start_position, "grid": grid, "report": report,
+             "wall": report.wall_time}
         )
         return report
 
@@ -1144,6 +1338,38 @@ class TestColdStart:
         assert set(owner) == set(range(100))
         # every coarse step covers 5 fine steps but the last, which overhangs
         assert np.array_equal(np.bincount(owner), [5] * 99 + [3])
+
+    def test_mixed_grid_holds_the_coarse_plan_by_position(self, monkeypatch):
+        # 252 steps of ds, then 100 of 5 ds: 752 ds of road, so the uniform
+        # level below has 151 steps of 5 ds and overhangs by 3 ds
+        grid = np.array([1] * 252 + [5] * 100)
+        cfg, w, prof, t0, pi0 = cold_problem(grid.size)
+        phases = spy_phases(monkeypatch)
+        report = solve(cfg, w, prof, t0, pi0, SolverOptions(), grid=grid)
+        assert report.converged
+        coarse, fine = phases
+        assert coarse["config"].horizon_steps == 151
+        assert coarse["config"].ds == cfg.ds * _COARSE_FACTOR
+        assert np.array_equal(coarse["grid"], np.ones(151))
+        assert np.array_equal(
+            coarse["targets"], fine["targets"] + 3 * cfg.ds / cfg.target_speed
+        )
+        assert np.array_equal(fine["targets"], schedule_targets(cfg, t0, grid))
+        # the step starting j ds in holds coarse step j // 5
+        starts = np.cumsum(grid) - grid
+        plan = coarse["report"].controls.accels
+        assert np.array_equal(fine["accels"], plan[:, starts // _COARSE_FACTOR])
+        assert np.array_equal(fine["grid"], grid)
+
+    def test_grid_of_long_steps_starts_from_zeros(self, monkeypatch):
+        # a level of 5 ds steps would be as fine as the grid itself
+        grid = np.full(120, _COARSE_FACTOR)
+        cfg, w, prof, t0, pi0 = cold_problem(grid.size, ds=0.1)
+        phases = spy_phases(monkeypatch)
+        report = solve(cfg, w, prof, t0, pi0, SolverOptions(), grid=grid)
+        assert len(phases) == 1
+        assert not np.any(phases[0]["accels"])
+        assert report.coarse_iterations == 0
 
     def test_non_divisible_horizon_needs_no_extra_full_resolution_passes(self, monkeypatch):
         # At 1599 steps a coarse grid of K / 10 steps had a non-integer step,
