@@ -27,11 +27,15 @@ solve on [Q_ux | q_u]. It keeps the second-order dynamics terms (the
 value-gradient contractions against the step Jacobian derivatives), added
 through strided views of the stage blocks and of the value buffer;
 ``use_second_order`` switches them off for a Gauss-Newton (iLQR-style)
-pass. The control Hessian is made positive definite with a Levenberg shift
-that grows on failure; its Cholesky test runs batched once per 64-step
-chunk of the sweep and names the highest failing step, as a per-step test
-would. The forward rollout runs in the row-major interleaved state and
-checks the slowness domain once at the end.
+pass. The stage blocks and step Jacobians are built ``_BUILD_CHUNK`` steps
+at a time, just before the sweep reaches them, into two reused buffers, so
+a pass's working memory is O(C (3N+1)^2) for C = ``_BUILD_CHUNK`` plus its
+K-long derivative series and outputs. The control Hessian is made positive
+definite with a Levenberg shift that grows on failure; its Cholesky test
+runs batched once per 64-step chunk of the sweep and names the highest
+failing step, as a per-step test would. The forward rollout runs in the
+row-major interleaved state and checks the slowness domain once at the
+end.
 
 The grid is a per-step array (``platoon.step_grid``): step k spans
 grid[k] whole multiples of ``config.ds``. The dynamics, their derivatives,
@@ -191,6 +195,11 @@ class BackwardPassResult:
 # would run failing sweeps down to step 0.
 _TEST_CHUNK = 64
 
+# Steps whose stage blocks and Jacobians the backward pass builds at a time,
+# counted from step K down, so its chunks nest the test chunks exactly. The
+# sweep's working blocks are two buffers of this many steps, not of K.
+_BUILD_CHUNK = 8 * _TEST_CHUNK
+
 # A cold solve first plans on a grid whose step is exactly this many times
 # longer, recursively, and starts each level from the plan of the level
 # below it (see ``_cold_plan``). A non-integer step ratio puts the coarse
@@ -231,19 +240,28 @@ def _inner_tolerance(options, violation, outer):
     return max(options.tol_cost_rel, _LOOSE_TOL / 10.0 ** min(outer, 300))
 
 
-def _test_definite(control_hessians, lo, hi, regularization):
-    """Raise BackwardPassError at the highest step in [lo, hi) whose Q_uu fails Cholesky."""
+def _test_definite(control_hessians, lo, hi, base, regularization):
+    """Raise BackwardPassError at the highest step in [lo, hi) whose Q_uu fails Cholesky.
+
+    ``control_hessians[j]`` is the Q_uu of step ``base + j``; the error
+    names that step.
+    """
     try:
         np.linalg.cholesky(control_hessians[lo:hi])
     except np.linalg.LinAlgError:
-        for k in range(hi - 1, lo - 1, -1):
+        for j in range(hi - 1, lo - 1, -1):
             try:
-                np.linalg.cholesky(control_hessians[k])
+                np.linalg.cholesky(control_hessians[j])
             except np.linalg.LinAlgError:
                 raise BackwardPassError(
-                    f"control Hessian not positive definite at step {k} "
+                    f"control Hessian not positive definite at step {base + j} "
                     f"with shift {regularization:g}"
                 )
+
+
+def _spaced(flat, start, stride, count):
+    """The basic-slice view of columns start + i * stride, i < count, of ``flat``."""
+    return flat[:, start : start + count * stride : stride]
 
 
 def backward_pass(
@@ -272,12 +290,17 @@ def backward_pass(
     block minus Q_ux' Q_uu^-1 [Q_ux | q_u] is the new value model.
 
     Q is accumulated in place into the stage block of each step, and the
-    value update is written into one persistent buffer. The Cholesky test
-    of Q_uu is not taken per step: it runs batched over each chunk of
-    ``_TEST_CHUNK`` steps once the sweep has passed it, so a sweep that
-    fails runs on at most to the bottom of its chunk. Gains, feedforward,
-    ``d1``, ``d2`` and ``value0`` are bit-identical to a sweep that tests
-    every step before its solve.
+    value update is written into one persistent buffer. The stage blocks
+    and step Jacobians are built ``_BUILD_CHUNK`` steps at a time, from
+    step K down, into two buffers allocated once per pass, and the sweep
+    runs through each chunk before the next is built; the per-vehicle
+    series are computed over the whole horizon and read in slices. Working
+    memory is O(C (3N+1)^2) for a chunk of C steps plus the K-long series
+    and outputs. The Cholesky test of Q_uu is not taken per step: it runs
+    batched over each chunk of ``_TEST_CHUNK`` steps once the sweep has
+    passed it, so a sweep that fails runs on at most to the bottom of its
+    test chunk. Gains, feedforward, ``d1``, ``d2`` and ``value0`` are
+    bit-identical to a sweep that tests every step before its solve.
 
     Raises BackwardPassError, naming the highest step whose shifted control
     Hessian fails its Cholesky factorization; the caller retries with a
@@ -292,38 +315,43 @@ def backward_pass(
     u0 = dim + 1  # first control index
     size = 3 * n + 1
     k_steps = accels.shape[1]
-    ai = np.arange(n)
-    ti = 2 * ai
+    ti = 2 * np.arange(n)
     pj = ti + 1
-    ui = u0 + ai
 
-    # The per-vehicle series of the cost and the AL penalty, laid out over
-    # [dx; 1; du]: each entry sums its stage term, then its AL term, then
-    # the Levenberg shift, into a zero block.
-    stage_model = np.zeros((k_steps, size, size))
     stage = costs.stage_derivatives_batch(
         t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights, grid
     )
-    stage_model[:, :dim:2, :dim:2] += stage["gap_tt"]  # the (t, t) block, a basic slice
-    stage_model[:, ti, one] += stage["t"]
-    stage_model[:, one, ti] += stage["t"]
-    stage_model[:, ui, pj] += stage["api"]
-    for terms in (stage, cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels)):
-        stage_model[:, pj, one] += terms["pi"]
-        stage_model[:, one, pj] += terms["pi"]
-        stage_model[:, pj, pj] += terms["pipi"]
-        stage_model[:, ui, one] += terms["a"]
-        stage_model[:, ui, ui] += terms["aa"]
-    stage_model[:, ui, ui] += regularization
-    del stage, terms  # free the series before the sweep, which sets the peak memory
-
+    al_terms = cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels)
     g, fu_c, cxx, cux = dynamics_derivatives(pi_traj[:, :-1], accels, config.ds, grid)
-    jac = np.zeros((k_steps, dim + 1, size))
+    lengths = config.ds * step_multiples(grid, k_steps)[:, None]
+
+    # The chunk's stage blocks over [dx; 1; du]. Every per-vehicle entry
+    # set is evenly spaced in a flattened block, so each series is added
+    # through a basic-slice view: (t, 1), (1, t), (u, pi), (pi, 1), (1, pi),
+    # (pi, pi), (u, 1) and (u, u), plus the (t, t) gap block.
+    chunk = min(_BUILD_CHUNK, k_steps)
+    blocks = np.empty((chunk, size, size))
+    flat = blocks.reshape(chunk, size * size)
+    gap_block = blocks[:, :dim:2, :dim:2]
+    t_one = _spaced(flat, one, 2 * size, n)
+    one_t = _spaced(flat, one * size, 2, n)
+    q_up = _spaced(flat, u0 * size + 1, size + 2, n)
+    p_one = _spaced(flat, size + one, 2 * size, n)
+    one_p = _spaced(flat, one * size + 1, 2, n)
+    q_pp = _spaced(flat, size + 1, 2 * (size + 1), n)
+    u_one = _spaced(flat, u0 * size + one, size, n)
+    u_u = _spaced(flat, u0 * (size + 1), size + 1, n)
+    control_hessians = blocks[:, u0:, u0:]
+
+    # The chunk's step Jacobians F_k = [f_x, 0, f_u; 0, 1, 0]: the 1s are
+    # written once, the step lengths, g and f_u per chunk.
+    jac = np.zeros((chunk, dim + 1, size))
     jac[:, ti, ti] = 1.0
-    jac[:, ti, pj] = config.ds * step_multiples(grid, k_steps)[:, None]
-    jac[:, pj, pj] = g
-    jac[:, pj, ui] = fu_c
     jac[:, one, one] = 1.0
+    jac_flat = jac.reshape(chunk, (dim + 1) * size)
+    jac_h = _spaced(jac_flat, 1, 2 * (size + 1), n)
+    jac_g = _spaced(jac_flat, size + 1, 2 * (size + 1), n)
+    jac_fu = _spaced(jac_flat, size + u0, 2 * size + 1, n)
 
     terminal = costs.terminal_derivatives(
         t_traj[:, -1], config, weights, targets, pi_traj[:, -1]
@@ -336,45 +364,65 @@ def backward_pass(
 
     # Value-gradient contractions with the dynamics curvature: the only
     # nonzero second derivatives sit on the slowness updates, entering
-    # Q_xx at (pi, pi) and Q_ux at (a, pi), both scaled by b at pi. All
-    # three index sets are evenly spaced in the flattened blocks, so they
-    # are basic-slice views: b into the value buffer, the targets into Q.
-    flat = stage_model.reshape(k_steps, size * size)
-    q_pp = flat[:, size + 1 : 2 * n * (size + 1) : 2 * (size + 1)]
-    q_up = flat[:, u0 * size + 1 :: size + 2]
+    # Q_xx at (pi, pi) and Q_ux at (a, pi), both scaled by b at pi, a
+    # basic-slice view of the value buffer.
     b_p = value.reshape(-1)[dim + 1 + one :: 2 * (dim + 1)]
 
-    control_hessians = stage_model[:, u0:, u0:]
     steps = np.empty((k_steps, n, dim + 1))  # Q_uu^-1 [Q_ux | q_u]
+    control_rows = np.empty((k_steps, n, n + 1))  # [q_u | Q_uu]
 
-    # A sweep that passes a failing step works on garbage until its chunk
-    # is tested; that work is thrown away, so its overflows are silenced.
-    # This silences kept steps too, but inf or NaN that reaches a Q_uu
-    # fails its Cholesky test.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for hi in range(k_steps, 0, -_TEST_CHUNK):
-            lo = max(hi - _TEST_CHUNK, 0)
-            for k in range(hi - 1, lo - 1, -1):
-                fk = jac[k]
-                qk = stage_model[k]
-                # ndarray.dot rather than @: on blocks this small it costs
-                # about half as much, and call overhead bounds the sweep.
-                qk += fk.T.dot(value.dot(fk))
-                if use_second_order:
-                    q_pp[k] += b_p * cxx[k]
-                    q_up[k] += b_p * cux[k]
-                rhs = qk[u0:, :u0]
-                try:
-                    step = np.linalg.solve(control_hessians[k], rhs)
-                except np.linalg.LinAlgError:
-                    _test_definite(control_hessians, k, hi, regularization)
-                    raise
-                steps[k] = step
-                np.subtract(qk[:u0, :u0], rhs.T.dot(step), out=value)
-            _test_definite(control_hessians, lo, hi, regularization)
+    for hi in range(k_steps, 0, -_BUILD_CHUNK):
+        lo = max(hi - _BUILD_CHUNK, 0)
+        m = hi - lo
+        at = slice(lo, hi)
+        # Each entry sums its stage term, then its AL term, then the
+        # Levenberg shift, into a zero block.
+        blocks[:m] = 0.0
+        gap_block[:m] += stage["gap_tt"][at]
+        t_one[:m] += stage["t"][at]
+        one_t[:m] += stage["t"][at]
+        q_up[:m] += stage["api"][at]
+        for terms in (stage, al_terms):
+            p_one[:m] += terms["pi"][at]
+            one_p[:m] += terms["pi"][at]
+            q_pp[:m] += terms["pipi"][at]
+            u_one[:m] += terms["a"][at]
+            u_u[:m] += terms["aa"][at]
+        u_u[:m] += regularization
+        jac_h[:m] = lengths[at]
+        jac_g[:m] = g[at]
+        jac_fu[:m] = fu_c[at]
+        cxx_at, cux_at, steps_at = cxx[at], cux[at], steps[at]
+
+        # A sweep that passes a failing step works on garbage until its
+        # test chunk is tested; that work is thrown away, so its overflows
+        # are silenced. This silences kept steps too, but inf or NaN that
+        # reaches a Q_uu fails its Cholesky test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for test_hi in range(m, 0, -_TEST_CHUNK):
+                test_lo = max(test_hi - _TEST_CHUNK, 0)
+                for j in range(test_hi - 1, test_lo - 1, -1):
+                    fk = jac[j]
+                    qk = blocks[j]
+                    # ndarray.dot rather than @: on blocks this small it
+                    # costs about half as much, and call overhead bounds
+                    # the sweep.
+                    qk += fk.T.dot(value.dot(fk))
+                    if use_second_order:
+                        q_pp[j] += b_p * cxx_at[j]
+                        q_up[j] += b_p * cux_at[j]
+                    rhs = qk[u0:, :u0]
+                    try:
+                        step = np.linalg.solve(control_hessians[j], rhs)
+                    except np.linalg.LinAlgError:
+                        _test_definite(control_hessians, j, test_hi, lo, regularization)
+                        raise
+                    steps_at[j] = step
+                    np.subtract(qk[:u0, :u0], rhs.T.dot(step), out=value)
+                _test_definite(control_hessians, test_lo, test_hi, lo, regularization)
+        control_rows[at] = blocks[:m, u0:, one:]
 
     feedforward = -steps[:, :, one]
-    control_rows = stage_model[:, u0:, one:].copy()  # [q_u | Q_uu]
     q_u = control_rows[:, :, 0]
     q_uu = control_rows[:, :, 1:]
     return BackwardPassResult(

@@ -1,6 +1,7 @@
 """Backward/forward pass correctness and whole-solve behavior."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from ecoplatoon.errors import BackwardPassError, ConfigError
 from ecoplatoon.platoon import ControlTrajectory, rollout
 from ecoplatoon.scenario import load_scenario, override_ds, resolve_scenario_path
 from ecoplatoon.solver import (
+    _BUILD_CHUNK,
     _COARSE_FACTOR,
     _TEST_CHUNK,
     SolverOptions,
@@ -222,6 +224,22 @@ def per_step_backward_pass(
     )
 
 
+def climb(sweep, args, second, reg):
+    """Run ``sweep`` on ``args`` from shift ``reg`` up the solver's tenfold ladder.
+
+    Returns (the failure messages, the result, the shift it completed at).
+    """
+    failures = []
+    while True:
+        try:
+            return failures, sweep(*args, reg, second), reg
+        except BackwardPassError as exc:
+            failures.append(str(exc))
+            reg *= 10.0
+            if reg > 1e6:
+                raise
+
+
 def make_indefinite_at(monkeypatch, steps, grad_shift=0.0):
     """Shift the AL terms both sweeps read so Q_uu is indefinite at ``steps``.
 
@@ -419,21 +437,10 @@ class TestBackwardPass:
         # with almost no effort weight the control Hessian is indefinite at
         # small shifts; both sweeps must fail at the same steps and shifts
         args = random_instance(n, seed=10 + n, r1=1e-3)
-
-        def ladder(sweep):
-            failures = []
-            reg = 1e-9
-            while True:
-                try:
-                    return failures, sweep(*args, reg, second)
-                except BackwardPassError as exc:
-                    failures.append(str(exc))
-                    reg *= 10.0
-                    if reg > 1e6:
-                        raise
-
-        failures, bp = ladder(backward_pass)
-        ref_failures, (gains, ff, d1, d2, grad) = ladder(reference_backward_pass)
+        failures, bp, _ = climb(backward_pass, args, second, 1e-9)
+        ref_failures, (gains, ff, d1, d2, grad), _ = climb(
+            reference_backward_pass, args, second, 1e-9
+        )
         assert failures
         assert failures == ref_failures
         assert_close(bp.gains, gains)
@@ -442,14 +449,19 @@ class TestBackwardPass:
         assert bp.d2 == pytest.approx(d2, rel=1e-10)
         assert_close(bp.value0.gradient, grad)
 
-
     @pytest.mark.parametrize("second", [True, False])
-    @pytest.mark.parametrize("k_steps", [1, 63, 64, 65, 200])
+    # test-chunk edges, then build-chunk edges (_BUILD_CHUNK = 512) and a
+    # horizon of two whole build chunks and a short third
+    @pytest.mark.parametrize("k_steps", [1, 63, 64, 65, 200, 511, 512, 513, 1100])
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_chunked_sweep_bit_identical_to_per_step_test(self, n, k_steps, second):
+        # a long random plan can need more than the first shift; both
+        # sweeps must fail alike on the way up
         args = random_instance(n, seed=100 + n + k_steps, k_steps=k_steps)
-        bp = backward_pass(*args, 1e-6, second)
-        gains, ff, d1, d2, hessian, grad = per_step_backward_pass(*args, 1e-6, second)
+        failures, bp, _ = climb(backward_pass, args, second, 1e-6)
+        ref_failures, want, _ = climb(per_step_backward_pass, args, second, 1e-6)
+        gains, ff, d1, d2, hessian, grad = want
+        assert failures == ref_failures
         assert np.array_equal(bp.gains, gains)
         assert np.array_equal(bp.feedforward, ff)
         assert bp.d1 == d1
@@ -470,18 +482,43 @@ class TestBackwardPass:
             (200, [100, 30]),  # in different chunks
             (40, [20]),  # K below the chunk length
             (40, [39, 0]),
+            # build chunks of K = 1100: [588, 1100), [76, 588), [0, 76)
+            (1100, [1099]),  # step K-1, the top of the first build chunk
+            (1100, [588]),  # the bottom of the first build chunk
+            (1100, [587]),  # the top of the second build chunk
+            (1100, [0]),  # step 0, in the short last build chunk
+            (1100, [600, 500]),  # in different build chunks
+            (1100, [300, 40]),  # in the second and the last build chunk
         ],
     )
     def test_failing_step_named_like_per_step_test(self, monkeypatch, k_steps, failing, second):
         assert _TEST_CHUNK == 64  # the cases above sit on its chunk edges
+        assert _BUILD_CHUNK == 512  # and on the build-chunk edges
+        assert _BUILD_CHUNK % _TEST_CHUNK == 0  # build chunks nest test chunks
         args = random_instance(3, seed=k_steps, k_steps=k_steps)
+        # the least shift at which the plan itself passes, so that only the
+        # steps made indefinite fail
+        _, _, reg = climb(per_step_backward_pass, args, second, 1e-6)
         make_indefinite_at(monkeypatch, failing)
         with pytest.raises(BackwardPassError) as want:
-            per_step_backward_pass(*args, 1e-6, second)
+            per_step_backward_pass(*args, reg, second)
         with pytest.raises(BackwardPassError) as got:
-            backward_pass(*args, 1e-6, second)
+            backward_pass(*args, reg, second)
         assert str(got.value) == str(want.value)
         assert f"at step {max(failing)} " in str(got.value)
+
+    def test_traced_peak_bounded_by_build_chunks(self):
+        # Blocks and Jacobians live one build chunk at a time: K-long stacks
+        # of them alone would take 27.7 MB at K = 8000, N = 5. The K-long
+        # series and outputs stay under 20 MB.
+        args = random_instance(5, seed=1, k_steps=8000)
+        tracemalloc.start()
+        try:
+            backward_pass(*args, 1e4, False)  # a shift at which the pass completes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
 
     def test_thrown_away_steps_raise_no_warning(self, monkeypatch):
         # a huge q_u at the failing step makes the steps after it, down to
