@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -66,17 +67,13 @@ class Scenario:
 
 def _speed(node, where: str) -> float:
     if isinstance(node, dict):
-        try:
-            value = float(node["value"])
-            unit = node["units"]
-        except (KeyError, TypeError, ValueError):
+        if "value" not in node or "units" not in node:
             raise ConfigError(f"{where}: expected {{'value': <num>, 'units': 'mph'|'m/s'}}")
-        if unit not in _SPEED_UNITS:
+        unit = node["units"]
+        if not isinstance(unit, str) or unit not in _SPEED_UNITS:
             raise ConfigError(f"{where}: unknown speed unit {unit!r}")
-        speed = value * _SPEED_UNITS[unit]
-        if not 0 < speed < math.inf:
-            raise ConfigError(f"{where}: speed must be positive and finite, got {speed} m/s")
-        return speed
+        # Both factors are at most 1, so a finite value stays finite.
+        return _number(node["value"], f"{where}: speed", positive=True) * _SPEED_UNITS[unit]
     raise ConfigError(f"{where}: speeds must carry an explicit unit tag")
 
 
@@ -88,16 +85,32 @@ def _section(raw: dict, name: str, path) -> dict:
     return sec
 
 
-def _number(sec: dict, key: str, default, where: str, positive: bool = False) -> float:
-    """``sec[key]`` (or ``default``) as a finite float, optionally > 0."""
-    try:
-        value = float(sec.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key} must be a number, got {sec.get(key)!r}")
+def _is_number(value) -> bool:
+    """A JSON number: not a boolean, a string or a container."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite float, optionally > 0; ``name`` names it in errors."""
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    value = float(value)
     if not math.isfinite(value) or (positive and value <= 0):
         kind = "positive and finite" if positive else "finite"
-        raise ConfigError(f"{where}.{key} must be {kind}, got {value}")
+        raise ConfigError(f"{name} must be {kind}, got {value}")
     return value
+
+
+def _field(sec: dict, key: str, default, where: str, positive: bool = False) -> float:
+    """``sec[key]`` (or ``default``) through :func:`_number`."""
+    return _number(sec.get(key, default), f"{where}.{key}", positive)
+
+
+def _path_field(value, name: str, base_dir: Path) -> Path:
+    """A file named relative to the scenario file; ``name`` names the field in errors."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a file name, got {value!r}")
+    return base_dir / value
 
 
 def preset_dir_candidates():
@@ -145,45 +158,45 @@ def load_scenario(path) -> Scenario:
             raise ConfigError(f"{path}: road.preset must be one of {PRESET_NAMES}")
         profile = build_preset(road["preset"])
     elif isinstance(road, dict) and "profile_file" in road:
-        profile = load_profile(base_dir / road["profile_file"])
+        name = f"{path}: road.profile_file"
+        profile = load_profile(_path_field(road["profile_file"], name, base_dir))
     else:
         raise ConfigError(f"{path}: road must give either 'preset' or 'profile_file'")
 
     plat = raw.get("platoon")
     if not isinstance(plat, dict):
         raise ConfigError(f"{path}: missing 'platoon' section")
+    where = f"{path}: platoon"
     try:
-        n = int(plat["n_vehicles"])
+        n = plat["n_vehicles"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+            raise ConfigError(f"{where}.n_vehicles must be an integer >= 2, got {n!r}")
         mass = plat.get("mass_kg", 1400.0)
-        masses = list(mass) if isinstance(mass, list) else [float(mass)] * n
-        if len(masses) != n:
-            raise ConfigError(f"{path}: platoon.mass_kg must have {n} entries")
-        vehicles = tuple(
-            VehicleParams(
-                mass=float(masses[i]),
-                a_min=float(plat.get("a_min", -5.0)),
-                a_max=float(plat.get("a_max", 3.0)),
-            )
-            for i in range(n)
-        )
-        ds = float(plat.get("ds_m", 0.1))
-        route_length = float(plat.get("route_length_m", 800.0))
+        if isinstance(mass, list):
+            if len(mass) != n:
+                raise ConfigError(f"{where}.mass_kg must have {n} entries")
+            masses = [_number(m, f"{where}.mass_kg[{i}]") for i, m in enumerate(mass)]
+        else:
+            masses = [_number(mass, f"{where}.mass_kg")] * n
+        a_min = _field(plat, "a_min", -5.0, where)
+        a_max = _field(plat, "a_max", 3.0, where)
+        vehicles = tuple(VehicleParams(mass=m, a_min=a_min, a_max=a_max) for m in masses)
+        ds = _number(plat.get("ds_m", 0.1), "ds", positive=True)
+        route_length = _number(plat.get("route_length_m", 800.0), "route length", positive=True)
         config = PlatoonConfig(
             vehicles=vehicles,
-            headway=float(plat.get("headway_s", 1.0)),
-            target_speed=_speed(plat["target_speed"], f"{path}: platoon.target_speed"),
-            speed_limit=_speed(plat["speed_limit"], f"{path}: platoon.speed_limit"),
-            gravity=float(plat.get("gravity", 9.8)),
-            rolling_coeff=float(plat.get("rolling_coeff", 0.015)),
-            drag_coeff=float(plat.get("drag_coeff", 0.000024)),
+            headway=_field(plat, "headway_s", 1.0, where),
+            target_speed=_speed(plat["target_speed"], f"{where}.target_speed"),
+            speed_limit=_speed(plat["speed_limit"], f"{where}.speed_limit"),
+            gravity=_field(plat, "gravity", 9.8, where),
+            rolling_coeff=_field(plat, "rolling_coeff", 0.015, where),
+            drag_coeff=_field(plat, "drag_coeff", 0.000024, where),
             ds=ds,
             horizon_steps=_horizon_steps(route_length, ds),
-            speed_floor=float(plat.get("speed_floor", 0.1)),
+            speed_floor=_field(plat, "speed_floor", 0.1, where),
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: platoon section missing {exc.args[0]!r}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: platoon section malformed ({exc})")
     if route_length > profile.total_length + 1e-9:
         raise ConfigError(
             f"{path}: route length {route_length} m exceeds profile length "
@@ -193,44 +206,38 @@ def load_scenario(path) -> Scenario:
     wsec = _section(raw, "weights", path)
     where = f"{path}: weights"
     weights = CostWeights(
-        q1=_number(wsec, "q1", 500.0, where),
-        q2=_number(wsec, "q2", 0.01, where),
-        q3=_number(wsec, "q3", 5000.0, where),
-        r1=_number(wsec, "r1", 50.0, where),
-        qv=_number(wsec, "qv", 0.0, where),
+        q1=_field(wsec, "q1", 500.0, where),
+        q2=_field(wsec, "q2", 0.01, where),
+        q3=_field(wsec, "q3", 5000.0, where),
+        r1=_field(wsec, "r1", 50.0, where),
+        qv=_field(wsec, "qv", 0.0, where),
         power_floor=(
-            None if wsec.get("power_floor") is None else _number(wsec, "power_floor", None, where)
+            None if wsec.get("power_floor") is None else _field(wsec, "power_floor", None, where)
         ),
-        power_smoothing=_number(wsec, "power_smoothing", 500.0, where),
+        power_smoothing=_field(wsec, "power_smoothing", 500.0, where),
     )
 
     ssec = _section(raw, "solver", path)
-    known = {f for f in SolverOptions.__dataclass_fields__}
-    if "ilqr" in ssec and "use_second_order" in ssec:
-        raise ConfigError(f"{path}: solver gives both 'ilqr' and 'use_second_order'")
-    opts_kwargs = {}
-    for key, val in ssec.items():
-        if key == "ilqr":
-            if not isinstance(val, bool):
-                raise ConfigError(f"{path}: solver.ilqr must be true or false, got {val!r}")
-            opts_kwargs["use_second_order"] = not val
-        elif key in known:
-            opts_kwargs[key] = val
-        else:
+    for key in ssec:
+        if key not in SolverOptions.__dataclass_fields__:
             raise ConfigError(f"{path}: unknown solver option {key!r}")
-    solver_options = SolverOptions(**opts_kwargs)
+    solver_options = SolverOptions(**ssec)
 
     bsec = _section(raw, "baseline", path)
     where = f"{path}: baseline"
     gains = CaccGains(
-        kp_gap=_number(bsec, "kp_gap", 0.45, where),
-        kd_gap=_number(bsec, "kd_gap", 1.2, where),
-        kp_speed=_number(bsec, "kp_speed", 0.8, where),
+        kp_gap=_field(bsec, "kp_gap", 0.45, where),
+        kd_gap=_field(bsec, "kd_gap", 1.2, where),
+        kp_speed=_field(bsec, "kp_speed", 0.8, where),
     )
-    baseline_dt = _number(bsec, "dt_s", 0.05, where, positive=True)
+    baseline_dt = _field(bsec, "dt_s", 0.05, where, positive=True)
 
     fm = raw.get("fuel_model", "default")
-    fuel_model = FuelModel.default() if fm == "default" else FuelModel.load(base_dir / fm)
+    fuel_model = (
+        FuelModel.default()
+        if fm == "default"
+        else FuelModel.load(_path_field(fm, f"{path}: fuel_model", base_dir))
+    )
 
     perturbation = None
     if raw.get("perturbation") is not None:
@@ -239,10 +246,10 @@ def load_scenario(path) -> Scenario:
         if "magnitude_mps" not in psec:
             raise ConfigError(f"{where} section missing 'magnitude_mps'")
         perturbation = PerturbationSpec(
-            magnitude=_number(psec, "magnitude_mps", None, where),
+            magnitude=_field(psec, "magnitude_mps", None, where),
             shape=psec.get("shape", "step"),
-            onset_position=_number(psec, "onset_m", 0.0, where),
-            duration=_number(psec, "duration_m", 0.0, where),
+            onset_position=_field(psec, "onset_m", 0.0, where),
+            duration=_field(psec, "duration_m", 0.0, where),
         )
 
     hsec = _section(raw, "horizon", path)
@@ -250,15 +257,15 @@ def load_scenario(path) -> Scenario:
     if mode not in ("one_shot", "receding"):
         raise ConfigError(f"{path}: horizon.mode must be 'one_shot' or 'receding'")
     where = f"{path}: horizon"
-    window_m = _number(hsec, "window_m", 40.0, where, positive=True)
-    replan_m = _number(hsec, "replan_m", 10.0, where, positive=True)
+    window_m = _field(hsec, "window_m", 40.0, where, positive=True)
+    replan_m = _field(hsec, "replan_m", 10.0, where, positive=True)
 
-    try:
-        errs = np.asarray(raw.get("initial_time_errors_s", [0.0] * n), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: initial_time_errors_s malformed ({exc})")
-    if errs.shape != (n,):
+    errs = raw.get("initial_time_errors_s", [0.0] * n)
+    if not isinstance(errs, list) or len(errs) != n:
         raise ConfigError(f"{path}: initial_time_errors_s must have {n} entries")
+    if not all(_is_number(e) for e in errs):
+        raise ConfigError(f"{path}: initial_time_errors_s malformed (not all numbers: {errs!r})")
+    errs = np.array(errs, dtype=float)
     if not np.all(np.isfinite(errs)):
         raise ConfigError(f"{path}: initial_time_errors_s must be finite, got {errs.tolist()}")
 
@@ -288,10 +295,8 @@ def load_scenario(path) -> Scenario:
 
 def _horizon_steps(route_length: float, ds: float) -> int:
     """The nearest whole number of ``ds`` steps in ``route_length``, both finite and > 0."""
-    for name, value in (("ds", ds), ("route length", route_length)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
-    return int(round(route_length / ds))
+    ds = _number(ds, "ds", positive=True)
+    return int(round(_number(route_length, "route length", positive=True) / ds))
 
 
 def override_ds(scenario: Scenario, ds: float) -> Scenario:

@@ -9,7 +9,7 @@ One solve alternates two phases until tolerances or iteration caps are hit:
   line search on the feedforward term;
 * outer phase: multiplier and penalty-weight updates for the inequality
   constraints, after which the inner phase resumes on the reshaped cost.
-  Penalty weights start at ``rho_init`` times ``costs.step_weight``, so
+  Penalty weights start at ``_RHO_INIT`` times ``costs.step_weight``, so
   the augmented cost weighs each step by its length, as the cost does.
 
 The inner phase stops when the predicted or the accepted decrease falls
@@ -90,50 +90,22 @@ from .terrain import SlopeProfile, grade_at
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances, caps, and schedules of the solver; all deterministic."""
+    """Iteration caps, the inner stopping tolerance and the DDP mode of a solve."""
 
     max_inner: int = 50
     max_outer: int = 8
     tol_cost_rel: float = 1e-6
-    tol_violation: float = 1e-3
-    reg_init: float = 1e-6
-    reg_factor: float = 10.0
-    reg_max: float = 1e6
-    alpha_min: float = 1e-4
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
     use_second_order: bool = True  # False drops the dynamics curvature terms (iLQR mode)
-    rho_init: float = 10.0
-    rho_factor: float = 10.0
 
     def __post_init__(self):
         for name in ("max_inner", "max_outer"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ConfigError(f"solver option {name} must be an integer >= 1, got {value!r}")
-        # A factor of 1 never escalates the shift or shrinks the step, so the
-        # Levenberg ladder or the line search would never end.
-        checks = (
-            (
-                ("tol_cost_rel", "tol_violation", "reg_init", "reg_max", "alpha_min", "rho_init"),
-                "> 0",
-                lambda v: v > 0,
-            ),
-            (("reg_factor",), "> 1", lambda v: v > 1),
-            (("rho_factor",), ">= 1", lambda v: v >= 1),
-            (("backtrack_factor", "armijo_c"), "in (0, 1)", lambda v: 0 < v < 1),
-        )
-        for names, wanted, holds in checks:
-            for name in names:
-                value = getattr(self, name)
-                if (
-                    isinstance(value, bool)
-                    or not isinstance(value, numbers.Real)
-                    or not (math.isfinite(value) and holds(value))
-                ):
-                    raise ConfigError(
-                        f"solver option {name} must be finite and {wanted}, got {value!r}"
-                    )
+        tol = self.tol_cost_rel
+        # Chained and negated so that NaN fails too.
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+            raise ConfigError(f"solver option tol_cost_rel must be finite and > 0, got {tol!r}")
         if not isinstance(self.use_second_order, bool):
             raise ConfigError(
                 f"solver option use_second_order must be a bool, got {self.use_second_order!r}"
@@ -189,6 +161,20 @@ class BackwardPassResult:
         return -(alpha * self.d1 + 0.5 * alpha**2 * self.d2)
 
 
+# The Levenberg shift on Q_uu: its value at the start of a solve, the factor
+# by which a failed pass grows it and an accepted step shrinks it, and the
+# cap past which the inner loop gives up.
+_REG_INIT, _REG_FACTOR, _REG_MAX = 1e-6, 10.0, 1e6
+
+# The line search: the shortest step length tried, the Armijo fraction of
+# the predicted decrease a trial must achieve, and the plain backtrack factor.
+_ALPHA_MIN, _ARMIJO_C, _BACKTRACK = 1e-4, 1e-4, 0.5
+
+# The augmented-Lagrangian schedule: the initial penalty weight per 0.1 m of
+# road, the factor by which ``cons.escalate_penalty`` grows it, and the
+# largest constraint violation a converged plan may keep.
+_RHO_INIT, _RHO_FACTOR, _TOL_VIOLATION = 10.0, 10.0, 1e-3
+
 # Steps per batched definiteness test of Q_uu in the backward sweep. A sweep
 # that passes a failing step runs on to the end of its chunk before it
 # raises, so this bounds the wasted steps; a test over the whole horizon
@@ -214,7 +200,7 @@ _COARSE_FLOOR = 100
 
 # The inner loop's stopping schedule, two standard augmented-Lagrangian rules
 # (Conn, Gould & Toint, SIAM J. Numer. Anal. 1991). While the plan being
-# judged breaks the constraints by more than ``tol_violation``, outer pass k
+# judged breaks the constraints by more than ``_TOL_VIOLATION``, outer pass k
 # stops its inner loop at the relative tolerance
 # max(tol_cost_rel, _LOOSE_TOL / 10**k), so a subproblem whose answer still
 # breaks the box is not polished. After each multiplier update (outer pass
@@ -233,7 +219,7 @@ def _inner_tolerance(options, violation, outer):
     subproblem of outer pass ``outer`` is solved only as tightly as
     ``_LOOSE_TOL / 10**outer``, never below ``tol_cost_rel``.
     """
-    if violation <= options.tol_violation:
+    if violation <= _TOL_VIOLATION:
         return options.tol_cost_rel
     # Dividing gives exact decades (1e-2 * 10.0**-4 rounds above 1e-6); the
     # clamp keeps the power finite for any max_outer.
@@ -644,7 +630,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
 
     cset = cons.ConstraintSet.from_config(config)
     # rho, and so every multiplier, scaled by the step weight scales the PHR sum by it
-    rho0 = options.rho_init * costs.step_weight(ds) * grid
+    rho0 = _RHO_INIT * costs.step_weight(ds) * grid
     al = cons.ALState.initial(k_steps, cset.n_constraints, rho0[:, None])
     times, slows = reference.arrival_times, reference.slownesses
 
@@ -660,7 +646,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
 
     violation = cons.max_violation(e_vals)
     iterations: list = []
-    reg = options.reg_init
+    reg = _REG_INIT
     converged = False
 
     for outer in range(options.max_outer):
@@ -698,14 +684,14 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                     inner_converged = True
                     break
                 alpha = 1.0
-                while alpha >= options.alpha_min:
+                while alpha >= _ALPHA_MIN:
                     result = forward_pass(state_obj, ctrl_obj, bp, alpha, ds, grid)
                     if result is not None:
                         t_new, pi_new, a_new = result
                         new_true, new_breakdown, new_e = eval_true(t_new, pi_new, a_new)
                         expected = bp.expected_decrease(alpha)
                         actual = aug_cost - (new_true + cons.penalty(new_e, al))
-                        if actual > 0.0 and actual >= options.armijo_c * max(expected, 0.0):
+                        if actual > 0.0 and actual >= _ARMIJO_C * max(expected, 0.0):
                             accepted = True
                             break
                         # Fit the measured decrease with a parabola through the
@@ -716,12 +702,12 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                         if curv > 0.0 and slope > 0.0:
                             alpha_star = slope / curv
                             if (
-                                options.alpha_min <= alpha_star < 0.9 * alpha
-                                and alpha_star > alpha * options.backtrack_factor
+                                _ALPHA_MIN <= alpha_star < 0.9 * alpha
+                                and alpha_star > alpha * _BACKTRACK
                             ):
                                 alpha = alpha_star
                                 continue
-                    alpha *= options.backtrack_factor
+                    alpha *= _BACKTRACK
             if accepted:
                 times, slows, accels = t_new, pi_new, a_new
                 true_cost, breakdown, e_vals = new_true, new_breakdown, new_e
@@ -740,7 +726,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                     )
                 )
                 inner_count += 1
-                reg = max(options.reg_init, reg / options.reg_factor)
+                reg = max(_REG_INIT, reg / _REG_FACTOR)
                 # Judged on the accepted plan, the one the report returns.
                 tol = _inner_tolerance(options, violation, outer)
                 if actual <= tol * max(1.0, abs(aug_cost)):
@@ -753,19 +739,19 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                 break
             # The shifted Q_uu failed its Cholesky test or no step length
             # passed Armijo: retry with a larger Levenberg shift.
-            reg *= options.reg_factor
-            if reg > options.reg_max:
+            reg *= _REG_FACTOR
+            if reg > _REG_MAX:
                 inner_converged = (
                     bp is not None and bp.expected_decrease(1.0) <= 10 * tol * scale
                 )
                 break
 
-        if inner_converged and violation <= options.tol_violation:
+        if inner_converged and violation <= _TOL_VIOLATION:
             converged = True
             break
 
         al = cons.update_multipliers(al, e_vals)
-        al = cons.escalate_penalty(al, e_vals, options.rho_factor, options.tol_violation)
+        al = cons.escalate_penalty(al, e_vals, _RHO_FACTOR, _TOL_VIOLATION)
         aug_cost = true_cost + cons.penalty(e_vals, al)
 
     wall = time.perf_counter() - start

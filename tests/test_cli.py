@@ -120,7 +120,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("weights", "q1", "heavy"), ("solver", "backtrack_factor", 1.0)],
+        [("weights", "q1", "heavy"), ("solver", "max_outer", True)],
     )
     def test_malformed_field_exits_config(
         self, fast_scenario, tmp_path, capsys, section, key, value
@@ -150,7 +150,8 @@ class TestSimulate:
         assert flag.lstrip("-") in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "solver", [{"ilqr": "false"}, {"ilqr": None}, {"ilqr": False, "use_second_order": True}]
+        "solver",
+        [{"use_second_order": "false"}, {"use_second_order": None}, {"use_second_order": 0}],
     )
     def test_bad_ilqr_key_exits_config(self, fast_scenario, tmp_path, capsys, solver):
         raw = json.loads(fast_scenario.read_text())
@@ -159,8 +160,29 @@ class TestSimulate:
         bad.write_text(json.dumps(raw))
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
-        assert "ilqr" in capsys.readouterr().err
+        assert "use_second_order" in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("profile_file", 5), ("fuel_model", 5), ("fuel_model", [1])],
+    )
+    def test_non_string_path_field_exits_config(
+        self, fast_scenario, tmp_path, capsys, field, value
+    ):
+        # a number or list joined onto the scenario's directory raised TypeError (exit 1)
+        raw = json.loads(fast_scenario.read_text())
+        if field == "profile_file":
+            raw["road"] = {"profile_file": value}
+        else:
+            raw[field] = value
+        bad = tmp_path / "bad_path.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("ds", [0, -0.1])
     def test_bad_scenario_ds_exits_config(self, fast_scenario, tmp_path, capsys, ds):

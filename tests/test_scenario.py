@@ -132,6 +132,27 @@ class TestLoading:
         with pytest.raises(ConfigError, match="frobnicate"):
             load_scenario(self._minimal(tmp_path, solver={"frobnicate": 1}))
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "tol_violation",
+            "reg_init",
+            "reg_factor",
+            "reg_max",
+            "alpha_min",
+            "armijo_c",
+            "backtrack_factor",
+            "rho_init",
+            "rho_factor",
+            "ilqr",
+        ],
+    )
+    def test_fixed_schedule_key_is_unknown(self, tmp_path, key):
+        # the solver's Levenberg, line-search and AL constants are not options,
+        # and use_second_order is the one name of the iLQR switch
+        with pytest.raises(ConfigError, match=f"unknown solver option '{key}'"):
+            load_scenario(self._minimal(tmp_path, solver={key: True}))
+
     def test_route_longer_than_profile_rejected(self, tmp_path):
         path = self._minimal(tmp_path)
         raw = json.loads(path.read_text())
@@ -223,6 +244,43 @@ class TestLoading:
         with pytest.raises(ConfigError, match=f"{section} must be a JSON object"):
             load_scenario(self._minimal(tmp_path, **{section: [1.0]}))
 
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("weights", "q1"), True, r"weights\.q1 must be a number"),
+            (("weights", "power_floor"), True, r"weights\.power_floor must be a number"),
+            (("platoon", "mass_kg"), True, r"platoon\.mass_kg must be a number"),
+            (("platoon", "mass_kg"), [1400.0, "1400"], r"platoon\.mass_kg\[1\] must be a number"),
+            (("platoon", "headway_s"), "1.0", r"platoon\.headway_s must be a number"),
+            (("platoon", "ds_m"), True, "ds must be a number"),
+            (("platoon", "target_speed", "value"), True, "target_speed: speed must be a number"),
+            (("platoon", "n_vehicles"), "3", r"platoon\.n_vehicles must be an integer >= 2"),
+            (("platoon", "n_vehicles"), 2.7, r"platoon\.n_vehicles must be an integer >= 2"),
+            (("platoon", "n_vehicles"), True, r"platoon\.n_vehicles must be an integer >= 2"),
+            (("platoon", "n_vehicles"), 1, r"platoon\.n_vehicles must be an integer >= 2"),
+            (("baseline", "dt_s"), True, r"baseline\.dt_s must be a number"),
+            (("horizon", "window_m"), True, r"horizon\.window_m must be a number"),
+            (("perturbation", "magnitude_mps"), True, r"perturbation\.magnitude_mps must be a"),
+            (("initial_time_errors_s",), [True, False], "initial_time_errors_s malformed"),
+        ],
+        ids=[
+            "q1", "power_floor", "mass", "mass_entry", "headway", "ds", "speed_value",
+            "n_text", "n_fraction", "n_bool", "n_one", "dt_s", "window_m", "magnitude",
+            "time_errors",
+        ],
+    )
+    def test_booleans_and_strings_are_not_numbers(self, tmp_path, keys, value, message):
+        # float() read true as 1.0 and "3" as 3, and int() cut 2.7 vehicles to 2
+        path = self._minimal(tmp_path, perturbation={"magnitude_mps": 0.5})
+        raw = json.loads(path.read_text())
+        node = raw
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        node[keys[-1]] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(path)
+
     def test_perturbation_needs_magnitude(self, tmp_path):
         with pytest.raises(ConfigError, match="magnitude_mps"):
             load_scenario(self._minimal(tmp_path, perturbation={"shape": "step"}))
@@ -230,9 +288,9 @@ class TestLoading:
     @pytest.mark.parametrize(
         "options, name",
         [
-            ({"backtrack_factor": 1.0}, "backtrack_factor"),
+            ({"tol_cost_rel": 0.0}, "tol_cost_rel"),
             ({"max_inner": "ten"}, "max_inner"),
-            ({"reg_factor": 1.0}, "reg_factor"),
+            ({"max_outer": True}, "max_outer"),
         ],
     )
     def test_bad_solver_option_value_rejected(self, tmp_path, options, name):
@@ -255,22 +313,17 @@ class TestLoading:
         assert scen.perturbation.duration == 20.0
 
     def test_ilqr_flag_maps_to_second_order(self, tmp_path):
-        scen = load_scenario(self._minimal(tmp_path, solver={"ilqr": True}))
+        # use_second_order is the scenario's iLQR switch
+        scen = load_scenario(self._minimal(tmp_path, solver={"use_second_order": False}))
         assert scen.solver_options.use_second_order is False
-        scen = load_scenario(self._minimal(tmp_path, solver={"ilqr": False}))
+        scen = load_scenario(self._minimal(tmp_path, solver={"use_second_order": True}))
         assert scen.solver_options.use_second_order is True
 
     @pytest.mark.parametrize("value", ["false", "no", "true", None, 0, 1, [], [True]])
     def test_ilqr_flag_must_be_a_boolean(self, tmp_path, value):
-        # "false" and "no" used to switch to iLQR, null, 0 and [] to keep DDP
-        with pytest.raises(ConfigError, match="solver.ilqr must be true or false"):
-            load_scenario(self._minimal(tmp_path, solver={"ilqr": value}))
-
-    @pytest.mark.parametrize("second_order", [True, False])
-    def test_ilqr_and_second_order_together_rejected(self, tmp_path, second_order):
-        solver = {"ilqr": True, "use_second_order": second_order}
-        with pytest.raises(ConfigError, match="both 'ilqr' and 'use_second_order'"):
-            load_scenario(self._minimal(tmp_path, solver=solver))
+        # strings, null, numbers and lists are not JSON booleans
+        with pytest.raises(ConfigError, match="solver option use_second_order must be a bool"):
+            load_scenario(self._minimal(tmp_path, solver={"use_second_order": value}))
 
     def test_profile_file_road(self, tmp_path):
         prof_path = tmp_path / "prof.json"

@@ -1163,7 +1163,7 @@ class TestRecedingHorizon:
 class TestSolverOptions:
     def test_defaults_valid(self):
         SolverOptions()
-        SolverOptions(max_inner=1, max_outer=1, rho_factor=1.0, use_second_order=False)
+        SolverOptions(max_inner=1, max_outer=1, use_second_order=False)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -1174,19 +1174,6 @@ class TestSolverOptions:
             ("max_outer", True),
             ("max_outer", -1),
             ("tol_cost_rel", 0.0),
-            ("tol_violation", float("nan")),
-            ("reg_init", -1e-6),
-            ("reg_max", float("inf")),
-            ("alpha_min", 0.0),
-            ("rho_init", "10"),
-            ("reg_factor", 1.0),
-            ("reg_factor", 0.5),
-            ("backtrack_factor", 1.0),
-            ("backtrack_factor", 0.0),
-            ("armijo_c", 1.0),
-            ("armijo_c", float("nan")),
-            ("rho_factor", 0.99),
-            ("rho_factor", float("inf")),
             ("use_second_order", 1),
             ("use_second_order", "yes"),
         ],
@@ -1194,20 +1181,6 @@ class TestSolverOptions:
     def test_invalid_option_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"solver option {name}"):
             SolverOptions(**{name: value})
-
-    def test_rho_factor_one_solves_constrained_problem(self):
-        # a binding acceleration box needs more than one outer pass; a
-        # factor of 1 updates the multipliers but never escalates rho
-        scen = override_ds(load_scenario(resolve_scenario_path("collector")), 1.0)
-        box = tuple(
-            dataclasses.replace(v, a_min=-1.5, a_max=1.0) for v in scen.config.vehicles
-        )
-        cfg = dataclasses.replace(scen.config, vehicles=box)
-        t0, pi0, targets = scen.initial_state()
-        options = dataclasses.replace(scen.solver_options, rho_factor=1.0)
-        report = solve(cfg, scen.weights, scen.profile, t0, pi0, options, targets=targets)
-        assert max(it.outer for it in report.iterations) >= 1
-        assert np.all(np.isfinite(report.controls.accels))
 
 
 def cold_problem(k_steps, n=2, ds=0.5):
@@ -1516,7 +1489,7 @@ class TestOuterSchedule:
         # tolerance is not: some judged plan (on a coarse level) is
         # infeasible, yet none of those judgments ends an inner loop.
         assert not updates
-        assert any(v > opts.tol_violation for v in judged)
+        assert any(v > solver_mod._TOL_VIOLATION for v in judged)
         monkeypatch.setattr(solver_mod, "_LOOSE_TOL", 0.0)
         without = solve(*args, targets=targets)
         assert_same_plan(with_schedule, without)
@@ -1557,7 +1530,7 @@ class TestOuterSchedule:
         assert all(tol >= tol_cost_rel for tol in loose)
         assert all(b <= a for a, b in zip(loose, loose[1:]))
         assert loose[-1] == tol_cost_rel
-        for violation in (0.0, opts.tol_violation):
+        for violation in (0.0, solver_mod._TOL_VIOLATION):
             assert all(
                 solver_mod._inner_tolerance(opts, violation, k) == tol_cost_rel for k in outers
             )
@@ -1632,6 +1605,6 @@ class TestOuterSchedule:
         report = solve(
             cfg, w, FLAT, t0, pi0, opts, initial_controls=np.full((2, 50), 1.2)
         )
-        assert report.max_violation > opts.tol_violation and not report.converged
-        assert shifts == [opts.reg_init] * opts.max_outer
+        assert report.max_violation > solver_mod._TOL_VIOLATION and not report.converged
+        assert shifts == [solver_mod._REG_INIT] * opts.max_outer
         assert trials[0] == 0 and all(n > 0 for n in trials[1:])
