@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, StallError
+from .errors import ConfigError, StallError, read_json
 from .platoon import PlatoonConfig, VehicleParams
 from .terrain import SlopeProfile, grade_at
 
@@ -66,14 +66,7 @@ class FuelModel:
 
     @classmethod
     def load(cls, path) -> "FuelModel":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"{path}: fuel model file not found")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
-        return cls.from_dict(raw, origin=str(path))
+        return cls.from_dict(read_json(path, "fuel model"), origin=str(path))
 
     @classmethod
     def default(cls) -> "FuelModel":

@@ -15,7 +15,6 @@ variable before falling back to the packaged presets.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import os
@@ -27,7 +26,7 @@ import numpy as np
 
 from .baseline import CaccGains
 from .costs import CostWeights, schedule_targets
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .fuel import FuelModel
 from .platoon import MPH_TO_MPS, PlatoonConfig, VehicleParams
 from .solver import SolverOptions
@@ -142,12 +141,7 @@ def resolve_scenario_path(spec: str) -> Path:
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario JSON file."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: scenario file not found")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+    raw = read_json(path, "scenario")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     base_dir = path.parent

@@ -23,19 +23,23 @@ series, and the backward pass places them. It stacks each step's quadratic
 model into one block over [dx; 1; du], with the gradients in the row and
 column of the constant coordinate, so a step costs one product with the
 dynamics Jacobian, added in place into that step's stage block, and one
-solve on [Q_ux | q_u]. It keeps the second-order dynamics terms (the
-value-gradient contractions against the step Jacobian derivatives), added
-through strided views of the stage blocks and of the value buffer;
-``use_second_order`` switches them off for a Gauss-Newton (iLQR-style)
-pass. The stage blocks and step Jacobians are built ``_BUILD_CHUNK`` steps
-at a time, just before the sweep reaches them, into two reused buffers, so
-a pass's working memory is O(C (3N+1)^2) for C = ``_BUILD_CHUNK`` plus its
-K-long derivative series and outputs. The control Hessian is made positive
-definite with a Levenberg shift that grows on failure; its Cholesky test
-runs batched once per 64-step chunk of the sweep and names the highest
-failing step, as a per-step test would. The forward rollout runs in the
-row-major interleaved state and checks the slowness domain once at the
-end.
+solve on [Q_ux | q_u]. That solve calls LAPACK's ``gesv`` gufunc, the one
+``numpy.linalg.solve`` wraps, directly: the wrapper's array conversion,
+type check and error-state context cost about twice the solve itself, and
+the sweep needs none of them, since it owns its error state and its batched
+definiteness test judges every step. It keeps the second-order dynamics
+terms (the value-gradient contractions against the step Jacobian
+derivatives), added through strided views of the stage blocks and of the
+value buffer; ``use_second_order`` switches them off for a Gauss-Newton
+(iLQR-style) pass. The stage blocks and step Jacobians are built
+``_BUILD_CHUNK`` steps at a time, just before the sweep reaches them, into
+two reused buffers, so a pass's working memory is O(C (3N+1)^2) for
+C = ``_BUILD_CHUNK`` plus its K-long derivative series and outputs. The
+control Hessian is made positive definite with a Levenberg shift that grows
+on failure; its Cholesky test runs batched once per 64-step chunk of the
+sweep and names the highest failing step, as a per-step test would, and a
+Q_uu with an inf or NaN entry fails it too. The forward rollout runs in the
+row-major interleaved state and checks the slowness domain once at the end.
 
 The grid is a per-step array (``platoon.step_grid``): step k spans
 grid[k] whole multiples of ``config.ds``. The dynamics, their derivatives,
@@ -71,6 +75,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import constraints as cons
 from . import costs
@@ -226,23 +231,41 @@ def _inner_tolerance(options, violation, outer):
     return max(options.tol_cost_rel, _LOOSE_TOL / 10.0 ** min(outer, 300))
 
 
+# The floating-point flags the backward sweep silences: the ones
+# ``numpy.linalg.solve`` masks around the LAPACK solve (which flags a singular
+# matrix only through ``invalid``, writing NaN), overflow among them.
+_SWEEP_ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore", under="ignore")
+
+
+def _definite(hessians):
+    """Whether every matrix of ``hessians`` is finite and passes Cholesky.
+
+    ``np.linalg.cholesky`` factors matrices with inf or NaN entries without
+    raising, so finiteness is tested first.
+    """
+    if not np.isfinite(hessians).all():
+        return False
+    try:
+        np.linalg.cholesky(hessians)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _test_definite(control_hessians, lo, hi, base, regularization):
-    """Raise BackwardPassError at the highest step in [lo, hi) whose Q_uu fails Cholesky.
+    """Raise BackwardPassError at the highest step in [lo, hi) whose Q_uu fails ``_definite``.
 
     ``control_hessians[j]`` is the Q_uu of step ``base + j``; the error
     names that step.
     """
-    try:
-        np.linalg.cholesky(control_hessians[lo:hi])
-    except np.linalg.LinAlgError:
-        for j in range(hi - 1, lo - 1, -1):
-            try:
-                np.linalg.cholesky(control_hessians[j])
-            except np.linalg.LinAlgError:
-                raise BackwardPassError(
-                    f"control Hessian not positive definite at step {base + j} "
-                    f"with shift {regularization:g}"
-                )
+    if _definite(control_hessians[lo:hi]):
+        return
+    for j in range(hi - 1, lo - 1, -1):
+        if not _definite(control_hessians[j]):
+            raise BackwardPassError(
+                f"control Hessian not positive definite at step {base + j} "
+                f"with shift {regularization:g}"
+            )
 
 
 def _spaced(flat, start, stride, count):
@@ -288,9 +311,46 @@ def backward_pass(
     test chunk. Gains, feedforward, ``d1``, ``d2`` and ``value0`` are
     bit-identical to a sweep that tests every step before its solve.
 
+    Each step's solve is LAPACK's ``gesv`` gufunc called directly, the
+    exact call ``numpy.linalg.solve`` makes, so its output is bit for bit
+    the same. It does not raise on a singular Q_uu but writes NaN and flags
+    ``invalid``; the sweep runs under ``_SWEEP_ERRSTATE``, and the chunk's
+    test, which fails a non-finite Q_uu as well as an indefinite one, is
+    the only judge of failure.
+
+    The K-long series and the chunk buffers are released (``_sweep``
+    returns) before the gains and feedforward are allocated, which lowers
+    the pass's memory peak.
+
     Raises BackwardPassError, naming the highest step whose shifted control
-    Hessian fails its Cholesky factorization; the caller retries with a
-    larger shift.
+    Hessian is not finite or fails its Cholesky factorization; the caller
+    retries with a larger shift.
+    """
+    steps, control_rows, value = _sweep(
+        states, controls, thetas, config, weights, cset, al, targets,
+        regularization, use_second_order, grid,
+    )
+    dim = 2 * config.n_vehicles
+    feedforward = -steps[:, :, dim]
+    q_u = control_rows[:, :, 0]
+    q_uu = control_rows[:, :, 1:]
+    return BackwardPassResult(
+        gains=-steps[:, :, :dim],
+        feedforward=feedforward,
+        d1=float(np.einsum("ki,ki->", feedforward, q_u)),
+        d2=float(np.einsum("ki,kij,kj->", feedforward, q_uu, feedforward)),
+        value0=ValueModel(hessian=value[:dim, :dim].copy(), gradient=value[:dim, dim].copy()),
+    )
+
+
+def _sweep(
+    states, controls, thetas, config, weights, cset, al, targets, regularization,
+    use_second_order, grid,
+):
+    """The sweep of ``backward_pass``: (Q_uu^-1 [Q_ux | q_u], [q_u | Q_uu], value).
+
+    The first two are (K, N, 2N+1) and (K, N, N+1) stacks, the last the
+    value model [A, b; b', .] at step 0.
     """
     t_traj = states.arrival_times
     pi_traj = states.slownesses
@@ -380,11 +440,11 @@ def backward_pass(
         jac_fu[:m] = fu_c[at]
         cxx_at, cux_at, steps_at = cxx[at], cux[at], steps[at]
 
-        # A sweep that passes a failing step works on garbage until its
-        # test chunk is tested; that work is thrown away, so its overflows
-        # are silenced. This silences kept steps too, but inf or NaN that
-        # reaches a Q_uu fails its Cholesky test.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # A sweep that passes a failing step works on garbage, which may
+        # overflow or make a singular Q_uu, until its test chunk is tested;
+        # that work is thrown away, so its flags are silenced. This silences
+        # kept steps too, but inf or NaN that reaches a Q_uu fails its test.
+        with np.errstate(**_SWEEP_ERRSTATE):
             for test_hi in range(m, 0, -_TEST_CHUNK):
                 test_lo = max(test_hi - _TEST_CHUNK, 0)
                 for j in range(test_hi - 1, test_lo - 1, -1):
@@ -398,26 +458,12 @@ def backward_pass(
                         q_pp[j] += b_p * cxx_at[j]
                         q_up[j] += b_p * cux_at[j]
                     rhs = qk[u0:, :u0]
-                    try:
-                        step = np.linalg.solve(control_hessians[j], rhs)
-                    except np.linalg.LinAlgError:
-                        _test_definite(control_hessians, j, test_hi, lo, regularization)
-                        raise
+                    step = _umath_linalg.solve(control_hessians[j], rhs, signature="dd->d")
                     steps_at[j] = step
                     np.subtract(qk[:u0, :u0], rhs.T.dot(step), out=value)
                 _test_definite(control_hessians, test_lo, test_hi, lo, regularization)
         control_rows[at] = blocks[:m, u0:, one:]
-
-    feedforward = -steps[:, :, one]
-    q_u = control_rows[:, :, 0]
-    q_uu = control_rows[:, :, 1:]
-    return BackwardPassResult(
-        gains=-steps[:, :, :dim],
-        feedforward=feedforward,
-        d1=float(np.einsum("ki,ki->", feedforward, q_u)),
-        d2=float(np.einsum("ki,kij,kj->", feedforward, q_uu, feedforward)),
-        value0=ValueModel(hessian=value[:dim, :dim].copy(), gradient=value[:dim, one].copy()),
-    )
+    return steps, control_rows, value
 
 
 def forward_pass(

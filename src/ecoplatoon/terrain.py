@@ -7,13 +7,12 @@ Profiles are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 
 PRESET_NAMES = ("major_arterial", "collector")
 
@@ -105,13 +104,7 @@ def load_profile(path) -> SlopeProfile:
     Malformed files are rejected with a diagnostic naming the file and the
     offending field or JSON location.
     """
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: profile file not found")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+    raw = read_json(path, "profile")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     for key in ("breakpoints_m", "percent_grades"):

@@ -184,6 +184,23 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("field", ["profile_file", "fuel_model"])
+    def test_directory_path_field_exits_config(self, fast_scenario, tmp_path, capsys, field):
+        # "." names the scenario's own directory; open() raises
+        # IsADirectoryError on it, an OSError that is not FileNotFoundError
+        raw = json.loads(fast_scenario.read_text())
+        if field == "profile_file":
+            raw["road"] = {"profile_file": "."}
+        else:
+            raw[field] = "."
+        bad = tmp_path / "dir_path.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "cannot read" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("ds", [0, -0.1])
     def test_bad_scenario_ds_exits_config(self, fast_scenario, tmp_path, capsys, ds):
         raw = json.loads(fast_scenario.read_text())

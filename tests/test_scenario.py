@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from ecoplatoon.errors import ConfigError
+from ecoplatoon.fuel import FuelModel
 from ecoplatoon.scenario import (
     load_scenario,
     override_ds,
     preset_dir_candidates,
     resolve_scenario_path,
 )
+from ecoplatoon.terrain import load_profile
 
 MPH = 0.44704
 
@@ -349,3 +351,15 @@ def test_override_ds_keeps_route_length():
     assert coarse.config.ds == 1.0
     assert coarse.config.horizon_steps == 800
     assert coarse.config.route_length == pytest.approx(800.0)
+
+
+@pytest.mark.parametrize(
+    "load, what",
+    [(load_profile, "profile"), (FuelModel.load, "fuel model"), (load_scenario, "scenario")],
+)
+def test_unreadable_file_rejected_naming_it(tmp_path, load, what):
+    # a directory is an OSError other than FileNotFoundError; it escaped
+    # as IsADirectoryError
+    with pytest.raises(ConfigError, match=f"cannot read {what} file") as err:
+        load(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path}: ")
