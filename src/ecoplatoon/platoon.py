@@ -179,7 +179,10 @@ def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
     Step k has length ds * grid[k] (``grid`` None: ds for every step).
     Raises IntegrationError when a slowness leaves the positive domain; the
     domain is checked once, after the loop, and arrival times are one
-    running sum of pi times the step length.
+    running sum of pi times the step length. Each step computes
+    pi' = pi - ((pi^3 a) h) in a reused cube buffer and writes it into its
+    row with ``out=``: the operations of pi - a pi^3 h with the product
+    commuted, so bit for bit the same.
     """
     accels = np.asarray(accels, dtype=float)
     n, k_steps = accels.shape
@@ -188,10 +191,14 @@ def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
     slows[0] = pi0
     if np.any(slows[0] <= 0):
         raise IntegrationError("slowness must be positive before stepping")
+    cube = np.empty(n)
     # a blow-up overflows the cubic term; the domain check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for pi, pi_next, a, h in zip(slows, slows[1:], accels.T, lengths.tolist()):
-            pi_next[:] = pi - a * pi**3 * h
+            np.power(pi, 3, out=cube)
+            cube *= a
+            cube *= h
+            np.subtract(pi, cube, out=pi_next)
     if not np.all(np.isfinite(slows)) or np.any(slows <= 0):
         raise IntegrationError(
             "dynamics step drove slowness out of the positive domain; "

@@ -41,6 +41,14 @@ sweep and names the highest failing step, as a per-step test would, and a
 Q_uu with an inf or NaN entry fails it too. The forward rollout runs in the
 row-major interleaved state and checks the slowness domain once at the end.
 
+Both per-step loops do only their arithmetic: each step reads row views
+that numpy makes in C by iterating the loop's buffers, adds in place into
+them and writes through positional or ``out=`` outputs into preallocated
+rows. A view or an output buffer changes where a result lands, not the
+floating-point operations that make it, and IEEE multiplication and
+addition commute exactly, so the rollout's commuted operands (pi h + t for
+t + pi h) change no bit either.
+
 The grid is a per-step array (``platoon.step_grid``): step k spans
 grid[k] whole multiples of ``config.ds``. The dynamics, their derivatives,
 the cost weights, the initial penalty weights and the grade samples are all
@@ -240,16 +248,17 @@ _SWEEP_ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore", under="
 def _definite(hessians):
     """Whether every matrix of ``hessians`` is finite and passes Cholesky.
 
-    ``np.linalg.cholesky`` factors matrices with inf or NaN entries without
-    raising, so finiteness is tested first.
+    Calls ``cholesky_lo``, the LAPACK ``potrf`` gufunc ``np.linalg.cholesky``
+    wraps, directly: it does not raise on a failed factorization but writes
+    NaN over that matrix's factor and flags ``invalid``. It reads only the
+    lower triangle and factors inf or NaN entries without failing, so
+    finiteness is tested first.
     """
     if not np.isfinite(hessians).all():
         return False
-    try:
-        np.linalg.cholesky(hessians)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    with np.errstate(**_SWEEP_ERRSTATE):
+        factor = _umath_linalg.cholesky_lo(hessians, signature="d->d")
+    return not np.isnan(factor).any()
 
 
 def _test_definite(control_hessians, lo, hi, base, regularization):
@@ -313,10 +322,18 @@ def backward_pass(
 
     Each step's solve is LAPACK's ``gesv`` gufunc called directly, the
     exact call ``numpy.linalg.solve`` makes, so its output is bit for bit
-    the same. It does not raise on a singular Q_uu but writes NaN and flags
-    ``invalid``; the sweep runs under ``_SWEEP_ERRSTATE``, and the chunk's
-    test, which fails a non-finite Q_uu as well as an indefinite one, is
-    the only judge of failure.
+    the same; its positional output is the step's row of the output stack,
+    which the gufunc fills as it would a fresh array. It does not raise on
+    a singular Q_uu but writes NaN and flags ``invalid``; the sweep runs
+    under ``_SWEEP_ERRSTATE``, and the chunk's test, which fails a
+    non-finite Q_uu as well as an indefinite one, is the only judge of
+    failure. The test is ``cholesky_lo``, the gufunc behind
+    ``np.linalg.cholesky``, called the same way.
+
+    The sweep reads each step's operands (F_k and F_k', the block, Q_uu,
+    [Q_ux | q_u] and its transpose, the upper-left block) as row views of
+    the chunk buffers, made in C by iterating each test chunk of them in
+    reverse, so a step makes no Python-level index and no copy.
 
     The K-long series and the chunk buffers are released (``_sweep``
     returns) before the gains and feedforward are allocated, which lowers
@@ -387,7 +404,12 @@ def _sweep(
     q_pp = _spaced(flat, size + 1, 2 * (size + 1), n)
     u_one = _spaced(flat, u0 * size + one, size, n)
     u_u = _spaced(flat, u0 * (size + 1), size + 1, n)
+    # Per-step views the sweep iterates: Q_uu, [Q_ux | q_u], its transpose
+    # (the block is not symmetric there) and the upper-left block.
     control_hessians = blocks[:, u0:, u0:]
+    rhs_rows = blocks[:, u0:, :u0]
+    rhs_t_rows = blocks.transpose(0, 2, 1)[:, :u0, u0:]
+    upper_rows = blocks[:, :u0, :u0]
 
     # The chunk's step Jacobians F_k = [f_x, 0, f_u; 0, 1, 0]: the 1s are
     # written once, the step lengths, g and f_u per chunk.
@@ -398,6 +420,7 @@ def _sweep(
     jac_h = _spaced(jac_flat, 1, 2 * (size + 1), n)
     jac_g = _spaced(jac_flat, size + 1, 2 * (size + 1), n)
     jac_fu = _spaced(jac_flat, size + u0, 2 * size + 1, n)
+    jac_t = jac.transpose(0, 2, 1)
 
     terminal = costs.terminal_derivatives(
         t_traj[:, -1], config, weights, targets, pi_traj[:, -1]
@@ -447,20 +470,22 @@ def _sweep(
         with np.errstate(**_SWEEP_ERRSTATE):
             for test_hi in range(m, 0, -_TEST_CHUNK):
                 test_lo = max(test_hi - _TEST_CHUNK, 0)
-                for j in range(test_hi - 1, test_lo - 1, -1):
-                    fk = jac[j]
-                    qk = blocks[j]
+                # steps test_hi - 1 down to test_lo
+                down = slice(test_hi - 1, test_lo - 1 if test_lo else None, -1)
+                for fk, fk_t, qk, qpp, qup, cxx_k, cux_k, q_uu, rhs, rhs_t, upper, step in zip(
+                    jac[down], jac_t[down], blocks[down], q_pp[down], q_up[down],
+                    cxx_at[down], cux_at[down], control_hessians[down], rhs_rows[down],
+                    rhs_t_rows[down], upper_rows[down], steps_at[down],
+                ):
                     # ndarray.dot rather than @: on blocks this small it
                     # costs about half as much, and call overhead bounds
                     # the sweep.
-                    qk += fk.T.dot(value.dot(fk))
+                    qk += fk_t.dot(value.dot(fk))
                     if use_second_order:
-                        q_pp[j] += b_p * cxx_at[j]
-                        q_up[j] += b_p * cux_at[j]
-                    rhs = qk[u0:, :u0]
-                    step = _umath_linalg.solve(control_hessians[j], rhs, signature="dd->d")
-                    steps_at[j] = step
-                    np.subtract(qk[:u0, :u0], rhs.T.dot(step), out=value)
+                        qpp += b_p * cxx_k
+                        qup += b_p * cux_k
+                    _umath_linalg.solve(q_uu, rhs, step, signature="dd->d")
+                    np.subtract(upper, rhs_t.dot(step), out=value)
                 _test_definite(control_hessians, test_lo, test_hi, lo, regularization)
         control_rows[at] = blocks[:m, u0:, one:]
     return steps, control_rows, value
@@ -479,6 +504,12 @@ def forward_pass(
     Step k is ds times ``grid[k]`` long (``grid`` None: uniform). Returns
     (new_times, new_slownesses, new_accels) or None when the rollout leaves
     the positive-slowness domain (the caller shrinks alpha).
+
+    Each step writes through ``out=`` into the state buffer's rows and two
+    reused buffers (the state deviation and the cube pi^3): t' = (pi h) + t
+    and pi' = pi - ((pi^3 u) h), the operations of t + pi h and
+    pi - u pi^3 h with each product and sum commuted, which leaves every
+    result bit for bit the same.
     """
     a_ref = controls.accels
     n, k_steps = a_ref.shape
@@ -492,18 +523,26 @@ def forward_pass(
     feedforward = step_length * bp.feedforward
     # Python floats, so a step costs the same as with a scalar ds
     lengths = (ds * step_multiples(grid, k_steps)).tolist()
+    t_new = x_new[:, 0::2]
+    pi_new = x_new[:, 1::2]
+    dx = np.empty(2 * n)
+    cube = np.empty(n)
     # overly aggressive trial steps can overflow the cubic term; those
     # rollouts are rejected by the finiteness check, so silence the warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for x_k, x_next, xr_k, gain, u_k, ff_k, h in zip(
-            x_new, x_new[1:], x_ref, bp.gains, u_new, feedforward, lengths
+        for x_k, xr_k, gain, u_k, ff_k, t_k, pi_k, t_next, pi_next, h in zip(
+            x_new, x_ref, bp.gains, u_new, feedforward, t_new, pi_new, t_new[1:], pi_new[1:],
+            lengths,
         ):
-            u_k += gain.dot(x_k - xr_k)
+            np.subtract(x_k, xr_k, out=dx)
+            u_k += gain.dot(dx)
             u_k += ff_k
-            pi_k = x_k[1::2]
-            x_next[0::2] = x_k[0::2] + pi_k * h
-            x_next[1::2] = pi_k - u_k * pi_k**3 * h
-    pi_new = x_new[:, 1::2]
+            np.multiply(pi_k, h, out=t_next)
+            t_next += t_k
+            np.power(pi_k, 3, out=cube)
+            cube *= u_k
+            cube *= h
+            np.subtract(pi_k, cube, out=pi_next)
     if not np.all(np.isfinite(pi_new)) or np.any(pi_new <= 0.0):
         return None
     return (

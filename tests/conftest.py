@@ -106,6 +106,12 @@ def one_step_stage_blocks(t, pi, a, theta, cfg, w):
     return tuple(block[0] for block in blocks)
 
 
+def receding_grid(k_steps):
+    """A receding window's step grid: a fine quarter, then 5 ds steps and a 3 ds last step."""
+    head = k_steps // 4
+    return np.array([1] * head + [5] * (k_steps - head - 1) + [3])
+
+
 def one_step_rollout(t, pi, a, ds):
     """``rollout`` over one step (K = 1) from per-vehicle (t, pi): the next (t, pi)."""
     state = rollout(t, pi, np.asarray(a, dtype=float)[:, None], ds)

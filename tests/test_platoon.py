@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_config, one_step_rollout
+from conftest import make_config, one_step_rollout, receding_grid
 from ecoplatoon.errors import ConfigError, IntegrationError
 from ecoplatoon.platoon import (
     ControlTrajectory,
@@ -334,6 +334,41 @@ class TestRollout:
             t, pi = step_recurrence(t, pi, accels[:, k], 0.5)
         assert np.array_equal(state.arrival_times[:, -1], t)
         assert np.array_equal(state.slownesses[:, -1], pi)
+
+    @pytest.mark.parametrize("leaves", [False, True])
+    @pytest.mark.parametrize("receding", [False, True])
+    @pytest.mark.parametrize("k_steps", [40, 1100])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_matches_textbook_loop(self, rng, n, k_steps, receding, leaves):
+        # step k is 0.5 m times grid[k]; a leaving input drives one slowness
+        # negative at step K/2, and both loops must reject it. Alternating
+        # accelerations at 5-8 m/s make the cubic term large enough that a
+        # reordered product changes last bits on the 2.5 m steps.
+        grid = receding_grid(k_steps) if receding else None
+        lengths = 0.5 * (np.ones(k_steps) if grid is None else grid.astype(float))
+        sign = (-1.0) ** np.arange(k_steps)
+        accels = rng.uniform(1.0, 2.0, size=(n, 1)) * sign
+        accels += rng.uniform(-0.05, 0.05, size=(n, k_steps))
+        if leaves:
+            accels[n - 1, k_steps // 2] = 1e4
+        t0 = -np.arange(n) * 1.1
+        pi0 = 1.0 / rng.uniform(5.0, 8.0, size=n)
+        t, pi = t0, pi0
+        times, slows = [t], [pi]
+        with np.errstate(over="ignore", invalid="ignore"):  # past the exit
+            for k in range(k_steps):
+                t, pi = step_recurrence(t, pi, accels[:, k], lengths[k])
+                times.append(t)
+                slows.append(pi)
+        in_domain = bool(np.all(np.isfinite(slows)) and np.all(np.array(slows) > 0.0))
+        assert in_domain is not leaves
+        if leaves:
+            with pytest.raises(IntegrationError):
+                rollout(t0, pi0, accels, 0.5, grid)
+            return
+        state = rollout(t0, pi0, accels, 0.5, grid)
+        assert np.array_equal(state.arrival_times, np.array(times).T)
+        assert np.array_equal(state.slownesses, np.array(slows).T)
 
     @pytest.mark.parametrize("accel", [1e4, np.nan])
     def test_blowup_mid_horizon_raises(self, accel):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from conftest import dense_blocks, make_config
+from conftest import dense_blocks, make_config, receding_grid
 from ecoplatoon import constraints as cons
 from ecoplatoon import costs
 from ecoplatoon import solver as solver_mod
@@ -261,12 +261,13 @@ def make_indefinite_at(monkeypatch, steps, grad_shift=0.0):
     monkeypatch.setattr(cons, "al_derivative_batch", shifted)
 
 
-def random_instance(n, seed, r1=20.0, k_steps=60):
+def random_instance(n, seed, r1=20.0, k_steps=60, grid=None):
     """Random off-optimum trajectory with binding speed and acceleration bounds.
 
     Controls in +-1.5 m/s^2 against a +-1 m/s^2 box and a 21 m/s cap, with
     multipliers raised on the violated constraints, so the AL blocks are
-    active; grades and arrival targets are random too.
+    active; grades and arrival targets are random too. The trajectory is
+    rolled out on ``grid`` (None: uniform).
     """
     rng = np.random.default_rng(seed)
     cfg = make_config(
@@ -276,7 +277,7 @@ def random_instance(n, seed, r1=20.0, k_steps=60):
     t0 = -np.arange(n) * cfg.headway + rng.uniform(-0.5, 0.5, n)
     pi0 = 1.0 / rng.uniform(18.0, 22.0, n)
     accels = rng.uniform(-1.5, 1.5, (n, k_steps))
-    states = rollout(t0, pi0, accels, cfg.ds)
+    states = rollout(t0, pi0, accels, cfg.ds, grid)
     ctrls = ControlTrajectory(accels=accels)
     cset = cons.ConstraintSet.from_config(cfg)
     e = cons.evaluate(cset, states.slownesses[:, :-1], accels)
@@ -583,16 +584,30 @@ class TestBackwardPass:
         assert str(got.value) == str(want.value)
         assert f"at step {failing or 140} " in str(got.value)
 
+    def test_private_gufunc_contracts(self):
+        # the sweep calls two private gufuncs of numpy.linalg directly and
+        # relies on their signatures and float64 loops; a numpy release
+        # that changes them fails here rather than inside the sweep
+        assert _umath_linalg.solve.signature == "(m,m),(m,n)->(m,n)"
+        assert _umath_linalg.cholesky_lo.signature == "(m,m)->(m,m)"
+        assert "dd->d" in _umath_linalg.solve.types
+        assert "d->d" in _umath_linalg.cholesky_lo.types
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_lapack_solve_matches_numpy_solve(self, n):
-        # the sweep calls the gufunc behind np.linalg.solve directly
+        # the sweep calls the gufunc behind np.linalg.solve directly, with
+        # a row of its (K, N, 2N+1) output stack as the positional output
         rng = np.random.default_rng(n)
         root = rng.standard_normal((n, n))
         q_uu = root @ root.T + n * np.eye(n)
         rhs = rng.standard_normal((2 * n + 1, n)).T  # a strided view, as in the sweep
+        steps = np.full((3, n, 2 * n + 1), np.nan)
+        row = steps[1]
         with np.errstate(**solver_mod._SWEEP_ERRSTATE):
-            got = _umath_linalg.solve(q_uu, rhs, signature="dd->d")
-        assert np.array_equal(got, np.linalg.solve(q_uu, rhs))
+            got = _umath_linalg.solve(q_uu, rhs, row, signature="dd->d")
+        assert got is row
+        assert np.array_equal(row, np.linalg.solve(q_uu, rhs))
+        assert np.isnan(steps[[0, 2]]).all()
         singular = np.zeros((n, n))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -601,10 +616,65 @@ class TestBackwardPass:
         assert np.isnan(nan).all()
 
 
-def textbook_rollout(states, controls, bp, alpha, ds):
-    """Column-by-column closed-loop rollout: the oracle for ``forward_pass``."""
+def cholesky_verdict(hessians):
+    """Finite and factored by ``np.linalg.cholesky``: the oracle for ``_definite``."""
+    if not np.isfinite(hessians).all():
+        return False
+    try:
+        np.linalg.cholesky(hessians)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestDefinite:
+    @staticmethod
+    def stacks(n):
+        """Named (4, n, n) stacks: definite, one indefinite, one singular, one NaN."""
+        rng = np.random.default_rng(n)
+        root = rng.standard_normal((4, n, n))
+        definite = root @ root.transpose(0, 2, 1) + n * np.eye(n)
+        indefinite = definite.copy()
+        indefinite[2] -= 2.0 * np.trace(definite[2]) * np.eye(n)
+        singular = definite.copy()
+        singular[1, -1, :] = singular[1, :, -1] = 0.0  # its last pivot is exactly 0
+        nan = definite.copy()
+        nan[3, n - 1, 0] = np.nan  # lower triangle (the diagonal when n = 1)
+        return {"definite": definite, "indefinite": indefinite, "singular": singular, "nan": nan}
+
+    @pytest.mark.parametrize("case", ["definite", "indefinite", "singular", "nan"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_verdict_matches_numpy_cholesky(self, n, case):
+        stack = self.stacks(n)[case]
+        want = cholesky_verdict(stack)
+        assert want is (case == "definite")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solver_mod._definite(stack) is want
+            # one matrix at a time, as the retest of a failing chunk calls it
+            for matrix in stack:
+                assert solver_mod._definite(matrix) is cholesky_verdict(matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_inf_in_the_unread_triangle_fails(self, n):
+        # the factorization reads the lower triangle only, so the finiteness
+        # pre-check alone fails a Q_uu with inf above the diagonal
+        stack = self.stacks(n)["definite"]
+        stack[0, 0, n - 1] = np.inf
+        np.linalg.cholesky(stack)  # factors without raising
+        assert not solver_mod._definite(stack)
+        assert not solver_mod._definite(stack[0])
+        assert solver_mod._definite(stack[1:])
+
+
+def textbook_rollout(states, controls, bp, alpha, ds, grid=None):
+    """Column-by-column closed-loop rollout: the oracle for ``forward_pass``.
+
+    Step k is ds times ``grid[k]`` long (``grid`` None: ds).
+    """
     t_ref, pi_ref, a_ref = states.arrival_times, states.slownesses, controls.accels
     n, k_steps = a_ref.shape
+    multiples = np.ones(k_steps) if grid is None else np.asarray(grid, dtype=float)
     t = np.empty_like(t_ref)
     pi = np.empty_like(pi_ref)
     a = np.empty_like(a_ref)
@@ -616,11 +686,12 @@ def textbook_rollout(states, controls, bp, alpha, ds):
             dx[0::2] = t[:, k] - t_ref[:, k]
             dx[1::2] = pi[:, k] - pi_ref[:, k]
             u = a_ref[:, k] + bp.gains[k] @ dx + alpha * bp.feedforward[k]
-            pi_next = pi[:, k] - u * pi[:, k] ** 3 * ds
+            h = ds * multiples[k]
+            pi_next = pi[:, k] - u * pi[:, k] ** 3 * h
             if not np.all(np.isfinite(pi_next)) or np.any(pi_next <= 0.0):
                 return None
             a[:, k] = u
-            t[:, k + 1] = t[:, k] + pi[:, k] * ds
+            t[:, k + 1] = t[:, k] + pi[:, k] * h
             pi[:, k + 1] = pi_next
     return t, pi, a
 
@@ -676,14 +747,23 @@ class TestForwardPass:
         assert forward_pass(states, ctrls, HugeLaw(), 1.0, cfg.ds) is None
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 1e-4])
-    def test_bit_identical_to_textbook_rollout(self, alpha):
-        args = random_instance(3, seed=7)
+    @pytest.mark.parametrize("receding", [False, True])
+    # K = 1100 spans more than one build chunk of the backward pass
+    @pytest.mark.parametrize("k_steps", [60, 1100])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_bit_identical_to_textbook_rollout(self, n, k_steps, receding, alpha):
+        grid = receding_grid(k_steps) if receding else None
+        args = random_instance(n, seed=7, k_steps=k_steps, grid=grid)
         states, ctrls, cfg = args[0], args[1], args[3]
-        bp = backward_with_ladder(*args)
-        got = forward_pass(states, ctrls, bp, alpha, cfg.ds)
-        want = textbook_rollout(states, ctrls, bp, alpha, cfg.ds)
-        assert got is not None and want is not None
-        for g, w in zip(got, want):
+        # a Gauss-Newton law: on the long random plans of the receding grid
+        # the DDP ladder runs out of shifts
+        bp = backward_with_ladder(*args, second=False, grid=grid)
+        got = forward_pass(states, ctrls, bp, alpha, cfg.ds, grid)
+        want = textbook_rollout(states, ctrls, bp, alpha, cfg.ds, grid)
+        # a long step may leave the domain; the shortest never does here
+        assert (got is None) == (want is None)
+        assert want is not None or alpha > 1e-4
+        for g, w in zip(got or (), want or ()):
             assert np.array_equal(g, w)
 
     def test_rejects_rollout_leaving_domain_mid_horizon(self):
