@@ -49,6 +49,19 @@ def baseline_step(positions, speeds, config: PlatoonConfig, gains: CaccGains, dt
     """
     positions = np.asarray(positions, dtype=float)
     speeds = np.asarray(speeds, dtype=float)
+    return _command(positions, speeds, config, gains, dt, _envelope(config))
+
+
+def _envelope(config: PlatoonConfig):
+    """Each vehicle's acceleration bounds: (a_min, a_max), two (N,) arrays."""
+    return (
+        np.array([veh.a_min for veh in config.vehicles]),
+        np.array([veh.a_max for veh in config.vehicles]),
+    )
+
+
+def _command(positions, speeds, config, gains, dt, envelope):
+    """``baseline_step`` on float arrays, with the ``_envelope`` of ``config`` given."""
     n = config.n_vehicles
     cmd = np.empty(n)
     cmd[0] = gains.kp_speed * (config.target_speed - speeds[0])
@@ -62,9 +75,7 @@ def baseline_step(positions, speeds, config: PlatoonConfig, gains: CaccGains, dt
         (config.speed_limit - speeds) / dt,
     )
     # the acceleration envelope is the actuator's hard limit, so it clamps last
-    a_min = np.array([veh.a_min for veh in config.vehicles])
-    a_max = np.array([veh.a_max for veh in config.vehicles])
-    return np.clip(cmd, a_min, a_max)
+    return np.clip(cmd, *envelope)
 
 
 def simulate_baseline(
@@ -80,6 +91,9 @@ def simulate_baseline(
     begins at position 0. Returns a list of per-vehicle dicts with ``time``,
     ``position``, ``speed``, ``accel``, and ``grade`` arrays (grades are
     clamped to the profile domain for the run-in stretch before position 0).
+
+    Each control period applies ``baseline_step``'s law; the acceleration
+    envelope it clamps to is built once per simulation, not once per period.
     """
     route_length = config.route_length
     v0 = config.target_speed if initial_speed is None else float(initial_speed)
@@ -89,8 +103,9 @@ def simulate_baseline(
     t = 0.0
     hist_t, hist_s, hist_v, hist_a = [], [], [], []
     max_time = 50.0 * route_length / max(config.speed_floor, 0.5) + 1000.0
+    envelope = _envelope(config)
     while pos[-1] < route_length:
-        acc = baseline_step(pos, vel, config, gains, dt)
+        acc = _command(pos, vel, config, gains, dt, envelope)
         hist_t.append(t)
         hist_s.append(pos.copy())
         hist_v.append(vel.copy())
@@ -103,7 +118,7 @@ def simulate_baseline(
     hist_t.append(t)
     hist_s.append(pos.copy())
     hist_v.append(vel.copy())
-    hist_a.append(baseline_step(pos, vel, config, gains, dt))
+    hist_a.append(_command(pos, vel, config, gains, dt, envelope))
     times = np.array(hist_t)
     s_arr = np.array(hist_s).T  # (N, steps)
     v_arr = np.array(hist_v).T

@@ -31,6 +31,12 @@ from .terrain import SlopeProfile, grade_at
 
 MPH_TO_MPS = 0.44704
 
+# The exponent of the cubic slowness term as a 0-d float64 array: np.power
+# runs the same float64 pow loop on it as on the int 3, without converting a
+# Python scalar on every step of a rollout. Read-only, as a shared constant.
+_THREE = np.array(3.0)
+_THREE.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -181,8 +187,11 @@ def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
     domain is checked once, after the loop, and arrival times are one
     running sum of pi times the step length. Each step computes
     pi' = pi - ((pi^3 a) h) in a reused cube buffer and writes it into its
-    row with ``out=``: the operations of pi - a pi^3 h with the product
-    commuted, so bit for bit the same.
+    row through a positional output: the operations of pi - a pi^3 h with
+    the product commuted, so bit for bit the same. Every operand is an
+    array: the step's row of a (K, N) buffer of its length, and the 0-d
+    ``_THREE`` as the exponent, on which np.power runs the float64 pow loop
+    it runs for the int 3.
     """
     accels = np.asarray(accels, dtype=float)
     n, k_steps = accels.shape
@@ -191,14 +200,15 @@ def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
     slows[0] = pi0
     if np.any(slows[0] <= 0):
         raise IntegrationError("slowness must be positive before stepping")
+    length_rows = np.repeat(lengths[:, None], n, axis=1)
     cube = np.empty(n)
     # a blow-up overflows the cubic term; the domain check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for pi, pi_next, a, h in zip(slows, slows[1:], accels.T, lengths.tolist()):
-            np.power(pi, 3, out=cube)
+        for pi, pi_next, a, h in zip(slows, slows[1:], accels.T, length_rows):
+            np.power(pi, _THREE, cube)
             cube *= a
             cube *= h
-            np.subtract(pi, cube, out=pi_next)
+            np.subtract(pi, cube, pi_next)
     if not np.all(np.isfinite(slows)) or np.any(slows <= 0):
         raise IntegrationError(
             "dynamics step drove slowness out of the positive domain; "
@@ -249,6 +259,10 @@ def resimulate_time_domain(
     ``speed``, ``accel``, and ``grade`` arrays.
 
     Raises StallError if a vehicle's speed collapses before the route end.
+
+    A vehicle's controls are read through a memoryview of its row, whose
+    items are the Python floats ``float(accels[i, j])`` would make, without
+    a numpy scalar per time step and without a K-long list of floats.
     """
     accels = np.asarray(controls.accels, dtype=float)
     n, k_steps = accels.shape
@@ -256,13 +270,14 @@ def resimulate_time_domain(
     traces = []
     max_steps = int(np.ceil(route_end / (min(1.0, ds) * dt))) * 100 + 10_000
     for i in range(n):
+        row = memoryview(accels[i])
         t = float(state.arrival_times[i, 0])
         s = 0.0
         v = 1.0 / float(state.slownesses[i, 0])
-        ts, ss, vs, accs = [t], [s], [v], [float(accels[i, 0])]
+        ts, ss, vs, accs = [t], [s], [v], [row[0]]
         steps = 0
         while s < route_end:
-            a = float(accels[i, min(int(s / ds), k_steps - 1)])
+            a = row[min(int(s / ds), k_steps - 1)]
             s += v * dt
             v += a * dt
             t += dt

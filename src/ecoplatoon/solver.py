@@ -45,9 +45,12 @@ Both per-step loops do only their arithmetic: each step reads row views
 that numpy makes in C by iterating the loop's buffers, adds in place into
 them and writes through positional or ``out=`` outputs into preallocated
 rows. A view or an output buffer changes where a result lands, not the
-floating-point operations that make it, and IEEE multiplication and
-addition commute exactly, so the rollout's commuted operands (pi h + t for
-t + pi h) change no bit either.
+floating-point operations that make it. The rollout's operands are all
+arrays, the step lengths and the cube's exponent included, and its state
+moves in one add per step; that changes no bit either, for three exact
+IEEE identities: t + pi h is pi h + t, (pi^3 u)(-h) is -((pi^3 u) h), and
+pi + (-c) is pi - c. The 0-d float64 exponent runs the same ``pow`` loop
+as the int 3 (see ``forward_pass``).
 
 The grid is a per-step array (``platoon.step_grid``): step k spans
 grid[k] whole multiples of ``config.ds``. The dynamics, their derivatives,
@@ -89,6 +92,7 @@ from . import constraints as cons
 from . import costs
 from .errors import BackwardPassError, ConfigError, IntegrationError
 from .platoon import (
+    _THREE,
     ControlTrajectory,
     PlatoonConfig,
     PlatoonState,
@@ -505,11 +509,16 @@ def forward_pass(
     (new_times, new_slownesses, new_accels) or None when the rollout leaves
     the positive-slowness domain (the caller shrinks alpha).
 
-    Each step writes through ``out=`` into the state buffer's rows and two
-    reused buffers (the state deviation and the cube pi^3): t' = (pi h) + t
-    and pi' = pi - ((pi^3 u) h), the operations of t + pi h and
-    pi - u pi^3 h with each product and sum commuted, which leaves every
-    result bit for bit the same.
+    The state moves in one add per step, x' = x + w, with every operand an
+    array. w = [pi1, pi1^3, ..., piN, piN^3] is scaled in place by the
+    step's row of ``coef`` = [1, u1, ..., 1, uN], whose odd slots hold the
+    controls, and then by its row of ``signed`` = [h, -h, ..., h, -h]. That
+    gives t' = t + (pi 1) h and pi' = pi + ((pi^3 u)(-h)), bit for bit the
+    t + pi h and pi - u pi^3 h of the textbook step: IEEE products and sums
+    commute, pi 1 is pi, (pi^3 u)(-h) is exactly -((pi^3 u) h) and pi + (-c)
+    is exactly pi - c. The cube's exponent is the 0-d float64 ``_THREE``,
+    for which ``np.power`` runs the same float64 ``pow`` loop as for the
+    int 3 but skips the conversion of a Python scalar.
     """
     a_ref = controls.accels
     n, k_steps = a_ref.shape
@@ -519,30 +528,30 @@ def forward_pass(
     x_ref[:, 1::2] = states.slownesses.T
     x_new = np.empty_like(x_ref)
     x_new[0] = x_ref[0]
-    u_new = a_ref.T.copy()
+    coef = np.ones((k_steps, 2 * n))
+    u_new = coef[:, 1::2]
+    u_new[:] = a_ref.T
+    # times 1.0 and -1.0 are exact
+    signed = (ds * step_multiples(grid, k_steps))[:, None] * np.tile([1.0, -1.0], n)
     feedforward = step_length * bp.feedforward
-    # Python floats, so a step costs the same as with a scalar ds
-    lengths = (ds * step_multiples(grid, k_steps)).tolist()
-    t_new = x_new[:, 0::2]
     pi_new = x_new[:, 1::2]
     dx = np.empty(2 * n)
-    cube = np.empty(n)
+    w = np.empty(2 * n)
+    w_t, w_p = w[0::2], w[1::2]
     # overly aggressive trial steps can overflow the cubic term; those
     # rollouts are rejected by the finiteness check, so silence the warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for x_k, xr_k, gain, u_k, ff_k, t_k, pi_k, t_next, pi_next, h in zip(
-            x_new, x_ref, bp.gains, u_new, feedforward, t_new, pi_new, t_new[1:], pi_new[1:],
-            lengths,
+        for x_k, xr_k, gain, u_k, ff_k, pi_k, c_k, s_k, x_next in zip(
+            x_new, x_ref, bp.gains, u_new, feedforward, pi_new, coef, signed, x_new[1:]
         ):
-            np.subtract(x_k, xr_k, out=dx)
+            np.subtract(x_k, xr_k, dx)
             u_k += gain.dot(dx)
             u_k += ff_k
-            np.multiply(pi_k, h, out=t_next)
-            t_next += t_k
-            np.power(pi_k, 3, out=cube)
-            cube *= u_k
-            cube *= h
-            np.subtract(pi_k, cube, out=pi_next)
+            np.power(pi_k, _THREE, w_p)
+            np.copyto(w_t, pi_k)
+            w *= c_k
+            w *= s_k
+            np.add(x_k, w, x_next)
     if not np.all(np.isfinite(pi_new)) or np.any(pi_new <= 0.0):
         return None
     return (

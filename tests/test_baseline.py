@@ -1,13 +1,16 @@
 """Constant-time-gap baseline controller behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_config
 from ecoplatoon.baseline import CaccGains, baseline_step, simulate_baseline
-from ecoplatoon.errors import ConfigError
+from ecoplatoon.errors import ConfigError, StallError
 from ecoplatoon.fuel import equivalent_traction_accel
-from ecoplatoon.terrain import SlopeProfile, build_preset
+from ecoplatoon.scenario import load_scenario, resolve_scenario_path
+from ecoplatoon.terrain import SlopeProfile, build_preset, grade_at
 
 MPH = 0.44704
 
@@ -73,6 +76,58 @@ class TestTorque:
         assert np.all(np.diff(demands) > 0.0)
 
 
+def textbook_simulation(config, gains, profile, dt, initial_speed):
+    """The baseline platoon stepped by ``baseline_step`` every period.
+
+    The oracle for ``simulate_baseline``: the same traces, built from a
+    call of the public step law per control period.
+    """
+    v0 = config.target_speed if initial_speed is None else float(initial_speed)
+    n = config.n_vehicles
+    pos = -np.arange(n) * config.headway * v0
+    vel = np.full(n, v0)
+    t = 0.0
+    hist_t, hist_s, hist_v, hist_a = [], [], [], []
+    max_time = 50.0 * config.route_length / max(config.speed_floor, 0.5) + 1000.0
+    while pos[-1] < config.route_length:
+        acc = baseline_step(pos, vel, config, gains, dt)
+        hist_t.append(t)
+        hist_s.append(pos.copy())
+        hist_v.append(vel.copy())
+        hist_a.append(acc)
+        pos = pos + vel * dt
+        vel = np.maximum(vel + acc * dt, 1e-9)
+        t += dt
+        if t > max_time:
+            raise StallError("baseline platoon failed to clear the route")
+    hist_t.append(t)
+    hist_s.append(pos)
+    hist_v.append(vel)
+    hist_a.append(baseline_step(pos, vel, config, gains, dt))
+    s_arr, v_arr, a_arr = (np.array(h).T for h in (hist_s, hist_v, hist_a))
+    return [
+        {
+            "time": np.array(hist_t),
+            "position": s_arr[i],
+            "speed": v_arr[i],
+            "accel": a_arr[i],
+            "grade": grade_at(profile, np.clip(s_arr[i], 0.0, profile.total_length)),
+        }
+        for i in range(n)
+    ]
+
+
+def comfort_collector():
+    """The collector preset with every vehicle's envelope narrowed to [-1.5, 1.0] m/s^2."""
+    scen = load_scenario(resolve_scenario_path("collector"))
+    vehicles = tuple(
+        dataclasses.replace(v, a_min=-1.5, a_max=1.0) for v in scen.config.vehicles
+    )
+    return dataclasses.replace(
+        scen, config=dataclasses.replace(scen.config, vehicles=vehicles)
+    )
+
+
 class TestSimulation:
     def test_settles_within_200m_from_speed_offset(self):
         cfg = make_config(n=3, ds=0.1, horizon_steps=8000)
@@ -114,3 +169,29 @@ class TestSimulation:
         for tr in traces:
             inside = (tr["position"] >= 0) & (tr["position"] <= 800.0)
             assert np.std(tr["speed"][inside]) < 0.05
+
+    @pytest.mark.parametrize("case", ["collector", "comfort", "two_vehicle"])
+    def test_bit_identical_to_textbook_loop(self, case):
+        # The collector pipeline, whose platoon enters in equilibrium; the
+        # collector in a comfort envelope, entered at 0.8 of the target
+        # speed; and a two-vehicle platoon entering at 12 m/s in a narrow
+        # envelope. The leader's commands hit the envelope for seconds in the
+        # last two.
+        if case == "two_vehicle":
+            cfg = make_config(n=2, ds=0.1, horizon_steps=3000, a_min=-0.8, a_max=0.6)
+            args = (cfg, CaccGains(kp_speed=2.0), build_preset("collector"), 0.02, 12.0)
+        elif case == "comfort":
+            scen = comfort_collector()
+            v0 = 0.8 * scen.config.target_speed
+            args = (scen.config, scen.gains, scen.profile, scen.baseline_dt, v0)
+        else:
+            scen = load_scenario(resolve_scenario_path("collector"))
+            args = (scen.config, scen.gains, scen.profile, scen.baseline_dt, scen.initial_speed)
+        cfg, gains, profile, dt, v0 = args
+        got = simulate_baseline(cfg, gains, profile, dt=dt, initial_speed=v0)
+        want = textbook_simulation(*args)
+        assert len(got) == len(want) == cfg.n_vehicles
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            for field in w:
+                assert np.array_equal(g[field], w[field]), field

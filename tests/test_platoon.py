@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_config, one_step_rollout, receding_grid
-from ecoplatoon.errors import ConfigError, IntegrationError
+from ecoplatoon.errors import ConfigError, IntegrationError, StallError
 from ecoplatoon.platoon import (
     ControlTrajectory,
     PlatoonState,
@@ -15,8 +15,9 @@ from ecoplatoon.platoon import (
     resimulate_time_domain,
     rollout,
 )
-from ecoplatoon.scenario import load_scenario
-from ecoplatoon.terrain import SlopeProfile
+from ecoplatoon.scenario import load_scenario, resolve_scenario_path
+from ecoplatoon.solver import receding_horizon_run, solve
+from ecoplatoon.terrain import SlopeProfile, grade_at
 
 MPH = 0.44704
 
@@ -382,6 +383,80 @@ class TestRollout:
             rollout([0.0, -1.0], [0.05, 0.0], np.zeros((2, 5)), 1.0)
 
 
+def textbook_resimulation(state, controls, profile, ds, dt):
+    """Step-by-step time-domain re-integration: the oracle for ``resimulate_time_domain``.
+
+    Reads each control as ``float(accels[i, j])`` at the step under the
+    vehicle's position and raises the same StallErrors.
+    """
+    accels = controls.accels
+    n, k_steps = accels.shape
+    route_end = k_steps * ds
+    max_steps = int(np.ceil(route_end / (min(1.0, ds) * dt))) * 100 + 10_000
+    traces = []
+    for i in range(n):
+        t = float(state.arrival_times[i, 0])
+        s = 0.0
+        v = 1.0 / float(state.slownesses[i, 0])
+        ts, ss, vs, accs = [t], [s], [v], [float(accels[i, 0])]
+        steps = 0
+        while s < route_end:
+            a = float(accels[i, min(int(s / ds), k_steps - 1)])
+            s += v * dt
+            v += a * dt
+            t += dt
+            if v <= 0.0:
+                raise StallError(
+                    f"vehicle {i} stalled at position {s:.2f} m during resimulation"
+                )
+            steps += 1
+            if steps > max_steps:
+                raise StallError(
+                    f"vehicle {i} failed to reach {route_end} m within the step budget"
+                )
+            ts.append(t)
+            ss.append(s)
+            vs.append(v)
+            accs.append(a)
+        position = np.array(ss)
+        traces.append(
+            {
+                "time": np.array(ts),
+                "position": position,
+                "speed": np.array(vs),
+                "accel": np.array(accs),
+                "grade": grade_at(profile, np.clip(position, 0.0, profile.total_length)),
+            }
+        )
+    return traces
+
+
+@pytest.fixture(scope="module")
+def collector_plans():
+    """Plans to resimulate, by name: (state, controls, profile, ds).
+
+    The solved collector plan (K = 8000, cold), the stitched plan of the
+    first six 40 m / 10 m receding windows on the collector, and a random
+    two-vehicle plan on a flat road.
+    """
+    scen = load_scenario(resolve_scenario_path("collector"))
+    cfg = scen.config
+    t0, pi0, targets = scen.initial_state()
+    args = (cfg, scen.weights, scen.profile, t0, pi0, scen.solver_options)
+    plans = {}
+    report = solve(*args, targets=targets)
+    plans["collector"] = (report.states, report.controls, scen.profile, cfg.ds)
+    run = receding_horizon_run(*args, 40.0, 10.0, max_executions=6)
+    # the stitched plan covers the executed 60 m at ds
+    plans["receding"] = (run.states, run.controls, scen.profile, cfg.ds)
+    rng = np.random.default_rng(11)
+    accels = np.clip(np.cumsum(rng.uniform(-0.05, 0.05, size=(2, 500)), axis=1), -1.0, 1.0)
+    state = rollout([0.0, -1.0], [0.05, 0.05], accels, 0.1)
+    flat = SlopeProfile(breakpoints=[0.0, 1000.0], grades=[0.0])
+    plans["random"] = (state, ControlTrajectory(accels=accels), flat, 0.1)
+    return plans
+
+
 class TestResimulate:
     def _flat_profile(self):
         return SlopeProfile(breakpoints=[0.0, 1000.0], grades=[0.0])
@@ -412,8 +487,6 @@ class TestResimulate:
     def test_stall_detected(self):
         # a plan that brakes to a crawl stalls once re-integrated in time
         # (the time-domain integrator crosses v = 0 inside a spatial step)
-        from ecoplatoon.errors import StallError
-
         ds, steps = 1.0, 46
         accels = np.full((1, steps), -0.6)
         state = rollout([0.0], [1.0 / 7.0], accels, ds)
@@ -437,3 +510,27 @@ class TestResimulate:
         for i, tr in enumerate(traces):
             t_end = np.interp(ds * steps, tr["position"], tr["time"])
             assert abs(t_end - state.arrival_times[i, -1]) < tol
+
+    # the collector pipeline's 5 ms step, and the default 2 ms one
+    @pytest.mark.parametrize("dt", [0.005, 0.002])
+    @pytest.mark.parametrize("plan", ["collector", "receding", "random"])
+    def test_bit_identical_to_textbook_loop(self, collector_plans, plan, dt):
+        state, controls, profile, ds = collector_plans[plan]
+        got = resimulate_time_domain(state, controls, profile, ds, dt=dt)
+        want = textbook_resimulation(state, controls, profile, ds, dt)
+        assert len(got) == len(want) == controls.accels.shape[0]
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            for field in w:
+                assert np.array_equal(g[field], w[field]), field
+
+    def test_stall_message_matches_textbook_loop(self):
+        ds, steps = 1.0, 46
+        accels = np.full((1, steps), -0.6)
+        state = rollout([0.0], [1.0 / 7.0], accels, ds)
+        controls = ControlTrajectory(accels=accels)
+        with pytest.raises(StallError) as want:
+            textbook_resimulation(state, controls, self._flat_profile(), ds, 0.01)
+        with pytest.raises(StallError, match="vehicle 0 stalled at position") as got:
+            resimulate_time_domain(state, controls, self._flat_profile(), ds, dt=0.01)
+        assert str(got.value) == str(want.value)
