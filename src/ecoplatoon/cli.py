@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .errors import ConfigError, EcoPlatoonError
+from .errors import ConfigError, EcoPlatoonError, finite_float, integer_at_least
 from .fuel import equivalent_traction_accel
 from .scenario import load_scenario, override_ds, resolve_scenario_path
 from .solver import RecedingRun
@@ -257,17 +256,11 @@ def cmd_stability(scenario, out: Path) -> int:
     return EXIT_OK
 
 
-def _check_positive(flag: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{flag} must be positive and finite, got {value}")
-
-
 def cmd_bench(scenario, out: Path, ds_values, windows, max_executions: int) -> int:
     for flag, values in (("--ds-sweep", ds_values), ("--window-sweep", windows)):
         for value in values:
-            _check_positive(flag, value)
-    if max_executions < 1:
-        raise ConfigError(f"--max-executions must be at least 1, got {max_executions}")
+            finite_float(value, flag, positive=True)
+    integer_at_least(max_executions, "--max-executions", 1)
     rows = experiments.run_bench(
         scenario, ds_values=ds_values, windows=windows, max_executions=max_executions
     )
@@ -329,8 +322,8 @@ def main(argv=None) -> int:
         if args.ds is not None:
             scenario = override_ds(scenario, args.ds)
         if args.window is not None:
-            _check_positive("--window", args.window)
-            scenario = dataclasses.replace(scenario, window_m=args.window)
+            window_m = finite_float(args.window, "--window", positive=True)
+            scenario = dataclasses.replace(scenario, window_m=window_m)
         if args.ilqr:
             scenario = dataclasses.replace(
                 scenario,

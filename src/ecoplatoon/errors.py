@@ -1,6 +1,14 @@
-"""Exception hierarchy shared across the package, and the JSON file reader that raises it."""
+"""Exception hierarchy shared across the package, and the input checks that raise it.
+
+Numbers read from scenario, profile and fuel-model files and CLI flags,
+and the solver's own arguments, go through :func:`finite_float` or
+:func:`integer_at_least`, so all of them obey one rule: a bool or a string
+is not a number, whatever Python's types say.
+"""
 
 import json
+import math
+import numbers
 
 
 class EcoPlatoonError(Exception):
@@ -38,3 +46,28 @@ def read_json(path, what):
         raise ConfigError(f"{path}: cannot read {what} file ({exc.strerror})")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+
+
+def finite_float(value, name, positive=False):
+    """``value`` as a float when it is a finite real number, and > 0 when ``positive``.
+
+    Raises ConfigError naming ``name`` otherwise; a bool or a string is not
+    a number.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0):
+        kind = "positive and finite" if positive else "finite"
+        raise ConfigError(f"{name} must be {kind}, got {value}")
+    return value
+
+
+def integer_at_least(value, name, minimum):
+    """``value`` as an int when it is an integer >= ``minimum``; a bool is not one.
+
+    Raises ConfigError naming ``name`` otherwise.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

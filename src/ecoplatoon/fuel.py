@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, StallError, read_json
+from .errors import ConfigError, StallError, finite_float, read_json
 from .platoon import PlatoonConfig, VehicleParams
 from .terrain import SlopeProfile, grade_at
 
@@ -55,14 +55,30 @@ class FuelModel:
 
     @classmethod
     def from_dict(cls, raw: dict, origin: str = "<dict>") -> "FuelModel":
+        """The model in a parsed fuel-model file; ``origin`` names the file in errors.
+
+        Each matrix must be a list of 4 lists of 4 finite numbers.
+        """
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{origin}: expected a JSON object")
+        matrices = {}
         for key in ("positive_accel", "negative_accel"):
             if key not in raw:
                 raise ConfigError(f"{origin}: missing field {key!r}")
-        return cls(
-            positive_accel=np.asarray(raw["positive_accel"], dtype=float),
-            negative_accel=np.asarray(raw["negative_accel"], dtype=float),
-            units=raw.get("units", {}),
-        )
+            rows = raw[key]
+            if not (
+                isinstance(rows, list)
+                and len(rows) == 4
+                and all(isinstance(row, list) and len(row) == 4 for row in rows)
+            ):
+                raise ConfigError(f"{origin}: field {key!r} must be a 4x4 list of numbers")
+            matrices[key] = np.array(
+                [
+                    [finite_float(c, f"{origin}: {key}[{i}][{j}]") for j, c in enumerate(row)]
+                    for i, row in enumerate(rows)
+                ]
+            )
+        return cls(**matrices, units=raw.get("units", {}))
 
     @classmethod
     def load(cls, path) -> "FuelModel":

@@ -21,12 +21,11 @@ of independent rollouts is safe.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError, StallError
+from .errors import ConfigError, IntegrationError, StallError, finite_float, integer_at_least
 from .terrain import SlopeProfile, grade_at
 
 MPH_TO_MPS = 0.44704
@@ -47,9 +46,8 @@ class VehicleParams:
     a_max: float  # m/s^2, > 0
 
     def __post_init__(self):
+        finite_float(self.mass, "vehicle mass", positive=True)
         # Chained and negated so that NaN and infinite values fail too.
-        if not 0 < self.mass < np.inf:
-            raise ConfigError(f"vehicle mass must be positive and finite, got {self.mass}")
         if not -np.inf < self.a_min < 0 < self.a_max < np.inf:
             raise ConfigError(
                 "acceleration bounds must be finite and straddle zero, "
@@ -80,22 +78,16 @@ class PlatoonConfig:
     def __post_init__(self):
         if len(self.vehicles) < 2:
             raise ConfigError("platoon needs at least two vehicles")
-        if not 0 < self.headway < np.inf:
-            raise ConfigError(f"headway must be positive and finite, got {self.headway}")
+        for name in ("headway", "ds", "gravity"):
+            finite_float(getattr(self, name), name, positive=True)
         if not 0 < self.target_speed <= self.speed_limit < np.inf:
             raise ConfigError(
                 "need 0 < target_speed <= speed_limit < inf, "
                 f"got {self.target_speed} vs {self.speed_limit}"
             )
-        if not 0 < self.ds < np.inf:
-            raise ConfigError(f"ds must be positive and finite, got {self.ds}")
-        steps = self.horizon_steps
-        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-            raise ConfigError(f"horizon_steps must be an integer >= 1, got {steps!r}")
+        integer_at_least(self.horizon_steps, "horizon_steps", 1)
         if not 0 < self.speed_floor < self.target_speed:
             raise ConfigError(f"speed_floor must lie in (0, target_speed), got {self.speed_floor}")
-        if not 0 < self.gravity < np.inf:
-            raise ConfigError(f"gravity must be positive and finite, got {self.gravity}")
         for name in ("rolling_coeff", "drag_coeff"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(

@@ -15,8 +15,6 @@ variable before falling back to the packaged presets.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -26,7 +24,7 @@ import numpy as np
 
 from .baseline import CaccGains
 from .costs import CostWeights, schedule_targets
-from .errors import ConfigError, read_json
+from .errors import ConfigError, finite_float, integer_at_least, read_json
 from .fuel import FuelModel
 from .platoon import MPH_TO_MPS, PlatoonConfig, VehicleParams
 from .solver import SolverOptions
@@ -72,7 +70,7 @@ def _speed(node, where: str) -> float:
         if not isinstance(unit, str) or unit not in _SPEED_UNITS:
             raise ConfigError(f"{where}: unknown speed unit {unit!r}")
         # Both factors are at most 1, so a finite value stays finite.
-        return _number(node["value"], f"{where}: speed", positive=True) * _SPEED_UNITS[unit]
+        return finite_float(node["value"], f"{where}: speed", positive=True) * _SPEED_UNITS[unit]
     raise ConfigError(f"{where}: speeds must carry an explicit unit tag")
 
 
@@ -84,25 +82,9 @@ def _section(raw: dict, name: str, path) -> dict:
     return sec
 
 
-def _is_number(value) -> bool:
-    """A JSON number: not a boolean, a string or a container."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _number(value, name: str, positive: bool = False) -> float:
-    """``value`` as a finite float, optionally > 0; ``name`` names it in errors."""
-    if not _is_number(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or (positive and value <= 0):
-        kind = "positive and finite" if positive else "finite"
-        raise ConfigError(f"{name} must be {kind}, got {value}")
-    return value
-
-
 def _field(sec: dict, key: str, default, where: str, positive: bool = False) -> float:
-    """``sec[key]`` (or ``default``) through :func:`_number`."""
-    return _number(sec.get(key, default), f"{where}.{key}", positive)
+    """``sec[key]`` (or ``default``) through :func:`finite_float`."""
+    return finite_float(sec.get(key, default), f"{where}.{key}", positive)
 
 
 def _path_field(value, name: str, base_dir: Path) -> Path:
@@ -162,21 +144,21 @@ def load_scenario(path) -> Scenario:
         raise ConfigError(f"{path}: missing 'platoon' section")
     where = f"{path}: platoon"
     try:
-        n = plat["n_vehicles"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-            raise ConfigError(f"{where}.n_vehicles must be an integer >= 2, got {n!r}")
+        n = integer_at_least(plat["n_vehicles"], f"{where}.n_vehicles", 2)
         mass = plat.get("mass_kg", 1400.0)
         if isinstance(mass, list):
             if len(mass) != n:
                 raise ConfigError(f"{where}.mass_kg must have {n} entries")
-            masses = [_number(m, f"{where}.mass_kg[{i}]") for i, m in enumerate(mass)]
+            masses = [finite_float(m, f"{where}.mass_kg[{i}]") for i, m in enumerate(mass)]
         else:
-            masses = [_number(mass, f"{where}.mass_kg")] * n
+            masses = [finite_float(mass, f"{where}.mass_kg")] * n
         a_min = _field(plat, "a_min", -5.0, where)
         a_max = _field(plat, "a_max", 3.0, where)
         vehicles = tuple(VehicleParams(mass=m, a_min=a_min, a_max=a_max) for m in masses)
-        ds = _number(plat.get("ds_m", 0.1), "ds", positive=True)
-        route_length = _number(plat.get("route_length_m", 800.0), "route length", positive=True)
+        ds = finite_float(plat.get("ds_m", 0.1), "ds", positive=True)
+        route_length = finite_float(
+            plat.get("route_length_m", 800.0), "route length", positive=True
+        )
         config = PlatoonConfig(
             vehicles=vehicles,
             headway=_field(plat, "headway_s", 1.0, where),
@@ -257,11 +239,9 @@ def load_scenario(path) -> Scenario:
     errs = raw.get("initial_time_errors_s", [0.0] * n)
     if not isinstance(errs, list) or len(errs) != n:
         raise ConfigError(f"{path}: initial_time_errors_s must have {n} entries")
-    if not all(_is_number(e) for e in errs):
-        raise ConfigError(f"{path}: initial_time_errors_s malformed (not all numbers: {errs!r})")
-    errs = np.array(errs, dtype=float)
-    if not np.all(np.isfinite(errs)):
-        raise ConfigError(f"{path}: initial_time_errors_s must be finite, got {errs.tolist()}")
+    errs = np.array(
+        [finite_float(e, f"{path}: initial_time_errors_s[{i}]") for i, e in enumerate(errs)]
+    )
 
     init_speed = (
         _speed(plat["initial_speed"], f"{path}: platoon.initial_speed")
@@ -289,8 +269,8 @@ def load_scenario(path) -> Scenario:
 
 def _horizon_steps(route_length: float, ds: float) -> int:
     """The nearest whole number of ``ds`` steps in ``route_length``, both finite and > 0."""
-    ds = _number(ds, "ds", positive=True)
-    return int(round(_number(route_length, "route length", positive=True) / ds))
+    ds = finite_float(ds, "ds", positive=True)
+    return int(round(finite_float(route_length, "route length", positive=True) / ds))
 
 
 def override_ds(scenario: Scenario, ds: float) -> Scenario:

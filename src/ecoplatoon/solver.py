@@ -80,8 +80,6 @@ concurrently since all mutable state is owned per call.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -90,7 +88,13 @@ from numpy.linalg import _umath_linalg
 
 from . import constraints as cons
 from . import costs
-from .errors import BackwardPassError, ConfigError, IntegrationError
+from .errors import (
+    BackwardPassError,
+    ConfigError,
+    IntegrationError,
+    finite_float,
+    integer_at_least,
+)
 from .platoon import (
     _THREE,
     ControlTrajectory,
@@ -116,13 +120,8 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("max_inner", "max_outer"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ConfigError(f"solver option {name} must be an integer >= 1, got {value!r}")
-        tol = self.tol_cost_rel
-        # Chained and negated so that NaN fails too.
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
-            raise ConfigError(f"solver option tol_cost_rel must be finite and > 0, got {tol!r}")
+            integer_at_least(getattr(self, name), f"solver option {name}", 1)
+        finite_float(self.tol_cost_rel, "solver option tol_cost_rel", positive=True)
         if not isinstance(self.use_second_order, bool):
             raise ConfigError(
                 f"solver option use_second_order must be a bool, got {self.use_second_order!r}"
@@ -598,8 +597,8 @@ def solve(
 
     Raises ConfigError when ``t0``, ``pi0`` or ``targets`` is not a finite
     array of shape (N,), when a slowness is not positive, when
-    ``start_position`` is not finite, or when ``grid`` is not a (K,) array
-    of integers >= 1.
+    ``start_position`` is not a finite number, or when ``grid`` is not a
+    (K,) array of integers >= 1.
     """
     start = time.perf_counter()
     n = config.n_vehicles
@@ -607,12 +606,7 @@ def solve(
     pi0 = _finite_vector("initial slownesses", pi0, n)
     if np.any(pi0 <= 0):
         raise ConfigError("initial slowness must be positive")
-    if (
-        isinstance(start_position, bool)
-        or not isinstance(start_position, numbers.Real)
-        or not math.isfinite(start_position)
-    ):
-        raise ConfigError(f"start position must be finite, got {start_position!r}")
+    start_position = finite_float(start_position, "start position")
     k_steps = config.horizon_steps
     grid = step_grid(grid, k_steps)
     if targets is None:
@@ -788,19 +782,6 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                         if actual > 0.0 and actual >= _ARMIJO_C * max(expected, 0.0):
                             accepted = True
                             break
-                        # Fit the measured decrease with a parabola through the
-                        # origin slope and jump near its maximizer instead of
-                        # halving blindly; the plain backtrack is the fallback.
-                        slope = -bp.d1
-                        curv = 2.0 * (slope * alpha - actual) / alpha**2
-                        if curv > 0.0 and slope > 0.0:
-                            alpha_star = slope / curv
-                            if (
-                                _ALPHA_MIN <= alpha_star < 0.9 * alpha
-                                and alpha_star > alpha * _BACKTRACK
-                            ):
-                                alpha = alpha_star
-                                continue
                     alpha *= _BACKTRACK
             if accepted:
                 times, slows, accels = t_new, pi_new, a_new
@@ -920,21 +901,10 @@ def receding_horizon_run(
     Raises ConfigError before any solve unless ``window_m`` and ``replan_m``
     are finite and > 0 and ``max_executions`` is None or an integer >= 1.
     """
-    for name, value in (("window_m", window_m), ("replan_m", replan_m)):
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value > 0)
-        ):
-            raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
-    if max_executions is not None and (
-        isinstance(max_executions, bool)
-        or not isinstance(max_executions, numbers.Integral)
-        or max_executions < 1
-    ):
-        raise ConfigError(
-            f"max_executions must be None or an integer >= 1, got {max_executions!r}"
-        )
+    window_m = finite_float(window_m, "window_m", positive=True)
+    replan_m = finite_float(replan_m, "replan_m", positive=True)
+    if max_executions is not None:
+        integer_at_least(max_executions, "max_executions", 1)
     if replan_m > window_m:
         raise ConfigError("replan interval cannot exceed the window length")
     ds = config.ds

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import solver as solver_mod
 from .costs import CostWeights
-from .errors import ConfigError
+from .errors import ConfigError, finite_float
 from .fuel import equivalent_accel_grid
 from .platoon import PlatoonConfig, PlatoonState
 from .terrain import SlopeProfile
@@ -27,7 +27,10 @@ _NORM_EPS = 1e-12
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Leader-speed perturbation: a step at entry or a pulse mid-route."""
+    """Leader-speed perturbation: a step at entry or a pulse mid-route.
+
+    A step acts at entry, so its onset and duration must be zero.
+    """
 
     magnitude: float  # m/s, nonzero
     shape: str = "step"  # "step" | "pulse"
@@ -36,13 +39,16 @@ class PerturbationSpec:
 
     def __post_init__(self):
         for name in ("magnitude", "onset_position", "duration"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ConfigError(f"perturbation {name} must be finite, got {value}")
+            finite_float(getattr(self, name), f"perturbation {name}")
         if self.magnitude == 0.0:
             raise ConfigError("perturbation magnitude must be nonzero")
         if self.shape not in ("step", "pulse"):
             raise ConfigError(f"unknown perturbation shape {self.shape!r}")
+        if self.shape == "step" and (self.onset_position != 0.0 or self.duration != 0.0):
+            raise ConfigError(
+                "a step perturbation acts at entry: its onset and duration must be 0, "
+                f"got {self.onset_position} and {self.duration}"
+            )
         if self.shape == "pulse" and self.duration <= 0.0:
             raise ConfigError("pulse perturbations need a positive duration")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError, finite_float, read_json
 
 PRESET_NAMES = ("major_arterial", "collector")
 
@@ -107,18 +107,17 @@ def load_profile(path) -> SlopeProfile:
     raw = read_json(path, "profile")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
+    fields = {}
     for key in ("breakpoints_m", "percent_grades"):
         if key not in raw:
             raise ConfigError(f"{path}: missing field {key!r}")
-        # bool is an int subclass: JSON true would load as 1.
-        if not isinstance(raw[key], list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw[key]
-        ):
+        if not isinstance(raw[key], list):
             raise ConfigError(f"{path}: field {key!r} must be a list of numbers")
-    grades = np.arctan(np.asarray(raw["percent_grades"], dtype=float) / 100.0)
-    try:
-        return SlopeProfile(
-            breakpoints=np.asarray(raw["breakpoints_m"], dtype=float), grades=grades
+        fields[key] = np.array(
+            [finite_float(x, f"{path}: {key}[{i}]") for i, x in enumerate(raw[key])]
         )
+    grades = np.arctan(fields["percent_grades"] / 100.0)
+    try:
+        return SlopeProfile(breakpoints=fields["breakpoints_m"], grades=grades)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}")

@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ecoplatoon import cli
 from ecoplatoon.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main, write_csv
 
 
@@ -150,6 +152,59 @@ class TestSimulate:
         assert flag.lstrip("-") in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags, check",
+        [
+            (["--window", "25"], lambda s: s.window_m == 25.0),
+            (["--ilqr"], lambda s: s.solver_options.use_second_order is False),
+        ],
+        ids=["window", "ilqr"],
+    )
+    def test_override_reaches_the_scenario(self, fast_scenario, tmp_path, monkeypatch, flags,
+                                           check):
+        seen = []
+        # stands in for the solve: the test needs only the scenario it is given
+        monkeypatch.setattr(
+            cli, "cmd_simulate", lambda scenario, out: seen.append(scenario) or EXIT_OK
+        )
+        rc = main(["simulate", "--scenario", str(fast_scenario), "--out", str(tmp_path / "o"),
+                   *flags])
+        assert rc == EXIT_OK
+        assert check(seen[0])
+
+    @pytest.mark.parametrize(
+        "matrix, row, value, message",
+        [
+            ("positive_accel", 1, [0.02799, "0.0068", -7.722e-4, 8.38e-6],
+             r"positive_accel\[1\]\[1\] must be a number"),
+            ("negative_accel", 3, [1.08e-6, 2.47e-7, 4.87e-8],
+             "'negative_accel' must be a 4x4 list of numbers"),
+            ("positive_accel", 0, [math.nan, 0.2295, -5.61e-3, 9.773e-5],
+             r"positive_accel\[0\]\[0\] must be finite"),
+        ],
+        ids=["string", "ragged", "nan"],
+    )
+    def test_malformed_fuel_model_exits_config(
+        self, fast_scenario, tmp_path, capsys, matrix, row, value, message
+    ):
+        # a string or a ragged row raised ValueError (exit 1), and NaN wrote a NaN fuel total
+        fuel = json.loads(
+            (Path(cli.__file__).parent / "data" / "vt_micro_ldv.json").read_text()
+        )
+        fuel[matrix][row] = value
+        (tmp_path / "fuel.json").write_text(json.dumps(fuel))
+        raw = json.loads(fast_scenario.read_text())
+        raw["fuel_model"] = "fuel.json"
+        bad = tmp_path / "bad_fuel.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "fuel.json: " in err
+        assert re.search(message, err)
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
         "solver",
         [{"use_second_order": "false"}, {"use_second_order": None}, {"use_second_order": 0}],
     )
@@ -225,6 +280,17 @@ class TestSimulate:
         strict.write_text(json.dumps(raw))
         rc = main(["simulate", "--scenario", str(strict), "--out", str(tmp_path / "o2")])
         assert rc == EXIT_NO_CONVERGENCE
+
+    def test_compare_non_convergence_exit_code(self, fast_scenario, tmp_path, capsys):
+        raw = json.loads(fast_scenario.read_text())
+        raw["solver"] = {"max_inner": 1, "max_outer": 1}
+        strict = tmp_path / "strict.json"
+        strict.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        rc = main(["compare", "--scenario", str(strict), "--out", str(out)])
+        assert rc == EXIT_NO_CONVERGENCE
+        assert "see summary.json" in capsys.readouterr().err
+        assert json.loads((out / "summary.json").read_text())["converged"] is False
 
     def test_receding_non_convergence_points_at_summary(self, fast_scenario, tmp_path, capsys):
         # a receding run writes no solve_report.json for the message to name

@@ -188,12 +188,13 @@ class TestLoading:
         [
             ([0.0, float("nan")], "must be finite"),
             ([0.0, float("-inf")], "must be finite"),
-            ([0.0, "late"], "malformed"),
+            ([0.0, "late"], "must be a number"),
             (0.5, "must have 2 entries"),
         ],
     )
     def test_bad_time_errors_rejected(self, tmp_path, errors, message):
-        with pytest.raises(ConfigError, match="initial_time_errors_s " + message):
+        # a bad entry is named by its index, a bad list as a whole
+        with pytest.raises(ConfigError, match=rf"initial_time_errors_s(\[1\])? {message}"):
             load_scenario(self._minimal(tmp_path, initial_time_errors_s=errors))
 
     @pytest.mark.parametrize(
@@ -263,7 +264,7 @@ class TestLoading:
             (("baseline", "dt_s"), True, r"baseline\.dt_s must be a number"),
             (("horizon", "window_m"), True, r"horizon\.window_m must be a number"),
             (("perturbation", "magnitude_mps"), True, r"perturbation\.magnitude_mps must be a"),
-            (("initial_time_errors_s",), [True, False], "initial_time_errors_s malformed"),
+            (("initial_time_errors_s",), [True, False], r"initial_time_errors_s\[0\] must be a"),
         ],
         ids=[
             "q1", "power_floor", "mass", "mass_entry", "headway", "ds", "speed_value",

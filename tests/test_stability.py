@@ -34,6 +34,13 @@ def test_spec_rejects_non_finite_fields(name, value):
         PerturbationSpec(**fields)
 
 
+@pytest.mark.parametrize("name", ["onset_position", "duration"])
+def test_step_spec_rejects_onset_and_duration(name):
+    # a step acts at entry, so run_perturbation never reads these fields
+    with pytest.raises(ConfigError, match="step perturbation acts at entry"):
+        PerturbationSpec(magnitude=0.5, shape="step", **{name: 30.0})
+
+
 class TestFollowingErrors:
     def test_perfect_spacing_gives_zeros(self):
         cfg = make_config(n=3)

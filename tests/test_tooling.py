@@ -58,3 +58,20 @@ def test_backward_pass_looks_derivatives_up_by_module_attribute(monkeypatch):
         cset, al, targets, 1e-6,
     )
     assert sorted(calls) == ["al_derivative_batch", "stage_derivatives_batch"]
+
+
+def test_only_the_errors_module_tests_number_types():
+    # errors.finite_float and errors.integer_at_least are the package's one
+    # number check; a module that imports ``numbers`` is writing another
+    importers = []
+    for path in sorted(Path(ecoplatoon.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "numbers" in names:
+                importers.append(path.name)
+    assert importers == ["errors.py"]
