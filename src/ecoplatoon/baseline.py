@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StallError
+from .errors import StallError, finite_float
 from .platoon import PlatoonConfig
 from .terrain import SlopeProfile, grade_at
 
@@ -34,9 +34,8 @@ class CaccGains:
     kp_speed: float = 0.8  # 1/s, leader speed-tracking gain
 
     def __post_init__(self):
-        # Negated so that NaN gains fail too.
-        if not all(0 < g < np.inf for g in (self.kp_gap, self.kd_gap, self.kp_speed)):
-            raise ConfigError(f"CACC gains must be positive and finite, got {self}")
+        for name in ("kp_gap", "kd_gap", "kp_speed"):
+            object.__setattr__(self, name, finite_float(getattr(self, name), name, positive=True))
 
 
 def baseline_step(positions, speeds, config: PlatoonConfig, gains: CaccGains, dt: float):
@@ -49,19 +48,11 @@ def baseline_step(positions, speeds, config: PlatoonConfig, gains: CaccGains, dt
     """
     positions = np.asarray(positions, dtype=float)
     speeds = np.asarray(speeds, dtype=float)
-    return _command(positions, speeds, config, gains, dt, _envelope(config))
-
-
-def _envelope(config: PlatoonConfig):
-    """Each vehicle's acceleration bounds: (a_min, a_max), two (N,) arrays."""
-    return (
-        np.array([veh.a_min for veh in config.vehicles]),
-        np.array([veh.a_max for veh in config.vehicles]),
-    )
+    return _command(positions, speeds, config, gains, dt, config.accel_bounds)
 
 
 def _command(positions, speeds, config, gains, dt, envelope):
-    """``baseline_step`` on float arrays, with the ``_envelope`` of ``config`` given."""
+    """``baseline_step`` on float arrays, with the ``accel_bounds`` of ``config`` given."""
     n = config.n_vehicles
     cmd = np.empty(n)
     cmd[0] = gains.kp_speed * (config.target_speed - speeds[0])
@@ -103,7 +94,7 @@ def simulate_baseline(
     t = 0.0
     hist_t, hist_s, hist_v, hist_a = [], [], [], []
     max_time = 50.0 * route_length / max(config.speed_floor, 0.5) + 1000.0
-    envelope = _envelope(config)
+    envelope = config.accel_bounds
     while pos[-1] < route_length:
         acc = _command(pos, vel, config, gains, dt, envelope)
         hist_t.append(t)

@@ -47,12 +47,8 @@ class ConstraintSet:
 
     @classmethod
     def from_config(cls, config: PlatoonConfig) -> "ConstraintSet":
-        return cls(
-            v_max=config.speed_limit,
-            v_floor=config.speed_floor,
-            a_max=np.array([veh.a_max for veh in config.vehicles]),
-            a_min=np.array([veh.a_min for veh in config.vehicles]),
-        )
+        a_min, a_max = config.accel_bounds
+        return cls(v_max=config.speed_limit, v_floor=config.speed_floor, a_max=a_max, a_min=a_min)
 
     @property
     def n_constraints(self) -> int:

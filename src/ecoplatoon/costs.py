@@ -33,12 +33,11 @@ state layout and places these terms in it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_float
 from .platoon import PlatoonConfig, step_multiples
 
 _DS_REF = 0.1  # m, the road length that q1, q2 and r1 price
@@ -75,17 +74,16 @@ class CostWeights:
 
     def __post_init__(self):
         for name in ("q1", "q2", "q3", "r1", "qv"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(
-                    f"cost weight {name} must be finite and non-negative, got {value}"
-                )
-        if self.power_floor is not None and not math.isfinite(self.power_floor):
-            raise ConfigError(f"power_floor must be finite, got {self.power_floor}")
-        if not math.isfinite(self.power_smoothing):
-            raise ConfigError(f"power_smoothing must be finite, got {self.power_smoothing}")
-        if self.power_floor is not None and self.power_smoothing <= 0:
-            raise ConfigError("power_smoothing must be positive")
+            value = finite_float(getattr(self, name), name)
+            if value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
+            object.__setattr__(self, name, value)
+        smoothing = finite_float(self.power_smoothing, "power_smoothing")
+        object.__setattr__(self, "power_smoothing", smoothing)
+        if self.power_floor is not None:
+            object.__setattr__(self, "power_floor", finite_float(self.power_floor, "power_floor"))
+            if smoothing <= 0:
+                raise ConfigError(f"power_smoothing must be positive, got {smoothing}")
 
 
 @dataclass

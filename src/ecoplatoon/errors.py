@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package, and the input checks that raise it.
 
 Numbers read from scenario, profile and fuel-model files and CLI flags,
-and the solver's own arguments, go through :func:`finite_float` or
-:func:`integer_at_least`, so all of them obey one rule: a bool or a string
-is not a number, whatever Python's types say.
+the solver's own arguments and the number fields of the value types go
+through :func:`finite_float` or :func:`integer_at_least`, so all of them
+obey one rule: a bool or a string is not a number, whatever Python's types
+say.
 """
 
 import json

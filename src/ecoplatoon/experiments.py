@@ -138,12 +138,7 @@ class BenchRow:
     max_time: float
 
 
-def run_bench(
-    scenario: Scenario,
-    ds_values=(0.05, 0.1, 1.0),
-    windows=(20.0, 30.0, 40.0),
-    max_executions: int = 30,
-) -> list:
+def run_bench(scenario: Scenario, ds_values, windows, max_executions: int) -> list:
     """Receding-horizon timing sweep; single-threaded, computation time only."""
     rows = []
     for ds in ds_values:

@@ -39,14 +39,14 @@ class FuelModel:
     units: dict
 
     def __post_init__(self):
-        pos = np.asarray(self.positive_accel, dtype=float)
-        neg = np.asarray(self.negative_accel, dtype=float)
-        if pos.shape != (4, 4) or neg.shape != (4, 4):
-            raise ConfigError("fuel coefficient matrices must be 4x4")
-        pos.setflags(write=False)
-        neg.setflags(write=False)
-        object.__setattr__(self, "positive_accel", pos)
-        object.__setattr__(self, "negative_accel", neg)
+        for name in ("positive_accel", "negative_accel"):
+            matrix = np.asarray(getattr(self, name), dtype=float)
+            if matrix.shape != (4, 4):
+                raise ConfigError(f"{name} must be a 4x4 matrix, got shape {matrix.shape}")
+            if not np.all(np.isfinite(matrix)):
+                raise ConfigError(f"{name} coefficients must be finite")
+            matrix.setflags(write=False)
+            object.__setattr__(self, name, matrix)
 
     @property
     def idle_rate(self) -> float:

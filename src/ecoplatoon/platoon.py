@@ -42,17 +42,15 @@ class VehicleParams:
     """Single-vehicle mass and acceleration envelope."""
 
     mass: float  # kg
-    a_min: float  # m/s^2, < 0
-    a_max: float  # m/s^2, > 0
+    a_min: float = -5.0  # m/s^2, < 0
+    a_max: float = 3.0  # m/s^2, > 0
 
     def __post_init__(self):
-        finite_float(self.mass, "vehicle mass", positive=True)
-        # Chained and negated so that NaN and infinite values fail too.
-        if not -np.inf < self.a_min < 0 < self.a_max < np.inf:
-            raise ConfigError(
-                "acceleration bounds must be finite and straddle zero, "
-                f"got [{self.a_min}, {self.a_max}]"
-            )
+        for name in ("mass", "a_min", "a_max"):
+            positive = name != "a_min"
+            object.__setattr__(self, name, finite_float(getattr(self, name), name, positive))
+        if self.a_min >= 0:
+            raise ConfigError(f"a_min must be negative, got {self.a_min}")
 
 
 @dataclass(frozen=True)
@@ -76,24 +74,25 @@ class PlatoonConfig:
     speed_floor: float = 0.1  # m/s
 
     def __post_init__(self):
-        if len(self.vehicles) < 2:
-            raise ConfigError("platoon needs at least two vehicles")
-        for name in ("headway", "ds", "gravity"):
-            finite_float(getattr(self, name), name, positive=True)
-        if not 0 < self.target_speed <= self.speed_limit < np.inf:
-            raise ConfigError(
-                "need 0 < target_speed <= speed_limit < inf, "
-                f"got {self.target_speed} vs {self.speed_limit}"
-            )
-        integer_at_least(self.horizon_steps, "horizon_steps", 1)
-        if not 0 < self.speed_floor < self.target_speed:
-            raise ConfigError(f"speed_floor must lie in (0, target_speed), got {self.speed_floor}")
+        vehicles = self.vehicles
+        if not isinstance(vehicles, (tuple, list)) or len(vehicles) < 2 or not all(
+            isinstance(v, VehicleParams) for v in vehicles
+        ):
+            raise ConfigError(f"vehicles must be two or more VehicleParams, got {vehicles!r}")
+        object.__setattr__(self, "vehicles", tuple(vehicles))
+        for name in ("headway", "target_speed", "speed_limit", "gravity", "ds", "speed_floor"):
+            object.__setattr__(self, name, finite_float(getattr(self, name), name, positive=True))
         for name in ("rolling_coeff", "drag_coeff"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigError(
-                    f"{name} must be non-negative and finite, got {getattr(self, name)}"
-                )
-        object.__setattr__(self, "vehicles", tuple(self.vehicles))
+            value = finite_float(getattr(self, name), name)
+            if value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
+            object.__setattr__(self, name, value)
+        steps = integer_at_least(self.horizon_steps, "horizon_steps", 1)
+        object.__setattr__(self, "horizon_steps", steps)
+        if self.target_speed > self.speed_limit:
+            raise ConfigError(f"target_speed must lie in (0, speed_limit], got {self.target_speed}")
+        if not self.speed_floor < self.target_speed:
+            raise ConfigError(f"speed_floor must lie in (0, target_speed), got {self.speed_floor}")
 
     @property
     def n_vehicles(self) -> int:
@@ -102,6 +101,11 @@ class PlatoonConfig:
     @property
     def masses(self) -> np.ndarray:
         return np.array([v.mass for v in self.vehicles])
+
+    @property
+    def accel_bounds(self):
+        """Each vehicle's acceleration bounds: (a_min, a_max), two (N,) arrays."""
+        return tuple(np.array([getattr(v, b) for v in self.vehicles]) for b in ("a_min", "a_max"))
 
     @property
     def route_length(self) -> float:

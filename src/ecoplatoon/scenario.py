@@ -16,7 +16,7 @@ variable before falling back to the packaged presets.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -32,6 +32,26 @@ from .stability import PerturbationSpec
 from .terrain import PRESET_NAMES, SlopeProfile, build_preset, load_profile
 
 _SPEED_UNITS = {"m/s": 1.0, "mph": MPH_TO_MPS}
+
+# The keys a scenario file may give, by section ("" is the top level). A key
+# named as a value type's field passes through to the type, which owns its
+# default and its check; the loader converts the keys it must rename.
+_CONFIG_PASSED = ("gravity", "rolling_coeff", "drag_coeff", "speed_floor")
+_VEHICLE_PASSED = ("a_min", "a_max")
+_GAIN_KEYS = {f.name for f in fields(CaccGains)}
+_KEYS = {
+    "": {"name", "road", "platoon", "weights", "solver", "baseline", "fuel_model",
+         "perturbation", "horizon", "initial_time_errors_s"},
+    "road": {"preset", "profile_file"},
+    "platoon": {"n_vehicles", "mass_kg", "headway_s", "target_speed", "speed_limit",
+                "initial_speed", "ds_m", "route_length_m", *_CONFIG_PASSED, *_VEHICLE_PASSED},
+    "weights": {f.name for f in fields(CostWeights)},
+    "solver": {f.name for f in fields(SolverOptions)},
+    # tire_radius_m is the one retired key: older files carry it, and nothing reads it.
+    "baseline": {*_GAIN_KEYS, "dt_s", "tire_radius_m"},
+    "perturbation": {"magnitude_mps", "shape", "onset_m", "duration_m"},
+    "horizon": {"mode", "window_m", "replan_m"},
+}
 
 
 @dataclass
@@ -75,16 +95,38 @@ def _speed(node, where: str) -> float:
 
 
 def _section(raw: dict, name: str, path) -> dict:
-    """The optional JSON object ``raw[name]`` (empty when absent)."""
+    """The optional JSON object ``raw[name]`` (empty when absent), of known keys only."""
     sec = raw.get(name, {})
     if not isinstance(sec, dict):
         raise ConfigError(f"{path}: {name} must be a JSON object")
+    return _known(sec, name, path)
+
+
+def _known(sec: dict, name: str, path) -> dict:
+    """``sec``, the ``name`` section, when ``_KEYS[name]`` holds each of its keys."""
+    unknown = [key for key in sec if key not in _KEYS[name]]
+    if unknown:
+        what = "option" if name == "solver" else "key"
+        raise ConfigError(f"{path}: unknown {name or 'top-level'} {what} {unknown[0]!r}")
     return sec
+
+
+def _build(cls, where: str, **kwargs):
+    """``cls(**kwargs)``, a ConfigError it raises reworded as ``<where>.<message>``."""
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 def _field(sec: dict, key: str, default, where: str, positive: bool = False) -> float:
     """``sec[key]`` (or ``default``) through :func:`finite_float`."""
     return finite_float(sec.get(key, default), f"{where}.{key}", positive)
+
+
+def _given(sec: dict, keys) -> dict:
+    """The entries of ``sec`` under ``keys`` that the file gives."""
+    return {key: sec[key] for key in keys if key in sec}
 
 
 def _path_field(value, name: str, base_dir: Path) -> Path:
@@ -126,10 +168,11 @@ def load_scenario(path) -> Scenario:
     raw = read_json(path, "scenario")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
+    _known(raw, "", path)
     base_dir = path.parent
 
     road = raw.get("road")
-    if isinstance(road, dict) and "preset" in road:
+    if isinstance(road, dict) and "preset" in _known(road, "road", path):
         if road["preset"] not in PRESET_NAMES:
             raise ConfigError(f"{path}: road.preset must be one of {PRESET_NAMES}")
         profile = build_preset(road["preset"])
@@ -142,6 +185,7 @@ def load_scenario(path) -> Scenario:
     plat = raw.get("platoon")
     if not isinstance(plat, dict):
         raise ConfigError(f"{path}: missing 'platoon' section")
+    _known(plat, "platoon", path)
     where = f"{path}: platoon"
     try:
         n = integer_at_least(plat["n_vehicles"], f"{where}.n_vehicles", 2)
@@ -152,24 +196,22 @@ def load_scenario(path) -> Scenario:
             masses = [finite_float(m, f"{where}.mass_kg[{i}]") for i, m in enumerate(mass)]
         else:
             masses = [finite_float(mass, f"{where}.mass_kg")] * n
-        a_min = _field(plat, "a_min", -5.0, where)
-        a_max = _field(plat, "a_max", 3.0, where)
-        vehicles = tuple(VehicleParams(mass=m, a_min=a_min, a_max=a_max) for m in masses)
+        bounds = _given(plat, _VEHICLE_PASSED)
+        vehicles = tuple(_build(VehicleParams, where, mass=m, **bounds) for m in masses)
         ds = finite_float(plat.get("ds_m", 0.1), "ds", positive=True)
         route_length = finite_float(
             plat.get("route_length_m", 800.0), "route length", positive=True
         )
-        config = PlatoonConfig(
+        config = _build(
+            PlatoonConfig,
+            where,
             vehicles=vehicles,
             headway=_field(plat, "headway_s", 1.0, where),
             target_speed=_speed(plat["target_speed"], f"{where}.target_speed"),
             speed_limit=_speed(plat["speed_limit"], f"{where}.speed_limit"),
-            gravity=_field(plat, "gravity", 9.8, where),
-            rolling_coeff=_field(plat, "rolling_coeff", 0.015, where),
-            drag_coeff=_field(plat, "drag_coeff", 0.000024, where),
             ds=ds,
             horizon_steps=_horizon_steps(route_length, ds),
-            speed_floor=_field(plat, "speed_floor", 0.1, where),
+            **_given(plat, _CONFIG_PASSED),
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: platoon section missing {exc.args[0]!r}")
@@ -179,33 +221,12 @@ def load_scenario(path) -> Scenario:
             f"{profile.total_length} m"
         )
 
-    wsec = _section(raw, "weights", path)
-    where = f"{path}: weights"
-    weights = CostWeights(
-        q1=_field(wsec, "q1", 500.0, where),
-        q2=_field(wsec, "q2", 0.01, where),
-        q3=_field(wsec, "q3", 5000.0, where),
-        r1=_field(wsec, "r1", 50.0, where),
-        qv=_field(wsec, "qv", 0.0, where),
-        power_floor=(
-            None if wsec.get("power_floor") is None else _field(wsec, "power_floor", None, where)
-        ),
-        power_smoothing=_field(wsec, "power_smoothing", 500.0, where),
-    )
-
-    ssec = _section(raw, "solver", path)
-    for key in ssec:
-        if key not in SolverOptions.__dataclass_fields__:
-            raise ConfigError(f"{path}: unknown solver option {key!r}")
-    solver_options = SolverOptions(**ssec)
+    weights = _build(CostWeights, f"{path}: weights", **_section(raw, "weights", path))
+    solver_options = SolverOptions(**_section(raw, "solver", path))
 
     bsec = _section(raw, "baseline", path)
     where = f"{path}: baseline"
-    gains = CaccGains(
-        kp_gap=_field(bsec, "kp_gap", 0.45, where),
-        kd_gap=_field(bsec, "kd_gap", 1.2, where),
-        kp_speed=_field(bsec, "kp_speed", 0.8, where),
-    )
+    gains = _build(CaccGains, where, **_given(bsec, _GAIN_KEYS))
     baseline_dt = _field(bsec, "dt_s", 0.05, where, positive=True)
 
     fm = raw.get("fuel_model", "default")
@@ -223,9 +244,9 @@ def load_scenario(path) -> Scenario:
             raise ConfigError(f"{where} section missing 'magnitude_mps'")
         perturbation = PerturbationSpec(
             magnitude=_field(psec, "magnitude_mps", None, where),
-            shape=psec.get("shape", "step"),
             onset_position=_field(psec, "onset_m", 0.0, where),
             duration=_field(psec, "duration_m", 0.0, where),
+            **_given(psec, ("shape",)),
         )
 
     hsec = _section(raw, "horizon", path)

@@ -24,7 +24,7 @@ def test_gains_validated():
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
 def test_non_finite_or_negative_gain_rejected(name, value):
     # a NaN gain used to pass and surface later as a NaN position
-    with pytest.raises(ConfigError, match="CACC gains must be positive and finite"):
+    with pytest.raises(ConfigError, match=f"{name} must be positive and finite"):
         CaccGains(**{name: value})
 
 

@@ -136,6 +136,32 @@ class TestSimulate:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "section, key, unknown",
+        [
+            ("weights", "q_3", "unknown weights key 'q_3'"),
+            ("solver", "max_iter", "unknown solver option 'max_iter'"),
+            ("baseline", "kp_gapp", "unknown baseline key 'kp_gapp'"),
+            ("platoon", "gravty", "unknown platoon key 'gravty'"),
+            ("road", "presets", "unknown road key 'presets'"),
+            ("horizon", "windw_m", "unknown horizon key 'windw_m'"),
+            ("perturbation", "magnitude", "unknown perturbation key 'magnitude'"),
+            (None, "weight", "unknown top-level key 'weight'"),
+        ],
+        ids=["weights", "solver", "baseline", "platoon", "road", "horizon", "perturbation", "top"],
+    )
+    def test_misspelled_key_exits_config(
+        self, fast_scenario, tmp_path, capsys, section, key, unknown
+    ):
+        # a misspelled key used to load with the field's default: another experiment
+        raw = json.loads(fast_scenario.read_text())
+        (raw if section is None else raw.setdefault(section, {}))[key] = 1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert f"bad.json: {unknown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--ds", "0"), ("--ds", "-1"), ("--ds", "nan"), ("--ds", "inf"),
          ("--window", "0"), ("--window", "-5"), ("--window", "nan"), ("--window", "inf")],

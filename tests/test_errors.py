@@ -1,11 +1,38 @@
 """The shared input checks: every outside number goes through these two."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ecoplatoon.baseline import CaccGains
+from ecoplatoon.costs import CostWeights
 from ecoplatoon.errors import ConfigError, finite_float, integer_at_least
+from ecoplatoon.platoon import PlatoonConfig, VehicleParams
+from ecoplatoon.solver import SolverOptions
+from ecoplatoon.stability import PerturbationSpec
+
+# Each value type that checks its own fields, with the fields it requires.
+VALID = {
+    CostWeights: {},
+    CaccGains: {},
+    VehicleParams: {"mass": 1400.0},
+    PlatoonConfig: {
+        "vehicles": (VehicleParams(1400.0),) * 2,
+        "headway": 1.0,
+        "target_speed": 20.0,
+        "speed_limit": 30.0,
+    },
+    SolverOptions: {},
+    PerturbationSpec: {"magnitude": 0.5},
+}
+NUMBER_FIELDS = [
+    (cls, f.name)
+    for cls in VALID
+    for f in fields(cls)
+    if f.type in ("float", "int", "float | None")
+]
 
 
 @pytest.mark.parametrize(
@@ -48,3 +75,19 @@ def test_integer_at_least_returns_an_int(value):
 def test_integer_at_least_rejects(value):
     with pytest.raises(ConfigError, match=f"n must be an integer >= 2, got {value!r}"):
         integer_at_least(value, "n", 2)
+
+
+@pytest.mark.parametrize("value", [True, "1", math.nan], ids=["bool", "string", "nan"])
+@pytest.mark.parametrize(
+    "cls, name", NUMBER_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in NUMBER_FIELDS]
+)
+def test_value_types_check_every_number_field(cls, name, value):
+    # a bool passed as 0 or 1 and a string raised TypeError in several of these
+    with pytest.raises(ConfigError, match=rf"\b{name} must be"):
+        cls(**{**VALID[cls], name: value})
+
+
+def test_value_types_store_numbers_as_floats():
+    assert type(CostWeights(q1=500).q1) is float
+    assert type(CaccGains(kp_gap=1).kp_gap) is float
+    assert type(VehicleParams(mass=np.int64(1400)).mass) is float

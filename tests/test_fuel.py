@@ -72,6 +72,14 @@ class TestModelData:
         with pytest.raises(ConfigError):
             FuelModel(positive_accel=np.zeros((3, 4)), negative_accel=np.zeros((4, 4)), units={})
 
+    @pytest.mark.parametrize("name", ["positive_accel", "negative_accel"])
+    def test_non_finite_coefficient_rejected(self, name):
+        # built directly, a NaN coefficient used to meter NaN litres
+        matrices = {"positive_accel": np.zeros((4, 4)), "negative_accel": np.zeros((4, 4))}
+        matrices[name][2, 1] = np.nan
+        with pytest.raises(ConfigError, match=f"{name} coefficients must be finite"):
+            FuelModel(**matrices, units={})
+
 
 class TestFuelRate:
     def test_matches_independent_evaluation(self, model, rng):

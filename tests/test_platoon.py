@@ -10,7 +10,9 @@ from conftest import make_config, one_step_rollout, receding_grid
 from ecoplatoon.errors import ConfigError, IntegrationError, StallError
 from ecoplatoon.platoon import (
     ControlTrajectory,
+    PlatoonConfig,
     PlatoonState,
+    VehicleParams,
     dynamics_derivatives,
     resimulate_time_domain,
     rollout,
@@ -77,6 +79,11 @@ class TestSlowness:
 
 
 class TestPlatoonConfig:
+    @pytest.mark.parametrize("vehicles", [[1, 2], (VehicleParams(1400.0),), "ab", None])
+    def test_vehicles_must_be_two_or_more_vehicle_params(self, vehicles):
+        with pytest.raises(ConfigError, match="vehicles must be two or more VehicleParams"):
+            PlatoonConfig(vehicles=vehicles, headway=1.0, target_speed=20.0, speed_limit=30.0)
+
     def test_zero_resistance_allowed(self):
         cfg = make_config(rolling_coeff=0.0, drag_coeff=0.0)
         assert cfg.rolling_coeff == 0.0 and cfg.drag_coeff == 0.0

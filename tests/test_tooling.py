@@ -75,3 +75,35 @@ def test_only_the_errors_module_tests_number_types():
             if "numbers" in names:
                 importers.append(path.name)
     assert importers == ["errors.py"]
+
+
+def test_only_the_errors_module_tests_finiteness_by_hand():
+    # a value type that calls math.isfinite or compares with inf is writing a
+    # third number check beside errors.finite_float and errors.integer_at_least
+    def is_inf(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "inf"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy", "math")
+        )
+
+    found = []
+    for path in sorted(Path(ecoplatoon.__file__).parent.rglob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            isfinite = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "isfinite"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+            )
+            inf_compare = isinstance(node, ast.Compare) and any(
+                is_inf(sub)
+                for operand in (node.left, *node.comparators)
+                for sub in ast.walk(operand)
+            )
+            if isfinite or inf_compare:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
