@@ -151,7 +151,7 @@ def cmd_simulate(scenario, out: Path) -> int:
         "fuel_per_vehicle_L": {"eco": eco.fuel_per_vehicle},
         "savings_pct": None,
         "max_violation": eco.max_violation,
-        "wall_time": _solve_stats(report),
+        "solve": _solve_stats(report),
     }
     write_json(out / "summary.json", summary)
     if not report.converged:
@@ -204,7 +204,7 @@ def cmd_compare(scenario, out: Path) -> int:
         },
         "savings_pct": cmp_result.savings_pct,
         "max_violation": eco.max_violation,
-        "wall_time": _solve_stats(eco.report),
+        "solve": _solve_stats(eco.report),
     }
     write_json(out / "summary.json", summary)
     if not eco.report.converged:

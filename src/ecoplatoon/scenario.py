@@ -222,7 +222,7 @@ def load_scenario(path) -> Scenario:
         )
 
     weights = _build(CostWeights, f"{path}: weights", **_section(raw, "weights", path))
-    solver_options = SolverOptions(**_section(raw, "solver", path))
+    solver_options = _build(SolverOptions, f"{path}: solver", **_section(raw, "solver", path))
 
     bsec = _section(raw, "baseline", path)
     where = f"{path}: baseline"
@@ -242,7 +242,9 @@ def load_scenario(path) -> Scenario:
         where = f"{path}: perturbation"
         if "magnitude_mps" not in psec:
             raise ConfigError(f"{where} section missing 'magnitude_mps'")
-        perturbation = PerturbationSpec(
+        perturbation = _build(
+            PerturbationSpec,
+            where,
             magnitude=_field(psec, "magnitude_mps", None, where),
             onset_position=_field(psec, "onset_m", 0.0, where),
             duration=_field(psec, "duration_m", 0.0, where),

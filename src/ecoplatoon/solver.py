@@ -36,10 +36,11 @@ value buffer; ``use_second_order`` switches them off for a Gauss-Newton
 two reused buffers, so a pass's working memory is O(C (3N+1)^2) for
 C = ``_BUILD_CHUNK`` plus its K-long derivative series and outputs. The
 control Hessian is made positive definite with a Levenberg shift that grows
-on failure; its Cholesky test runs batched once per 64-step chunk of the
-sweep and names the highest failing step, as a per-step test would, and a
-Q_uu with an inf or NaN entry fails it too. The forward rollout runs in the
-row-major interleaved state and checks the slowness domain once at the end.
+on failure; its Cholesky test runs once per chunk, on the chunk's whole
+Q_uu stack after the sweep has passed it, and names the highest failing
+step, as a per-step test would; a Q_uu with an inf or NaN entry fails it
+too. The forward rollout runs in the row-major interleaved state and checks
+the slowness domain once at the end.
 
 Both per-step loops do only their arithmetic: each step reads row views
 that numpy makes in C by iterating the loop's buffers, adds in place into
@@ -120,12 +121,10 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("max_inner", "max_outer"):
-            integer_at_least(getattr(self, name), f"solver option {name}", 1)
-        finite_float(self.tol_cost_rel, "solver option tol_cost_rel", positive=True)
+            integer_at_least(getattr(self, name), name, 1)
+        finite_float(self.tol_cost_rel, "tol_cost_rel", positive=True)
         if not isinstance(self.use_second_order, bool):
-            raise ConfigError(
-                f"solver option use_second_order must be a bool, got {self.use_second_order!r}"
-            )
+            raise ConfigError(f"use_second_order must be a bool, got {self.use_second_order!r}")
 
 
 @dataclass
@@ -191,16 +190,13 @@ _ALPHA_MIN, _ARMIJO_C, _BACKTRACK = 1e-4, 1e-4, 0.5
 # largest constraint violation a converged plan may keep.
 _RHO_INIT, _RHO_FACTOR, _TOL_VIOLATION = 10.0, 10.0, 1e-3
 
-# Steps per batched definiteness test of Q_uu in the backward sweep. A sweep
-# that passes a failing step runs on to the end of its chunk before it
-# raises, so this bounds the wasted steps; a test over the whole horizon
-# would run failing sweeps down to step 0.
-_TEST_CHUNK = 64
-
 # Steps whose stage blocks and Jacobians the backward pass builds at a time,
-# counted from step K down, so its chunks nest the test chunks exactly. The
-# sweep's working blocks are two buffers of this many steps, not of K.
-_BUILD_CHUNK = 8 * _TEST_CHUNK
+# counted from step K down. The sweep's working blocks are two buffers of
+# this many steps, not of K. Each chunk's Q_uu stack is tested for
+# definiteness once the sweep has passed it, so a sweep that passes a failing
+# step runs on to the bottom of its chunk before it raises; a test over the
+# whole horizon would run failing sweeps down to step 0.
+_BUILD_CHUNK = 512
 
 # A cold solve first plans on a grid whose step is exactly this many times
 # longer, recursively, and starts each level from the plan of the level
@@ -248,36 +244,26 @@ def _inner_tolerance(options, violation, outer):
 _SWEEP_ERRSTATE = dict(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 
 
-def _definite(hessians):
-    """Whether every matrix of ``hessians`` is finite and passes Cholesky.
-
-    Calls ``cholesky_lo``, the LAPACK ``potrf`` gufunc ``np.linalg.cholesky``
-    wraps, directly: it does not raise on a failed factorization but writes
-    NaN over that matrix's factor and flags ``invalid``. It reads only the
-    lower triangle and factors inf or NaN entries without failing, so
-    finiteness is tested first.
-    """
-    if not np.isfinite(hessians).all():
-        return False
-    with np.errstate(**_SWEEP_ERRSTATE):
-        factor = _umath_linalg.cholesky_lo(hessians, signature="d->d")
-    return not np.isnan(factor).any()
-
-
-def _test_definite(control_hessians, lo, hi, base, regularization):
-    """Raise BackwardPassError at the highest step in [lo, hi) whose Q_uu fails ``_definite``.
+def _test_definite(control_hessians, base, regularization):
+    """Raise BackwardPassError at the highest step whose Q_uu is not finite or fails Cholesky.
 
     ``control_hessians[j]`` is the Q_uu of step ``base + j``; the error
-    names that step.
+    names that step. One call of ``cholesky_lo``, the LAPACK ``potrf``
+    gufunc ``np.linalg.cholesky`` wraps, factors the whole stack: it does
+    not raise on a failed factorization but writes NaN over that matrix's
+    factor and flags ``invalid``, so the caller runs it under
+    ``_SWEEP_ERRSTATE``. It reads only the lower triangle and factors inf
+    or NaN entries without failing, so each matrix is tested for
+    finiteness too.
     """
-    if _definite(control_hessians[lo:hi]):
-        return
-    for j in range(hi - 1, lo - 1, -1):
-        if not _definite(control_hessians[j]):
-            raise BackwardPassError(
-                f"control Hessian not positive definite at step {base + j} "
-                f"with shift {regularization:g}"
-            )
+    factor = _umath_linalg.cholesky_lo(control_hessians, signature="d->d")
+    failed = np.isnan(factor).any(axis=(1, 2)) | ~np.isfinite(control_hessians).all(axis=(1, 2))
+    if failed.any():
+        step = base + np.flatnonzero(failed)[-1]
+        raise BackwardPassError(
+            f"control Hessian not positive definite at step {step} "
+            f"with shift {regularization:g}"
+        )
 
 
 def _spaced(flat, start, stride, count):
@@ -317,11 +303,11 @@ def backward_pass(
     runs through each chunk before the next is built; the per-vehicle
     series are computed over the whole horizon and read in slices. Working
     memory is O(C (3N+1)^2) for a chunk of C steps plus the K-long series
-    and outputs. The Cholesky test of Q_uu is not taken per step: it runs
-    batched over each chunk of ``_TEST_CHUNK`` steps once the sweep has
-    passed it, so a sweep that fails runs on at most to the bottom of its
-    test chunk. Gains, feedforward, ``d1``, ``d2`` and ``value0`` are
-    bit-identical to a sweep that tests every step before its solve.
+    and outputs. The Cholesky test of Q_uu is not taken per step: one call
+    tests the chunk's whole Q_uu stack once the sweep has passed it, so a
+    sweep that fails runs on at most to the bottom of its chunk. Gains,
+    feedforward, ``d1``, ``d2`` and ``value0`` are bit-identical to a sweep
+    that tests every step before its solve.
 
     Each step's solve is LAPACK's ``gesv`` gufunc called directly, the
     exact call ``numpy.linalg.solve`` makes, so its output is bit for bit
@@ -335,8 +321,8 @@ def backward_pass(
 
     The sweep reads each step's operands (F_k and F_k', the block, Q_uu,
     [Q_ux | q_u] and its transpose, the upper-left block) as row views of
-    the chunk buffers, made in C by iterating each test chunk of them in
-    reverse, so a step makes no Python-level index and no copy.
+    the chunk buffers, made in C by iterating them in reverse, so a step
+    makes no Python-level index and no copy.
 
     The K-long series and the chunk buffers are released (``_sweep``
     returns) before the gains and feedforward are allocated, which lowers
@@ -443,54 +429,48 @@ def _sweep(
     steps = np.empty((k_steps, n, dim + 1))  # Q_uu^-1 [Q_ux | q_u]
     control_rows = np.empty((k_steps, n, n + 1))  # [q_u | Q_uu]
 
-    for hi in range(k_steps, 0, -_BUILD_CHUNK):
-        lo = max(hi - _BUILD_CHUNK, 0)
-        m = hi - lo
-        at = slice(lo, hi)
-        # Each entry sums its stage term, then its AL term, then the
-        # Levenberg shift, into a zero block.
-        blocks[:m] = 0.0
-        gap_block[:m] += stage["gap_tt"][at]
-        t_one[:m] += stage["t"][at]
-        one_t[:m] += stage["t"][at]
-        q_up[:m] += stage["api"][at]
-        for terms in (stage, al_terms):
-            p_one[:m] += terms["pi"][at]
-            one_p[:m] += terms["pi"][at]
-            q_pp[:m] += terms["pipi"][at]
-            u_one[:m] += terms["a"][at]
-            u_u[:m] += terms["aa"][at]
-        u_u[:m] += regularization
-        jac_h[:m] = lengths[at]
-        jac_g[:m] = g[at]
-        jac_fu[:m] = fu_c[at]
-        cxx_at, cux_at, steps_at = cxx[at], cux[at], steps[at]
-
-        # A sweep that passes a failing step works on garbage, which may
-        # overflow or make a singular Q_uu, until its test chunk is tested;
-        # that work is thrown away, so its flags are silenced. This silences
-        # kept steps too, but inf or NaN that reaches a Q_uu fails its test.
-        with np.errstate(**_SWEEP_ERRSTATE):
-            for test_hi in range(m, 0, -_TEST_CHUNK):
-                test_lo = max(test_hi - _TEST_CHUNK, 0)
-                # steps test_hi - 1 down to test_lo
-                down = slice(test_hi - 1, test_lo - 1 if test_lo else None, -1)
-                for fk, fk_t, qk, qpp, qup, cxx_k, cux_k, q_uu, rhs, rhs_t, upper, step in zip(
-                    jac[down], jac_t[down], blocks[down], q_pp[down], q_up[down],
-                    cxx_at[down], cux_at[down], control_hessians[down], rhs_rows[down],
-                    rhs_t_rows[down], upper_rows[down], steps_at[down],
-                ):
-                    # ndarray.dot rather than @: on blocks this small it
-                    # costs about half as much, and call overhead bounds
-                    # the sweep.
-                    qk += fk_t.dot(value.dot(fk))
-                    if use_second_order:
-                        qpp += b_p * cxx_k
-                        qup += b_p * cux_k
-                    _umath_linalg.solve(q_uu, rhs, step, signature="dd->d")
-                    np.subtract(upper, rhs_t.dot(step), out=value)
-                _test_definite(control_hessians, test_lo, test_hi, lo, regularization)
-        control_rows[at] = blocks[:m, u0:, one:]
+    # A sweep that passes a failing step works on garbage, which may overflow
+    # or make a singular Q_uu, until its chunk is tested; that work is thrown
+    # away, so its flags are silenced. This silences kept steps too, but inf
+    # or NaN that reaches a Q_uu fails its test.
+    with np.errstate(**_SWEEP_ERRSTATE):
+        for hi in range(k_steps, 0, -_BUILD_CHUNK):
+            lo = max(hi - _BUILD_CHUNK, 0)
+            m = hi - lo
+            at = slice(lo, hi)
+            # Each entry sums its stage term, then its AL term, then the
+            # Levenberg shift, into a zero block.
+            blocks[:m] = 0.0
+            gap_block[:m] += stage["gap_tt"][at]
+            t_one[:m] += stage["t"][at]
+            one_t[:m] += stage["t"][at]
+            q_up[:m] += stage["api"][at]
+            for terms in (stage, al_terms):
+                p_one[:m] += terms["pi"][at]
+                one_p[:m] += terms["pi"][at]
+                q_pp[:m] += terms["pipi"][at]
+                u_one[:m] += terms["a"][at]
+                u_u[:m] += terms["aa"][at]
+            u_u[:m] += regularization
+            jac_h[:m] = lengths[at]
+            jac_g[:m] = g[at]
+            jac_fu[:m] = fu_c[at]
+            down = slice(m - 1, None, -1)  # steps hi - 1 down to lo
+            for fk, fk_t, qk, qpp, qup, cxx_k, cux_k, q_uu, rhs, rhs_t, upper, step in zip(
+                jac[down], jac_t[down], blocks[down], q_pp[down], q_up[down],
+                cxx[at][down], cux[at][down], control_hessians[down], rhs_rows[down],
+                rhs_t_rows[down], upper_rows[down], steps[at][down],
+            ):
+                # ndarray.dot rather than @: on blocks this small it costs
+                # about half as much, and call overhead bounds the sweep.
+                qk += fk_t.dot(value.dot(fk))
+                if use_second_order:
+                    qpp += b_p * cxx_k
+                    qup += b_p * cux_k
+                _umath_linalg.solve(q_uu, rhs, step, signature="dd->d")
+                np.subtract(upper, rhs_t.dot(step), out=value)
+            _test_definite(control_hessians[:m], lo, regularization)
+            control_rows[at] = blocks[:m, u0:, one:]
     return steps, control_rows, value
 
 
@@ -778,7 +758,8 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                         t_new, pi_new, a_new = result
                         new_true, new_breakdown, new_e = eval_true(t_new, pi_new, a_new)
                         expected = bp.expected_decrease(alpha)
-                        actual = aug_cost - (new_true + cons.penalty(new_e, al))
+                        new_aug = new_true + cons.penalty(new_e, al)
+                        actual = aug_cost - new_aug
                         if actual > 0.0 and actual >= _ARMIJO_C * max(expected, 0.0):
                             accepted = True
                             break
@@ -786,7 +767,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
             if accepted:
                 times, slows, accels = t_new, pi_new, a_new
                 true_cost, breakdown, e_vals = new_true, new_breakdown, new_e
-                aug_cost = true_cost + cons.penalty(e_vals, al)
+                aug_cost = new_aug
                 violation = cons.max_violation(e_vals)
                 iterations.append(
                     IterationRecord(

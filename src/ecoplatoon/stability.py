@@ -39,18 +39,20 @@ class PerturbationSpec:
 
     def __post_init__(self):
         for name in ("magnitude", "onset_position", "duration"):
-            finite_float(getattr(self, name), f"perturbation {name}")
+            finite_float(getattr(self, name), name)
         if self.magnitude == 0.0:
-            raise ConfigError("perturbation magnitude must be nonzero")
+            raise ConfigError("magnitude must be nonzero")
         if self.shape not in ("step", "pulse"):
-            raise ConfigError(f"unknown perturbation shape {self.shape!r}")
-        if self.shape == "step" and (self.onset_position != 0.0 or self.duration != 0.0):
-            raise ConfigError(
-                "a step perturbation acts at entry: its onset and duration must be 0, "
-                f"got {self.onset_position} and {self.duration}"
-            )
-        if self.shape == "pulse" and self.duration <= 0.0:
-            raise ConfigError("pulse perturbations need a positive duration")
+            raise ConfigError(f"shape must be 'step' or 'pulse', got {self.shape!r}")
+        if self.shape == "step":
+            for name in ("onset_position", "duration"):
+                if getattr(self, name) != 0.0:
+                    raise ConfigError(
+                        f"{name} must be 0, got {getattr(self, name)}: "
+                        "a step perturbation acts at entry"
+                    )
+        elif self.duration <= 0.0:
+            raise ConfigError(f"duration must be positive for a pulse, got {self.duration}")
 
 
 @dataclass

@@ -55,12 +55,13 @@ class TestSimulate:
         assert summary["converged"] is True
         assert summary["fuel_total_L"]["eco"] > 0
         assert "max_violation" in summary
-        assert "wall_time" in summary
+        assert "wall_time" not in summary
         # a cold one-shot solve reports its coarse phase apart from its iterations
         report = json.loads((out / "solve_report.json").read_text())
         assert report["coarse_iterations"] > 0
-        assert summary["wall_time"]["coarse_iterations"] == report["coarse_iterations"]
-        assert summary["wall_time"]["iterations"] == len(report["iterations"])
+        assert summary["solve"]["coarse_iterations"] == report["coarse_iterations"]
+        assert summary["solve"]["iterations"] == len(report["iterations"])
+        assert summary["solve"]["wall_time_s"] == report["wall_time_s"]
         header = (out / "trajectories.csv").read_text().splitlines()[0]
         assert header.startswith("step,s_m,t1_s,v1_mps,a1_mps2,aeq1_mps2")
         n_rows = len((out / "trajectories.csv").read_text().splitlines()) - 1
@@ -160,6 +161,30 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert f"bad.json: {unknown}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, fields, message",
+        [
+            ("solver", {"tol_cost_rel": 0}, "solver.tol_cost_rel must be positive and finite"),
+            (
+                "perturbation",
+                {"magnitude_mps": 0.5, "shape": "pulse"},
+                "perturbation.duration must be positive for a pulse",
+            ),
+        ],
+        ids=["solver", "perturbation"],
+    )
+    def test_section_error_names_file_and_section(
+        self, fast_scenario, tmp_path, capsys, section, fields, message
+    ):
+        # these two sections' errors used to name neither the file nor the section
+        raw = json.loads(fast_scenario.read_text())
+        raw[section] = fields
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert f"bad.json: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value",

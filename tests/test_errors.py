@@ -83,7 +83,7 @@ def test_integer_at_least_rejects(value):
 )
 def test_value_types_check_every_number_field(cls, name, value):
     # a bool passed as 0 or 1 and a string raised TypeError in several of these
-    with pytest.raises(ConfigError, match=rf"\b{name} must be"):
+    with pytest.raises(ConfigError, match=rf"^{name} must be"):
         cls(**{**VALID[cls], name: value})
 
 

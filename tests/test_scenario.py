@@ -297,7 +297,7 @@ class TestLoading:
         ],
     )
     def test_bad_solver_option_value_rejected(self, tmp_path, options, name):
-        with pytest.raises(ConfigError, match=f"solver option {name}"):
+        with pytest.raises(ConfigError, match=rf"solver\.{name} must be"):
             load_scenario(self._minimal(tmp_path, solver=options))
 
     def test_sections_read_when_well_formed(self, tmp_path):
@@ -325,7 +325,7 @@ class TestLoading:
     @pytest.mark.parametrize("value", ["false", "no", "true", None, 0, 1, [], [True]])
     def test_ilqr_flag_must_be_a_boolean(self, tmp_path, value):
         # strings, null, numbers and lists are not JSON booleans
-        with pytest.raises(ConfigError, match="solver option use_second_order must be a bool"):
+        with pytest.raises(ConfigError, match=r"solver\.use_second_order must be a bool"):
             load_scenario(self._minimal(tmp_path, solver={"use_second_order": value}))
 
     def test_profile_file_road(self, tmp_path):

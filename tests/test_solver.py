@@ -19,7 +19,6 @@ from ecoplatoon.scenario import load_scenario, override_ds, resolve_scenario_pat
 from ecoplatoon.solver import (
     _BUILD_CHUNK,
     _COARSE_FACTOR,
-    _TEST_CHUNK,
     SolverOptions,
     backward_pass,
     forward_pass,
@@ -456,8 +455,8 @@ class TestBackwardPass:
         assert_close(bp.value0.gradient, grad)
 
     @pytest.mark.parametrize("second", [True, False])
-    # test-chunk edges, then build-chunk edges (_BUILD_CHUNK = 512) and a
-    # horizon of two whole build chunks and a short third
+    # horizons inside one chunk, the chunk edges (_BUILD_CHUNK = 512) and a
+    # horizon of two whole chunks and a short third
     @pytest.mark.parametrize("k_steps", [1, 63, 64, 65, 200, 511, 512, 513, 1100])
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_chunked_sweep_bit_identical_to_per_step_test(self, n, k_steps, second):
@@ -479,28 +478,27 @@ class TestBackwardPass:
     @pytest.mark.parametrize(
         "k_steps, failing",
         [
-            (200, [199]),  # step K-1, the top of the first chunk
-            (200, [136]),  # the bottom of the first chunk
-            (200, [135]),  # the top of the second chunk
-            (200, [72]),  # the bottom of the second chunk
-            (200, [0]),  # step 0, in the short last chunk
-            (200, [150, 140]),  # two failing steps in one chunk
-            (200, [100, 30]),  # in different chunks
+            # K = 200 is one chunk, which the sweep runs through before its test
+            (200, [199]),  # step K-1, the top of the chunk
+            (200, [136]),
+            (200, [135]),
+            (200, [72]),
+            (200, [0]),  # step 0, the bottom of the chunk
+            (200, [150, 140]),  # two failing steps, the higher named
+            (200, [100, 30]),  # far apart: the sweep runs past both
             (40, [20]),  # K below the chunk length
             (40, [39, 0]),
-            # build chunks of K = 1100: [588, 1100), [76, 588), [0, 76)
-            (1100, [1099]),  # step K-1, the top of the first build chunk
-            (1100, [588]),  # the bottom of the first build chunk
-            (1100, [587]),  # the top of the second build chunk
-            (1100, [0]),  # step 0, in the short last build chunk
-            (1100, [600, 500]),  # in different build chunks
-            (1100, [300, 40]),  # in the second and the last build chunk
+            # chunks of K = 1100: [588, 1100), [76, 588), [0, 76)
+            (1100, [1099]),  # step K-1, the top of the first chunk
+            (1100, [588]),  # the bottom of the first chunk
+            (1100, [587]),  # the top of the second chunk
+            (1100, [0]),  # step 0, in the short last chunk
+            (1100, [600, 500]),  # in different chunks
+            (1100, [300, 40]),  # in the second and the last chunk
         ],
     )
     def test_failing_step_named_like_per_step_test(self, monkeypatch, k_steps, failing, second):
-        assert _TEST_CHUNK == 64  # the cases above sit on its chunk edges
-        assert _BUILD_CHUNK == 512  # and on the build-chunk edges
-        assert _BUILD_CHUNK % _TEST_CHUNK == 0  # build chunks nest test chunks
+        assert _BUILD_CHUNK == 512  # the K = 1100 cases sit on its chunk edges
         args = random_instance(3, seed=k_steps, k_steps=k_steps)
         # the least shift at which the plan itself passes, so that only the
         # steps made indefinite fail
@@ -617,7 +615,7 @@ class TestBackwardPass:
 
 
 def cholesky_verdict(hessians):
-    """Finite and factored by ``np.linalg.cholesky``: the oracle for ``_definite``."""
+    """Finite and factored by ``np.linalg.cholesky``: the oracle for ``_test_definite``."""
     if not np.isfinite(hessians).all():
         return False
     try:
@@ -630,7 +628,7 @@ def cholesky_verdict(hessians):
 class TestDefinite:
     @staticmethod
     def stacks(n):
-        """Named (4, n, n) stacks: definite, one indefinite, one singular, one NaN."""
+        """Named (4, n, n) stacks: definite, one indefinite, singular or NaN, three failing."""
         rng = np.random.default_rng(n)
         root = rng.standard_normal((4, n, n))
         definite = root @ root.transpose(0, 2, 1) + n * np.eye(n)
@@ -640,31 +638,56 @@ class TestDefinite:
         singular[1, -1, :] = singular[1, :, -1] = 0.0  # its last pivot is exactly 0
         nan = definite.copy()
         nan[3, n - 1, 0] = np.nan  # lower triangle (the diagonal when n = 1)
-        return {"definite": definite, "indefinite": indefinite, "singular": singular, "nan": nan}
+        mixed = indefinite.copy()  # fails at 0, 1 and 2, passes at 3
+        mixed[0] = nan[3]
+        mixed[1] = singular[1]
+        return {
+            "definite": definite, "indefinite": indefinite, "singular": singular, "nan": nan,
+            "mixed": mixed,
+        }
 
-    @pytest.mark.parametrize("case", ["definite", "indefinite", "singular", "nan"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_verdict_matches_numpy_cholesky(self, n, case):
-        stack = self.stacks(n)[case]
-        want = cholesky_verdict(stack)
-        assert want is (case == "definite")
+    @staticmethod
+    def raised(stack, base):
+        """The message ``_test_definite`` raises for ``stack`` at ``base``, or None.
+
+        Called as the sweep calls it, under ``_SWEEP_ERRSTATE``; any warning fails.
+        """
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert solver_mod._definite(stack) is want
-            # one matrix at a time, as the retest of a failing chunk calls it
-            for matrix in stack:
-                assert solver_mod._definite(matrix) is cholesky_verdict(matrix)
+            with np.errstate(**solver_mod._SWEEP_ERRSTATE):
+                try:
+                    solver_mod._test_definite(stack, base, 1e-6)
+                except BackwardPassError as exc:
+                    return str(exc)
+        return None
+
+    @pytest.mark.parametrize("case", ["definite", "indefinite", "singular", "nan", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_verdict_matches_numpy_cholesky(self, n, case):
+        # the raised step is the highest matrix that fails the oracle
+        stack = self.stacks(n)[case]
+        failing = [j for j, matrix in enumerate(stack) if not cholesky_verdict(matrix)]
+        assert (not failing) is (case == "definite") is cholesky_verdict(stack)
+        want = (
+            f"control Hessian not positive definite at step {100 + failing[-1]} with shift 1e-06"
+            if failing
+            else None
+        )
+        assert self.raised(stack, 100) == want
+        # one matrix at a time, each named by its own step
+        for j, matrix in enumerate(stack):
+            got = self.raised(matrix[None], 100 + j)
+            assert (got is None) is cholesky_verdict(matrix)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_inf_in_the_unread_triangle_fails(self, n):
         # the factorization reads the lower triangle only, so the finiteness
-        # pre-check alone fails a Q_uu with inf above the diagonal
+        # test alone fails a Q_uu with inf above the diagonal
         stack = self.stacks(n)["definite"]
-        stack[0, 0, n - 1] = np.inf
+        stack[1, 0, n - 1] = np.inf
         np.linalg.cholesky(stack)  # factors without raising
-        assert not solver_mod._definite(stack)
-        assert not solver_mod._definite(stack[0])
-        assert solver_mod._definite(stack[1:])
+        assert "at step 1 " in self.raised(stack, 0)
+        assert self.raised(stack[2:], 2) is None
 
 
 def textbook_rollout(states, controls, bp, alpha, ds, grid=None):
@@ -1282,7 +1305,7 @@ class TestSolverOptions:
         ],
     )
     def test_invalid_option_rejected(self, name, value):
-        with pytest.raises(ConfigError, match=f"solver option {name}"):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
             SolverOptions(**{name: value})
 
 

@@ -1,5 +1,7 @@
 """String-stability harness: following errors and perturbation transfer ratios."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ecoplatoon import solver as solver_mod
 from ecoplatoon.costs import CostWeights
 from ecoplatoon.errors import ConfigError
 from ecoplatoon.platoon import PlatoonState, rollout
+from ecoplatoon.scenario import load_scenario, override_ds, resolve_scenario_path
 from ecoplatoon.solver import SolverOptions
 from ecoplatoon.stability import PerturbationSpec, following_errors, run_perturbation
 from ecoplatoon.terrain import build_preset
@@ -104,6 +107,21 @@ class TestRunPerturbation:
         assert report.deviation_norms[1] == pytest.approx(
             report.deviation_norms[2], rel=1e-6
         )
+
+    def test_identical_followers_tie(self):
+        # five copies of one vehicle: every follower's gap cost ties it to the
+        # leader the same way, so only the first follower damps the leader's
+        # response and the ratios past it tie at 1; criterion 3's printout
+        # of the adjacent ratios rests on this tie
+        scen = override_ds(load_scenario(resolve_scenario_path("collector")), 1.0)
+        cfg = dataclasses.replace(scen.config, vehicles=(scen.config.vehicles[0],) * 5)
+        report = run_perturbation(
+            cfg, scen.weights, scen.profile, PerturbationSpec(magnitude=0.25),
+            scen.solver_options,
+        )
+        assert report.gamma[2] < 1.0
+        for j in (3, 4, 5):
+            assert report.gamma[j] == pytest.approx(1.0, abs=1e-9)
 
     def test_trend_down_with_platoon_size(self):
         gammas = {}
