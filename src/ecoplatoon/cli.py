@@ -6,7 +6,9 @@
 Scenario paths may name a shipped preset (``collector``, ``major_arterial``);
 ECOPLATOON_PRESET_DIR overrides the preset search path. All outputs are
 written atomically (write-then-rename) with fixed column orders, so repeated
-runs of the same scenario produce byte-identical files. The CLI renders no
+runs of the same scenario produce byte-identical files. ``simulate`` and
+``compare`` write a plan's ``trajectories.csv``, ``fuel_series.csv`` and
+``summary.json`` through one writer, :func:`_write_plan`. The CLI renders no
 graphics. ``--ds`` and ``--window`` must be finite and positive, as the
 scenario's own ``window_m`` and every ``bench`` sweep value must;
 ``--max-executions`` must be at least 1.
@@ -100,15 +102,19 @@ def _write_trajectories(out: Path, scenario, states, controls, equiv):
     write_csv(out / "trajectories.csv", header, cols)
 
 
-def _write_fuel_series(out: Path, scenario, eco_series, base_series=None):
+def _write_fuel_series(out: Path, scenario, sides):
+    """Cumulative fuel per vehicle and in total on the spatial grid.
+
+    ``sides`` holds each run's per-vehicle (positions, cumulative) series:
+    the plan's, then the baseline's when there is one.
+    """
     cfg = scenario.config
-    grid, eco_cols = _grid_series(eco_series, cfg.ds, cfg.route_length)
-    header = ["s_m"] + [f"eco_v{i + 1}_L" for i in range(len(eco_cols))] + ["eco_total_L"]
-    cols = list(eco_cols) + [np.sum(eco_cols, axis=0)]
-    if base_series is not None:
-        _, base_cols = _grid_series(base_series, cfg.ds, cfg.route_length)
-        header += [f"base_v{i + 1}_L" for i in range(len(base_cols))] + ["base_total_L"]
-        cols += list(base_cols) + [np.sum(base_cols, axis=0)]
+    header, cols = ["s_m"], []
+    for prefix, series in zip(("eco", "base"), sides):
+        grid, per_vehicle = _grid_series(series, cfg.ds, cfg.route_length)
+        names = [f"v{i + 1}" for i in range(len(per_vehicle))] + ["total"]
+        header += [f"{prefix}_{name}_L" for name in names]
+        cols += per_vehicle + [np.sum(per_vehicle, axis=0)]
     write_csv(out / "fuel_series.csv", header, [grid] + cols)
 
 
@@ -126,91 +132,89 @@ def _solve_stats(report):
     return stats
 
 
-def cmd_simulate(scenario, out: Path) -> int:
-    eco = experiments.run_eco(scenario)
+def _write_plan(out: Path, scenario, eco, compared=None, details="summary.json") -> int:
+    """Write ``trajectories.csv``, ``fuel_series.csv`` and ``summary.json`` for a
+    planned run, with the baseline beside the plan when ``compared`` (a
+    :class:`~ecoplatoon.experiments.CompareResult`) is given.
+
+    Returns EXIT_OK, or EXIT_NO_CONVERGENCE after pointing stderr at ``details``.
+    """
     report = eco.report
     _write_trajectories(out, scenario, report.states, report.controls, eco.equiv_accels)
-    _write_fuel_series(out, scenario, eco.fuel_series)
-    one_shot = not isinstance(report, RecedingRun)
-    if one_shot:
-        write_json(
-            out / "solve_report.json",
-            {
-                "converged": bool(report.converged),
-                "max_violation": report.max_violation,
-                "cost": report.cost.as_dict(),
-                "iterations": [dataclasses.asdict(it) for it in report.iterations],
-                "coarse_iterations": report.coarse_iterations,
-                "wall_time_s": report.wall_time,
-            },
-        )
+    runs = {"eco": eco} if compared is None else {"eco": eco, "baseline": compared.base}
+    _write_fuel_series(out, scenario, [run.fuel_series for run in runs.values()])
     summary = {
         "scenario": scenario.name,
         "converged": bool(report.converged),
-        "fuel_total_L": {"eco": eco.fuel_total},
-        "fuel_per_vehicle_L": {"eco": eco.fuel_per_vehicle},
-        "savings_pct": None,
+        "fuel_total_L": {side: run.fuel_total for side, run in runs.items()},
+        "fuel_per_vehicle_L": {side: run.fuel_per_vehicle for side, run in runs.items()},
+        "savings_pct": None if compared is None else compared.savings_pct,
         "max_violation": eco.max_violation,
         "solve": _solve_stats(report),
     }
     write_json(out / "summary.json", summary)
-    if not report.converged:
-        details = "solve_report.json" if one_shot else "summary.json"
-        print(f"solver did not converge; see {details}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    if report.converged:
+        return EXIT_OK
+    print(f"solver did not converge; see {details}", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
+
+
+def cmd_simulate(scenario, out: Path) -> int:
+    """Plan the scenario; a one-shot plan also gets ``solve_report.json``."""
+    eco = experiments.run_eco(scenario)
+    report = eco.report
+    if isinstance(report, RecedingRun):
+        return _write_plan(out, scenario, eco)
+    write_json(
+        out / "solve_report.json",
+        {
+            "converged": bool(report.converged),
+            "max_violation": report.max_violation,
+            "cost": report.cost.as_dict(),
+            "iterations": [dataclasses.asdict(it) for it in report.iterations],
+            "coarse_iterations": report.coarse_iterations,
+            "wall_time_s": report.wall_time,
+        },
+    )
+    return _write_plan(out, scenario, eco, details="solve_report.json")
+
+
+def _write_speed_series(out: Path, scenario, eco, base):
+    """Both runs' speeds and equivalent accelerations on the spatial grid."""
+    cfg = scenario.config
+    grid = cfg.ds * np.arange(eco.report.controls.accels.shape[1])
+    base_v, base_aeq = [], []
+    for tr, vehicle in zip(base.traces, cfg.vehicles):
+        a_eq = equivalent_traction_accel(tr["accel"], tr["speed"], tr["grade"], vehicle.mass, cfg)
+        base_v.append(np.interp(grid, tr["position"], tr["speed"]))
+        base_aeq.append(np.interp(grid, tr["position"], a_eq))
+    header = ["s_m"] + [
+        f"{side}_{quantity}{i + 1}_{unit}"
+        for side in ("eco", "base")
+        for quantity, unit in (("v", "mps"), ("aeq", "mps2"))
+        for i in range(cfg.n_vehicles)
+    ]
+    eco_v = list(1.0 / eco.report.states.slownesses[:, : grid.size])
+    cols = [grid] + eco_v + list(eco.equiv_accels) + base_v + base_aeq
+    write_csv(out / "speed_series.csv", header, cols)
 
 
 def cmd_compare(scenario, out: Path) -> int:
-    cmp_result = experiments.run_compare(scenario)
-    eco, base = cmp_result.eco, cmp_result.base
-    states, controls = eco.report.states, eco.report.controls
-    _write_trajectories(out, scenario, states, controls, eco.equiv_accels)
-    _write_fuel_series(out, scenario, eco.fuel_series, base.fuel_series)
+    """Plan the scenario and run the CACC baseline beside it; adds
+    ``segment_deltas.csv`` and ``speed_series.csv`` to the plan's outputs.
+
+    The plan's files go first: written after the speed series, the large
+    ``trajectories.csv`` lifts the process's peak RSS.
+    """
+    compared = experiments.run_compare(scenario)
+    exit_code = _write_plan(out, scenario, compared.eco, compared)
     write_csv(
         out / "segment_deltas.csv",
         ["seg_start_m", "seg_end_m", "grade_rad", "saving_L"],
-        list(zip(*cmp_result.segment_deltas)),
+        list(zip(*compared.segment_deltas)),
     )
-    cfg = scenario.config
-    k_total = controls.accels.shape[1]
-    grid = cfg.ds * np.arange(k_total)
-    header = ["s_m"]
-    n = cfg.n_vehicles
-    header += [f"eco_v{i + 1}_mps" for i in range(n)]
-    header += [f"eco_aeq{i + 1}_mps2" for i in range(n)]
-    base_v = []
-    base_aeq = []
-    for i in range(n):
-        tr = base.traces[i]
-        base_v.append(np.interp(grid, tr["position"], tr["speed"]))
-        a_eq_series = equivalent_traction_accel(
-            tr["accel"], tr["speed"], tr["grade"], cfg.vehicles[i].mass, cfg
-        )
-        base_aeq.append(np.interp(grid, tr["position"], a_eq_series))
-    header += [f"base_v{i + 1}_mps" for i in range(n)]
-    header += [f"base_aeq{i + 1}_mps2" for i in range(n)]
-    cols = [grid]
-    cols += [1.0 / states.slownesses[i, :k_total] for i in range(n)]
-    cols += [eco.equiv_accels[i] for i in range(n)]
-    write_csv(out / "speed_series.csv", header, cols + base_v + base_aeq)
-    summary = {
-        "scenario": scenario.name,
-        "converged": bool(eco.report.converged),
-        "fuel_total_L": {"eco": eco.fuel_total, "baseline": base.fuel_total},
-        "fuel_per_vehicle_L": {
-            "eco": eco.fuel_per_vehicle,
-            "baseline": base.fuel_per_vehicle,
-        },
-        "savings_pct": cmp_result.savings_pct,
-        "max_violation": eco.max_violation,
-        "solve": _solve_stats(eco.report),
-    }
-    write_json(out / "summary.json", summary)
-    if not eco.report.converged:
-        print("solver did not converge; see summary.json", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    _write_speed_series(out, scenario, compared.eco, compared.base)
+    return exit_code
 
 
 def cmd_stability(scenario, out: Path) -> int:
@@ -261,33 +265,15 @@ def cmd_bench(scenario, out: Path, ds_values, windows, max_executions: int) -> i
         for value in values:
             finite_float(value, flag, positive=True)
     integer_at_least(max_executions, "--max-executions", 1)
-    rows = experiments.run_bench(
-        scenario, ds_values=ds_values, windows=windows, max_executions=max_executions
-    )
-    write_csv(
-        out / "timings.csv",
-        ["ds_m", "window_m", "executions", "mean_s", "max_s"],
-        [
-            [r.ds for r in rows],
-            [r.window for r in rows],
-            [r.executions for r in rows],
-            [r.mean_time for r in rows],
-            [r.max_time for r in rows],
-        ],
-    )
-    write_json(
-        out / "timings.json",
-        [
-            {
-                "ds_m": r.ds,
-                "window_m": r.window,
-                "executions": r.executions,
-                "mean_s": r.mean_time,
-                "max_s": r.max_time,
-            }
-            for r in rows
-        ],
-    )
+    names = ("ds_m", "window_m", "executions", "mean_s", "max_s")
+    rows = [
+        dataclasses.astuple(r)
+        for r in experiments.run_bench(
+            scenario, ds_values=ds_values, windows=windows, max_executions=max_executions
+        )
+    ]
+    write_csv(out / "timings.csv", names, list(zip(*rows)))
+    write_json(out / "timings.json", [dict(zip(names, row)) for row in rows])
     return EXIT_OK
 
 
@@ -320,7 +306,7 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(resolve_scenario_path(args.scenario))
         if args.ds is not None:
-            scenario = override_ds(scenario, args.ds)
+            scenario = override_ds(scenario, finite_float(args.ds, "--ds", positive=True))
         if args.window is not None:
             window_m = finite_float(args.window, "--window", positive=True)
             scenario = dataclasses.replace(scenario, window_m=window_m)

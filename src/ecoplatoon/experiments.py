@@ -23,14 +23,20 @@ RESIM_DT = 0.005  # s, time step of the plan's time-domain resimulation
 
 
 @dataclass
-class EcoResult:
-    """Planner output plus its metered fuel."""
+class BaselineResult:
+    """A platoon's time-domain traces plus their metered fuel."""
 
-    report: object  # SolveReport (one-shot) or RecedingRun
     traces: list
     fuel_total: float
     fuel_per_vehicle: list
     fuel_series: list  # (positions, cumulative) per vehicle
+
+
+@dataclass
+class EcoResult(BaselineResult):
+    """Planner output, its time-domain resimulation and its metered fuel."""
+
+    report: object  # SolveReport (one-shot) or RecedingRun
     equiv_accels: np.ndarray  # (N, K) on the spatial grid
 
     @property
@@ -39,19 +45,17 @@ class EcoResult:
 
 
 @dataclass
-class BaselineResult:
-    traces: list
-    fuel_total: float
-    fuel_per_vehicle: list
-    fuel_series: list
-
-
-@dataclass
 class CompareResult:
     eco: EcoResult
     base: BaselineResult
     savings_pct: float
     segment_deltas: list  # (lo, hi, grade, baseline - eco liters)
+
+
+def _metered(scenario: Scenario, traces) -> dict:
+    """The :class:`BaselineResult` fields of ``traces``: the traces and their fuel."""
+    total, per_vehicle, series = platoon_fuel(scenario.fuel_model, traces, scenario.config)
+    return dict(traces=traces, fuel_total=total, fuel_per_vehicle=per_vehicle, fuel_series=series)
 
 
 def run_eco(scenario: Scenario) -> EcoResult:
@@ -65,14 +69,10 @@ def run_eco(scenario: Scenario) -> EcoResult:
         report = solver_mod.solve(*args, targets=targets)
     states, controls = report.states, report.controls
     traces = resimulate_time_domain(states, controls, scenario.profile, cfg.ds, dt=RESIM_DT)
-    total, per_vehicle, series = platoon_fuel(scenario.fuel_model, traces, cfg)
     return EcoResult(
         report=report,
-        traces=traces,
-        fuel_total=total,
-        fuel_per_vehicle=per_vehicle,
-        fuel_series=series,
         equiv_accels=equivalent_accel_grid(states, controls, scenario.profile, cfg),
+        **_metered(scenario, traces),
     )
 
 
@@ -84,10 +84,7 @@ def run_baseline(scenario: Scenario) -> BaselineResult:
         dt=scenario.baseline_dt,
         initial_speed=scenario.initial_speed,
     )
-    total, per_vehicle, series = platoon_fuel(scenario.fuel_model, traces, scenario.config)
-    return BaselineResult(
-        traces=traces, fuel_total=total, fuel_per_vehicle=per_vehicle, fuel_series=series
-    )
+    return BaselineResult(**_metered(scenario, traces))
 
 
 def run_compare(scenario: Scenario) -> CompareResult:

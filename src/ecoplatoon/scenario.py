@@ -198,10 +198,8 @@ def load_scenario(path) -> Scenario:
             masses = [finite_float(mass, f"{where}.mass_kg")] * n
         bounds = _given(plat, _VEHICLE_PASSED)
         vehicles = tuple(_build(VehicleParams, where, mass=m, **bounds) for m in masses)
-        ds = finite_float(plat.get("ds_m", 0.1), "ds", positive=True)
-        route_length = finite_float(
-            plat.get("route_length_m", 800.0), "route length", positive=True
-        )
+        ds = _field(plat, "ds_m", 0.1, where, positive=True)
+        route_length = _field(plat, "route_length_m", 800.0, where, positive=True)
         config = _build(
             PlatoonConfig,
             where,

@@ -128,14 +128,6 @@ class SolverOptions:
 
 
 @dataclass
-class ValueModel:
-    """Quadratic cost-to-go model at one step, up to its constant: 0.5 dx'A dx + b'dx."""
-
-    hessian: np.ndarray
-    gradient: np.ndarray
-
-
-@dataclass
 class IterationRecord:
     """One accepted inner iteration."""
 
@@ -170,7 +162,6 @@ class BackwardPassResult:
     feedforward: np.ndarray  # (K, N)
     d1: float  # sum_k j'Q_u
     d2: float  # sum_k j'Q_uu j
-    value0: ValueModel
 
     def expected_decrease(self, alpha: float) -> float:
         return -(alpha * self.d1 + 0.5 * alpha**2 * self.d2)
@@ -306,8 +297,9 @@ def backward_pass(
     and outputs. The Cholesky test of Q_uu is not taken per step: one call
     tests the chunk's whole Q_uu stack once the sweep has passed it, so a
     sweep that fails runs on at most to the bottom of its chunk. Gains,
-    feedforward, ``d1``, ``d2`` and ``value0`` are bit-identical to a sweep
-    that tests every step before its solve.
+    feedforward, ``d1`` and ``d2`` are bit-identical to a sweep that tests
+    every step before its solve. ``d1`` is the slope, in the step length
+    alpha, of the augmented cost of ``forward_pass``'s rollout at alpha = 0.
 
     Each step's solve is LAPACK's ``gesv`` gufunc called directly, the
     exact call ``numpy.linalg.solve`` makes, so its output is bit for bit
@@ -332,7 +324,7 @@ def backward_pass(
     Hessian is not finite or fails its Cholesky factorization; the caller
     retries with a larger shift.
     """
-    steps, control_rows, value = _sweep(
+    steps, control_rows = _sweep(
         states, controls, thetas, config, weights, cset, al, targets,
         regularization, use_second_order, grid,
     )
@@ -345,7 +337,6 @@ def backward_pass(
         feedforward=feedforward,
         d1=float(np.einsum("ki,ki->", feedforward, q_u)),
         d2=float(np.einsum("ki,kij,kj->", feedforward, q_uu, feedforward)),
-        value0=ValueModel(hessian=value[:dim, :dim].copy(), gradient=value[:dim, dim].copy()),
     )
 
 
@@ -353,10 +344,9 @@ def _sweep(
     states, controls, thetas, config, weights, cset, al, targets, regularization,
     use_second_order, grid,
 ):
-    """The sweep of ``backward_pass``: (Q_uu^-1 [Q_ux | q_u], [q_u | Q_uu], value).
+    """The sweep of ``backward_pass``: Q_uu^-1 [Q_ux | q_u] and [q_u | Q_uu].
 
-    The first two are (K, N, 2N+1) and (K, N, N+1) stacks, the last the
-    value model [A, b; b', .] at step 0.
+    These are (K, N, 2N+1) and (K, N, N+1) stacks.
     """
     t_traj = states.arrival_times
     pi_traj = states.slownesses
@@ -471,7 +461,7 @@ def _sweep(
                 np.subtract(upper, rhs_t.dot(step), out=value)
             _test_definite(control_hessians[:m], lo, regularization)
             control_rows[at] = blocks[:m, u0:, one:]
-    return steps, control_rows, value
+    return steps, control_rows
 
 
 def forward_pass(

@@ -1,5 +1,6 @@
 """Command-line front end: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from ecoplatoon import cli
+from ecoplatoon import solver as solver_mod
 from ecoplatoon.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main, write_csv
 
 
@@ -200,7 +202,8 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", str(receding), "--out", str(tmp_path / "o"),
                    flag, value])
         assert rc == EXIT_CONFIG
-        assert flag.lstrip("-") in capsys.readouterr().err
+        message = f"{flag} must be positive and finite, got {float(value)}"
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize(
         "flags, check",
@@ -315,7 +318,7 @@ class TestSimulate:
         bad.write_text(json.dumps(raw))
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
-        assert "ds must be positive and finite" in capsys.readouterr().err
+        assert f"{bad}: platoon.ds_m must be positive and finite" in capsys.readouterr().err
 
     def test_ds_override_is_silent(self, fast_scenario, tmp_path, capsys):
         # ds sets the resolution only, so overriding it warns about nothing
@@ -400,6 +403,63 @@ class TestCompare:
         assert abs(summary["savings_pct"]) < 3.0
 
 
+# Each shipped preset's `compare` run: the sha256 of its four CSVs, in the
+# order of PINNED_CSVS, the backward passes and rollouts it takes, its
+# summary's iteration counts and its saving. The hashes were recorded on
+# numpy 2.4; another numpy may round a last bit differently, so there only
+# the counts and the saving are held.
+PRESET_FINGERPRINTS = {
+    "collector": {
+        "csv_sha256": (
+            "7f4973e75345b37ace6f755bd4405c38884cc3d04f0260e12369711037499bf1",
+            "18b0b44b0a4bf37f5df44b1d0a32b85083f38e3acb641ab52637d2a9cf4a5934",
+            "719efd6573b147c6a9fcabb4f53be919b287d113d78fcbc03eb0b5d6a14753fc",
+            "e747d92a0addeea3baaecb00613763fcdddd778f2ddd5a49365ce1eadf07365e",
+        ),
+        "calls": {"backward_pass": 17, "forward_pass": 27},
+        "solve": {"iterations": 1, "coarse_iterations": 13},
+        "savings_pct": 50.52,
+    },
+    "major_arterial": {
+        "csv_sha256": (
+            "ac1df577b15a1124fdb4dd2915d00c9ec600679e43fecb7a28603c9680ad9403",
+            "c50fbb8c399bb580611bd0987f74204825b13b849f36ec96e17a40aed3859ab4",
+            "b1785345c16aa6a9afebfd9ce8b38b9108ea164af42c920563f1cfe51ae52ea5",
+            "59cc66a130a077f54e83867b94fa26a354344645252a6e1c7bd1d42d7d205961",
+        ),
+        "calls": {"backward_pass": 25, "forward_pass": 60},
+        "solve": {"iterations": 1, "coarse_iterations": 21},
+        "savings_pct": 23.80,
+    },
+}
+PINNED_CSVS = ("trajectories.csv", "fuel_series.csv", "speed_series.csv", "segment_deltas.csv")
+HASHED_ON_NUMPY = "2.4"
+
+
+class TestPresetFingerprints:
+    @pytest.mark.parametrize("preset", sorted(PRESET_FINGERPRINTS))
+    def test_compare_outputs_pinned(self, preset, tmp_path, monkeypatch):
+        want = PRESET_FINGERPRINTS[preset]
+        calls = dict.fromkeys(want["calls"], 0)
+        for name in calls:
+            def spy(*args, _name=name, _inner=getattr(solver_mod, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(solver_mod, name, spy)
+        out = tmp_path / preset
+        assert main(["compare", "--scenario", preset, "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert calls == want["calls"]
+        assert {key: summary["solve"][key] for key in want["solve"]} == want["solve"]
+        assert round(summary["savings_pct"], 2) == want["savings_pct"]
+        if ".".join(np.__version__.split(".")[:2]) == HASHED_ON_NUMPY:
+            digests = tuple(
+                hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_CSVS
+            )
+            assert digests == want["csv_sha256"]
+
+
 class TestStability:
     def test_gamma_table_written(self, fast_scenario, tmp_path):
         out = tmp_path / "stab"
@@ -431,6 +491,11 @@ class TestBench:
         assert rc == EXIT_OK
         rows = json.loads((out / "timings.json").read_text())
         assert len(rows) == 2
+        # one row per sweep point, under the same five names in both files
+        lines = (out / "timings.csv").read_text().splitlines()
+        assert lines[0] == "ds_m,window_m,executions,mean_s,max_s"
+        assert [line.split(",")[:3] for line in lines[1:]] == [["1", "20", "5"], ["1", "40", "5"]]
+        assert all(sorted(r) == sorted(lines[0].split(",")) for r in rows)
         assert all(r["mean_s"] > 0 and r["max_s"] >= r["mean_s"] for r in rows)
         # larger window never solves faster on average
         assert rows[1]["mean_s"] >= rows[0]["mean_s"] * 0.8
