@@ -110,6 +110,8 @@ def run_stability(scenario: Scenario) -> StabilityResult:
         scenario.profile,
         scenario.perturbation,
         scenario.solver_options,
+        window_m=scenario.window_m,
+        replan_m=scenario.replan_m,
     )
     # Following errors from the scenario's own (error-seeded) plan.
     t0, pi0, targets = scenario.initial_state()

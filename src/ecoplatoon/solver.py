@@ -1,21 +1,29 @@
 """Constrained trajectory optimizer: DDP inner loop, augmented-Lagrangian outer loop.
 
-One solve alternates two phases until tolerances or iteration caps are hit:
+``solve`` is one pipeline: it lists the grid levels of the problem, then
+solves each level in one loop, every level from the plan of the one before.
+Each level's solve (``_solve``) alternates two phases until tolerances or
+iteration caps are hit:
 
 * inner phase: backward pass building a quadratic model of the cost-to-go
   (value Hessian A_k, gradient b_k) step by step from the terminal cost,
   extracting an affine feedback law u(x) = u_ref + h_k (x - x_ref) + j_k,
   then a forward rollout of the true nonlinear dynamics with a backtracking
-  line search on the feedforward term;
+  Armijo line search on the feedforward term (``_line_search``);
 * outer phase: multiplier and penalty-weight updates for the inequality
   constraints, after which the inner phase resumes on the reshaped cost.
   Penalty weights start at ``_RHO_INIT`` times ``costs.step_weight``, so
   the augmented cost weighs each step by its length, as the cost does.
 
-The inner phase stops when the predicted or the accepted decrease falls
-below a relative tolerance of the augmented cost, looser while the plan
-breaks the constraints; after each multiplier update it takes at least one
-line search (see ``_LOOSE_TOL``).
+The inner phase has one convergence rule: it converges when the predicted
+decrease, or an accepted step's actual decrease, falls below a relative
+tolerance of the augmented cost, looser while the plan breaks the
+constraints. After each multiplier update it first takes a line search
+(see ``_LOOSE_TOL``), and a stationary plan whose forced step finds no
+descent converges too. A failed Cholesky test or a line search without an
+Armijo step grows the Levenberg shift; past ``_REG_MAX``, or at
+``max_inner`` accepted steps, the inner phase ends unconverged. A solve
+converges when its inner phase does on a plan within ``_TOL_VIOLATION``.
 
 This module alone knows the interleaved state layout [t1, pi1, ..., tN,
 piN]: ``costs`` and ``constraints`` give their derivatives as per-vehicle
@@ -59,14 +67,15 @@ the cost weights, the initial penalty weights and the grade samples are all
 elementwise in the step length, and a grid of ones (the default) is the
 uniform grid bit for bit.
 
-A solve given no initial controls starts cold through a grid hierarchy,
-nested iteration in the sense of Brandt (Math. Comp. 31, 1977): each level
-is the same problem on a uniform grid whose step is exactly five times that
-of the level above, solved from the plan of the level below it held over
-the steps it covers, down to a level of at least ``_COARSE_FLOOR`` steps.
-On the collector preset that takes the full-resolution solve from 14
-backward passes down to 2. Explicit initial controls, zeros included, skip
-the hierarchy.
+A solve given no initial controls starts cold on a ladder of grid levels
+(``_grid_levels``), nested iteration in the sense of Brandt (Math. Comp.
+31, 1977): each level is the same problem on a uniform grid whose step is
+exactly five times that of the level above, down to a level of at least
+``_COARSE_FLOOR`` steps. The coarsest level starts from zero controls and
+each later one from the plan of the level below, held over the steps it
+covers. On the collector preset that takes the full-resolution solve from
+14 backward passes down to 2. Explicit initial controls, zeros included,
+are a ladder of one level.
 
 ``receding_horizon_run`` solves every window but the last at ds over the
 segment it executes and at ``_COARSE_FACTOR`` ds over the rest of the
@@ -189,11 +198,11 @@ _RHO_INIT, _RHO_FACTOR, _TOL_VIOLATION = 10.0, 10.0, 1e-3
 # whole horizon would run failing sweeps down to step 0.
 _BUILD_CHUNK = 512
 
-# A cold solve first plans on a grid whose step is exactly this many times
-# longer, recursively, and starts each level from the plan of the level
-# below it (see ``_cold_plan``). A non-integer step ratio puts the coarse
-# grid points between the fine ones, and the fine solve then takes several
-# times the passes.
+# Each level of a cold solve's ladder has a step exactly this many times
+# longer than the level above it, which starts from its plan (see
+# ``_grid_levels``). A non-integer step ratio puts the coarse grid points
+# between the fine ones, and the fine solve then takes several times the
+# passes.
 _COARSE_FACTOR = 5
 
 # The fewest steps of a coarse level. Below it a level's fixed cost per pass
@@ -554,21 +563,29 @@ def solve(
     ``config.ds`` (see ``platoon.step_grid``); the default is ds for every
     step. The plan, its states and its cost are on that grid.
 
-    ``initial_controls`` (N, K) starts the solve from that plan. Without
-    them the solve starts cold from ``_cold_plan``: the same problem solved
-    on a hierarchy of grids, each ``_COARSE_FACTOR`` times coarser than the
-    one above, every level started from the plan of the level below it. It
-    starts from zero controls instead when the first level would have fewer
-    than ``_COARSE_FLOOR`` steps or when the held plan leaves the slowness
-    domain. Explicit zero controls give the plain zero start.
-    ``iterations`` holds the full-resolution iterations only,
-    ``coarse_iterations`` sums the accepted iterations of every coarse
-    level, and ``wall_time`` covers all levels.
+    ``initial_controls`` (N, K) starts the solve from that plan, zeros
+    included. Without them the solve starts cold: ``_grid_levels`` lists the
+    same problem on a ladder of grids, coarsest first, each level's step
+    ``_COARSE_FACTOR`` times that of the level above, and one loop solves
+    them in order. The coarsest level starts from zero controls; each later
+    level starts from the plan of the level below, held over the steps it
+    covers, or from zeros when that plan leaves the slowness domain.
+    Explicit controls are a ladder of one level. ``iterations`` holds the
+    last level's iterations, ``coarse_iterations`` sums the accepted
+    iterations of every level before it, and ``wall_time`` covers all
+    levels.
+
+    ``converged`` means the last level's final inner loop ended on a
+    stationary prediction, an accepted decrease under its tolerance or a
+    forced step without descent, with a violation of at most
+    ``_TOL_VIOLATION``. An exhausted Levenberg ladder or ``max_inner``
+    never counts.
 
     Raises ConfigError when ``t0``, ``pi0`` or ``targets`` is not a finite
     array of shape (N,), when a slowness is not positive, when
-    ``start_position`` is not a finite number, or when ``grid`` is not a
-    (K,) array of integers >= 1.
+    ``start_position`` is not a finite number, when ``grid`` is not a (K,)
+    array of integers >= 1, or when ``initial_controls`` is not an (N, K)
+    plan inside the slowness domain.
     """
     start = time.perf_counter()
     n = config.n_vehicles
@@ -584,11 +601,10 @@ def solve(
     targets = _finite_vector("targets", targets, n)
 
     if initial_controls is None:
-        accels, reference, coarse_iterations = _cold_plan(
-            config, weights, profile, options, targets, start_position, t0, pi0, grid
-        )
+        levels = _grid_levels(config, targets, grid)
+        accels = reference = None
     else:
-        coarse_iterations = 0
+        levels = [(config, targets, grid)]
         accels = np.array(initial_controls, dtype=float)
         if accels.shape != (n, k_steps):
             raise ConfigError(f"initial controls must have shape ({n}, {k_steps})")
@@ -596,12 +612,22 @@ def solve(
         if reference is None:
             raise ConfigError("initial controls are infeasible (slowness left the domain)")
 
-    report = _solve(
-        config, weights, profile, options, targets, start_position, accels, reference, grid
+    coarse_iterations = 0
+    for level, (level_config, level_targets, level_grid) in enumerate(levels):
+        if level > 0:
+            coarse_iterations += len(report.iterations)
+            accels = report.controls.accels[:, step_starts(level_grid) // _COARSE_FACTOR]
+            reference = _feasible_rollout(t0, pi0, accels, level_config.ds, level_grid)
+        if reference is None:
+            accels = np.zeros((n, level_config.horizon_steps))
+            reference = rollout(t0, pi0, accels, level_config.ds, level_grid)
+        report = _solve(
+            level_config, weights, profile, options, level_targets, start_position,
+            accels, reference, level_grid,
+        )
+    return dataclasses.replace(
+        report, coarse_iterations=coarse_iterations, wall_time=time.perf_counter() - start
     )
-    report.coarse_iterations = coarse_iterations
-    report.wall_time = time.perf_counter() - start
-    return report
 
 
 def _finite_vector(name, values, n):
@@ -614,49 +640,33 @@ def _finite_vector(name, values, n):
     return out
 
 
-def _cold_plan(config, weights, profile, options, targets, start_position, t0, pi0, grid):
-    """A starting plan for a cold solve: (accels, its rollout, coarse iterations).
+def _grid_levels(config, targets, grid):
+    """The cold start's ladder of (config, targets, grid) levels, coarsest first.
 
-    The grid covers M = sum(grid) ds of road (M = K on a uniform grid). The
-    level below is uniform, with Kc = ceil(M / _COARSE_FACTOR) steps of
-    exactly ``_COARSE_FACTOR`` ds and the same weights, options and start
+    The finest level is the problem as given. A level whose grid covers
+    M = sum(grid) ds of road (M = K on a uniform grid) has below it a
+    uniform level of Kc = ceil(M / _COARSE_FACTOR) steps of exactly
+    ``_COARSE_FACTOR`` ds, with the same weights, options and start
     position; the cost weighs each step by its length, so it is the same
     problem. Its last step may overhang the road by
     o = (_COARSE_FACTOR Kc - M) ds, so its targets move later by
-    o / target_speed. That level is planned the same way, recursively, and
-    solved with ``_solve``; a fine step starting j ds in then holds coarse
-    step j // _COARSE_FACTOR, converged or not. The plan is zero controls
-    when Kc < ``_COARSE_FLOOR``, when Kc >= K (a grid of long steps) or
-    when the held plan leaves the slowness domain. The iteration count sums
-    the accepted iterations of every level solved, fallbacks included.
+    o / target_speed. The ladder stops at a level whose level below would
+    have fewer than ``_COARSE_FLOOR`` steps, or no fewer steps than itself
+    (a grid of long steps): such a level saves the level above nothing.
     """
-    n, k_steps, ds = config.n_vehicles, config.horizon_steps, config.ds
-    span = int(grid.sum())
-    k_coarse = -(-span // _COARSE_FACTOR)
-    iterations = 0
-    # a level below with no fewer steps saves the level above nothing
-    if _COARSE_FLOOR <= k_coarse < k_steps:
-        coarse_config = dataclasses.replace(
-            config, ds=ds * _COARSE_FACTOR, horizon_steps=k_coarse
+    levels = [(config, targets, grid)]
+    while True:
+        span = int(grid.sum())
+        k_coarse = -(-span // _COARSE_FACTOR)
+        if not _COARSE_FLOOR <= k_coarse < config.horizon_steps:
+            return levels[::-1]
+        overhang = (_COARSE_FACTOR * k_coarse - span) * config.ds
+        targets = targets + overhang / config.target_speed
+        config = dataclasses.replace(
+            config, ds=config.ds * _COARSE_FACTOR, horizon_steps=k_coarse
         )
-        coarse_grid = step_grid(None, k_coarse)
-        overhang = (_COARSE_FACTOR * k_coarse - span) * ds
-        coarse_targets = targets + overhang / config.target_speed
-        accels, reference, iterations = _cold_plan(
-            coarse_config, weights, profile, options, coarse_targets,
-            start_position, t0, pi0, coarse_grid,
-        )
-        coarse = _solve(
-            coarse_config, weights, profile, options, coarse_targets,
-            start_position, accels, reference, coarse_grid,
-        )
-        iterations += len(coarse.iterations)
-        held = coarse.controls.accels[:, step_starts(grid) // _COARSE_FACTOR]
-        reference = _feasible_rollout(t0, pi0, held, ds, grid)
-        if reference is not None:
-            return held, reference, iterations
-    zeros = np.zeros((n, k_steps))
-    return zeros, rollout(t0, pi0, zeros, ds, grid), iterations
+        grid = step_grid(None, k_coarse)
+        levels.append((config, targets, grid))
 
 
 def _feasible_rollout(t0, pi0, accels, ds, grid):
@@ -668,15 +678,19 @@ def _feasible_rollout(t0, pi0, accels, ds, grid):
 
 
 def _solve(config, weights, profile, options, targets, start_position, accels, reference, grid):
-    """The solve proper, from the plan ``accels`` and its rollout ``reference``.
+    """The solve of one grid level, from the plan ``accels`` and its rollout ``reference``.
 
-    ``solve`` runs every coarse level and its full-resolution phase through
-    here, so one public call stays one plan. ``wall_time`` covers this
-    phase only; ``solve`` replaces it.
+    ``solve`` runs every level through here, so one public call stays one
+    plan. ``wall_time`` covers this level only; ``solve`` replaces it.
 
-    Every stopping test of the inner loop uses ``_inner_tolerance`` of the
-    plan it judges, and each outer pass after a multiplier update starts
-    with a forced step (see ``_LOOSE_TOL``). The accepted-decrease test
+    Each inner iteration ends in one of these ways. A stationary prediction
+    ends the inner loop converged; so does a stationary plan whose forced
+    step (see ``_LOOSE_TOL``) finds no descent. An accepted step shrinks the
+    Levenberg shift and ends the loop converged when its decrease is within
+    tolerance. A failed Cholesky test, or a line search with no Armijo step,
+    grows the shift; past ``_REG_MAX`` the loop ends unconverged, as it does
+    at ``max_inner`` accepted steps. Every stopping test uses
+    ``_inner_tolerance`` of the plan it judges; the accepted-decrease test
     judges the accepted plan, so a converged report was last judged at
     ``tol_cost_rel`` on the plan it returns.
     """
@@ -692,16 +706,15 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     al = cons.ALState.initial(k_steps, cset.n_constraints, rho0[:, None])
     times, slows = reference.arrival_times, reference.slownesses
 
-    def eval_true(t_arr, pi_arr, a_arr):
+    def evaluate(t_arr, pi_arr, a_arr, al):
+        """(true cost, its breakdown, constraint values, augmented cost) of a plan."""
         true_cost, breakdown = costs.trajectory_cost(
             t_arr, pi_arr, a_arr, thetas, config, weights, targets, grid
         )
         e = cons.evaluate(cset, pi_arr[:, :-1], a_arr)
-        return true_cost, breakdown, e
+        return true_cost, breakdown, e, true_cost + cons.penalty(e, al)
 
-    true_cost, breakdown, e_vals = eval_true(times, slows, accels)
-    aug_cost = true_cost + cons.penalty(e_vals, al)
-
+    true_cost, breakdown, e_vals, aug_cost = evaluate(times, slows, accels, al)
     violation = cons.max_violation(e_vals)
     iterations: list = []
     reg = _REG_INIT
@@ -714,7 +727,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
         while inner_count < options.max_inner:
             state_obj = PlatoonState(arrival_times=times, slownesses=slows)
             ctrl_obj = ControlTrajectory(accels=accels)
-            bp = None  # frees the previous pass's gains before the next is built
+            bp = trial = None  # frees the previous pass's gains before the next is built
             try:
                 bp = backward_pass(
                     state_obj,
@@ -731,33 +744,21 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                 )
             except BackwardPassError:
                 pass
-            accepted = False
-            forced = False
             if bp is not None:
-                scale = max(1.0, abs(aug_cost))
                 tol = _inner_tolerance(options, violation, outer)
-                stationary = bp.expected_decrease(1.0) <= tol * scale
-                forced, force_step = force_step and stationary, False
-                if stationary and not forced:
+                stationary = bp.expected_decrease(1.0) <= tol * max(1.0, abs(aug_cost))
+                if stationary and not force_step:
                     inner_converged = True
                     break
-                alpha = 1.0
-                while alpha >= _ALPHA_MIN:
-                    result = forward_pass(state_obj, ctrl_obj, bp, alpha, ds, grid)
-                    if result is not None:
-                        t_new, pi_new, a_new = result
-                        new_true, new_breakdown, new_e = eval_true(t_new, pi_new, a_new)
-                        expected = bp.expected_decrease(alpha)
-                        new_aug = new_true + cons.penalty(new_e, al)
-                        actual = aug_cost - new_aug
-                        if actual > 0.0 and actual >= _ARMIJO_C * max(expected, 0.0):
-                            accepted = True
-                            break
-                    alpha *= _BACKTRACK
-            if accepted:
-                times, slows, accels = t_new, pi_new, a_new
-                true_cost, breakdown, e_vals = new_true, new_breakdown, new_e
-                aug_cost = new_aug
+                force_step = False
+                trial = _line_search(state_obj, ctrl_obj, bp, aug_cost, al, evaluate, ds, grid)
+                if trial is None and stationary:
+                    # the forced step found no descent from a stationary plan
+                    inner_converged = True
+                    break
+            if trial is not None:
+                alpha, expected, actual, (times, slows, accels), evaluated = trial
+                true_cost, breakdown, e_vals, aug_cost = evaluated
                 violation = cons.max_violation(e_vals)
                 iterations.append(
                     IterationRecord(
@@ -779,18 +780,11 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                     inner_converged = True
                     break
                 continue
-            if forced:
-                # The forced step found no descent from a stationary plan.
-                inner_converged = True
-                break
             # The shifted Q_uu failed its Cholesky test or no step length
             # passed Armijo: retry with a larger Levenberg shift.
             reg *= _REG_FACTOR
             if reg > _REG_MAX:
-                inner_converged = (
-                    bp is not None and bp.expected_decrease(1.0) <= 10 * tol * scale
-                )
-                break
+                break  # an exhausted shift ladder is never converged
 
         if inner_converged and violation <= _TOL_VIOLATION:
             converged = True
@@ -811,6 +805,27 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
         max_violation=violation,
         targets=targets,
     )
+
+
+def _line_search(states, controls, bp, aug_cost, al, evaluate, ds, grid):
+    """The first step alpha = 1, 1/2, ... >= ``_ALPHA_MIN`` that passes Armijo, or None.
+
+    A trial passes when its rollout stays in the slowness domain and lowers
+    the augmented cost ``aug_cost`` by at least ``_ARMIJO_C`` times the
+    predicted decrease. Returns (alpha, predicted decrease, actual decrease,
+    the trial's (times, slownesses, accels), ``evaluate``'s tuple for it).
+    """
+    alpha = 1.0
+    while alpha >= _ALPHA_MIN:
+        plan = forward_pass(states, controls, bp, alpha, ds, grid)
+        if plan is not None:
+            evaluated = evaluate(*plan, al)
+            expected = bp.expected_decrease(alpha)
+            actual = aug_cost - evaluated[3]
+            if actual > 0.0 and actual >= _ARMIJO_C * max(expected, 0.0):
+                return alpha, expected, actual, plan, evaluated
+        alpha *= _BACKTRACK
+    return None
 
 
 @dataclass

@@ -85,6 +85,9 @@ def run_perturbation(
     spec: PerturbationSpec,
     options: solver_mod.SolverOptions = solver_mod.SolverOptions(),
     baseline_report=None,
+    *,
+    window_m: float = 40.0,
+    replan_m: float = 10.0,
 ) -> StabilityReport:
     """Solve unperturbed and perturbed plans and measure the transfer ratios.
 
@@ -96,7 +99,9 @@ def run_perturbation(
     from the unperturbed plan would stop at ``tol_cost_rel`` next to that plan
     and under-report the response. Pulse perturbations inject the shift at
     the onset position (and remove it after ``duration`` meters) during a
-    receding-horizon execution.
+    receding-horizon execution with windows of ``window_m`` that replan
+    every ``replan_m`` (the scenario defaults, 40 m and 10 m, unless given);
+    step perturbations ignore both.
     """
     n = config.n_vehicles
     v0 = config.target_speed
@@ -118,9 +123,6 @@ def run_perturbation(
             targets=baseline_report.targets,
         )
     else:
-        window = max(40.0 * config.ds, 40.0)
-        replan = window / 4.0
-
         def make_hook():
             phase = "before"  # then "during" the pulse, then "after" it
 
@@ -142,10 +144,10 @@ def run_perturbation(
 
         if baseline_report is None:
             baseline_report = solver_mod.receding_horizon_run(
-                config, weights, profile, t0, pi0, options, window, replan
+                config, weights, profile, t0, pi0, options, window_m, replan_m
             )
         perturbed = solver_mod.receding_horizon_run(
-            config, weights, profile, t0, pi0, options, window, replan,
+            config, weights, profile, t0, pi0, options, window_m, replan_m,
             state_hook=make_hook(),
         )
 

@@ -12,6 +12,7 @@ import pytest
 from ecoplatoon import cli
 from ecoplatoon import solver as solver_mod
 from ecoplatoon.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main, write_csv
+from ecoplatoon.scenario import resolve_scenario_path
 
 
 @pytest.fixture
@@ -470,6 +471,24 @@ class TestStability:
         assert (out / "gamma.csv").exists()
         assert (out / "following_errors.csv").exists()
         assert (out / "deviations.csv").exists()
+
+    def test_pulse_replans_in_the_scenario_window(self, tmp_path):
+        # a pulse is measured in receding windows of window_m, which --window sets
+        raw = json.loads(resolve_scenario_path("collector").read_text())
+        raw["platoon"]["ds_m"] = 1.0
+        raw["perturbation"] = {
+            "magnitude_mps": 0.5, "shape": "pulse", "onset_m": 100.0, "duration_m": 50.0
+        }
+        path = tmp_path / "pulse.json"
+        path.write_text(json.dumps(raw))
+        outputs = {}
+        for window in ("20", "40", None):
+            out = tmp_path / f"window_{window}"
+            flags = [] if window is None else ["--window", window]
+            assert main(["stability", "--scenario", str(path), "--out", str(out), *flags]) == EXIT_OK
+            outputs[window] = [(out / name).read_bytes() for name in ("gamma.csv", "deviations.csv")]
+        assert outputs["40"] == outputs[None]  # the scenario's own window_m is 40 m
+        assert all(a != b for a, b in zip(outputs["20"], outputs["40"]))
 
     def test_missing_perturbation_is_config_error(self, fast_scenario, tmp_path):
         raw = json.loads(fast_scenario.read_text())

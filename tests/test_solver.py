@@ -3,6 +3,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ecoplatoon import costs
 from ecoplatoon import solver as solver_mod
 from ecoplatoon.costs import CostWeights, schedule_targets, trajectory_cost
 from ecoplatoon.errors import BackwardPassError, ConfigError
+from ecoplatoon.experiments import run_eco
 from ecoplatoon.platoon import ControlTrajectory, rollout
 from ecoplatoon.scenario import load_scenario, override_ds, resolve_scenario_path
 from ecoplatoon.solver import (
@@ -25,6 +27,7 @@ from ecoplatoon.solver import (
     receding_horizon_run,
     solve,
 )
+from ecoplatoon.stability import PerturbationSpec, run_perturbation
 from ecoplatoon.terrain import SlopeProfile, build_preset
 
 FLAT = SlopeProfile(breakpoints=[0.0, 5000.0], grades=[0.0])
@@ -1085,7 +1088,7 @@ class TestStepGrid:
             raise AssertionError("solved before the grid was checked")
 
         monkeypatch.setattr(solver_mod, "_solve", no_solve)
-        monkeypatch.setattr(solver_mod, "_cold_plan", no_solve)
+        monkeypatch.setattr(solver_mod, "_grid_levels", no_solve)
         with pytest.raises(ConfigError, match="step grid"):
             solve(cfg, w, prof, t0, pi0, SolverOptions(), grid=grid)
 
@@ -1694,3 +1697,105 @@ class TestOuterSchedule:
         assert report.max_violation > solver_mod._TOL_VIOLATION and not report.converged
         assert shifts == [solver_mod._REG_INIT] * opts.max_outer
         assert trials[0] == 0 and all(n > 0 for n in trials[1:])
+
+    def test_exhausted_shift_ladder_is_never_converged(self, monkeypatch):
+        # a feasible plan whose every prediction is five times the tolerance
+        # and whose every trial is rejected: the Levenberg shift climbs past
+        # _REG_MAX without a step, which ends the inner loop unconverged
+        cfg = wide_open_config(n=2, ds=1.0, horizon_steps=50)
+        w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
+        t0 = -np.arange(2) * cfg.headway
+        pi0 = np.full(2, 1.0 / cfg.target_speed)
+        tol = 1e-6
+        shifts = []
+        inner_backward = solver_mod.backward_pass
+
+        def backward(states, controls, thetas, config, weights, cset, al, targets, reg, *rest):
+            shifts.append(reg)
+            bp = inner_backward(
+                states, controls, thetas, config, weights, cset, al, targets, reg, *rest
+            )
+            cost, _ = trajectory_cost(
+                states.arrival_times, states.slownesses, controls.accels, thetas, config,
+                weights, targets,
+            )
+            e = cons.evaluate(cset, states.slownesses[:, :-1], controls.accels)
+            aug_cost = cost + cons.penalty(e, al)
+            return dataclasses.replace(bp, d1=-5.0 * tol * max(1.0, abs(aug_cost)), d2=0.0)
+
+        monkeypatch.setattr(solver_mod, "backward_pass", backward)
+        monkeypatch.setattr(solver_mod, "forward_pass", lambda *args: None)
+        monkeypatch.setattr(solver_mod, "_inner_tolerance", lambda options, v, k: tol)
+        report = solve(
+            cfg, w, FLAT, t0, pi0, SolverOptions(), initial_controls=np.zeros((2, 50))
+        )
+        assert report.max_violation <= solver_mod._TOL_VIOLATION
+        assert max(shifts) * solver_mod._REG_FACTOR > solver_mod._REG_MAX
+        assert not report.converged
+        assert report.iterations == []
+
+
+def count_solver_calls(monkeypatch):
+    """Count what the benchmark's tracer counts: solves and their accepted
+    iterations, backward passes (and those that raised), rollouts and
+    multiplier updates."""
+    counts = Counter()
+    for module, name in (
+        (solver_mod, "solve"),
+        (solver_mod, "backward_pass"),
+        (solver_mod, "forward_pass"),
+        (cons, "update_multipliers"),
+    ):
+        def spy(*args, _inner=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            try:
+                result = _inner(*args, **kwargs)
+            except BackwardPassError:
+                counts["raised"] += 1
+                raise
+            if _name == "solve":
+                counts["iterations"] += len(result.iterations)
+                counts["unconverged"] += not result.converged
+            return result
+
+        monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+class TestWorkloadCounts:
+    """The solver's path on two benchmark workloads, rebuilt here, pinned by its counts.
+
+    The counts are integers, so they hold on every numpy; a change that
+    moves one moves the solver's path, and its CHANGES.md entry says why.
+    """
+
+    def test_receding_comfort(self, monkeypatch):
+        scen = dataclasses.replace(
+            comfort_scenario(), horizon_mode="receding", window_m=40.0, replan_m=10.0
+        )
+        counts = count_solver_calls(monkeypatch)
+        eco = run_eco(scen)
+        assert len(eco.report.exec_times) == 77
+        assert eco.report.converged
+        assert counts == Counter(
+            solve=77, iterations=221, unconverged=0, backward_pass=350, raised=0,
+            forward_pass=265, update_multipliers=66,
+        )
+
+    def test_stability_n5_row(self, monkeypatch):
+        scen = load_scenario(resolve_scenario_path("collector"))
+        base = scen.config
+        cfg = dataclasses.replace(base, vehicles=tuple(base.vehicles[0] for _ in range(5)))
+        t0 = -np.arange(5) * cfg.headway
+        pi0 = np.full(5, 1.0 / cfg.target_speed)
+        counts = count_solver_calls(monkeypatch)
+        cold = solver_mod.solve(cfg, scen.weights, scen.profile, t0, pi0, scen.solver_options)
+        for delta in (0.25, 0.5, 1.0):
+            run_perturbation(
+                cfg, scen.weights, scen.profile, PerturbationSpec(magnitude=delta),
+                scen.solver_options, baseline_report=cold,
+            )
+        assert counts == Counter(
+            solve=4, iterations=4, unconverged=0, backward_pass=69, raised=10,
+            forward_pass=74, update_multipliers=0,
+        )
