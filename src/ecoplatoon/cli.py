@@ -5,8 +5,9 @@
 
 Scenario paths may name a shipped preset (``collector``, ``major_arterial``);
 ECOPLATOON_PRESET_DIR overrides the preset search path. All outputs are
-written atomically (write-then-rename) with fixed column orders, so repeated
-runs of the same scenario produce byte-identical files. ``simulate`` and
+written atomically (write-then-rename) by :func:`atomic_write`, which streams
+each file's rows into the temporary file, with fixed column orders, so
+repeated runs of the same scenario produce byte-identical files. ``simulate`` and
 ``compare`` write a plan's ``trajectories.csv``, ``fuel_series.csv`` and
 ``summary.json`` through one writer, :func:`_write_plan`. The CLI renders no
 graphics. ``--ds`` and ``--window`` must be finite and positive, as the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import experiments
 from .errors import ConfigError, EcoPlatoonError, finite_float, integer_at_least
-from .fuel import equivalent_traction_accel
+from .fuel import cumulative_at, equivalent_traction_accel
 from .scenario import load_scenario, override_ds, resolve_scenario_path
 from .solver import RecedingRun
 
@@ -41,12 +43,15 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_RUNTIME = 4
 
 
-def atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` through a temporary file
+    beside it, renamed over ``path`` once the last chunk is written; on any
+    error the temporary file is removed and ``path`` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -58,29 +63,16 @@ def write_csv(path: Path, header: list, columns) -> None:
     """Write equal-length columns under ``header``, one row per element.
 
     Integer (and boolean) columns print as integers, every other column as
-    ``%.12g`` of its float value.
+    ``%.12g`` of its float value. Rows are formatted as they are written.
     """
     columns = [np.asarray(col) for col in columns]
     row_format = ",".join("%d" if col.dtype.kind in "biu" else "%.12g" for col in columns)
-    lines = [",".join(header)]
-    lines += [row_format % row for row in zip(*(col.tolist() for col in columns))]
-    atomic_write(path, "\n".join(lines) + "\n")
+    rows = map((row_format + "\n").__mod__, zip(*(col.tolist() for col in columns)))
+    atomic_write(path, itertools.chain([",".join(header) + "\n"], rows))
 
 
 def write_json(path: Path, obj) -> None:
-    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _grid_series(fuel_series, ds: float, route_length: float):
-    """Resample per-vehicle cumulative fuel onto the spatial grid."""
-    grid = np.arange(0.0, route_length + ds / 2, ds)
-    out = []
-    for positions, cumulative in fuel_series:
-        if positions.size == 0:
-            out.append(np.zeros_like(grid))
-        else:
-            out.append(np.interp(grid, positions, cumulative, left=0.0))
-    return grid, out
+    atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_trajectories(out: Path, scenario, states, controls, equiv):
@@ -109,13 +101,14 @@ def _write_fuel_series(out: Path, scenario, sides):
     the plan's, then the baseline's when there is one.
     """
     cfg = scenario.config
-    header, cols = ["s_m"], []
+    grid = cfg.ds * np.arange(cfg.horizon_steps + 1)
+    header, cols = ["s_m"], [grid]
     for prefix, series in zip(("eco", "base"), sides):
-        grid, per_vehicle = _grid_series(series, cfg.ds, cfg.route_length)
+        per_vehicle = cumulative_at(series, grid)
         names = [f"v{i + 1}" for i in range(len(per_vehicle))] + ["total"]
         header += [f"{prefix}_{name}_L" for name in names]
-        cols += per_vehicle + [np.sum(per_vehicle, axis=0)]
-    write_csv(out / "fuel_series.csv", header, [grid] + cols)
+        cols += list(per_vehicle) + [per_vehicle.sum(axis=0)]
+    write_csv(out / "fuel_series.csv", header, cols)
 
 
 def _solve_stats(report):
@@ -201,11 +194,7 @@ def _write_speed_series(out: Path, scenario, eco, base):
 
 def cmd_compare(scenario, out: Path) -> int:
     """Plan the scenario and run the CACC baseline beside it; adds
-    ``segment_deltas.csv`` and ``speed_series.csv`` to the plan's outputs.
-
-    The plan's files go first: written after the speed series, the large
-    ``trajectories.csv`` lifts the process's peak RSS.
-    """
+    ``segment_deltas.csv`` and ``speed_series.csv`` to the plan's outputs."""
     compared = experiments.run_compare(scenario)
     exit_code = _write_plan(out, scenario, compared.eco, compared)
     write_csv(

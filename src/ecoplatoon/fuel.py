@@ -189,6 +189,21 @@ def platoon_fuel(model: FuelModel, traces: list, config: PlatoonConfig):
     return float(sum(per_vehicle)), per_vehicle, series
 
 
+def cumulative_at(series: list, positions):
+    """Each vehicle's cumulative fuel at ``positions``, shape (N, len(positions)).
+
+    ``series`` holds (positions, cumulative) pairs per vehicle, as
+    :func:`platoon_fuel` returns them. Fuel reads zero before a vehicle's
+    first sample and everywhere for an empty series.
+    """
+    return np.array(
+        [
+            np.interp(positions, s, c, left=0.0) if s.size else np.zeros_like(positions)
+            for s, c in series
+        ]
+    )
+
+
 def segment_fuel_deltas(
     series_a: list,
     series_b: list,
@@ -199,21 +214,11 @@ def segment_fuel_deltas(
     Both series lists hold (positions, cumulative) pairs per vehicle. Returns
     a list of (segment_start, segment_end, grade, delta_liters).
     """
-
-    def seg_total(series, lo, hi):
-        total = 0.0
-        for positions, cumulative in series:
-            if positions.size == 0:
-                continue
-            lo_val = float(np.interp(lo, positions, cumulative, left=0.0))
-            hi_val = float(np.interp(hi, positions, cumulative, left=0.0))
-            total += hi_val - lo_val
-        return total
-
-    out = []
     bp = profile.breakpoints
-    for j, theta in enumerate(profile.grades):
-        lo, hi = float(bp[j]), float(bp[j + 1])
-        delta = seg_total(series_a, lo, hi) - seg_total(series_b, lo, hi)
-        out.append((lo, hi, float(theta), delta))
-    return out
+    fuel_a, fuel_b = (
+        np.diff(cumulative_at(series, bp), axis=1).sum(axis=0) for series in (series_a, series_b)
+    )
+    return [
+        (float(bp[j]), float(bp[j + 1]), float(theta), float(fuel_a[j] - fuel_b[j]))
+        for j, theta in enumerate(profile.grades)
+    ]

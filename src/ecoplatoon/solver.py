@@ -21,9 +21,10 @@ tolerance of the augmented cost, looser while the plan breaks the
 constraints. After each multiplier update it first takes a line search
 (see ``_LOOSE_TOL``), and a stationary plan whose forced step finds no
 descent converges too. A failed Cholesky test or a line search without an
-Armijo step grows the Levenberg shift; past ``_REG_MAX``, or at
-``max_inner`` accepted steps, the inner phase ends unconverged. A solve
-converges when its inner phase does on a plan within ``_TOL_VIOLATION``.
+Armijo step grows the Levenberg shift; at ``max_inner`` accepted steps
+the inner phase ends unconverged, and past ``_REG_MAX`` the whole level
+does, with no further outer pass or multiplier update. A solve converges
+when its inner phase does on a plan within ``_TOL_VIOLATION``.
 
 This module alone knows the interleaved state layout [t1, pi1, ..., tN,
 piN]: ``costs`` and ``constraints`` give their derivatives as per-vehicle
@@ -688,8 +689,9 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     step (see ``_LOOSE_TOL``) finds no descent. An accepted step shrinks the
     Levenberg shift and ends the loop converged when its decrease is within
     tolerance. A failed Cholesky test, or a line search with no Armijo step,
-    grows the shift; past ``_REG_MAX`` the loop ends unconverged, as it does
-    at ``max_inner`` accepted steps. Every stopping test uses
+    grows the shift; past ``_REG_MAX`` the level ends unconverged, without
+    a multiplier update or another outer pass, and at ``max_inner`` accepted
+    steps the inner loop ends unconverged. Every stopping test uses
     ``_inner_tolerance`` of the plan it judges; the accepted-decrease test
     judges the accepted plan, so a converged report was last judged at
     ``tol_cost_rel`` on the plan it returns.
@@ -724,7 +726,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
         inner_converged = False
         inner_count = 0
         force_step = outer > 0
-        while inner_count < options.max_inner:
+        while inner_count < options.max_inner and reg <= _REG_MAX:
             state_obj = PlatoonState(arrival_times=times, slownesses=slows)
             ctrl_obj = ControlTrajectory(accels=accels)
             bp = trial = None  # frees the previous pass's gains before the next is built
@@ -783,12 +785,12 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
             # The shifted Q_uu failed its Cholesky test or no step length
             # passed Armijo: retry with a larger Levenberg shift.
             reg *= _REG_FACTOR
-            if reg > _REG_MAX:
-                break  # an exhausted shift ladder is never converged
 
         if inner_converged and violation <= _TOL_VIOLATION:
             converged = True
             break
+        if reg > _REG_MAX:
+            break  # an exhausted shift ladder ends the level unconverged
 
         al = cons.update_multipliers(al, e_vals)
         al = cons.escalate_penalty(al, e_vals, _RHO_FACTOR, _TOL_VIOLATION)
@@ -885,14 +887,15 @@ def receding_horizon_run(
     length, solved steps) per execution.
 
     Raises ConfigError before any solve unless ``window_m`` and ``replan_m``
-    are finite and > 0 and ``max_executions`` is None or an integer >= 1.
+    are finite and > 0, ``replan_m`` <= ``window_m``, and ``max_executions``
+    is None or an integer >= 1.
     """
     window_m = finite_float(window_m, "window_m", positive=True)
     replan_m = finite_float(replan_m, "replan_m", positive=True)
     if max_executions is not None:
         integer_at_least(max_executions, "max_executions", 1)
     if replan_m > window_m:
-        raise ConfigError("replan interval cannot exceed the window length")
+        raise ConfigError(f"replan_m must be at most window_m ({window_m}), got {replan_m}")
     ds = config.ds
     route_length = config.route_length
     t_cur = np.asarray(t0, dtype=float).copy()

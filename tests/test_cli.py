@@ -434,7 +434,18 @@ PRESET_FINGERPRINTS = {
     },
 }
 PINNED_CSVS = ("trajectories.csv", "fuel_series.csv", "speed_series.csv", "segment_deltas.csv")
+# The sha256 of each CSV of `stability --scenario collector --ds 1.0`.
+STABILITY_SHA256 = {
+    "gamma.csv": "941ec77e62cc37b8595f37dfc89d79440c5876abdba4e5c43c5ed0d7f728e48d",
+    "deviations.csv": "a99787590e950e7470b259fcfb1d2ba196e78e6e13ab533aa311acf670232293",
+    "following_errors.csv": "ab3f10441633d2c2a8b4ced7ddd99b98e48aa919750f618b497cee15382c080a",
+}
 HASHED_ON_NUMPY = "2.4"
+ON_HASHED_NUMPY = ".".join(np.__version__.split(".")[:2]) == HASHED_ON_NUMPY
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestPresetFingerprints:
@@ -454,11 +465,15 @@ class TestPresetFingerprints:
         assert calls == want["calls"]
         assert {key: summary["solve"][key] for key in want["solve"]} == want["solve"]
         assert round(summary["savings_pct"], 2) == want["savings_pct"]
-        if ".".join(np.__version__.split(".")[:2]) == HASHED_ON_NUMPY:
-            digests = tuple(
-                hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_CSVS
-            )
-            assert digests == want["csv_sha256"]
+        if ON_HASHED_NUMPY:
+            assert tuple(sha256_of(out / name) for name in PINNED_CSVS) == want["csv_sha256"]
+
+    def test_stability_outputs_pinned(self, tmp_path):
+        out = tmp_path / "stability"
+        args = ["stability", "--scenario", "collector", "--ds", "1.0", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        if ON_HASHED_NUMPY:
+            assert {name: sha256_of(out / name) for name in STABILITY_SHA256} == STABILITY_SHA256
 
 
 class TestStability:
@@ -472,8 +487,9 @@ class TestStability:
         assert (out / "following_errors.csv").exists()
         assert (out / "deviations.csv").exists()
 
-    def test_pulse_replans_in_the_scenario_window(self, tmp_path):
-        # a pulse is measured in receding windows of window_m, which --window sets
+    @pytest.fixture
+    def pulse_scenario(self, tmp_path):
+        """The collector preset at ds_m 1.0 with a pulse perturbation."""
         raw = json.loads(resolve_scenario_path("collector").read_text())
         raw["platoon"]["ds_m"] = 1.0
         raw["perturbation"] = {
@@ -481,14 +497,27 @@ class TestStability:
         }
         path = tmp_path / "pulse.json"
         path.write_text(json.dumps(raw))
+        return path
+
+    def test_pulse_replans_in_the_scenario_window(self, pulse_scenario, tmp_path):
+        # a pulse is measured in receding windows of window_m, which --window sets
         outputs = {}
         for window in ("20", "40", None):
             out = tmp_path / f"window_{window}"
             flags = [] if window is None else ["--window", window]
-            assert main(["stability", "--scenario", str(path), "--out", str(out), *flags]) == EXIT_OK
+            args = ["stability", "--scenario", str(pulse_scenario), "--out", str(out), *flags]
+            assert main(args) == EXIT_OK
             outputs[window] = [(out / name).read_bytes() for name in ("gamma.csv", "deviations.csv")]
         assert outputs["40"] == outputs[None]  # the scenario's own window_m is 40 m
         assert all(a != b for a, b in zip(outputs["20"], outputs["40"]))
+
+    def test_window_shorter_than_replan_interval_names_both(
+        self, pulse_scenario, tmp_path, capsys
+    ):
+        # the default replan_m is 10 m, so a 5 m window cannot hold one replan
+        args = ["stability", "--scenario", str(pulse_scenario), "--out", str(tmp_path / "o")]
+        assert main([*args, "--window", "5"]) == EXIT_CONFIG
+        assert "replan_m must be at most window_m (5.0), got 10.0" in capsys.readouterr().err
 
     def test_missing_perturbation_is_config_error(self, fast_scenario, tmp_path):
         raw = json.loads(fast_scenario.read_text())
@@ -565,6 +594,18 @@ class TestWriteCsv:
         assert lines[4] == f"{2**40},nan,2.5e+15,1e+12,3"
         assert lines[5] == f"{-(2**53)},1e-300,0.333333333333,1e+13,4"
         assert lines[6] == "12,0.3,4.94065645841e-324,3,5"
+
+    def test_failed_write_leaves_target_and_no_temporary(self, tmp_path):
+        # the last row cannot be formatted; by then earlier rows have reached
+        # the temporary file, which the failure removes
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a"], [np.arange(3.0)])
+        before = path.read_bytes()
+        bad = np.array([*range(20000), None], dtype=object)
+        with pytest.raises(TypeError):
+            write_csv(path, ["a"], [bad])
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_empty_columns_write_header_only(self, tmp_path):
         path = tmp_path / "e.csv"

@@ -8,10 +8,12 @@ import pytest
 from conftest import make_config
 from ecoplatoon.fuel import (
     FuelModel,
+    cumulative_at,
     equivalent_accel_grid,
     equivalent_traction_accel,
     fuel_rate,
     platoon_fuel,
+    segment_fuel_deltas,
     trajectory_fuel,
 )
 from ecoplatoon.errors import ConfigError, StallError
@@ -205,3 +207,19 @@ class TestTrajectoryFuel:
         for positions, cumulative in series:
             assert np.all(np.diff(cumulative) >= 0)
             assert np.all(cumulative >= 0)
+
+
+class TestCumulativeLookup:
+    # one vehicle metered from 1 m on, one that never entered the route
+    SERIES = [(np.array([1.0, 3.0, 5.0]), np.array([0.2, 0.6, 1.0])), (np.zeros(0), np.zeros(0))]
+
+    def test_zero_before_first_sample_and_for_empty_series(self):
+        got = cumulative_at(self.SERIES, np.array([0.0, 2.0, 4.0, 6.0]))
+        np.testing.assert_allclose(got, [[0.0, 0.4, 0.8, 1.0], [0.0, 0.0, 0.0, 0.0]])
+
+    def test_segment_deltas_difference_the_platoon_sums(self):
+        profile = SlopeProfile(breakpoints=[0.0, 2.0, 6.0], grades=[0.03, -0.02])
+        other = [(np.array([0.0, 6.0]), np.array([0.0, 0.6]))] * 2
+        deltas = segment_fuel_deltas(self.SERIES, other, profile)
+        assert [d[:3] for d in deltas] == [(0.0, 2.0, 0.03), (2.0, 6.0, -0.02)]
+        np.testing.assert_allclose([d[3] for d in deltas], [0.0, -0.2], atol=1e-15)

@@ -1701,7 +1701,8 @@ class TestOuterSchedule:
     def test_exhausted_shift_ladder_is_never_converged(self, monkeypatch):
         # a feasible plan whose every prediction is five times the tolerance
         # and whose every trial is rejected: the Levenberg shift climbs past
-        # _REG_MAX without a step, which ends the inner loop unconverged
+        # _REG_MAX without a step, which ends the level unconverged, with no
+        # multiplier update and no further outer pass
         cfg = wide_open_config(n=2, ds=1.0, horizon_steps=50)
         w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
         t0 = -np.arange(2) * cfg.headway
@@ -1723,9 +1724,17 @@ class TestOuterSchedule:
             aug_cost = cost + cons.penalty(e, al)
             return dataclasses.replace(bp, d1=-5.0 * tol * max(1.0, abs(aug_cost)), d2=0.0)
 
+        updates = []
+        inner_update = cons.update_multipliers
+
+        def update(*args):
+            updates.append(args)
+            return inner_update(*args)
+
         monkeypatch.setattr(solver_mod, "backward_pass", backward)
         monkeypatch.setattr(solver_mod, "forward_pass", lambda *args: None)
         monkeypatch.setattr(solver_mod, "_inner_tolerance", lambda options, v, k: tol)
+        monkeypatch.setattr(cons, "update_multipliers", update)
         report = solve(
             cfg, w, FLAT, t0, pi0, SolverOptions(), initial_controls=np.zeros((2, 50))
         )
@@ -1733,6 +1742,9 @@ class TestOuterSchedule:
         assert max(shifts) * solver_mod._REG_FACTOR > solver_mod._REG_MAX
         assert not report.converged
         assert report.iterations == []
+        # one pass per rung, 1e-6 through 1e6, in the first outer pass only
+        assert shifts == pytest.approx([1e-6 * 10.0**i for i in range(13)], rel=1e-12)
+        assert updates == []
 
 
 def count_solver_calls(monkeypatch):

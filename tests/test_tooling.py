@@ -107,3 +107,42 @@ def test_only_the_errors_module_tests_finiteness_by_hand():
             if isfinite or inf_compare:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+
+def file_writes(tree):
+    """What in ``tree`` can write a file: temporary files, renames, Path
+    writes and any ``open`` whose mode is not a literal read-only one."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("os", "tempfile"):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in ("mkstemp", "fdopen", "write_text", "write_bytes")
+            or node.attr == "replace" and ast.unparse(node.value) == "os"
+        ):
+            found.append(node.attr)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "open":
+            # open(path, mode) and os.open(path, flags), but Path.open(mode)
+            builtin = ast.unparse(node.func) in ("open", "io.open", "os.open")
+            modes = [kw.value for kw in node.keywords if kw.arg in ("mode", "flags")]
+            modes += node.args[int(builtin) : int(builtin) + 1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and set(str(mode.value)).isdisjoint("wax+")):
+                found.append(f"open({ast.unparse(mode)})")
+    return found
+
+
+def test_only_atomic_write_writes_files():
+    # cli.atomic_write is the package's one writer: a temporary file beside
+    # the target, renamed over it only once every chunk is written
+    outside, inside = [], []
+    for path in sorted(Path(ecoplatoon.__file__).parent.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            writes = file_writes(node)
+            if path.name == "cli.py" and getattr(node, "name", None) == "atomic_write":
+                inside += writes
+            else:
+                outside += [f"{path.name}:{node.lineno}: {what}" for what in writes]
+    assert outside == []
+    assert sorted(inside) == ["fdopen", "mkstemp", "replace"]
