@@ -8,7 +8,7 @@ stability empirically.
 """
 
 from .baseline import CaccGains, baseline_step, simulate_baseline
-from .constraints import ALState, ConstraintSet
+from .constraints import ALState
 from .costs import CostBreakdown, CostWeights
 from .errors import (
     BackwardPassError,
@@ -37,7 +37,6 @@ __all__ = [
     "BackwardPassError",
     "CaccGains",
     "ConfigError",
-    "ConstraintSet",
     "ControlTrajectory",
     "CostBreakdown",
     "CostWeights",

@@ -254,15 +254,12 @@ def cmd_bench(scenario, out: Path, ds_values, windows, max_executions: int) -> i
         for value in values:
             finite_float(value, flag, positive=True)
     integer_at_least(max_executions, "--max-executions", 1)
-    names = ("ds_m", "window_m", "executions", "mean_s", "max_s")
-    rows = [
-        dataclasses.astuple(r)
-        for r in experiments.run_bench(
-            scenario, ds_values=ds_values, windows=windows, max_executions=max_executions
-        )
-    ]
-    write_csv(out / "timings.csv", names, list(zip(*rows)))
-    write_json(out / "timings.json", [dict(zip(names, row)) for row in rows])
+    rows = experiments.run_bench(
+        scenario, ds_values=ds_values, windows=windows, max_executions=max_executions
+    )
+    names = [field.name for field in dataclasses.fields(experiments.BenchRow)]
+    write_csv(out / "timings.csv", names, list(zip(*map(dataclasses.astuple, rows))))
+    write_json(out / "timings.json", list(map(dataclasses.asdict, rows)))
     return EXIT_OK
 
 

@@ -19,11 +19,14 @@ IROS 2019): a constraint that has earned a multiplier keeps its curvature
 while the plan sits inside the bound. With curvature on lambda + rho*e > 0
 alone, the one-shot comfort plan ends unconverged after eight outer passes.
 
-A solve owns one ALState; multipliers and penalty weights are arrays over
-(step, constraint) because every step carries its own constraint instances.
-The penalty's derivatives come per (step, vehicle); only
-:func:`ecoplatoon.solver.backward_pass` knows the solver's state layout and
-places them in it.
+The bounds are read from the ``PlatoonConfig`` every caller holds:
+``speed_limit``, ``speed_floor`` and ``accel_bounds``. A solve owns one
+ALState; multipliers and penalty weights are arrays over (step, constraint)
+because every step carries its own constraint instances. One outer update,
+:func:`update_multipliers`, takes the multiplier step and escalates rho on
+the constraints still violated. The penalty's derivatives come per
+(step, vehicle); only :func:`ecoplatoon.solver.backward_pass` knows the
+solver's state layout and places them in it.
 """
 
 from __future__ import annotations
@@ -34,25 +37,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .platoon import PlatoonConfig
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Per-vehicle box bounds evaluated as e <= 0 functions."""
-
-    v_max: float
-    v_floor: float
-    a_max: np.ndarray  # (N,)
-    a_min: np.ndarray  # (N,)
-
-    @classmethod
-    def from_config(cls, config: PlatoonConfig) -> "ConstraintSet":
-        a_min, a_max = config.accel_bounds
-        return cls(v_max=config.speed_limit, v_floor=config.speed_floor, a_max=a_max, a_min=a_min)
-
-    @property
-    def n_constraints(self) -> int:
-        return 4 * self.a_max.size
 
 
 @dataclass
@@ -78,23 +62,27 @@ class ALState:
             raise ConfigError("multipliers must be non-negative")
 
     @classmethod
-    def initial(cls, n_steps: int, n_constraints: int, rho0) -> "ALState":
-        """No multipliers and penalty weights ``rho0``, a float or per step (n_steps, 1)."""
-        shape = (n_steps, n_constraints)
+    def initial(cls, config: PlatoonConfig, n_steps: int, rho0) -> "ALState":
+        """No multipliers and penalty weights ``rho0`` on each step's 4N constraints.
+
+        ``rho0`` is a float or per step, (n_steps, 1).
+        """
+        shape = (n_steps, 4 * config.n_vehicles)
         return cls(rho=np.full(shape, rho0), lam=np.zeros(shape))
 
 
-def evaluate(cset: ConstraintSet, pi, a) -> np.ndarray:
+def evaluate(config: PlatoonConfig, pi, a) -> np.ndarray:
     """Constraint values for trajectories (N, K) -> (K, 4N); e <= 0 is satisfied."""
     pi = np.asarray(pi, dtype=float)
     a = np.asarray(a, dtype=float)
+    a_min, a_max = config.accel_bounds
     v = 1.0 / pi
     n, k_steps = pi.shape
     e = np.empty((k_steps, 4 * n))
-    e[:, 0::4] = (v - cset.v_max).T
-    e[:, 1::4] = (cset.v_floor - v).T
-    e[:, 2::4] = (a - cset.a_max[:, None]).T
-    e[:, 3::4] = (cset.a_min[:, None] - a).T
+    e[:, 0::4] = (v - config.speed_limit).T
+    e[:, 1::4] = (config.speed_floor - v).T
+    e[:, 2::4] = (a - a_max[:, None]).T
+    e[:, 3::4] = (a_min[:, None] - a).T
     return e
 
 
@@ -114,7 +102,7 @@ def penalty(e_values: np.ndarray, al: ALState) -> float:
     return 0.5 * float(np.sum((w * w - al.lam * al.lam) / al.rho))
 
 
-def al_derivative_batch(cset: ConstraintSet, al: ALState, pi, a):
+def al_derivative_batch(config: PlatoonConfig, al: ALState, pi, a):
     """Vectorized AL derivatives over a trajectory, per (step, vehicle).
 
     Returns a dict of (K, N) series: ``pi`` and ``pipi`` (slowness gradient
@@ -127,7 +115,7 @@ def al_derivative_batch(cset: ConstraintSet, al: ALState, pi, a):
     """
     pi = np.asarray(pi, dtype=float)
     a = np.asarray(a, dtype=float)
-    w = _force(evaluate(cset, pi, a), al)  # (K, 4N)
+    w = _force(evaluate(config, pi, a), al)  # (K, 4N)
     rho_eff = np.where((w > 0.0) | (al.lam > 0.0), al.rho, 0.0)
 
     inv_pi2 = (1.0 / pi**2).T  # (K, N)
@@ -146,17 +134,13 @@ def al_derivative_batch(cset: ConstraintSet, al: ALState, pi, a):
     }
 
 
-def update_multipliers(al: ALState, e_values: np.ndarray) -> ALState:
-    """PHR multiplier step lambda <- max(0, lambda + rho e)."""
-    return ALState(rho=al.rho, lam=_force(e_values, al))
+def update_multipliers(al: ALState, e_values: np.ndarray, factor: float, tol: float) -> ALState:
+    """One outer update: the PHR step lambda <- max(0, lambda + rho e), and
+    rho scaled by ``factor`` on constraints still violated beyond ``tol``.
 
-
-def escalate_penalty(al: ALState, e_values: np.ndarray, factor: float, tol: float) -> ALState:
-    """Scale rho by ``factor`` on constraints still violated beyond ``tol``.
-
-    A factor of 1 never escalates.
+    The multiplier step reads the old rho. A factor of 1 never escalates.
     """
     if not (np.isfinite(factor) and factor >= 1.0):
         raise ConfigError(f"penalty escalation factor must be finite and >= 1, got {factor}")
     rho = np.where(e_values > tol, al.rho * factor, al.rho)
-    return ALState(rho=rho, lam=al.lam)
+    return ALState(rho=rho, lam=_force(e_values, al))

@@ -130,15 +130,21 @@ def run_stability(scenario: Scenario) -> StabilityResult:
 
 @dataclass
 class BenchRow:
-    ds: float
-    window: float
+    """One (ds, window) cell of the timing sweep; the fields are the output columns."""
+
+    ds_m: float
+    window_m: float
     executions: int
-    mean_time: float
-    max_time: float
+    mean_s: float
+    max_s: float
 
 
 def run_bench(scenario: Scenario, ds_values, windows, max_executions: int) -> list:
-    """Receding-horizon timing sweep; single-threaded, computation time only."""
+    """Receding-horizon timing sweep; single-threaded, computation time only.
+
+    Every window replans every ``scenario.replan_m``, as ``simulate`` and
+    ``stability`` do.
+    """
     rows = []
     for ds in ds_values:
         scen = override_ds(scenario, ds)
@@ -153,17 +159,17 @@ def run_bench(scenario: Scenario, ds_values, windows, max_executions: int) -> li
                 pi0,
                 scen.solver_options,
                 window_m=window,
-                replan_m=min(scen.replan_m, window / 2.0),
+                replan_m=scen.replan_m,
                 max_executions=max_executions,
             )
             times = np.asarray(run.exec_times)
             rows.append(
                 BenchRow(
-                    ds=ds,
-                    window=window,
+                    ds_m=ds,
+                    window_m=window,
                     executions=times.size,
-                    mean_time=float(times.mean()),
-                    max_time=float(times.max()),
+                    mean_s=float(times.mean()),
+                    max_s=float(times.max()),
                 )
             )
     return rows

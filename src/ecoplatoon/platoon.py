@@ -244,7 +244,7 @@ def resimulate_time_domain(
     controls: ControlTrajectory,
     profile: SlopeProfile,
     ds: float,
-    dt: float = 0.002,
+    dt: float,
 ):
     """Re-integrate a space-domain plan with a fixed time step.
 

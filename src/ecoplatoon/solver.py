@@ -10,8 +10,9 @@ iteration caps are hit:
   extracting an affine feedback law u(x) = u_ref + h_k (x - x_ref) + j_k,
   then a forward rollout of the true nonlinear dynamics with a backtracking
   Armijo line search on the feedforward term (``_line_search``);
-* outer phase: multiplier and penalty-weight updates for the inequality
-  constraints, after which the inner phase resumes on the reshaped cost.
+* outer phase: one update of the inequality constraints' multipliers and
+  penalty weights (``cons.update_multipliers``), after which the inner
+  phase resumes on the reshaped cost.
   Penalty weights start at ``_RHO_INIT`` times ``costs.step_weight``, so
   the augmented cost weighs each step by its length, as the cost does.
 
@@ -187,7 +188,7 @@ _REG_INIT, _REG_FACTOR, _REG_MAX = 1e-6, 10.0, 1e6
 _ALPHA_MIN, _ARMIJO_C, _BACKTRACK = 1e-4, 1e-4, 0.5
 
 # The augmented-Lagrangian schedule: the initial penalty weight per 0.1 m of
-# road, the factor by which ``cons.escalate_penalty`` grows it, and the
+# road, the factor by which ``cons.update_multipliers`` grows it, and the
 # largest constraint violation a converged plan may keep.
 _RHO_INIT, _RHO_FACTOR, _TOL_VIOLATION = 10.0, 10.0, 1e-3
 
@@ -278,7 +279,6 @@ def backward_pass(
     thetas: np.ndarray,
     config: PlatoonConfig,
     weights: costs.CostWeights,
-    cset: cons.ConstraintSet,
     al: cons.ALState,
     targets: np.ndarray,
     regularization: float,
@@ -335,7 +335,7 @@ def backward_pass(
     retries with a larger shift.
     """
     steps, control_rows = _sweep(
-        states, controls, thetas, config, weights, cset, al, targets,
+        states, controls, thetas, config, weights, al, targets,
         regularization, use_second_order, grid,
     )
     dim = 2 * config.n_vehicles
@@ -351,7 +351,7 @@ def backward_pass(
 
 
 def _sweep(
-    states, controls, thetas, config, weights, cset, al, targets, regularization,
+    states, controls, thetas, config, weights, al, targets, regularization,
     use_second_order, grid,
 ):
     """The sweep of ``backward_pass``: Q_uu^-1 [Q_ux | q_u] and [q_u | Q_uu].
@@ -373,7 +373,7 @@ def _sweep(
     stage = costs.stage_derivatives_batch(
         t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights, grid
     )
-    al_terms = cons.al_derivative_batch(cset, al, pi_traj[:, :-1], accels)
+    al_terms = cons.al_derivative_batch(config, al, pi_traj[:, :-1], accels)
     g, fu_c, cxx, cux = dynamics_derivatives(pi_traj[:, :-1], accels, config.ds, grid)
     lengths = config.ds * step_multiples(grid, k_steps)[:, None]
 
@@ -702,10 +702,9 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     positions = start_position + ds * step_starts(grid)
     thetas = grade_at(profile, np.minimum(positions, profile.total_length))
 
-    cset = cons.ConstraintSet.from_config(config)
     # rho, and so every multiplier, scaled by the step weight scales the PHR sum by it
     rho0 = _RHO_INIT * costs.step_weight(ds) * grid
-    al = cons.ALState.initial(k_steps, cset.n_constraints, rho0[:, None])
+    al = cons.ALState.initial(config, k_steps, rho0[:, None])
     times, slows = reference.arrival_times, reference.slownesses
 
     def evaluate(t_arr, pi_arr, a_arr, al):
@@ -713,7 +712,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
         true_cost, breakdown = costs.trajectory_cost(
             t_arr, pi_arr, a_arr, thetas, config, weights, targets, grid
         )
-        e = cons.evaluate(cset, pi_arr[:, :-1], a_arr)
+        e = cons.evaluate(config, pi_arr[:, :-1], a_arr)
         return true_cost, breakdown, e, true_cost + cons.penalty(e, al)
 
     true_cost, breakdown, e_vals, aug_cost = evaluate(times, slows, accels, al)
@@ -737,7 +736,6 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                     thetas,
                     config,
                     weights,
-                    cset,
                     al,
                     targets,
                     reg,
@@ -792,8 +790,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
         if reg > _REG_MAX:
             break  # an exhausted shift ladder ends the level unconverged
 
-        al = cons.update_multipliers(al, e_vals)
-        al = cons.escalate_penalty(al, e_vals, _RHO_FACTOR, _TOL_VIOLATION)
+        al = cons.update_multipliers(al, e_vals, _RHO_FACTOR, _TOL_VIOLATION)
         aug_cost = true_cost + cons.penalty(e_vals, al)
 
     wall = time.perf_counter() - start
@@ -971,12 +968,11 @@ def receding_horizon_run(
     times = np.column_stack([times_out[0][:, None]] + times_out[1:])
     slows = np.column_stack([slows_out[0][:, None]] + slows_out[1:])
     accels = np.column_stack(accel_cols) if accel_cols else np.zeros((n, 0))
-    cset = cons.ConstraintSet.from_config(config)
     return RecedingRun(
         states=PlatoonState(arrival_times=times, slownesses=slows),
         controls=ControlTrajectory(accels=accels),
         exec_times=exec_times,
         windows=windows,
         converged=converged,
-        max_violation=cons.max_violation(cons.evaluate(cset, slows[:, :-1], accels)),
+        max_violation=cons.max_violation(cons.evaluate(config, slows[:, :-1], accels)),
     )

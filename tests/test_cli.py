@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from ecoplatoon import cli
 from ecoplatoon import solver as solver_mod
 from ecoplatoon.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main, write_csv
+from ecoplatoon.errors import BackwardPassError
 from ecoplatoon.scenario import resolve_scenario_path
 
 
@@ -405,10 +407,11 @@ class TestCompare:
 
 
 # Each shipped preset's `compare` run: the sha256 of its four CSVs, in the
-# order of PINNED_CSVS, the backward passes and rollouts it takes, its
-# summary's iteration counts and its saving. The hashes were recorded on
-# numpy 2.4; another numpy may round a last bit differently, so there only
-# the counts and the saving are held.
+# order of PINNED_CSVS, the backward passes and rollouts it takes, and per
+# grid level, coarsest first, (K, accepted iterations, backward passes,
+# failed backward passes, rollouts), its summary's iteration counts and its
+# saving. The hashes were recorded on numpy 2.4; another numpy may round a
+# last bit differently, so there only the counts and the saving are held.
 PRESET_FINGERPRINTS = {
     "collector": {
         "csv_sha256": (
@@ -418,6 +421,7 @@ PRESET_FINGERPRINTS = {
             "e747d92a0addeea3baaecb00613763fcdddd778f2ddd5a49365ce1eadf07365e",
         ),
         "calls": {"backward_pass": 17, "forward_pass": 27},
+        "levels": [(320, 11, 12, 0, 24), (1600, 2, 3, 0, 2), (8000, 1, 2, 0, 1)],
         "solve": {"iterations": 1, "coarse_iterations": 13},
         "savings_pct": 50.52,
     },
@@ -429,6 +433,7 @@ PRESET_FINGERPRINTS = {
             "59cc66a130a077f54e83867b94fa26a354344645252a6e1c7bd1d42d7d205961",
         ),
         "calls": {"backward_pass": 25, "forward_pass": 60},
+        "levels": [(320, 20, 21, 0, 58), (1600, 1, 2, 0, 1), (8000, 1, 2, 0, 1)],
         "solve": {"iterations": 1, "coarse_iterations": 21},
         "savings_pct": 23.80,
     },
@@ -452,17 +457,36 @@ class TestPresetFingerprints:
     @pytest.mark.parametrize("preset", sorted(PRESET_FINGERPRINTS))
     def test_compare_outputs_pinned(self, preset, tmp_path, monkeypatch):
         want = PRESET_FINGERPRINTS[preset]
-        calls = dict.fromkeys(want["calls"], 0)
-        for name in calls:
+        calls = Counter()
+        for name in want["calls"]:
             def spy(*args, _name=name, _inner=getattr(solver_mod, name), **kwargs):
                 calls[_name] += 1
-                return _inner(*args, **kwargs)
+                try:
+                    return _inner(*args, **kwargs)
+                except BackwardPassError:
+                    calls["raised"] += 1
+                    raise
 
             monkeypatch.setattr(solver_mod, name, spy)
+        levels = []
+        inner_solve = solver_mod._solve
+
+        def level_spy(config, *args, **kwargs):
+            before = calls.copy()
+            level = inner_solve(config, *args, **kwargs)
+            took = calls - before
+            levels.append((
+                config.horizon_steps, len(level.iterations), took["backward_pass"],
+                took["raised"], took["forward_pass"],
+            ))
+            return level
+
+        monkeypatch.setattr(solver_mod, "_solve", level_spy)
         out = tmp_path / preset
         assert main(["compare", "--scenario", preset, "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        assert calls == want["calls"]
+        assert {name: calls[name] for name in want["calls"]} == want["calls"]
+        assert levels == want["levels"]
         assert {key: summary["solve"][key] for key in want["solve"]} == want["solve"]
         assert round(summary["savings_pct"], 2) == want["savings_pct"]
         if ON_HASHED_NUMPY:
@@ -562,6 +586,20 @@ class TestBench:
         ])
         assert rc == EXIT_CONFIG
         assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (out / "timings.csv").exists()
+
+    def test_window_shorter_than_replan_interval_names_both(
+        self, fast_scenario, tmp_path, capsys
+    ):
+        # every window replans at the scenario's replan_m, 10 m by default,
+        # as simulate and stability do, so a 5 m window cannot hold one replan
+        out = tmp_path / "bench"
+        rc = main([
+            "bench", "--scenario", str(fast_scenario), "--out", str(out),
+            "--ds-sweep", "1.0", "--window-sweep", "5",
+        ])
+        assert rc == EXIT_CONFIG
+        assert "replan_m must be at most window_m (5.0), got 10.0" in capsys.readouterr().err
         assert not (out / "timings.csv").exists()
 
 

@@ -518,7 +518,7 @@ class TestResimulate:
             t_end = np.interp(ds * steps, tr["position"], tr["time"])
             assert abs(t_end - state.arrival_times[i, -1]) < tol
 
-    # the collector pipeline's 5 ms step, and the default 2 ms one
+    # the collector pipeline's 5 ms step, and a finer 2 ms one
     @pytest.mark.parametrize("dt", [0.005, 0.002])
     @pytest.mark.parametrize("plan", ["collector", "receding", "random"])
     def test_bit_identical_to_textbook_loop(self, collector_plans, plan, dt):

@@ -50,14 +50,30 @@ def test_backward_pass_looks_derivatives_up_by_module_attribute(monkeypatch):
     accels = np.zeros((3, 20))
     t0 = -np.arange(3) * cfg.headway
     states = rollout(t0, np.full(3, 1.0 / cfg.target_speed), accels, cfg.ds)
-    cset = constraints.ConstraintSet.from_config(cfg)
-    al = constraints.ALState.initial(20, cset.n_constraints, 10.0)
+    al = constraints.ALState.initial(cfg, 20, 10.0)
     targets = costs.schedule_targets(cfg, t0)
     solver.backward_pass(
         states, ControlTrajectory(accels=accels), np.zeros(20), cfg, costs.CostWeights(),
-        cset, al, targets, 1e-6,
+        al, targets, 1e-6,
     )
     assert sorted(calls) == ["al_derivative_batch", "stage_derivatives_batch"]
+
+
+def test_only_the_constraints_module_builds_al_state():
+    # constraints.py alone knows the four-per-vehicle layout: other modules
+    # take an ALState from ALState.initial or update_multipliers, and read
+    # the bounds from the PlatoonConfig, not from a copy of them
+    found = []
+    for path in sorted(Path(ecoplatoon.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ALState":
+                if path.name != "constraints.py":
+                    found.append(f"{path.name}:{node.lineno}: ALState(...)")
+            elif isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef, ast.ClassDef, ast.alias)):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+                if name.split(".")[-1] in ("ConstraintSet", "escalate_penalty"):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 def test_only_the_errors_module_tests_number_types():
