@@ -4,12 +4,14 @@ Numbers read from scenario, profile and fuel-model files and CLI flags,
 the solver's own arguments and the number fields of the value types go
 through :func:`finite_float` or :func:`integer_at_least`, so all of them
 obey one rule: a bool or a string is not a number, whatever Python's types
-say.
+say. Per-vehicle vectors go through :func:`finite_vector`.
 """
 
 import json
 import math
 import numbers
+
+import numpy as np
 
 
 class EcoPlatoonError(Exception):
@@ -72,3 +74,13 @@ def integer_at_least(value, name, minimum):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def finite_vector(name, values, n):
+    """``values`` as a float array of shape (n,); ConfigError unless all finite."""
+    out = np.asarray(values, dtype=float)
+    if out.shape != (n,):
+        raise ConfigError(f"{name} must have shape ({n},), got {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{name} must be finite, got {out}")
+    return out

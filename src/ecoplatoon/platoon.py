@@ -13,7 +13,9 @@ d(pi)/ds = -a * pi**3. A step grid (``step_grid``) lets each step span its
 own whole number of ds: step k then has length ds * grid[k] and starts
 ds * (grid[0] + ... + grid[k-1]) from the start of the plan. Every formula
 here is elementwise in that length, and a grid of ones is the uniform grid
-of ds bit for bit.
+of ds bit for bit. ``rollout_steps`` is the one loop that steps these
+dynamics: ``rollout`` runs it open loop and the solver's forward pass under
+a feedback law.
 
 Everything here is a pure function over value types; concurrent evaluation
 of independent rollouts is safe.
@@ -22,10 +24,18 @@ of independent rollouts is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError, StallError, finite_float, integer_at_least
+from .errors import (
+    ConfigError,
+    IntegrationError,
+    StallError,
+    finite_float,
+    finite_vector,
+    integer_at_least,
+)
 from .terrain import SlopeProfile, grade_at
 
 MPH_TO_MPS = 0.44704
@@ -176,47 +186,102 @@ def step_starts(grid):
 
 
 def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
-    """Roll per-vehicle dynamics over a whole control sequence (N, K).
+    """Roll per-vehicle dynamics over a whole control sequence (N, K), open loop.
 
-    Step k has length ds * grid[k] (``grid`` None: ds for every step).
-    Raises IntegrationError when a slowness leaves the positive domain; the
-    domain is checked once, after the loop, and arrival times are one
-    running sum of pi times the step length. Each step computes
-    pi' = pi - ((pi^3 a) h) in a reused cube buffer and writes it into its
-    row through a positional output: the operations of pi - a pi^3 h with
-    the product commuted, so bit for bit the same. Every operand is an
-    array: the step's row of a (K, N) buffer of its length, and the 0-d
-    ``_THREE`` as the exponent, on which np.power runs the float64 pow loop
-    it runs for the int 3.
+    Step k has length ds * grid[k] (``grid`` None: ds for every step); the
+    steps are those of :func:`rollout_steps`.
+
+    Raises ConfigError unless ``accels`` is (N, K), ``t0`` and ``pi0`` are
+    finite arrays of shape (N,), ``ds`` is finite and > 0 and ``grid`` is a
+    step grid (``step_grid``). Raises IntegrationError when an entry
+    slowness is not positive, or when a step drives a slowness out of the
+    positive domain (a blow-up, or a NaN control).
     """
     accels = np.asarray(accels, dtype=float)
+    if accels.ndim != 2:
+        raise ConfigError(f"accelerations must have shape (N, K), got {accels.shape}")
     n, k_steps = accels.shape
-    lengths = ds * step_multiples(grid, k_steps)
-    slows = np.empty((k_steps + 1, n))
-    slows[0] = pi0
-    if np.any(slows[0] <= 0):
+    t0 = finite_vector("initial times", t0, n)
+    pi0 = finite_vector("initial slownesses", pi0, n)
+    ds = finite_float(ds, "ds", positive=True)
+    grid = step_grid(grid, k_steps)
+    if np.any(pi0 <= 0):
         raise IntegrationError("slowness must be positive before stepping")
-    length_rows = np.repeat(lengths[:, None], n, axis=1)
-    cube = np.empty(n)
-    # a blow-up overflows the cubic term; the domain check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for pi, pi_next, a, h in zip(slows, slows[1:], accels.T, length_rows):
-            np.power(pi, _THREE, cube)
-            cube *= a
-            cube *= h
-            np.subtract(pi, cube, pi_next)
-    if not np.all(np.isfinite(slows)) or np.any(slows <= 0):
+    plan = rollout_steps(t0, pi0, accels, ds, grid)
+    if plan is None:
         raise IntegrationError(
             "dynamics step drove slowness out of the positive domain; "
             "reduce ds or the commanded acceleration"
         )
-    times = np.empty((k_steps + 1, n))
-    times[0] = t0
-    times[1:] = slows[:-1] * lengths[:, None]
-    np.cumsum(times, axis=0, out=times)
-    return PlatoonState(
-        arrival_times=np.ascontiguousarray(times.T), slownesses=np.ascontiguousarray(slows.T)
-    )
+    return PlatoonState(arrival_times=plan[0], slownesses=plan[1])
+
+
+def rollout_steps(t0, pi0, accels, ds, grid=None, law=None):
+    """The space-domain dynamics stepped K times from (t0, pi0): the one per-step loop.
+
+    Step k has length h = ds * grid[k] (``grid`` None: ds). Without a
+    ``law`` the controls are ``accels`` (N, K) as given. A law is a tuple
+    (reference, gains, feedforward): a reference PlatoonState x_ref with
+    (K, N, 2N) gains and (K, N) feedforward, which sets step k's control to
+    u = accels[:, k] + gains[k] (x - x_ref) + feedforward[k], the affine
+    law of DDP's forward pass. Returns contiguous (times (N, K+1),
+    slownesses (N, K+1), controls (N, K)), or None when a slowness leaves
+    the positive domain; the domain is checked once, after the loop, and no
+    input is checked.
+
+    The loop runs in the row-major interleaved state x = [t1, pi1, ..., tN,
+    piN], the layout of the gains, and the state moves in one add per step,
+    x' = x + w, with every operand an array. w = [pi1, pi1^3, ..., piN,
+    piN^3] is scaled in place by the step's row of ``coef`` = [1, u1, ...,
+    1, uN], whose odd slots hold the controls, and then by its row of
+    ``signed`` = [h, -h, ..., h, -h]. That gives t' = t + (pi 1) h and
+    pi' = pi + ((pi^3 u)(-h)), bit for bit the t + pi h and pi - u pi^3 h
+    of the textbook step, for three exact IEEE identities: t + pi h is
+    pi h + t, (pi^3 u)(-h) is -((pi^3 u) h), and pi + (-c) is pi - c. The
+    cube's exponent is ``_THREE``. Each step reads row views that numpy
+    makes in C by iterating the buffers and writes through positional
+    outputs into preallocated rows, which changes where a result lands,
+    not the operations that make it.
+    """
+    n, k_steps = accels.shape
+    x = np.empty((k_steps + 1, 2 * n))
+    x[0, 0::2] = t0
+    x[0, 1::2] = pi0
+    coef = np.ones((k_steps, 2 * n))
+    controls = coef[:, 1::2]
+    controls[:] = accels.T
+    # times 1.0 and -1.0 are exact
+    signed = (ds * step_multiples(grid, k_steps))[:, None] * np.tile([1.0, -1.0], n)
+    slows = x[:, 1::2]
+    feedback = law is not None
+    if feedback:
+        reference, gains, feedforward = law
+        x_ref = np.empty_like(x)
+        x_ref[:, 0::2] = reference.arrival_times.T
+        x_ref[:, 1::2] = reference.slownesses.T
+    else:
+        x_ref = gains = feedforward = repeat(None)  # zipped, never read
+    dx = np.empty(2 * n)
+    w = np.empty(2 * n)
+    w_t, w_p = w[0::2], w[1::2]
+    # a blow-up or an overly aggressive trial step can overflow the cubic
+    # term; the domain check below rejects it, so silence the warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x_k, x_next, pi_k, u_k, c_k, s_k, xr_k, gain, ff_k in zip(
+            x, x[1:], slows, controls, coef, signed, x_ref, gains, feedforward
+        ):
+            if feedback:
+                np.subtract(x_k, xr_k, dx)
+                u_k += gain.dot(dx)
+                u_k += ff_k
+            np.power(pi_k, _THREE, w_p)
+            np.copyto(w_t, pi_k)
+            w *= c_k
+            w *= s_k
+            np.add(x_k, w, x_next)
+    if not np.all(np.isfinite(slows)) or np.any(slows <= 0.0):
+        return None
+    return tuple(np.ascontiguousarray(a.T) for a in (x[:, 0::2], slows, controls))
 
 
 def dynamics_derivatives(pi, accels, ds, grid=None):
@@ -254,12 +319,15 @@ def resimulate_time_domain(
     Returns a list of per-vehicle dicts with ``time``, ``position``,
     ``speed``, ``accel``, and ``grade`` arrays.
 
-    Raises StallError if a vehicle's speed collapses before the route end.
+    Raises ConfigError unless ``ds`` and ``dt`` are finite and > 0, and
+    StallError if a vehicle's speed collapses before the route end.
 
     A vehicle's controls are read through a memoryview of its row, whose
     items are the Python floats ``float(accels[i, j])`` would make, without
     a numpy scalar per time step and without a K-long list of floats.
     """
+    ds = finite_float(ds, "ds", positive=True)
+    dt = finite_float(dt, "dt", positive=True)
     accels = np.asarray(controls.accels, dtype=float)
     n, k_steps = accels.shape
     route_end = k_steps * ds

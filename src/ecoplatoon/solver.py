@@ -27,13 +27,13 @@ the inner phase ends unconverged, and past ``_REG_MAX`` the whole level
 does, with no further outer pass or multiplier update. A solve converges
 when its inner phase does on a plan within ``_TOL_VIOLATION``.
 
-This module alone knows the interleaved state layout [t1, pi1, ..., tN,
-piN]: ``costs`` and ``constraints`` give their derivatives as per-vehicle
-series, and the backward pass places them. It stacks each step's quadratic
-model into one block over [dx; 1; du], with the gradients in the row and
-column of the constant coordinate, so a step costs one product with the
-dynamics Jacobian, added in place into that step's stage block, and one
-solve on [Q_ux | q_u]. That solve calls LAPACK's ``gesv`` gufunc, the one
+The backward pass works in the interleaved state [t1, pi1, ..., tN, piN],
+the layout of ``platoon.rollout_steps``: ``costs`` and ``constraints`` give
+their derivatives as per-vehicle series, and the backward pass places them.
+It stacks each step's quadratic model into one block over [dx; 1; du],
+with the gradients in the row and column of the constant coordinate, so a
+step costs one product with the dynamics Jacobian, added in place into
+that step's stage block, and one solve on [Q_ux | q_u]. That solve calls LAPACK's ``gesv`` gufunc, the one
 ``numpy.linalg.solve`` wraps, directly: the wrapper's array conversion,
 type check and error-state context cost about twice the solve itself, and
 the sweep needs none of them, since it owns its error state and its batched
@@ -49,19 +49,14 @@ control Hessian is made positive definite with a Levenberg shift that grows
 on failure; its Cholesky test runs once per chunk, on the chunk's whole
 Q_uu stack after the sweep has passed it, and names the highest failing
 step, as a per-step test would; a Q_uu with an inf or NaN entry fails it
-too. The forward rollout runs in the row-major interleaved state and checks
-the slowness domain once at the end.
+too. The forward rollout is ``platoon.rollout_steps``, the package's one
+per-step loop of the dynamics, under the backward pass's affine law.
 
-Both per-step loops do only their arithmetic: each step reads row views
-that numpy makes in C by iterating the loop's buffers, adds in place into
+The backward sweep does only its arithmetic: each step reads row views
+that numpy makes in C by iterating the sweep's buffers, adds in place into
 them and writes through positional or ``out=`` outputs into preallocated
 rows. A view or an output buffer changes where a result lands, not the
-floating-point operations that make it. The rollout's operands are all
-arrays, the step lengths and the cube's exponent included, and its state
-moves in one add per step; that changes no bit either, for three exact
-IEEE identities: t + pi h is pi h + t, (pi^3 u)(-h) is -((pi^3 u) h), and
-pi + (-c) is pi - c. The 0-d float64 exponent runs the same ``pow`` loop
-as the int 3 (see ``forward_pass``).
+floating-point operations that make it.
 
 The grid is a per-step array (``platoon.step_grid``): step k spans
 grid[k] whole multiples of ``config.ds``. The dynamics, their derivatives,
@@ -103,17 +98,16 @@ from . import costs
 from .errors import (
     BackwardPassError,
     ConfigError,
-    IntegrationError,
     finite_float,
+    finite_vector,
     integer_at_least,
 )
 from .platoon import (
-    _THREE,
     ControlTrajectory,
     PlatoonConfig,
     PlatoonState,
     dynamics_derivatives,
-    rollout,
+    rollout_steps,
     step_grid,
     step_multiples,
     step_starts,
@@ -486,57 +480,12 @@ def forward_pass(
 
     Step k is ds times ``grid[k]`` long (``grid`` None: uniform). Returns
     (new_times, new_slownesses, new_accels) or None when the rollout leaves
-    the positive-slowness domain (the caller shrinks alpha).
-
-    The state moves in one add per step, x' = x + w, with every operand an
-    array. w = [pi1, pi1^3, ..., piN, piN^3] is scaled in place by the
-    step's row of ``coef`` = [1, u1, ..., 1, uN], whose odd slots hold the
-    controls, and then by its row of ``signed`` = [h, -h, ..., h, -h]. That
-    gives t' = t + (pi 1) h and pi' = pi + ((pi^3 u)(-h)), bit for bit the
-    t + pi h and pi - u pi^3 h of the textbook step: IEEE products and sums
-    commute, pi 1 is pi, (pi^3 u)(-h) is exactly -((pi^3 u) h) and pi + (-c)
-    is exactly pi - c. The cube's exponent is the 0-d float64 ``_THREE``,
-    for which ``np.power`` runs the same float64 ``pow`` loop as for the
-    int 3 but skips the conversion of a Python scalar.
+    the positive-slowness domain (the caller shrinks alpha). The rollout is
+    ``platoon.rollout_steps`` under u = a_ref + K (x - x_ref) + alpha j.
     """
-    a_ref = controls.accels
-    n, k_steps = a_ref.shape
-    # Row-major rollout in the flat interleaved state [t1, pi1, ..., tN, piN].
-    x_ref = np.empty((k_steps + 1, 2 * n))
-    x_ref[:, 0::2] = states.arrival_times.T
-    x_ref[:, 1::2] = states.slownesses.T
-    x_new = np.empty_like(x_ref)
-    x_new[0] = x_ref[0]
-    coef = np.ones((k_steps, 2 * n))
-    u_new = coef[:, 1::2]
-    u_new[:] = a_ref.T
-    # times 1.0 and -1.0 are exact
-    signed = (ds * step_multiples(grid, k_steps))[:, None] * np.tile([1.0, -1.0], n)
-    feedforward = step_length * bp.feedforward
-    pi_new = x_new[:, 1::2]
-    dx = np.empty(2 * n)
-    w = np.empty(2 * n)
-    w_t, w_p = w[0::2], w[1::2]
-    # overly aggressive trial steps can overflow the cubic term; those
-    # rollouts are rejected by the finiteness check, so silence the warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x_k, xr_k, gain, u_k, ff_k, pi_k, c_k, s_k, x_next in zip(
-            x_new, x_ref, bp.gains, u_new, feedforward, pi_new, coef, signed, x_new[1:]
-        ):
-            np.subtract(x_k, xr_k, dx)
-            u_k += gain.dot(dx)
-            u_k += ff_k
-            np.power(pi_k, _THREE, w_p)
-            np.copyto(w_t, pi_k)
-            w *= c_k
-            w *= s_k
-            np.add(x_k, w, x_next)
-    if not np.all(np.isfinite(pi_new)) or np.any(pi_new <= 0.0):
-        return None
-    return (
-        np.ascontiguousarray(x_new[:, 0::2].T),
-        np.ascontiguousarray(pi_new.T),
-        np.ascontiguousarray(u_new.T),
+    law = (states, bp.gains, step_length * bp.feedforward)
+    return rollout_steps(
+        states.arrival_times[:, 0], states.slownesses[:, 0], controls.accels, ds, grid, law
     )
 
 
@@ -590,8 +539,8 @@ def solve(
     """
     start = time.perf_counter()
     n = config.n_vehicles
-    t0 = _finite_vector("initial times", t0, n)
-    pi0 = _finite_vector("initial slownesses", pi0, n)
+    t0 = finite_vector("initial times", t0, n)
+    pi0 = finite_vector("initial slownesses", pi0, n)
     if np.any(pi0 <= 0):
         raise ConfigError("initial slowness must be positive")
     start_position = finite_float(start_position, "start position")
@@ -599,46 +548,35 @@ def solve(
     grid = step_grid(grid, k_steps)
     if targets is None:
         targets = costs.schedule_targets(config, t0, grid)
-    targets = _finite_vector("targets", targets, n)
+    targets = finite_vector("targets", targets, n)
 
     if initial_controls is None:
         levels = _grid_levels(config, targets, grid)
-        accels = reference = None
+        accels = np.zeros((n, levels[0][0].horizon_steps))
     else:
         levels = [(config, targets, grid)]
         accels = np.array(initial_controls, dtype=float)
         if accels.shape != (n, k_steps):
             raise ConfigError(f"initial controls must have shape ({n}, {k_steps})")
-        reference = _feasible_rollout(t0, pi0, accels, config.ds, grid)
-        if reference is None:
-            raise ConfigError("initial controls are infeasible (slowness left the domain)")
 
     coarse_iterations = 0
     for level, (level_config, level_targets, level_grid) in enumerate(levels):
         if level > 0:
             coarse_iterations += len(report.iterations)
             accels = report.controls.accels[:, step_starts(level_grid) // _COARSE_FACTOR]
-            reference = _feasible_rollout(t0, pi0, accels, level_config.ds, level_grid)
-        if reference is None:
-            accels = np.zeros((n, level_config.horizon_steps))
-            reference = rollout(t0, pi0, accels, level_config.ds, level_grid)
+        plan = rollout_steps(t0, pi0, accels, level_config.ds, level_grid)
+        if plan is None and initial_controls is not None:
+            raise ConfigError("initial controls are infeasible (slowness left the domain)")
+        if plan is None:  # start from zeros, which keep each slowness at pi0 > 0
+            accels = np.zeros_like(accels)
+            plan = rollout_steps(t0, pi0, accels, level_config.ds, level_grid)
         report = _solve(
             level_config, weights, profile, options, level_targets, start_position,
-            accels, reference, level_grid,
+            accels, PlatoonState(arrival_times=plan[0], slownesses=plan[1]), level_grid,
         )
     return dataclasses.replace(
         report, coarse_iterations=coarse_iterations, wall_time=time.perf_counter() - start
     )
-
-
-def _finite_vector(name, values, n):
-    """``values`` as a float array of shape (n,); ConfigError unless all finite."""
-    out = np.asarray(values, dtype=float)
-    if out.shape != (n,):
-        raise ConfigError(f"{name} must have shape ({n},), got {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ConfigError(f"{name} must be finite, got {out}")
-    return out
 
 
 def _grid_levels(config, targets, grid):
@@ -668,14 +606,6 @@ def _grid_levels(config, targets, grid):
         )
         grid = step_grid(None, k_coarse)
         levels.append((config, targets, grid))
-
-
-def _feasible_rollout(t0, pi0, accels, ds, grid):
-    """The rollout of ``accels``, or None when it leaves the slowness domain."""
-    try:
-        return rollout(t0, pi0, accels, ds, grid)
-    except IntegrationError:
-        return None
 
 
 def _solve(config, weights, profile, options, targets, start_position, accels, reference, grid):

@@ -389,6 +389,25 @@ class TestRollout:
         with pytest.raises(IntegrationError):
             rollout([0.0, -1.0], [0.05, 0.0], np.zeros((2, 5)), 1.0)
 
+    @pytest.mark.parametrize(
+        "t0, pi0, accels, ds, grid, field",
+        [
+            ([np.nan, 0.0], [0.05, 0.05], (2, 5), 0.1, None, "initial times"),
+            ([0.0, -1.0], [0.05, np.inf], (2, 5), 0.1, None, "initial slownesses"),
+            ([0.0], [0.05, 0.05], (2, 5), 0.1, None, "initial times"),  # not broadcast
+            ([0.0, -1.0], [0.05], (2, 5), 0.1, None, "initial slownesses"),
+            ([0.0, -1.0], [0.05, 0.05], (2, 5), -0.1, None, "ds"),  # time would run back
+            ([0.0, -1.0], [0.05, 0.05], (2, 5), 0.0, None, "ds"),
+            ([0.0, -1.0], [0.05, 0.05], (2, 5), np.nan, None, "ds"),
+            ([0.0, -1.0], [0.05, 0.05], (2, 5), 0.1, [1, 1], "step grid"),
+            ([0.0, -1.0], [0.05, 0.05], (2, 5), 0.1, [1, 1, 0, 1, 1], "step grid"),
+            ([0.0, -1.0], [0.05, 0.05], (5,), 0.1, None, "accelerations"),
+        ],
+    )
+    def test_malformed_input_rejected(self, t0, pi0, accels, ds, grid, field):
+        with pytest.raises(ConfigError, match=field):
+            rollout(t0, pi0, np.zeros(accels), ds, grid)
+
 
 def textbook_resimulation(state, controls, profile, ds, dt):
     """Step-by-step time-domain re-integration: the oracle for ``resimulate_time_domain``.
@@ -490,6 +509,18 @@ class TestResimulate:
         tr = traces[0]
         v_exact = np.sqrt(v0**2 + 2 * a * np.clip(tr["position"], 0, ds * steps))
         assert np.max(np.abs(tr["speed"] - v_exact)) < 5e-3
+
+    @pytest.mark.parametrize("ds, dt, field", [
+        (np.nan, 0.01, "ds"), (-0.1, 0.01, "ds"), (0.1, np.nan, "dt"), (0.1, -0.01, "dt"),
+        (0.1, 0.0, "dt"), (0.1, np.inf, "dt"),
+    ])
+    def test_malformed_steps_rejected(self, ds, dt, field):
+        accels = np.zeros((1, 10))
+        state = rollout([0.0], [1.0 / 20.0], accels, 0.1)
+        with pytest.raises(ConfigError, match=f"^{field} must be positive and finite"):
+            resimulate_time_domain(
+                state, ControlTrajectory(accels=accels), self._flat_profile(), ds, dt
+            )
 
     def test_stall_detected(self):
         # a plan that brakes to a crawl stalls once re-integrated in time

@@ -691,10 +691,11 @@ class TestForwardPass:
             gains = np.zeros((20, 2, 4))
             feedforward = np.zeros((20, 2))
 
+        # both run platoon.rollout_steps, so they agree bit for bit
         t, pi, a = forward_pass(states, ctrls, ZeroLaw(), 1.0, cfg.ds)
-        np.testing.assert_allclose(t, states.arrival_times)
-        np.testing.assert_allclose(pi, states.slownesses)
-        np.testing.assert_allclose(a, accels)
+        assert np.array_equal(t, states.arrival_times)
+        assert np.array_equal(pi, states.slownesses)
+        assert np.array_equal(a, accels)
 
     def test_full_step_applies_unscaled_feedforward(self):
         # at step length 1 the control update is exactly u + h dx + j
