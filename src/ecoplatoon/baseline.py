@@ -85,9 +85,16 @@ def simulate_baseline(
 
     Each control period applies ``baseline_step``'s law; the acceleration
     envelope it clamps to is built once per simulation, not once per period.
+
+    Raises ConfigError unless ``dt`` and a given ``initial_speed`` are
+    finite and > 0.
     """
+    dt = finite_float(dt, "dt", positive=True)
+    if initial_speed is None:
+        v0 = config.target_speed
+    else:
+        v0 = finite_float(initial_speed, "initial_speed", positive=True)
     route_length = config.route_length
-    v0 = config.target_speed if initial_speed is None else float(initial_speed)
     n = config.n_vehicles
     pos = -np.arange(n) * config.headway * v0
     vel = np.full(n, v0)

@@ -4,7 +4,9 @@ Numbers read from scenario, profile and fuel-model files and CLI flags,
 the solver's own arguments and the number fields of the value types go
 through :func:`finite_float` or :func:`integer_at_least`, so all of them
 obey one rule: a bool or a string is not a number, whatever Python's types
-say. Per-vehicle vectors go through :func:`finite_vector`.
+say. Per-vehicle vectors go through :func:`finite_vector`, and every
+numeric array through :func:`float_array`, which raises ConfigError
+where numpy would raise ValueError or TypeError.
 """
 
 import json
@@ -76,9 +78,17 @@ def integer_at_least(value, name, minimum):
     return int(value)
 
 
+def float_array(name, values):
+    """``values`` as a new float array; ConfigError naming ``name`` unless numeric."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be numeric, got {values!r}") from None
+
+
 def finite_vector(name, values, n):
     """``values`` as a float array of shape (n,); ConfigError unless all finite."""
-    out = np.asarray(values, dtype=float)
+    out = float_array(name, values)
     if out.shape != (n,):
         raise ConfigError(f"{name} must have shape ({n},), got {out.shape}")
     if not np.all(np.isfinite(out)):

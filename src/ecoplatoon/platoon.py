@@ -34,6 +34,7 @@ from .errors import (
     StallError,
     finite_float,
     finite_vector,
+    float_array,
     integer_at_least,
 )
 from .terrain import SlopeProfile, grade_at
@@ -158,10 +159,7 @@ def step_grid(grid, k_steps):
     """
     if grid is None:
         return np.ones(k_steps, dtype=np.int64)
-    try:
-        values = np.asarray(grid, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"step grid must be numeric, got {grid!r}") from None
+    values = float_array("step grid", grid)
     if values.shape != (k_steps,):
         raise ConfigError(f"step grid must have shape ({k_steps},), got {values.shape}")
     # Negated so that NaN fails too; the cap keeps the integers exact.
@@ -191,13 +189,13 @@ def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
     Step k has length ds * grid[k] (``grid`` None: ds for every step); the
     steps are those of :func:`rollout_steps`.
 
-    Raises ConfigError unless ``accels`` is (N, K), ``t0`` and ``pi0`` are
-    finite arrays of shape (N,), ``ds`` is finite and > 0 and ``grid`` is a
-    step grid (``step_grid``). Raises IntegrationError when an entry
-    slowness is not positive, or when a step drives a slowness out of the
-    positive domain (a blow-up, or a NaN control).
+    Raises ConfigError unless ``accels`` is a numeric (N, K) array, ``t0``
+    and ``pi0`` are finite arrays of shape (N,), ``ds`` is finite and > 0
+    and ``grid`` is a step grid (``step_grid``). Raises IntegrationError
+    when an entry slowness is not positive, or when a step drives a
+    slowness out of the positive domain (a blow-up, or a NaN control).
     """
-    accels = np.asarray(accels, dtype=float)
+    accels = float_array("accelerations", accels)
     if accels.ndim != 2:
         raise ConfigError(f"accelerations must have shape (N, K), got {accels.shape}")
     n, k_steps = accels.shape

@@ -64,21 +64,23 @@ the cost weights, the initial penalty weights and the grade samples are all
 elementwise in the step length, and a grid of ones (the default) is the
 uniform grid bit for bit.
 
-A solve given no initial controls starts cold on a ladder of grid levels
-(``_grid_levels``), nested iteration in the sense of Brandt (Math. Comp.
-31, 1977): each level is the same problem on a uniform grid whose step is
-exactly five times that of the level above, down to a level of at least
-``_COARSE_FLOOR`` steps. The coarsest level starts from zero controls and
-each later one from the plan of the level below, held over the steps it
-covers. On the collector preset that takes the full-resolution solve from
-14 backward passes down to 2. Explicit initial controls, zeros included,
-are a ladder of one level.
+Both ways of speeding a solve up coarsen by one rule, ``_coarse_grid``:
+steps of a whole multiple of ds over a span of road, the remainder one
+shorter last step, on the caller's config and targets. A solve given no
+initial controls starts cold on a ladder of such grids (``_grid_levels``),
+nested iteration in the sense of Brandt (Math. Comp. 31, 1977): level L
+covers the problem's span with steps of ``_COARSE_FACTOR``**L ds, down to
+a level of at least ``_COARSE_FLOOR`` steps. The coarsest level starts from
+zero controls and each later one from the plan of the level below, held at
+ds and sampled where each of its steps starts. On the collector preset
+that takes the full-resolution solve from 14 backward passes down to 2.
+Explicit initial controls, zeros included, are a ladder of one level.
 
 ``receding_horizon_run`` solves every window but the last at ds over the
-segment it executes and at ``_COARSE_FACTOR`` ds over the rest of the
-window, when that rest spans at least ``_COARSE_FLOOR`` steps: move
-blocking in receding-horizon control. A 40 m window at ds = 0.1 m that
-executes 10 m is 160 steps instead of 400.
+segment it executes and on a coarse grid of ``_COARSE_FACTOR`` ds over the
+rest of the window, when that rest spans at least ``_COARSE_FLOOR`` steps:
+move blocking in receding-horizon control. A 40 m window at ds = 0.1 m
+that executes 10 m is 160 steps instead of 400.
 
 A solve is single-threaded and deterministic; independent solves may run
 concurrently since all mutable state is owned per call.
@@ -100,6 +102,7 @@ from .errors import (
     ConfigError,
     finite_float,
     finite_vector,
+    float_array,
     integer_at_least,
 )
 from .platoon import (
@@ -194,11 +197,12 @@ _RHO_INIT, _RHO_FACTOR, _TOL_VIOLATION = 10.0, 10.0, 1e-3
 # whole horizon would run failing sweeps down to step 0.
 _BUILD_CHUNK = 512
 
-# Each level of a cold solve's ladder has a step exactly this many times
-# longer than the level above it, which starts from its plan (see
-# ``_grid_levels``). A non-integer step ratio puts the coarse grid points
-# between the fine ones, and the fine solve then takes several times the
-# passes.
+# The step ratio of every coarse grid (``_coarse_grid``): each level of a
+# cold solve's ladder has steps this many times longer than the level above
+# it, which starts from its plan (see ``_grid_levels``), and a receding
+# window's tail has steps of this many ds. A non-integer step ratio puts the
+# coarse grid points between the fine ones, and the fine solve then takes
+# several times the passes.
 _COARSE_FACTOR = 5
 
 # The fewest steps of a coarse level. Below it a level's fixed cost per pass
@@ -514,12 +518,13 @@ def solve(
     step. The plan, its states and its cost are on that grid.
 
     ``initial_controls`` (N, K) starts the solve from that plan, zeros
-    included. Without them the solve starts cold: ``_grid_levels`` lists the
-    same problem on a ladder of grids, coarsest first, each level's step
-    ``_COARSE_FACTOR`` times that of the level above, and one loop solves
-    them in order. The coarsest level starts from zero controls; each later
-    level starts from the plan of the level below, held over the steps it
-    covers, or from zeros when that plan leaves the slowness domain.
+    included. Without them the solve starts cold: ``_grid_levels`` lists
+    step grids over ``config.ds`` for the same span, coarsest first, each
+    level's steps ``_COARSE_FACTOR`` times those of the level above, and one
+    loop solves the same problem on each in order. The coarsest level starts
+    from zero controls; each later level starts from the plan of the level
+    below, held at ds and sampled where each of its steps starts, or from
+    zeros when that plan leaves the slowness domain.
     Explicit controls are a ladder of one level. ``iterations`` holds the
     last level's iterations, ``coarse_iterations`` sums the accepted
     iterations of every level before it, and ``wall_time`` covers all
@@ -551,27 +556,28 @@ def solve(
     targets = finite_vector("targets", targets, n)
 
     if initial_controls is None:
-        levels = _grid_levels(config, targets, grid)
-        accels = np.zeros((n, levels[0][0].horizon_steps))
+        levels = _grid_levels(grid)
+        accels = np.zeros((n, levels[0].size))
     else:
-        levels = [(config, targets, grid)]
-        accels = np.array(initial_controls, dtype=float)
+        levels = [grid]
+        accels = float_array("initial controls", initial_controls)
         if accels.shape != (n, k_steps):
             raise ConfigError(f"initial controls must have shape ({n}, {k_steps})")
 
     coarse_iterations = 0
-    for level, (level_config, level_targets, level_grid) in enumerate(levels):
+    for level, level_grid in enumerate(levels):
         if level > 0:
             coarse_iterations += len(report.iterations)
-            accels = report.controls.accels[:, step_starts(level_grid) // _COARSE_FACTOR]
-        plan = rollout_steps(t0, pi0, accels, level_config.ds, level_grid)
+            held = np.repeat(report.controls.accels, levels[level - 1], axis=1)
+            accels = held[:, step_starts(level_grid)]
+        plan = rollout_steps(t0, pi0, accels, config.ds, level_grid)
         if plan is None and initial_controls is not None:
             raise ConfigError("initial controls are infeasible (slowness left the domain)")
         if plan is None:  # start from zeros, which keep each slowness at pi0 > 0
             accels = np.zeros_like(accels)
-            plan = rollout_steps(t0, pi0, accels, level_config.ds, level_grid)
+            plan = rollout_steps(t0, pi0, accels, config.ds, level_grid)
         report = _solve(
-            level_config, weights, profile, options, level_targets, start_position,
+            config, weights, profile, options, targets, start_position,
             accels, PlatoonState(arrival_times=plan[0], slownesses=plan[1]), level_grid,
         )
     return dataclasses.replace(
@@ -579,40 +585,38 @@ def solve(
     )
 
 
-def _grid_levels(config, targets, grid):
-    """The cold start's ladder of (config, targets, grid) levels, coarsest first.
+def _coarse_grid(span, step):
+    """Steps of ``step`` ds over ``span`` ds, the remainder one shorter last step."""
+    return np.diff(np.arange(0, span, step), append=span)
 
-    The finest level is the problem as given. A level whose grid covers
-    M = sum(grid) ds of road (M = K on a uniform grid) has below it a
-    uniform level of Kc = ceil(M / _COARSE_FACTOR) steps of exactly
-    ``_COARSE_FACTOR`` ds, with the same weights, options and start
-    position; the cost weighs each step by its length, so it is the same
-    problem. Its last step may overhang the road by
-    o = (_COARSE_FACTOR Kc - M) ds, so its targets move later by
-    o / target_speed. The ladder stops at a level whose level below would
-    have fewer than ``_COARSE_FLOOR`` steps, or no fewer steps than itself
-    (a grid of long steps): such a level saves the level above nothing.
+
+def _grid_levels(grid):
+    """The cold start's ladder of step grids over ``config.ds``, coarsest first.
+
+    The finest level is ``grid`` itself. Level L below it covers the same
+    span of road with steps of ``_COARSE_FACTOR``**L ds, the remainder one
+    shorter last step (``_coarse_grid``), so every level is the same problem
+    on the same config and targets; the cost weighs each step by its
+    length. The ladder stops above a level that would have fewer than
+    ``_COARSE_FLOOR`` steps, or no fewer steps than the level above it (a
+    grid of long steps): such a level saves the level above nothing.
     """
-    levels = [(config, targets, grid)]
+    levels = [grid]
+    span = int(grid.sum())
     while True:
-        span = int(grid.sum())
-        k_coarse = -(-span // _COARSE_FACTOR)
-        if not _COARSE_FLOOR <= k_coarse < config.horizon_steps:
+        coarse = _coarse_grid(span, _COARSE_FACTOR ** len(levels))
+        if not _COARSE_FLOOR <= coarse.size < levels[-1].size:
             return levels[::-1]
-        overhang = (_COARSE_FACTOR * k_coarse - span) * config.ds
-        targets = targets + overhang / config.target_speed
-        config = dataclasses.replace(
-            config, ds=config.ds * _COARSE_FACTOR, horizon_steps=k_coarse
-        )
-        grid = step_grid(None, k_coarse)
-        levels.append((config, targets, grid))
+        levels.append(coarse)
 
 
 def _solve(config, weights, profile, options, targets, start_position, accels, reference, grid):
     """The solve of one grid level, from the plan ``accels`` and its rollout ``reference``.
 
-    ``solve`` runs every level through here, so one public call stays one
-    plan. ``wall_time`` covers this level only; ``solve`` replaces it.
+    The level has ``grid.size`` steps of ``config.ds`` times ``grid``;
+    ``config.horizon_steps`` is the finest level's K. ``solve`` runs every
+    level through here, so one public call stays one plan. ``wall_time``
+    covers this level only; ``solve`` replaces it.
 
     Each inner iteration ends in one of these ways. A stationary prediction
     ends the inner loop converged; so does a stationary plan whose forced
@@ -627,7 +631,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     ``tol_cost_rel`` on the plan it returns.
     """
     start = time.perf_counter()
-    k_steps = config.horizon_steps
+    k_steps = grid.size
     ds = config.ds
     positions = start_position + ds * step_starts(grid)
     thetas = grade_at(profile, np.minimum(positions, profile.total_length))
@@ -804,7 +808,8 @@ def receding_horizon_run(
     ds over the kr = round(replan_m / ds) steps it executes, then steps of
     ``_COARSE_FACTOR`` ds over the rest, which only shape its end; a
     remainder of fewer than ``_COARSE_FACTOR`` ds becomes one shorter last
-    step. Such a window of kw fine steps is solved on
+    step. That tail is ``_coarse_grid``, the rule that builds the levels of
+    a cold start's ladder. Such a window of kw fine steps is solved on
     kr + ceil((kw - kr) / _COARSE_FACTOR) steps. A tail of fewer than
     ``_COARSE_FLOOR`` fine steps stays at ds, and the last window is
     executed whole and solved at ds. The warm start is kept as a plan at
@@ -813,10 +818,14 @@ def receding_horizon_run(
     The stitched plan is uniform at ds. ``windows`` records (start,
     length, solved steps) per execution.
 
-    Raises ConfigError before any solve unless ``window_m`` and ``replan_m``
-    are finite and > 0, ``replan_m`` <= ``window_m``, and ``max_executions``
-    is None or an integer >= 1.
+    Raises ConfigError before any solve unless ``t0`` and ``pi0`` are finite
+    arrays of shape (N,), ``window_m`` and ``replan_m`` are finite and > 0,
+    ``replan_m`` <= ``window_m``, and ``max_executions`` is None or an
+    integer >= 1.
     """
+    n = config.n_vehicles
+    t_cur = finite_vector("initial times", t0, n)
+    pi_cur = finite_vector("initial slownesses", pi0, n)
     window_m = finite_float(window_m, "window_m", positive=True)
     replan_m = finite_float(replan_m, "replan_m", positive=True)
     if max_executions is not None:
@@ -825,10 +834,7 @@ def receding_horizon_run(
         raise ConfigError(f"replan_m must be at most window_m ({window_m}), got {replan_m}")
     ds = config.ds
     route_length = config.route_length
-    t_cur = np.asarray(t0, dtype=float).copy()
-    pi_cur = np.asarray(pi0, dtype=float).copy()
     entry_times = t_cur.copy()
-    n = config.n_vehicles
 
     exec_times = []
     windows = []
@@ -850,10 +856,9 @@ def receding_horizon_run(
         # steps, per-solve overhead sets its time, and a coarse tail leaves
         # windows of different lengths a step or two apart.
         tail_step = _COARSE_FACTOR if kw - exec_steps >= _COARSE_FLOOR else 1
-        starts = np.concatenate(
-            [np.arange(exec_steps), np.arange(exec_steps, kw, tail_step)]
+        grid = np.concatenate(
+            [np.ones(exec_steps, dtype=np.int64), _coarse_grid(kw - exec_steps, tail_step)]
         )
-        grid = np.diff(starts, append=kw)
         if state_hook is not None:
             t_cur, pi_cur = state_hook(s0, t_cur, pi_cur)
         win_cfg = dataclasses.replace(config, horizon_steps=grid.size)
@@ -862,7 +867,7 @@ def receding_horizon_run(
             fine = np.concatenate(
                 [warm, np.zeros((n, max(0, kw - warm.shape[1])))], axis=1
             )
-            init = fine[:, starts]
+            init = fine[:, step_starts(grid)]
         else:
             init = None
         tic = time.perf_counter()

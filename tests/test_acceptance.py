@@ -209,9 +209,9 @@ class TestCriterion5SolverProperties:
         levels = []
         inner = solver_mod._solve
 
-        def spy(config, *args):
-            level = inner(config, *args)
-            levels.append((config.horizon_steps, level))
+        def spy(*args, **kwargs):
+            level = inner(*args, **kwargs)
+            levels.append((level.controls.accels.shape[1], level))
             return level
 
         monkeypatch.setattr(solver_mod, "_solve", spy)

@@ -129,6 +129,23 @@ def comfort_collector():
 
 
 class TestSimulation:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"dt": float("nan")}, "dt"),
+            ({"dt": 0.0}, "dt"),  # t never grew, so the loop never ended
+            ({"dt": -0.05}, "dt"),
+            ({"dt": "0.05"}, "dt"),
+            ({"initial_speed": -3.0}, "initial_speed"),  # the platoon drove backward
+            ({"initial_speed": 0.0}, "initial_speed"),
+            ({"initial_speed": float("inf")}, "initial_speed"),
+        ],
+    )
+    def test_malformed_steps_rejected(self, kwargs, field):
+        cfg = make_config(n=2, ds=1.0, horizon_steps=100)
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            simulate_baseline(cfg, CaccGains(), build_preset("collector"), **kwargs)
+
     def test_settles_within_200m_from_speed_offset(self):
         cfg = make_config(n=3, ds=0.1, horizon_steps=8000)
         profile = SlopeProfile(breakpoints=[0.0, 900.0], grades=[0.0])

@@ -471,12 +471,12 @@ class TestPresetFingerprints:
         levels = []
         inner_solve = solver_mod._solve
 
-        def level_spy(config, *args, **kwargs):
+        def level_spy(*args, **kwargs):
             before = calls.copy()
-            level = inner_solve(config, *args, **kwargs)
+            level = inner_solve(*args, **kwargs)
             took = calls - before
             levels.append((
-                config.horizon_steps, len(level.iterations), took["backward_pass"],
+                level.controls.accels.shape[1], len(level.iterations), took["backward_pass"],
                 took["raised"], took["forward_pass"],
             ))
             return level

@@ -8,7 +8,13 @@ import pytest
 
 from ecoplatoon.baseline import CaccGains
 from ecoplatoon.costs import CostWeights
-from ecoplatoon.errors import ConfigError, finite_float, integer_at_least
+from ecoplatoon.errors import (
+    ConfigError,
+    finite_float,
+    finite_vector,
+    float_array,
+    integer_at_least,
+)
 from ecoplatoon.platoon import PlatoonConfig, VehicleParams
 from ecoplatoon.solver import SolverOptions
 from ecoplatoon.stability import PerturbationSpec
@@ -75,6 +81,20 @@ def test_integer_at_least_returns_an_int(value):
 def test_integer_at_least_rejects(value):
     with pytest.raises(ConfigError, match=f"n must be an integer >= 2, got {value!r}"):
         integer_at_least(value, "n", 2)
+
+
+@pytest.mark.parametrize("values", [["a", 0, 0], {"a": 1}, "abc", [[1.0], [1.0, 2.0]]])
+def test_finite_vector_rejects_non_numeric_values(values):
+    # np.asarray raised ValueError or TypeError here
+    with pytest.raises(ConfigError, match="^v must be numeric, got"):
+        finite_vector("v", values, 3)
+
+
+def test_float_array_returns_a_new_float_array():
+    values = np.arange(3.0)
+    got = float_array("v", values)
+    assert got.dtype == float and np.array_equal(got, values)
+    assert not np.shares_memory(got, values)
 
 
 @pytest.mark.parametrize("value", [True, "1", math.nan], ids=["bool", "string", "nan"])

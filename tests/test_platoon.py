@@ -402,11 +402,18 @@ class TestRollout:
             ([0.0, -1.0], [0.05, 0.05], (2, 5), 0.1, [1, 1], "step grid"),
             ([0.0, -1.0], [0.05, 0.05], (2, 5), 0.1, [1, 1, 0, 1, 1], "step grid"),
             ([0.0, -1.0], [0.05, 0.05], (5,), 0.1, None, "accelerations"),
+            (["a", 0.0], [0.05, 0.05], (2, 5), 0.1, None, "initial times must be numeric"),
         ],
     )
     def test_malformed_input_rejected(self, t0, pi0, accels, ds, grid, field):
         with pytest.raises(ConfigError, match=field):
             rollout(t0, pi0, np.zeros(accels), ds, grid)
+
+    @pytest.mark.parametrize("accels", [[[0.0, "x"], [0.0, 0.0]], [[0.0], [0.0, 0.0]]])
+    def test_non_numeric_accelerations_rejected(self, accels):
+        # np.asarray raised ValueError here, on a string and on a ragged list
+        with pytest.raises(ConfigError, match="accelerations must be numeric"):
+            rollout([0.0, -1.0], [0.05, 0.05], accels, 0.1)
 
 
 def textbook_resimulation(state, controls, profile, ds, dt):

@@ -1,6 +1,7 @@
 """Backward/forward pass correctness and whole-solve behavior."""
 
 import dataclasses
+import inspect
 import tracemalloc
 import warnings
 from collections import Counter
@@ -952,6 +953,23 @@ class TestSolve:
         with pytest.raises(ConfigError, match="initial slownesses must be finite"):
             solve(*problem, t0, pi0, opts, targets=targets)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("t0", ["a", 0, 0], "initial times must be numeric"),
+            ("pi0", {"a": 1}, "initial slownesses must be numeric"),
+            ("targets", ["x", 1, 2], "targets must be numeric"),
+            ("initial_controls", "zz", "initial controls must be numeric"),
+            ("initial_controls", [[0.0] * 60, [0.0]] * 2, "initial controls must be numeric"),
+        ],
+    )
+    def test_non_numeric_input_rejected(self, field, value, message):
+        # numpy's conversions raised ValueError or TypeError here
+        problem, t0, pi0, targets, opts = self.short_collector()
+        kwargs = {"t0": t0, "pi0": pi0, "targets": targets, field: value}
+        with pytest.raises(ConfigError, match=message):
+            solve(*problem, options=opts, **kwargs)
+
     @pytest.mark.parametrize("position", [np.nan, np.inf, "12"])
     def test_non_finite_start_position_rejected(self, position):
         problem, t0, pi0, targets, opts = self.short_collector()
@@ -1224,22 +1242,26 @@ class TestRecedingHorizon:
             ("max_executions", -1),
             ("max_executions", True),
             ("max_executions", 2.0),
+            ("t0", "abc"),
+            ("t0", [0.0, np.nan]),
+            ("pi0", [0.05]),
+            ("pi0", ["a", 0.05]),
         ],
     )
     def test_malformed_arguments_rejected_before_any_solve(self, monkeypatch, field, value):
         cfg = make_config(n=2, ds=1.0, horizon_steps=100)
         w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
-        t0 = -np.arange(2) * cfg.headway
-        pi0 = np.full(2, 1.0 / cfg.target_speed)
+        start = {"t0": -np.arange(2) * cfg.headway, "pi0": np.full(2, 1.0 / cfg.target_speed)}
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solve called before the arguments were checked")
 
         monkeypatch.setattr(solver_mod, "solve", no_solve)
-        kwargs = {"window_m": 20.0, "replan_m": 5.0, field: value}
-        with pytest.raises(ConfigError, match=field):
+        kwargs = {**start, "window_m": 20.0, "replan_m": 5.0, field: value}
+        names = {"t0": "initial times", "pi0": "initial slownesses"}
+        with pytest.raises(ConfigError, match=names.get(field, field)):
             receding_horizon_run(
-                cfg, w, build_preset("collector"), t0, pi0, SolverOptions(), **kwargs
+                cfg, w, build_preset("collector"), options=SolverOptions(), **kwargs
             )
 
 
@@ -1275,21 +1297,21 @@ def cold_problem(k_steps, n=2, ds=0.5):
 
 
 def spy_phases(monkeypatch, change=None):
-    """Record every call of the private solve helper; ``change`` may edit a report."""
+    """Record every call of the private solve helper; ``change`` may edit a report.
+
+    Each record holds the call's arguments by name, its report and its wall time.
+    """
     calls = []
     inner = solver_mod._solve
+    signature = inspect.signature(inner)
 
-    def spy(config, weights, profile, options, targets, start_position, accels, reference, grid):
-        report = inner(
-            config, weights, profile, options, targets, start_position, accels, reference, grid
-        )
+    def spy(*args, **kwargs):
+        report = inner(*args, **kwargs)
         if change is not None:
-            report = change(config, report)
-        calls.append(
-            {"config": config, "weights": weights, "targets": targets, "accels": accels,
-             "start_position": start_position, "grid": grid, "report": report,
-             "wall": report.wall_time}
-        )
+            report = change(report)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append({**bound.arguments, "report": report, "wall": report.wall_time})
         return report
 
     monkeypatch.setattr(solver_mod, "_solve", spy)
@@ -1319,7 +1341,8 @@ class TestColdStart:
         monkeypatch.setattr(solver_mod, "solve", counting)
         report = solver_mod.solve(cfg, w, prof, t0, pi0, SolverOptions())
         assert len(public) == 1
-        assert [p["config"].horizon_steps for p in phases] == [100, 500, 2500]
+        assert [p["grid"].size for p in phases] == [100, 500, 2500]
+        assert all(p["config"] is cfg for p in phases)
         *coarse, fine = phases
         assert report.coarse_iterations == sum(len(c["report"].iterations) for c in coarse) > 0
         assert report.iterations is fine["report"].iterations
@@ -1327,28 +1350,27 @@ class TestColdStart:
         assert report.wall_time >= sum(p["wall"] for p in phases)
 
     def test_coarse_problem_is_the_same_problem_on_a_coarser_grid(self, monkeypatch):
-        # 2498 steps: each level's last step overhangs the level above
+        # 2498 steps: each coarse level ends on one shorter last step
         cfg, w, prof, t0, pi0 = cold_problem(2498, ds=0.1)
         phases = spy_phases(monkeypatch)
         targets = np.array([30.0, 29.5])
         solve(cfg, w, prof, t0, pi0, SolverOptions(), targets=targets, start_position=12.5)
-        assert [p["config"].horizon_steps for p in phases] == [100, 500, 2498]
-        assert phases[-1]["config"] is cfg and phases[-1]["weights"] is w
-        assert np.array_equal(phases[-1]["targets"], targets)
+        assert [p["grid"].size for p in phases] == [100, 500, 2498]
+        assert np.array_equal(phases[-1]["grid"], np.ones(2498))
+        assert np.array_equal(phases[1]["grid"], [5] * 499 + [3])
+        assert np.array_equal(phases[0]["grid"], [25] * 99 + [23])
         for coarse, fine in zip(phases, phases[1:]):
-            cc, fc = coarse["config"], fine["config"]
-            k_coarse = -(-fc.horizon_steps // _COARSE_FACTOR)
-            assert cc.horizon_steps == k_coarse
-            assert cc.ds == fc.ds * _COARSE_FACTOR
-            overhang = (_COARSE_FACTOR * k_coarse - fc.horizon_steps) * fc.ds
-            assert cc.route_length == pytest.approx(fc.route_length + overhang, rel=1e-15)
-            assert np.array_equal(
-                coarse["targets"], fine["targets"] + overhang / cfg.target_speed
-            )
-            # the cost weighs each step by its length, so the weights stay
-            assert coarse["weights"] is w
-            assert coarse["start_position"] == fine["start_position"] == 12.5
-        assert phases[1]["targets"][0] > targets[0]  # 2500 - 2498 steps of overhang
+            k_coarse = -(-fine["grid"].size // _COARSE_FACTOR)
+            assert coarse["grid"].size == k_coarse
+            # every step but the last is _COARSE_FACTOR times the level above
+            assert np.all(coarse["grid"][:-1] == _COARSE_FACTOR * fine["grid"][0])
+            assert coarse["grid"].sum() == fine["grid"].sum() == 2498
+        for level in phases:
+            # the same problem: config, weights, targets and start position
+            # stay, and the cost weighs each step by its length
+            assert level["config"] is cfg and level["weights"] is w
+            assert np.array_equal(level["targets"], targets)
+            assert level["start_position"] == 12.5
         assert not np.any(phases[0]["accels"])
 
     def test_collector_preset_cold_matches_zero_start(self):
@@ -1373,7 +1395,7 @@ class TestColdStart:
             scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options,
             targets=targets,
         )
-        assert [p["config"].horizon_steps for p in phases] == [320, 1600, 8000]
+        assert [p["grid"].size for p in phases] == [320, 1600, 8000]
         coarse = [p["report"] for p in phases[:-1]]
         assert sum(len(c.iterations) for c in coarse) == report.coarse_iterations > 0
         for level in coarse:
@@ -1384,8 +1406,8 @@ class TestColdStart:
         cfg, w, prof, t0, pi0 = cold_problem(500)
         zero = solve(cfg, w, prof, t0, pi0, SolverOptions(), initial_controls=np.zeros((2, 500)))
 
-        def blow_up(config, report):
-            if config.horizon_steps < cfg.horizon_steps:
+        def blow_up(report):
+            if report.controls.accels.shape[1] < cfg.horizon_steps:
                 report.controls.accels[1, 5] = 1e5  # drives the slowness negative
             return report
 
@@ -1429,24 +1451,22 @@ class TestColdStart:
         owner = np.arange(498) // _COARSE_FACTOR
         assert np.array_equal(held, plan[:, owner])
         assert set(owner) == set(range(100))
-        # every coarse step covers 5 fine steps but the last, which overhangs
+        # every coarse step covers 5 fine steps but the last, which is 3 ds long
         assert np.array_equal(np.bincount(owner), [5] * 99 + [3])
+        assert np.array_equal(coarse["grid"], np.bincount(owner))
 
     def test_mixed_grid_holds_the_coarse_plan_by_position(self, monkeypatch):
-        # 252 steps of ds, then 100 of 5 ds: 752 ds of road, so the uniform
-        # level below has 151 steps of 5 ds and overhangs by 3 ds
+        # 252 steps of ds, then 100 of 5 ds: 752 ds of road, so the level
+        # below has 150 steps of 5 ds and a last step of 2 ds
         grid = np.array([1] * 252 + [5] * 100)
         cfg, w, prof, t0, pi0 = cold_problem(grid.size)
         phases = spy_phases(monkeypatch)
         report = solve(cfg, w, prof, t0, pi0, SolverOptions(), grid=grid)
         assert report.converged
         coarse, fine = phases
-        assert coarse["config"].horizon_steps == 151
-        assert coarse["config"].ds == cfg.ds * _COARSE_FACTOR
-        assert np.array_equal(coarse["grid"], np.ones(151))
-        assert np.array_equal(
-            coarse["targets"], fine["targets"] + 3 * cfg.ds / cfg.target_speed
-        )
+        assert coarse["config"] is fine["config"] is cfg
+        assert np.array_equal(coarse["grid"], [5] * 150 + [2])
+        assert np.array_equal(coarse["targets"], fine["targets"])
         assert np.array_equal(fine["targets"], schedule_targets(cfg, t0, grid))
         # the step starting j ds in holds coarse step j // 5
         starts = np.cumsum(grid) - grid
@@ -1471,10 +1491,13 @@ class TestColdStart:
         t0, pi0, _ = scen.initial_state()
         horizons = []
         inner = solver_mod.backward_pass
+        signature = inspect.signature(inner)
 
-        def counting(states, controls, thetas, config, *args):
-            horizons.append(config.horizon_steps)
-            return inner(states, controls, thetas, config, *args)
+        def counting(*args, **kwargs):
+            # every level shares the caller's config, so K is read from the plan
+            controls = signature.bind(*args, **kwargs).arguments["controls"]
+            horizons.append(controls.accels.shape[1])
+            return inner(*args, **kwargs)
 
         monkeypatch.setattr(solver_mod, "backward_pass", counting)
         passes = {}

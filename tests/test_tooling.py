@@ -142,6 +142,23 @@ def test_only_the_errors_module_tests_finiteness_by_hand():
 
 
 
+def test_only_override_ds_changes_the_resolution():
+    # scenario.override_ds is the one place a config gets a new ds: the
+    # solver coarsens by step grids over the caller's ds, never by a config
+    # of its own
+    found = []
+    for path in sorted(Path(ecoplatoon.__file__).parent.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "replace"
+                    and any(kw.arg == "ds" for kw in node.keywords)
+                ):
+                    found.append(f"{path.name}: {getattr(top, 'name', top.lineno)}")
+    assert found == ["scenario.py: override_ds"]
+
+
 def file_writes(tree):
     """What in ``tree`` can write a file: temporary files, renames, Path
     writes and any ``open`` whose mode is not a literal read-only one."""
