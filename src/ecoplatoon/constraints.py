@@ -25,8 +25,9 @@ ALState; multipliers and penalty weights are arrays over (step, constraint)
 because every step carries its own constraint instances. One outer update,
 :func:`update_multipliers`, takes the multiplier step and escalates rho on
 the constraints still violated. The penalty's derivatives come per
-(step, vehicle); only :func:`ecoplatoon.solver.backward_pass` knows the
-solver's state layout and places them in it.
+(step, vehicle). Two functions know the solver's state layout:
+:func:`ecoplatoon.platoon.rollout_steps`, which steps the dynamics in it,
+and :func:`ecoplatoon.solver.backward_pass`, which places these terms in it.
 """
 
 from __future__ import annotations

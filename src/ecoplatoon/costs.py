@@ -27,8 +27,9 @@ identical to a single shared target when all entry times are zero).
 Derivatives come per vehicle, as (K, N) series over steps and vehicles,
 plus the (K, N, N) gap Hessian over arrival times; v = 1/pi makes
 the ecology term couple a_i with pi_i, so a control-slowness cross term
-comes too. Only :func:`ecoplatoon.solver.backward_pass` knows the solver's
-state layout and places these terms in it.
+comes too. Two functions know the solver's state layout:
+:func:`ecoplatoon.platoon.rollout_steps`, which steps the dynamics in it,
+and :func:`ecoplatoon.solver.backward_pass`, which places these terms in it.
 """
 
 from __future__ import annotations

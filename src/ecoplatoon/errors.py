@@ -5,8 +5,8 @@ the solver's own arguments and the number fields of the value types go
 through :func:`finite_float` or :func:`integer_at_least`, so all of them
 obey one rule: a bool or a string is not a number, whatever Python's types
 say. Per-vehicle vectors go through :func:`finite_vector`, and every
-numeric array through :func:`float_array`, which raises ConfigError
-where numpy would raise ValueError or TypeError.
+numeric array through :func:`float_array`, which holds arrays to the same
+rule and raises ConfigError where numpy would raise ValueError or TypeError.
 """
 
 import json
@@ -79,11 +79,18 @@ def integer_at_least(value, name, minimum):
 
 
 def float_array(name, values):
-    """``values`` as a new float array; ConfigError naming ``name`` unless numeric."""
+    """``values`` as a new float array; ConfigError naming ``name`` unless numeric.
+
+    Numeric means an array of integers or real floats: text, bools and
+    objects (None, say) are not converted.
+    """
     try:
-        return np.array(values, dtype=float)
+        array = np.asarray(values)
+        if array.dtype.kind in "iuf":
+            return np.array(array, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be numeric, got {values!r}") from None
+        pass
+    raise ConfigError(f"{name} must be numeric, got {values!r}")
 
 
 def finite_vector(name, values, n):

@@ -36,7 +36,6 @@ class FuelModel:
 
     positive_accel: np.ndarray
     negative_accel: np.ndarray
-    units: dict
 
     def __post_init__(self):
         for name in ("positive_accel", "negative_accel"):
@@ -57,7 +56,9 @@ class FuelModel:
     def from_dict(cls, raw: dict, origin: str = "<dict>") -> "FuelModel":
         """The model in a parsed fuel-model file; ``origin`` names the file in errors.
 
-        Each matrix must be a list of 4 lists of 4 finite numbers.
+        Each matrix must be a list of 4 lists of 4 finite numbers. The
+        file's other entries (``description``, ``provenance``, ``units``,
+        ``envelope``) document it and are not read.
         """
         if not isinstance(raw, dict):
             raise ConfigError(f"{origin}: expected a JSON object")
@@ -78,7 +79,7 @@ class FuelModel:
                     for i, row in enumerate(rows)
                 ]
             )
-        return cls(**matrices, units=raw.get("units", {}))
+        return cls(**matrices)
 
     @classmethod
     def load(cls, path) -> "FuelModel":

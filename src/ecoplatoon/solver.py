@@ -797,15 +797,19 @@ def receding_horizon_run(
 ) -> RecedingRun:
     """Repeatedly solve a sliding window and execute its first segment.
 
-    The platoon advances ``replan_m`` meters per execution; each window is
-    planned against the entry-anchored arrival schedule so lateness is never
-    silently forgiven. ``state_hook(position, t, pi) -> (t, pi)`` lets a
-    caller inject boundary perturbations between executions. Per-execution
-    wall time covers the window solve only.
+    The run counts the route in whole steps of ds: a window spans
+    round(window_m / ds) steps, or the rest of the route, the platoon
+    advances kr = round(replan_m / ds) steps per execution, and a window
+    k steps in starts at k * ds. Each window is planned against the
+    entry-anchored arrival schedule so lateness is never silently
+    forgiven. ``state_hook(position, t, pi) -> (t, pi)`` lets a caller
+    inject boundary perturbations between executions; the stitched plan
+    keeps the state from before the hook. Per-execution wall time covers
+    the window solve only.
 
     A window that is not the last is solved on a coarse tail, move blocking
     in the sense of Cagienard et al. (J. Process Control 17, 2007): steps of
-    ds over the kr = round(replan_m / ds) steps it executes, then steps of
+    ds over the kr steps it executes, then steps of
     ``_COARSE_FACTOR`` ds over the rest, which only shape its end; a
     remainder of fewer than ``_COARSE_FACTOR`` ds becomes one shorter last
     step. That tail is ``_coarse_grid``, the rule that builds the levels of
@@ -815,8 +819,9 @@ def receding_horizon_run(
     executed whole and solved at ds. The warm start is kept as a plan at
     ds: a window starts from it sampled at the start of each of its steps,
     and its solved plan is held back over the fine steps each step covers.
-    The stitched plan is uniform at ds. ``windows`` records (start,
-    length, solved steps) per execution.
+    The stitched plan is uniform at ds; a run stopped by ``max_executions``
+    holds the leading columns of the full run. ``windows`` records (start,
+    length, solved steps) per execution, start and length in meters.
 
     Raises ConfigError before any solve unless ``t0`` and ``pi0`` are finite
     arrays of shape (N,), ``window_m`` and ``replan_m`` are finite and > 0,
@@ -824,8 +829,8 @@ def receding_horizon_run(
     integer >= 1.
     """
     n = config.n_vehicles
-    t_cur = finite_vector("initial times", t0, n)
-    pi_cur = finite_vector("initial slownesses", pi0, n)
+    t0 = finite_vector("initial times", t0, n)
+    pi0 = finite_vector("initial slownesses", pi0, n)
     window_m = finite_float(window_m, "window_m", positive=True)
     replan_m = finite_float(replan_m, "replan_m", positive=True)
     if max_executions is not None:
@@ -833,24 +838,28 @@ def receding_horizon_run(
     if replan_m > window_m:
         raise ConfigError(f"replan_m must be at most window_m ({window_m}), got {replan_m}")
     ds = config.ds
-    route_length = config.route_length
-    entry_times = t_cur.copy()
+    k_route = config.horizon_steps
+    k_window = max(1, round(window_m / ds))
+    k_replan = max(1, round(replan_m / ds))
 
+    # The stitched plan, written in place: a window writes its executed
+    # states at k0 and its whole plan, held at ds, into ``accels``, where the
+    # part it does not execute is the next window's warm start. Columns past
+    # the end of every window so far are still zero, so the warm start is
+    # zero where the previous window did not reach.
+    times = np.empty((n, k_route + 1))
+    slows = np.empty((n, k_route + 1))
+    accels = np.zeros((n, k_route))
+    times[:, 0] = t0
+    slows[:, 0] = pi0
     exec_times = []
     windows = []
     converged = True
-    times_out = [t_cur.copy()]
-    slows_out = [pi_cur.copy()]
-    accel_cols = []
-    warm = None
-    s0 = 0.0
-    while s0 < route_length - 1e-9:
-        w_eff = min(window_m, route_length - s0)
-        kw = max(1, int(round(w_eff / ds)))
-        w_eff = kw * ds
-        exec_steps = kw if s0 + w_eff >= route_length - 1e-9 else min(
-            kw, max(1, int(round(replan_m / ds)))
-        )
+    k0 = 0
+    while k0 < k_route and (max_executions is None or len(windows) < max_executions):
+        kw = min(k_window, k_route - k0)
+        exec_steps = kw if k0 + kw == k_route else min(kw, k_replan)
+        s0 = k0 * ds
         # Fine steps over the executed segment, then the tail. A tail under
         # _COARSE_FLOOR fine steps stays fine: such a window is a few dozen
         # steps, per-solve overhead sets its time, and a coarse tail leaves
@@ -859,17 +868,11 @@ def receding_horizon_run(
         grid = np.concatenate(
             [np.ones(exec_steps, dtype=np.int64), _coarse_grid(kw - exec_steps, tail_step)]
         )
+        t_cur, pi_cur = times[:, k0].copy(), slows[:, k0].copy()
         if state_hook is not None:
             t_cur, pi_cur = state_hook(s0, t_cur, pi_cur)
         win_cfg = dataclasses.replace(config, horizon_steps=grid.size)
-        targets = entry_times + (s0 + w_eff) / config.target_speed
-        if warm is not None:
-            fine = np.concatenate(
-                [warm, np.zeros((n, max(0, kw - warm.shape[1])))], axis=1
-            )
-            init = fine[:, step_starts(grid)]
-        else:
-            init = None
+        targets = t0 + (s0 + kw * ds) / config.target_speed
         tic = time.perf_counter()
         report = solve(
             win_cfg,
@@ -879,30 +882,21 @@ def receding_horizon_run(
             pi_cur,
             options,
             targets=targets,
-            initial_controls=init,
+            initial_controls=accels[:, k0 + step_starts(grid)] if k0 else None,
             start_position=s0,
             grid=grid,
         )
         exec_times.append(time.perf_counter() - tic)
-        windows.append((s0, w_eff, grid.size))
+        windows.append((s0, kw * ds, grid.size))
         converged = converged and report.converged
 
-        accels = np.repeat(report.controls.accels, grid, axis=1)
-        accel_cols.append(accels[:, :exec_steps])
-        times_exec = report.states.arrival_times[:, 1 : exec_steps + 1]
-        slows_exec = report.states.slownesses[:, 1 : exec_steps + 1]
-        times_out.append(times_exec)
-        slows_out.append(slows_exec)
-        t_cur = times_exec[:, -1].copy()
-        pi_cur = slows_exec[:, -1].copy()
-        warm = accels[:, exec_steps:]
-        s0 += exec_steps * ds
-        if max_executions is not None and len(exec_times) >= max_executions:
-            break
+        accels[:, k0 : k0 + kw] = np.repeat(report.controls.accels, grid, axis=1)
+        k1 = k0 + exec_steps
+        times[:, k0 + 1 : k1 + 1] = report.states.arrival_times[:, 1 : exec_steps + 1]
+        slows[:, k0 + 1 : k1 + 1] = report.states.slownesses[:, 1 : exec_steps + 1]
+        k0 = k1
 
-    times = np.column_stack([times_out[0][:, None]] + times_out[1:])
-    slows = np.column_stack([slows_out[0][:, None]] + slows_out[1:])
-    accels = np.column_stack(accel_cols) if accel_cols else np.zeros((n, 0))
+    times, slows, accels = times[:, : k0 + 1], slows[:, : k0 + 1], accels[:, :k0]
     return RecedingRun(
         states=PlatoonState(arrival_times=times, slownesses=slows),
         controls=ControlTrajectory(accels=accels),

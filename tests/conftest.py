@@ -5,6 +5,10 @@ from ecoplatoon.costs import schedule_targets, stage_derivatives_batch, trajecto
 from ecoplatoon.platoon import PlatoonConfig, VehicleParams, rollout
 
 MPH = 0.44704
+# Output hashes are recorded on numpy 2.4; another numpy may round a last
+# bit differently, so tests hold a pinned sha256 only on this one.
+HASHED_ON_NUMPY = "2.4"
+ON_HASHED_NUMPY = ".".join(np.__version__.split(".")[:2]) == HASHED_ON_NUMPY
 
 
 def make_config(

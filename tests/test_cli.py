@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import ON_HASHED_NUMPY
 from ecoplatoon import cli
 from ecoplatoon import solver as solver_mod
 from ecoplatoon.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main, write_csv
@@ -445,8 +446,6 @@ STABILITY_SHA256 = {
     "deviations.csv": "a99787590e950e7470b259fcfb1d2ba196e78e6e13ab533aa311acf670232293",
     "following_errors.csv": "ab3f10441633d2c2a8b4ced7ddd99b98e48aa919750f618b497cee15382c080a",
 }
-HASHED_ON_NUMPY = "2.4"
-ON_HASHED_NUMPY = ".".join(np.__version__.split(".")[:2]) == HASHED_ON_NUMPY
 
 
 def sha256_of(path: Path) -> str:

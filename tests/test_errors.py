@@ -83,11 +83,35 @@ def test_integer_at_least_rejects(value):
         integer_at_least(value, "n", 2)
 
 
-@pytest.mark.parametrize("values", [["a", 0, 0], {"a": 1}, "abc", [[1.0], [1.0, 2.0]]])
+@pytest.mark.parametrize(
+    "values",
+    [
+        ["a", 0, 0],
+        {"a": 1},
+        "abc",
+        [[1.0], [1.0, 2.0]],
+        ["1", "2", "3"],
+        np.array(["1", "2", "3"]),
+        [True, False, True],
+        [1.0, None, 2.0],
+    ],
+)
 def test_finite_vector_rejects_non_numeric_values(values):
-    # np.asarray raised ValueError or TypeError here
+    # np.asarray raised ValueError or TypeError on the first four, and
+    # converted numeric strings and bools to floats and None to nan: a
+    # string or a bool is not a number here either, as in finite_float
     with pytest.raises(ConfigError, match="^v must be numeric, got"):
         finite_vector("v", values, 3)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1, 2, 3], np.arange(3, dtype=np.uint8), np.arange(3, dtype=np.float32), []],
+    ids=["ints", "unsigned", "float32", "empty"],
+)
+def test_float_array_accepts_integer_and_real_float_dtypes(values):
+    got = float_array("v", values)
+    assert got.dtype == float and np.array_equal(got, np.asarray(values, dtype=float))
 
 
 def test_float_array_returns_a_new_float_array():

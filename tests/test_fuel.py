@@ -72,7 +72,7 @@ class TestModelData:
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ConfigError):
-            FuelModel(positive_accel=np.zeros((3, 4)), negative_accel=np.zeros((4, 4)), units={})
+            FuelModel(positive_accel=np.zeros((3, 4)), negative_accel=np.zeros((4, 4)))
 
     @pytest.mark.parametrize("name", ["positive_accel", "negative_accel"])
     def test_non_finite_coefficient_rejected(self, name):
@@ -80,7 +80,7 @@ class TestModelData:
         matrices = {"positive_accel": np.zeros((4, 4)), "negative_accel": np.zeros((4, 4))}
         matrices[name][2, 1] = np.nan
         with pytest.raises(ConfigError, match=f"{name} coefficients must be finite"):
-            FuelModel(**matrices, units={})
+            FuelModel(**matrices)
 
 
 class TestFuelRate:

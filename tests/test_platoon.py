@@ -403,15 +403,23 @@ class TestRollout:
             ([0.0, -1.0], [0.05, 0.05], (2, 5), 0.1, [1, 1, 0, 1, 1], "step grid"),
             ([0.0, -1.0], [0.05, 0.05], (5,), 0.1, None, "accelerations"),
             (["a", 0.0], [0.05, 0.05], (2, 5), 0.1, None, "initial times must be numeric"),
+            (["0", "-1"], [0.05, 0.05], (2, 5), 0.1, None, "initial times must be numeric"),
+            ([0.0, -1.0], ["0.05", "0.05"], (2, 5), 0.1, None, "slownesses must be numeric"),
+            ([0.0, -1.0], [0.05, 0.05], (2, 5), 0.1, ["1"] * 5, "step grid must be numeric"),
+            ([0.0, -1.0], [0.05, 0.05], (2, 5), 0.1, [True] * 5, "step grid must be numeric"),
         ],
     )
     def test_malformed_input_rejected(self, t0, pi0, accels, ds, grid, field):
         with pytest.raises(ConfigError, match=field):
             rollout(t0, pi0, np.zeros(accels), ds, grid)
 
-    @pytest.mark.parametrize("accels", [[[0.0, "x"], [0.0, 0.0]], [[0.0], [0.0, 0.0]]])
+    @pytest.mark.parametrize(
+        "accels",
+        [[[0.0, "x"], [0.0, 0.0]], [[0.0], [0.0, 0.0]], [["0"] * 3] * 2, [[False] * 3] * 2],
+    )
     def test_non_numeric_accelerations_rejected(self, accels):
-        # np.asarray raised ValueError here, on a string and on a ragged list
+        # np.asarray raised ValueError on text and on a ragged list, and
+        # converted numeric strings and bools
         with pytest.raises(ConfigError, match="accelerations must be numeric"):
             rollout([0.0, -1.0], [0.05, 0.05], accels, 0.1)
 

@@ -1,6 +1,8 @@
 """Backward/forward pass correctness and whole-solve behavior."""
 
 import dataclasses
+import functools
+import hashlib
 import inspect
 import tracemalloc
 import warnings
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from conftest import dense_blocks, make_config, receding_grid
+from conftest import ON_HASHED_NUMPY, dense_blocks, make_config, receding_grid
 from ecoplatoon import constraints as cons
 from ecoplatoon import costs
 from ecoplatoon import solver as solver_mod
@@ -961,6 +963,12 @@ class TestSolve:
             ("targets", ["x", 1, 2], "targets must be numeric"),
             ("initial_controls", "zz", "initial controls must be numeric"),
             ("initial_controls", [[0.0] * 60, [0.0]] * 2, "initial controls must be numeric"),
+            ("initial_controls", [["0"] * 60] * 3, "initial controls must be numeric"),
+            (
+                "initial_controls", np.zeros((3, 60), dtype=bool),
+                "initial controls must be numeric",
+            ),
+            ("targets", ["1", "2", "3"], "targets must be numeric"),
         ],
     )
     def test_non_numeric_input_rejected(self, field, value, message):
@@ -1092,8 +1100,13 @@ class TestStepGrid:
             np.r_[np.ones(99), np.nan],
             np.r_[np.ones(99), np.inf],
             ["1"] * 99 + ["x"],
+            ["1"] * 100,
+            [True] * 100,
         ],
-        ids=["short", "2d", "fraction", "zero", "negative", "nan", "inf", "text"],
+        ids=[
+            "short", "2d", "fraction", "zero", "negative", "nan", "inf", "text",
+            "numeric text", "bool",
+        ],
     )
     def test_malformed_grid_rejected_before_any_solve(self, monkeypatch, grid):
         cfg, w, prof, t0, pi0 = cold_problem(100)
@@ -1105,6 +1118,40 @@ class TestStepGrid:
         monkeypatch.setattr(solver_mod, "_grid_levels", no_solve)
         with pytest.raises(ConfigError, match="step grid"):
             solve(cfg, w, prof, t0, pi0, SolverOptions(), grid=grid)
+
+
+# The sha256 of a receding run's stitched arrival times, slownesses and
+# controls, 40 m windows replanned every 10 m, with its window and step counts.
+RECEDING_SHA256 = {
+    "comfort_ds0.1": (
+        "805f62dd6b35ee71388b1b62439f0d5125e7a76e6c6ae7b3074e3074d6716480", 77, 8000
+    ),
+    "collector_ds1": (
+        "c21982cf6dc9109e82d2a3b8b1c6b4ce5234dc1444cd40b427f91ee6e1af5d53", 77, 800
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_receding_run(case, max_executions=None):
+    """The receding run of ``case`` in RECEDING_SHA256: the collector in the
+    comfort box at ds = 0.1 m or plain at ds = 1 m."""
+    if case == "comfort_ds0.1":
+        scen = comfort_scenario(ds=0.1)
+    else:
+        scen = override_ds(load_scenario(resolve_scenario_path("collector")), 1.0)
+    t0, pi0, _ = scen.initial_state()
+    return receding_horizon_run(
+        scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options,
+        window_m=40.0, replan_m=10.0, max_executions=max_executions,
+    )
+
+
+def stitched_sha256(run):
+    digest = hashlib.sha256()
+    for plan in (run.states.arrival_times, run.states.slownesses, run.controls.accels):
+        digest.update(plan.tobytes())
+    return digest.hexdigest()
 
 
 class TestRecedingHorizon:
@@ -1156,6 +1203,52 @@ class TestRecedingHorizon:
         # (start, length, solved steps); a 15-step tail is too short to coarsen
         assert run.windows[0] == (0.0, 20.0, 20)
         assert run.windows[-1] == (80.0, 20.0, 20)
+
+    @pytest.mark.parametrize("case", sorted(RECEDING_SHA256))
+    def test_stitched_plan_pinned(self, case):
+        sha256, n_windows, k_steps = RECEDING_SHA256[case]
+        run = pinned_receding_run(case)
+        assert len(run.windows) == n_windows and run.converged
+        assert run.controls.accels.shape[1] == run.states.arrival_times.shape[1] - 1 == k_steps
+        if ON_HASHED_NUMPY:
+            assert stitched_sha256(run) == sha256
+
+    @pytest.mark.parametrize("max_executions", [5, 30])
+    def test_stopped_run_is_the_leading_columns_of_the_full_run(self, max_executions):
+        full = pinned_receding_run("comfort_ds0.1")
+        run = pinned_receding_run("comfort_ds0.1", max_executions)
+        k_steps = max_executions * 100  # 10 m executed per window at ds = 0.1 m
+        assert run.windows == full.windows[:max_executions]
+        for got, want in (
+            (run.states.arrival_times, full.states.arrival_times[:, : k_steps + 1]),
+            (run.states.slownesses, full.states.slownesses[:, : k_steps + 1]),
+            (run.controls.accels, full.controls.accels[:, :k_steps]),
+        ):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_windows_start_on_the_step_grid(self):
+        # at ds = 0.3 m a running sum of 17 * 0.3 m drifts off the grid:
+        # it put window 10 at 51.00000000000001 m, not 170 * 0.3 = 51.0 m
+        cfg = make_config(n=2, ds=0.3, horizon_steps=333)
+        w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
+        t0 = -np.arange(2) * cfg.headway
+        pi0 = np.full(2, 1.0 / cfg.target_speed)
+        seams = []
+
+        def hook(position, t, pi):
+            seams.append(position)
+            return t, pi
+
+        run = receding_horizon_run(
+            cfg, w, build_preset("collector"), t0, pi0, SolverOptions(),
+            window_m=20.0, replan_m=5.0, state_hook=hook,
+        )
+        k_replan = 17  # round(5 / 0.3)
+        starts = [j * k_replan * 0.3 for j in range(len(run.windows))]
+        assert [window[0] for window in run.windows] == seams == starts
+        assert starts[10] == 51.0
+        # every window spans 67 = round(20 / 0.3) steps up to the route end
+        assert [window[1:] for window in run.windows] == [(67 * 0.3, 67)] * 16 + [(61 * 0.3, 61)]
 
     @pytest.mark.parametrize(
         "ds, window_m, tail",

@@ -141,11 +141,9 @@ def test_only_the_errors_module_tests_finiteness_by_hand():
     assert found == []
 
 
-
-def test_only_override_ds_changes_the_resolution():
-    # scenario.override_ds is the one place a config gets a new ds: the
-    # solver coarsens by step grids over the caller's ds, never by a config
-    # of its own
+def replace_calls_setting(field):
+    """Each ``replace(...)`` call in the package with a ``field=`` keyword, as
+    "<file>: <enclosing top-level name, or its line>"."""
     found = []
     for path in sorted(Path(ecoplatoon.__file__).parent.rglob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -153,10 +151,26 @@ def test_only_override_ds_changes_the_resolution():
                 if (
                     isinstance(node, ast.Call)
                     and ast.unparse(node.func).split(".")[-1] == "replace"
-                    and any(kw.arg == "ds" for kw in node.keywords)
+                    and any(kw.arg == field for kw in node.keywords)
                 ):
                     found.append(f"{path.name}: {getattr(top, 'name', top.lineno)}")
-    assert found == ["scenario.py: override_ds"]
+    return found
+
+
+def test_only_override_ds_changes_the_resolution():
+    # scenario.override_ds is the one place a config gets a new ds: the
+    # solver coarsens by step grids over the caller's ds, never by a config
+    # of its own
+    assert replace_calls_setting("ds") == ["scenario.py: override_ds"]
+
+
+def test_only_override_ds_and_the_receding_loop_derive_a_horizon():
+    # a config gets a new horizon_steps in two places: override_ds with its
+    # new ds, and receding_horizon_run for each window's step grid
+    assert replace_calls_setting("horizon_steps") == [
+        "scenario.py: override_ds",
+        "solver.py: receding_horizon_run",
+    ]
 
 
 def file_writes(tree):
