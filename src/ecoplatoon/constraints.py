@@ -1,10 +1,13 @@
-"""Box constraints on speed and acceleration, in augmented-Lagrangian form.
+"""Speed bounds in augmented-Lagrangian form.
 
-Every vehicle contributes four scalar inequalities e <= 0 at every step,
-ordered (speed cap, speed floor, accel cap, accel floor), so a platoon of N
-vehicles has 4N constraint functions. The speed bounds act on v = 1/pi and
-are therefore nonlinear in the slowness state; their curvature is kept in
-the Hessian blocks. The acceleration bounds are affine in the control.
+Every vehicle contributes two scalar inequalities e <= 0 at every step,
+ordered (speed cap, speed floor), so a platoon of N vehicles has 2N
+constraint functions. They act on v = 1/pi and are therefore nonlinear in
+the slowness state; their curvature is kept in the Hessian blocks. The
+acceleration box is not here: the solver holds each vehicle's
+``accel_bounds`` inside DDP itself (control-limited DDP, see
+:mod:`ecoplatoon.solver`), so every plan it returns lies in the box by
+construction.
 
 Each inequality carries the closed-form Powell-Hestenes-Rockafellar (PHR)
 penalty
@@ -16,13 +19,12 @@ update is lambda <- w. The penalty is flat in e wherever lambda + rho*e <= 0.
 The Gauss-Newton curvature rho de de^T is kept wherever lambda + rho*e > 0
 or lambda > 0, the active set I_mu of ALTRO (Howell, Jackson & Manchester,
 IROS 2019): a constraint that has earned a multiplier keeps its curvature
-while the plan sits inside the bound. With curvature on lambda + rho*e > 0
-alone, the one-shot comfort plan ends unconverged after eight outer passes.
+while the plan sits inside the bound.
 
 The bounds are read from the ``PlatoonConfig`` every caller holds:
-``speed_limit``, ``speed_floor`` and ``accel_bounds``. A solve owns one
-ALState; multipliers and penalty weights are arrays over (step, constraint)
-because every step carries its own constraint instances. One outer update,
+``speed_limit`` and ``speed_floor``. A solve owns one ALState; multipliers
+and penalty weights are arrays over (step, constraint) because every step
+carries its own constraint instances. One outer update,
 :func:`update_multipliers`, takes the multiplier step and escalates rho on
 the constraints still violated. The penalty's derivatives come per
 (step, vehicle). Two functions know the solver's state layout:
@@ -44,7 +46,7 @@ from .platoon import PlatoonConfig
 class ALState:
     """Penalty weights and multipliers, one pair per constraint.
 
-    Arrays share a shape; the solver uses (K, 4N) so every step's constraint
+    Arrays share a shape; the solver uses (K, 2N) so every step's constraint
     instances carry independent multipliers.
     """
 
@@ -64,26 +66,21 @@ class ALState:
 
     @classmethod
     def initial(cls, config: PlatoonConfig, n_steps: int, rho0) -> "ALState":
-        """No multipliers and penalty weights ``rho0`` on each step's 4N constraints.
+        """No multipliers and penalty weights ``rho0`` on each step's 2N constraints.
 
         ``rho0`` is a float or per step, (n_steps, 1).
         """
-        shape = (n_steps, 4 * config.n_vehicles)
+        shape = (n_steps, 2 * config.n_vehicles)
         return cls(rho=np.full(shape, rho0), lam=np.zeros(shape))
 
 
-def evaluate(config: PlatoonConfig, pi, a) -> np.ndarray:
-    """Constraint values for trajectories (N, K) -> (K, 4N); e <= 0 is satisfied."""
-    pi = np.asarray(pi, dtype=float)
-    a = np.asarray(a, dtype=float)
-    a_min, a_max = config.accel_bounds
-    v = 1.0 / pi
-    n, k_steps = pi.shape
-    e = np.empty((k_steps, 4 * n))
-    e[:, 0::4] = (v - config.speed_limit).T
-    e[:, 1::4] = (config.speed_floor - v).T
-    e[:, 2::4] = (a - a_max[:, None]).T
-    e[:, 3::4] = (a_min[:, None] - a).T
+def evaluate(config: PlatoonConfig, pi) -> np.ndarray:
+    """Speed-bound values for slownesses (N, K) -> (K, 2N); e <= 0 is satisfied."""
+    v = 1.0 / np.asarray(pi, dtype=float).T
+    n = v.shape[1]
+    e = np.empty((v.shape[0], 2 * n))
+    e[:, 0::2] = v - config.speed_limit
+    e[:, 1::2] = config.speed_floor - v
     return e
 
 
@@ -103,35 +100,29 @@ def penalty(e_values: np.ndarray, al: ALState) -> float:
     return 0.5 * float(np.sum((w * w - al.lam * al.lam) / al.rho))
 
 
-def al_derivative_batch(config: PlatoonConfig, al: ALState, pi, a):
+def al_derivative_batch(config: PlatoonConfig, al: ALState, pi):
     """Vectorized AL derivatives over a trajectory, per (step, vehicle).
 
-    Returns a dict of (K, N) series: ``pi`` and ``pipi`` (slowness gradient
-    and curvature, from the speed bounds) and ``a`` and ``aa`` (control
-    gradient and curvature, from the acceleration bounds); every other
-    derivative is zero. Each gradient is the force w times the constraint
-    gradient; the curvatures keep the w-weighted second derivative of the
-    curved speed bounds and the Gauss-Newton outer product rho de de^T on
-    the active set I_mu (lambda + rho e > 0 or lambda > 0).
+    Returns a dict of (K, N) series: ``pi`` and ``pipi``, the slowness
+    gradient and curvature of the speed bounds; every other derivative is
+    zero. The gradient is the force w times the constraint gradient; the
+    curvature keeps the w-weighted second derivative of the curved bounds
+    and the Gauss-Newton outer product rho de de^T on the active set I_mu
+    (lambda + rho e > 0 or lambda > 0).
     """
     pi = np.asarray(pi, dtype=float)
-    a = np.asarray(a, dtype=float)
-    w = _force(evaluate(config, pi, a), al)  # (K, 4N)
+    w = _force(evaluate(config, pi), al)  # (K, 2N)
     rho_eff = np.where((w > 0.0) | (al.lam > 0.0), al.rho, 0.0)
 
     inv_pi2 = (1.0 / pi**2).T  # (K, N)
     inv_pi3 = (1.0 / pi**3).T
     inv_pi4 = (1.0 / pi**4).T
 
-    w_cap, w_floor = w[:, 0::4], w[:, 1::4]
-    rho_cap, rho_floor = rho_eff[:, 0::4], rho_eff[:, 1::4]
-    w_amax, w_amin = w[:, 2::4], w[:, 3::4]
-    rho_amax, rho_amin = rho_eff[:, 2::4], rho_eff[:, 3::4]
+    w_cap, w_floor = w[:, 0::2], w[:, 1::2]
+    rho_cap, rho_floor = rho_eff[:, 0::2], rho_eff[:, 1::2]
     return {
         "pi": (w_floor - w_cap) * inv_pi2,
         "pipi": (rho_cap + rho_floor) * inv_pi4 + 2.0 * (w_cap - w_floor) * inv_pi3,
-        "a": w_amax - w_amin,
-        "aa": rho_amax + rho_amin,
     }
 
 

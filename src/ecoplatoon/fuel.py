@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, StallError, finite_float, read_json
+from .errors import ConfigError, StallError, finite_float, float_array, read_json
 from .platoon import PlatoonConfig, VehicleParams
 from .terrain import SlopeProfile, grade_at
 
@@ -39,7 +39,7 @@ class FuelModel:
 
     def __post_init__(self):
         for name in ("positive_accel", "negative_accel"):
-            matrix = np.asarray(getattr(self, name), dtype=float)
+            matrix = float_array(name, getattr(self, name))
             if matrix.shape != (4, 4):
                 raise ConfigError(f"{name} must be a 4x4 matrix, got shape {matrix.shape}")
             if not np.all(np.isfinite(matrix)):

@@ -15,7 +15,7 @@ ds * (grid[0] + ... + grid[k-1]) from the start of the plan. Every formula
 here is elementwise in that length, and a grid of ones is the uniform grid
 of ds bit for bit. ``rollout_steps`` is the one loop that steps these
 dynamics: ``rollout`` runs it open loop and the solver's forward pass under
-a feedback law.
+a feedback law, clamped to the acceleration box when a trial leaves it.
 
 Everything here is a pure function over value types; concurrent evaluation
 of independent rollouts is safe.
@@ -214,7 +214,7 @@ def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
     return PlatoonState(arrival_times=plan[0], slownesses=plan[1])
 
 
-def rollout_steps(t0, pi0, accels, ds, grid=None, law=None):
+def rollout_steps(t0, pi0, accels, ds, grid=None, law=None, box=None):
     """The space-domain dynamics stepped K times from (t0, pi0): the one per-step loop.
 
     Step k has length h = ds * grid[k] (``grid`` None: ds). Without a
@@ -222,10 +222,12 @@ def rollout_steps(t0, pi0, accels, ds, grid=None, law=None):
     (reference, gains, feedforward): a reference PlatoonState x_ref with
     (K, N, 2N) gains and (K, N) feedforward, which sets step k's control to
     u = accels[:, k] + gains[k] (x - x_ref) + feedforward[k], the affine
-    law of DDP's forward pass. Returns contiguous (times (N, K+1),
-    slownesses (N, K+1), controls (N, K)), or None when a slowness leaves
-    the positive domain; the domain is checked once, after the loop, and no
-    input is checked.
+    law of DDP's forward pass. A ``box`` (a_min, a_max) of (N,) arrays
+    clamps each step's control into [a_min, a_max] before the step is
+    taken, so the states are those of the clamped controls. Returns
+    contiguous (times (N, K+1), slownesses (N, K+1), controls (N, K)), or
+    None when a slowness leaves the positive domain; the domain is checked
+    once, after the loop, and no input is checked.
 
     The loop runs in the row-major interleaved state x = [t1, pi1, ..., tN,
     piN], the layout of the gains, and the state moves in one add per step,
@@ -259,6 +261,9 @@ def rollout_steps(t0, pi0, accels, ds, grid=None, law=None):
         x_ref[:, 1::2] = reference.slownesses.T
     else:
         x_ref = gains = feedforward = repeat(None)  # zipped, never read
+    clamp = box is not None
+    if clamp:
+        a_min, a_max = box
     dx = np.empty(2 * n)
     w = np.empty(2 * n)
     w_t, w_p = w[0::2], w[1::2]
@@ -272,6 +277,9 @@ def rollout_steps(t0, pi0, accels, ds, grid=None, law=None):
                 np.subtract(x_k, xr_k, dx)
                 u_k += gain.dot(dx)
                 u_k += ff_k
+            if clamp:
+                np.minimum(u_k, a_max, out=u_k)
+                np.maximum(u_k, a_min, out=u_k)
             np.power(pi_k, _THREE, w_p)
             np.copyto(w_t, pi_k)
             w *= c_k

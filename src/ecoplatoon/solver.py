@@ -1,4 +1,4 @@
-"""Constrained trajectory optimizer: DDP inner loop, augmented-Lagrangian outer loop.
+"""Constrained trajectory optimizer: control-limited DDP in an augmented-Lagrangian loop.
 
 ``solve`` is one pipeline: it lists the grid levels of the problem, then
 solves each level in one loop, every level from the plan of the one before.
@@ -10,16 +10,29 @@ iteration caps are hit:
   extracting an affine feedback law u(x) = u_ref + h_k (x - x_ref) + j_k,
   then a forward rollout of the true nonlinear dynamics with a backtracking
   Armijo line search on the feedforward term (``_line_search``);
-* outer phase: one update of the inequality constraints' multipliers and
-  penalty weights (``cons.update_multipliers``), after which the inner
-  phase resumes on the reshaped cost.
+* outer phase: one update of the speed bounds' multipliers and penalty
+  weights (``cons.update_multipliers``), after which the inner phase
+  resumes on the reshaped cost.
   Penalty weights start at ``_RHO_INIT`` times ``costs.step_weight``, so
   the augmented cost weighs each step by its length, as the cost does.
 
+Each vehicle's acceleration box [a_min, a_max] (``config.accel_bounds``) is
+not in the AL: it is held inside DDP, as in control-limited DDP (Tassa,
+Mansard & Todorov, ICRA 2014), so every plan a solve returns lies in the
+box. ``solve`` projects explicit initial controls onto the box. The
+backward pass holds a control that sits on a bound of the reference plan
+when its Newton step points out of the box (``_hold``): a zero gain row and
+feedforward, with the free controls solved again with it fixed. The steps
+with a control on a bound are listed by one compare per pass, and every
+other step runs the plain sweep. The forward pass clamps each trial's
+controls into the box, rolling out again with the clamp only when the
+unclamped trial leaves the box or the slowness domain. A plan that never
+reaches the box runs the arithmetic of unconstrained DDP.
+
 The inner phase has one convergence rule: it converges when the predicted
 decrease, or an accepted step's actual decrease, falls below a relative
-tolerance of the augmented cost, looser while the plan breaks the
-constraints. After each multiplier update it first takes a line search
+tolerance of the augmented cost, looser while the plan breaks the speed
+bounds. After each multiplier update it first takes a line search
 (see ``_LOOSE_TOL``), and a stationary plan whose forced step finds no
 descent converges too. A failed Cholesky test or a line search without an
 Armijo step grows the Levenberg shift; at ``max_inner`` accepted steps
@@ -212,10 +225,10 @@ _COARSE_FLOOR = 100
 
 # The inner loop's stopping schedule, two standard augmented-Lagrangian rules
 # (Conn, Gould & Toint, SIAM J. Numer. Anal. 1991). While the plan being
-# judged breaks the constraints by more than ``_TOL_VIOLATION``, outer pass k
-# stops its inner loop at the relative tolerance
+# judged breaks the speed bounds by more than ``_TOL_VIOLATION``, outer pass
+# k stops its inner loop at the relative tolerance
 # max(tol_cost_rel, _LOOSE_TOL / 10**k), so a subproblem whose answer still
-# breaks the box is not polished. After each multiplier update (outer pass
+# breaks them is not polished. After each multiplier update (outer pass
 # k > 0) the first prediction may not end the inner loop: the line search
 # runs, and if no trial passes Armijo the inner loop ends at the same
 # Levenberg shift. A solve whose plans stay feasible never sees the loose
@@ -307,7 +320,15 @@ def backward_pass(
     sweep that fails runs on at most to the bottom of its chunk. Gains,
     feedforward, ``d1`` and ``d2`` are bit-identical to a sweep that tests
     every step before its solve. ``d1`` is the slope, in the step length
-    alpha, of the augmented cost of ``forward_pass``'s rollout at alpha = 0.
+    alpha, of the augmented cost of ``forward_pass``'s rollout at alpha = 0
+    (from above, while no free control leaves the box).
+
+    A step whose reference control sits on a bound of ``config.accel_bounds``
+    is listed before the sweep by one compare over the plan; after its plain
+    solve, ``_hold`` holds each such control whose Newton step points out of
+    the box and solves the free controls again. A held control's gain row
+    and feedforward are zero, so it contributes nothing to ``d1`` or ``d2``.
+    Every step not listed runs the plain sweep.
 
     Each step's solve is LAPACK's ``gesv`` gufunc called directly, the
     exact call ``numpy.linalg.solve`` makes, so its output is bit for bit
@@ -371,7 +392,7 @@ def _sweep(
     stage = costs.stage_derivatives_batch(
         t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights, grid
     )
-    al_terms = cons.al_derivative_batch(config, al, pi_traj[:, :-1], accels)
+    al_terms = cons.al_derivative_batch(config, al, pi_traj[:, :-1])
     g, fu_c, cxx, cux = dynamics_derivatives(pi_traj[:, :-1], accels, config.ds, grid)
     lengths = config.ds * step_multiples(grid, k_steps)[:, None]
 
@@ -427,6 +448,14 @@ def _sweep(
     steps = np.empty((k_steps, n, dim + 1))  # Q_uu^-1 [Q_ux | q_u]
     control_rows = np.empty((k_steps, n, n + 1))  # [q_u | Q_uu]
 
+    # The steps with a control on its bound, listed by one compare: ``side``
+    # is +1 where a control sits on a_min, -1 on a_max and 0 inside, and
+    # ``marks`` is each step's index where its row of ``side`` is not all
+    # zero, else -1.
+    a_min, a_max = config.accel_bounds
+    side = (accels.T == a_min).astype(float) - (accels.T == a_max)
+    marks = np.where(side.any(axis=1), np.arange(k_steps), -1)
+
     # A sweep that passes a failing step works on garbage, which may overflow
     # or make a singular Q_uu, until its chunk is tested; that work is thrown
     # away, so its flags are silenced. This silences kept steps too, but inf
@@ -436,8 +465,9 @@ def _sweep(
             lo = max(hi - _BUILD_CHUNK, 0)
             m = hi - lo
             at = slice(lo, hi)
-            # Each entry sums its stage term, then its AL term, then the
-            # Levenberg shift, into a zero block.
+            # Each entry sums its stage term, then its AL term (the speed
+            # bounds touch only the slowness entries), then the Levenberg
+            # shift, into a zero block.
             blocks[:m] = 0.0
             gap_block[:m] += stage["gap_tt"][at]
             t_one[:m] += stage["t"][at]
@@ -447,17 +477,17 @@ def _sweep(
                 p_one[:m] += terms["pi"][at]
                 one_p[:m] += terms["pi"][at]
                 q_pp[:m] += terms["pipi"][at]
-                u_one[:m] += terms["a"][at]
-                u_u[:m] += terms["aa"][at]
+            u_one[:m] += stage["a"][at]
+            u_u[:m] += stage["aa"][at]
             u_u[:m] += regularization
             jac_h[:m] = lengths[at]
             jac_g[:m] = g[at]
             jac_fu[:m] = fu_c[at]
             down = slice(m - 1, None, -1)  # steps hi - 1 down to lo
-            for fk, fk_t, qk, qpp, qup, cxx_k, cux_k, q_uu, rhs, rhs_t, upper, step in zip(
+            for fk, fk_t, qk, qpp, qup, cxx_k, cux_k, q_uu, rhs, rhs_t, upper, step, mark in zip(
                 jac[down], jac_t[down], blocks[down], q_pp[down], q_up[down],
                 cxx[at][down], cux[at][down], control_hessians[down], rhs_rows[down],
-                rhs_t_rows[down], upper_rows[down], steps[at][down],
+                rhs_t_rows[down], upper_rows[down], steps[at][down], marks[at][::-1].tolist(),
             ):
                 # ndarray.dot rather than @: on blocks this small it costs
                 # about half as much, and call overhead bounds the sweep.
@@ -466,10 +496,37 @@ def _sweep(
                     qpp += b_p * cxx_k
                     qup += b_p * cux_k
                 _umath_linalg.solve(q_uu, rhs, step, signature="dd->d")
+                if mark >= 0:
+                    _hold(q_uu, rhs, step, side[mark])
                 np.subtract(upper, rhs_t.dot(step), out=value)
             _test_definite(control_hessians[:m], lo, regularization)
             control_rows[at] = blocks[:m, u0:, one:]
     return steps, control_rows
+
+
+def _hold(q_uu, rhs, step, side):
+    """Hold the bound controls of one step whose Newton step leaves the box.
+
+    ``step`` holds the plain solve Q_uu^-1 [Q_ux | q_u], whose last column
+    is j = Q_uu^-1 q_u, and ``side`` is +1 where the step's reference
+    control sits on a_min, -1 on a_max and 0 inside. A control is held
+    where its feedforward -j points out of the box, j * side > 0. If any
+    is, ``step`` is solved again on Q_uu with the held rows and columns
+    replaced by identity and [Q_ux | q_u] with the held rows zeroed: its
+    held rows come out zero (zero gain, zero feedforward) and its free rows
+    are Q_ff^-1 [Q_fx | q_f], the free controls' Newton step with the held
+    ones fixed. The sweep's value update, upper - [Q_ux | q_u]' step, is
+    then the general A - S'R - R'S + S'Q_uu S: with the held rows of S zero
+    and Q_ff S_f = R_f, S'Q_uu S equals S'R. The solve is the sweep's
+    direct ``gesv``.
+    """
+    held = step[:, -1] * side > 0.0
+    if not held.any():
+        return
+    free = 1.0 - held
+    held_q = q_uu * np.multiply.outer(free, free)
+    held_q.reshape(-1)[:: held.size + 1] += held
+    _umath_linalg.solve(held_q, rhs * free[:, None], step, signature="dd->d")
 
 
 def forward_pass(
@@ -479,6 +536,7 @@ def forward_pass(
     step_length: float,
     ds: float,
     grid=None,
+    box=None,
 ):
     """Roll the nonlinear dynamics under the affine law with feedforward scale alpha.
 
@@ -486,11 +544,23 @@ def forward_pass(
     (new_times, new_slownesses, new_accels) or None when the rollout leaves
     the positive-slowness domain (the caller shrinks alpha). The rollout is
     ``platoon.rollout_steps`` under u = a_ref + K (x - x_ref) + alpha j.
+
+    With a ``box`` (a_min, a_max) of (N,) arrays the controls are clamped
+    into it, as control-limited DDP's forward pass does. The law is rolled
+    out unclamped first and its controls are tested against the box; only
+    when one left it, or the rollout left the slowness domain, is it rolled
+    out again with the clamp. A trial that stays in the box is the
+    unclamped rollout bit for bit.
     """
     law = (states, bp.gains, step_length * bp.feedforward)
-    return rollout_steps(
-        states.arrival_times[:, 0], states.slownesses[:, 0], controls.accels, ds, grid, law
-    )
+    t0, pi0 = states.arrival_times[:, 0], states.slownesses[:, 0]
+    plan = rollout_steps(t0, pi0, controls.accels, ds, grid, law)
+    if box is None:
+        return plan
+    a_min, a_max = box
+    if plan is not None and np.all((plan[2] >= a_min[:, None]) & (plan[2] <= a_max[:, None])):
+        return plan
+    return rollout_steps(t0, pi0, controls.accels, ds, grid, law, box)
 
 
 def solve(
@@ -518,7 +588,7 @@ def solve(
     step. The plan, its states and its cost are on that grid.
 
     ``initial_controls`` (N, K) starts the solve from that plan, zeros
-    included. Without them the solve starts cold: ``_grid_levels`` lists
+    included, first projected onto each vehicle's acceleration box. Without them the solve starts cold: ``_grid_levels`` lists
     step grids over ``config.ds`` for the same span, coarsest first, each
     level's steps ``_COARSE_FACTOR`` times those of the level above, and one
     loop solves the same problem on each in order. The coarsest level starts
@@ -540,7 +610,7 @@ def solve(
     array of shape (N,), when a slowness is not positive, when
     ``start_position`` is not a finite number, when ``grid`` is not a (K,)
     array of integers >= 1, or when ``initial_controls`` is not an (N, K)
-    plan inside the slowness domain.
+    plan whose projection onto the box stays inside the slowness domain.
     """
     start = time.perf_counter()
     n = config.n_vehicles
@@ -563,6 +633,8 @@ def solve(
         accels = float_array("initial controls", initial_controls)
         if accels.shape != (n, k_steps):
             raise ConfigError(f"initial controls must have shape ({n}, {k_steps})")
+        a_min, a_max = config.accel_bounds
+        accels = np.clip(accels, a_min[:, None], a_max[:, None])
 
     coarse_iterations = 0
     for level, level_grid in enumerate(levels):
@@ -633,6 +705,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     start = time.perf_counter()
     k_steps = grid.size
     ds = config.ds
+    box = config.accel_bounds
     positions = start_position + ds * step_starts(grid)
     thetas = grade_at(profile, np.minimum(positions, profile.total_length))
 
@@ -646,7 +719,7 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
         true_cost, breakdown = costs.trajectory_cost(
             t_arr, pi_arr, a_arr, thetas, config, weights, targets, grid
         )
-        e = cons.evaluate(config, pi_arr[:, :-1], a_arr)
+        e = cons.evaluate(config, pi_arr[:, :-1])
         return true_cost, breakdown, e, true_cost + cons.penalty(e, al)
 
     true_cost, breakdown, e_vals, aug_cost = evaluate(times, slows, accels, al)
@@ -685,7 +758,9 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
                     inner_converged = True
                     break
                 force_step = False
-                trial = _line_search(state_obj, ctrl_obj, bp, aug_cost, al, evaluate, ds, grid)
+                trial = _line_search(
+                    state_obj, ctrl_obj, bp, aug_cost, al, evaluate, ds, grid, box
+                )
                 if trial is None and stationary:
                     # the forced step found no descent from a stationary plan
                     inner_converged = True
@@ -740,17 +815,18 @@ def _solve(config, weights, profile, options, targets, start_position, accels, r
     )
 
 
-def _line_search(states, controls, bp, aug_cost, al, evaluate, ds, grid):
+def _line_search(states, controls, bp, aug_cost, al, evaluate, ds, grid, box):
     """The first step alpha = 1, 1/2, ... >= ``_ALPHA_MIN`` that passes Armijo, or None.
 
-    A trial passes when its rollout stays in the slowness domain and lowers
+    Each trial is ``forward_pass`` clamped to the acceleration ``box``. A
+    trial passes when its rollout stays in the slowness domain and lowers
     the augmented cost ``aug_cost`` by at least ``_ARMIJO_C`` times the
     predicted decrease. Returns (alpha, predicted decrease, actual decrease,
     the trial's (times, slownesses, accels), ``evaluate``'s tuple for it).
     """
     alpha = 1.0
     while alpha >= _ALPHA_MIN:
-        plan = forward_pass(states, controls, bp, alpha, ds, grid)
+        plan = forward_pass(states, controls, bp, alpha, ds, grid, box)
         if plan is not None:
             evaluated = evaluate(*plan, al)
             expected = bp.expected_decrease(alpha)
@@ -903,5 +979,5 @@ def receding_horizon_run(
         exec_times=exec_times,
         windows=windows,
         converged=converged,
-        max_violation=cons.max_violation(cons.evaluate(config, slows[:, :-1], accels)),
+        max_violation=cons.max_violation(cons.evaluate(config, slows[:, :-1])),
     )

@@ -1,4 +1,4 @@
-"""Box-constraint evaluation and augmented-Lagrangian machinery."""
+"""Speed-bound evaluation and augmented-Lagrangian machinery."""
 
 import dataclasses
 
@@ -10,15 +10,15 @@ from ecoplatoon import constraints as cons
 from ecoplatoon.errors import ConfigError
 
 
-def evaluate_k1(config, pi, a):
-    """``evaluate`` at one step (K = 1): the (4N,) constraint values."""
-    return cons.evaluate(config, pi[:, None], a[:, None])[0]
+def evaluate_k1(config, pi):
+    """``evaluate`` at one step (K = 1): the (2N,) constraint values."""
+    return cons.evaluate(config, pi[:, None])[0]
 
 
-def al_blocks_k1(config, al, pi, a):
+def al_blocks_k1(config, al, pi):
     """``al_derivative_batch`` at one step (K = 1), as dense (lx, lu, lxx, luu, lux)."""
     al_k1 = cons.ALState(rho=np.atleast_2d(al.rho), lam=np.atleast_2d(al.lam))
-    terms = cons.al_derivative_batch(config, al_k1, pi[:, None], a[:, None])
+    terms = cons.al_derivative_batch(config, al_k1, pi[:, None])
     return tuple(block[0] for block in dense_blocks(terms))
 
 
@@ -33,38 +33,34 @@ def slack_form_penalty(e, lam, rho):
 
 
 class TestEvaluate:
-    def test_count_is_four_per_vehicle(self, config):
-        e = cons.evaluate(config, np.full((3, 5), 0.05), np.zeros((3, 5)))
-        assert e.shape == (5, 4 * config.n_vehicles)
+    def test_count_is_two_per_vehicle(self, config):
+        e = cons.evaluate(config, np.full((3, 5), 0.05))
+        assert e.shape == (5, 2 * config.n_vehicles)
 
     def test_speed_cap_boundary(self, config):
         pi = np.full((3, 5), 1.0 / config.speed_limit)
-        e = cons.evaluate(config, pi, np.zeros((3, 5)))
-        assert e[:, 0::4] == pytest.approx(np.zeros((5, 3)), abs=1e-12)
+        e = cons.evaluate(config, pi)
+        assert e[:, 0::2] == pytest.approx(np.zeros((5, 3)), abs=1e-12)
 
-    def test_accel_cap_boundary(self, config):
-        e = cons.evaluate(config, np.full((3, 5), 0.05), np.full((3, 5), 3.0))
-        assert e[:, 2::4] == pytest.approx(np.zeros((5, 3)), abs=1e-12)
+    def test_speed_floor_boundary(self, config):
+        e = cons.evaluate(config, np.full((3, 5), 1.0 / config.speed_floor))
+        assert e[:, 1::2] == pytest.approx(np.zeros((5, 3)), abs=1e-12)
 
     def test_signs_match_direct_checks(self, config, rng):
         pi = rng.uniform(0.01, 20.0, size=(3, 50))
-        a = rng.uniform(-8.0, 6.0, size=(3, 50))
-        e = cons.evaluate(config, pi, a)
+        e = cons.evaluate(config, pi)
         for k in range(50):
             for i in range(3):
                 v = 1.0 / pi[i, k]
-                assert (e[k, 4 * i + 0] <= 0) == (v <= config.speed_limit)
-                assert (e[k, 4 * i + 1] <= 0) == (v >= config.speed_floor)
-                assert (e[k, 4 * i + 2] <= 0) == (a[i, k] <= 3.0)
-                assert (e[k, 4 * i + 3] <= 0) == (a[i, k] >= -5.0)
+                assert (e[k, 2 * i + 0] <= 0) == (v <= config.speed_limit)
+                assert (e[k, 2 * i + 1] <= 0) == (v >= config.speed_floor)
 
 
 class TestAugmentedCost:
     def test_inactive_constraints_leave_cost_alone(self, config):
         al = cons.ALState.initial(config, 1, 10.0)
         pi = np.full(3, 0.05)
-        a = np.zeros(3)
-        got = 42.0 + cons.penalty(cons.evaluate(config, pi[:, None], a[:, None]), al)
+        got = 42.0 + cons.penalty(cons.evaluate(config, pi[:, None]), al)
         assert got == 42.0
 
     def test_single_constraint_substitution(self):
@@ -90,27 +86,25 @@ class TestAugmentedCost:
     def test_matches_term_by_term(self, config, rng):
         for _ in range(20):
             pi = rng.uniform(0.02, 0.2, size=3)
-            a = rng.uniform(-6.0, 4.0, size=3)
             al = cons.ALState(
-                rho=rng.uniform(1.0, 20.0, size=12), lam=rng.uniform(0.0, 5.0, size=12)
+                rho=rng.uniform(1.0, 20.0, size=6), lam=rng.uniform(0.0, 5.0, size=6)
             )
-            e = evaluate_k1(config, pi, a)
+            e = evaluate_k1(config, pi)
             expected = 7.0 + sum(
-                slack_form_penalty(e[i], al.lam[i], al.rho[i]) for i in range(12)
+                slack_form_penalty(e[i], al.lam[i], al.rho[i]) for i in range(6)
             )
             assert 7.0 + cons.penalty(e, al) == pytest.approx(expected, rel=1e-12)
 
     def test_penalty_sums_every_step_and_constraint(self, config, rng):
         pi = rng.uniform(0.02, 0.2, size=(3, 5))
-        a = rng.uniform(-6.0, 4.0, size=(3, 5))
         al = cons.ALState(
-            rho=rng.uniform(1.0, 20.0, size=(5, 12)), lam=rng.uniform(0.0, 5.0, size=(5, 12))
+            rho=rng.uniform(1.0, 20.0, size=(5, 6)), lam=rng.uniform(0.0, 5.0, size=(5, 6))
         )
-        e = cons.evaluate(config, pi, a)
+        e = cons.evaluate(config, pi)
         expected = sum(
             slack_form_penalty(e[k, i], al.lam[k, i], al.rho[k, i])
             for k in range(5)
-            for i in range(12)
+            for i in range(6)
         )
         assert cons.penalty(e, al) == pytest.approx(expected, rel=1e-12)
 
@@ -118,25 +112,27 @@ class TestAugmentedCost:
 class TestDerivativeTerms:
     def test_zero_when_inactive(self, config):
         pi = np.full(3, 0.05)
-        a = np.zeros(3)
         al = cons.ALState.initial(config, 1, 10.0)
-        terms = cons.al_derivative_batch(config, al, pi[:, None], a[:, None])
-        assert sorted(terms) == ["a", "aa", "pi", "pipi"]
+        terms = cons.al_derivative_batch(config, al, pi[:, None])
+        # the speed bounds touch the slowness only; the acceleration box is
+        # held inside the solver's backward pass, not priced here
+        assert sorted(terms) == ["pi", "pipi"]
         for series in terms.values():
             assert series.shape == (1, 3)
             assert np.allclose(series, 0.0)
 
-    def test_accel_cap_gradient_shape(self, config):
-        # for the acceleration cap, de/da = 1 so the control gradient gains
-        # the force max(0, lam + rho * e); satisfied constraints exert none
-        pi = np.full(3, 0.05)
-        a = np.array([3.5, 0.0, 0.0])  # vehicle 1 violating the cap
-        al = cons.ALState(rho=np.full(12, 10.0), lam=np.zeros(12))
-        e = evaluate_k1(config, pi, a)
-        lx, lu, *_ = al_blocks_k1(config, al, pi, a)
-        expected = 10.0 * e[2]
-        assert lu[0] == pytest.approx(expected)
-        assert lu[1] == lu[2] == 0.0
+    def test_speed_cap_gradient_shape(self, config):
+        # for the speed cap, de/dpi = -1/pi^2, so the slowness gradient gains
+        # minus the force max(0, lam + rho * e) over pi^2; satisfied
+        # constraints exert none
+        pi = np.array([1.0 / 40.0, 0.05, 0.05])  # vehicle 1 above the 33.5 m/s cap
+        al = cons.ALState(rho=np.full(6, 10.0), lam=np.zeros(6))
+        e = evaluate_k1(config, pi)
+        lx, lu, *_ = al_blocks_k1(config, al, pi)
+        assert e[0] > 0.0
+        assert lx[1] == pytest.approx(-10.0 * e[0] / pi[0] ** 2)
+        assert lx[3] == lx[5] == 0.0
+        assert np.all(lu == 0.0)
 
     def test_matches_fd_of_augmented_cost(self, config, rng):
         # Away from the kink lam + rho e = 0, on both sides of it. A satisfied
@@ -146,70 +142,64 @@ class TestDerivativeTerms:
         checked = 0
         while checked < 30:
             pi = rng.uniform(0.025, 0.15, size=3)
-            a = rng.uniform(-6.0, 4.0, size=3)
-            rho = rng.uniform(1.0, 20.0, size=12)
-            lam = rng.uniform(0.0, 5.0, size=12)
-            e = evaluate_k1(config, pi, a)
+            rho = rng.uniform(1.0, 20.0, size=6)
+            lam = rng.uniform(0.0, 5.0, size=6)
+            e = evaluate_k1(config, pi)
             lam[lam + rho * e <= 0.0] = 0.0
             al = cons.ALState(rho=rho, lam=lam)
 
-            def active(pi_, a_):
-                return lam + rho * evaluate_k1(config, pi_, a_) > 0.0
+            def active(pi_):
+                return lam + rho * evaluate_k1(config, pi_) > 0.0
 
             steps = [sign * d for d in np.eye(3) * eps2 for sign in (-1.0, 1.0)]
-            stencil = [(pi + d, a) for d in steps] + [(pi, a + d) for d in steps]
-            if any(np.any(active(*x) != active(pi, a)) for x in stencil):
+            if any(np.any(active(pi + d) != active(pi)) for d in steps):
                 continue
             checked += 1
 
-            def aug(pi_, a_):
-                return cons.penalty(evaluate_k1(config, pi_, a_), al)
+            def aug(pi_):
+                return cons.penalty(evaluate_k1(config, pi_), al)
 
-            lx, lu, lxx, luu, lux = al_blocks_k1(config, al, pi, a)
+            lx, lu, lxx, luu, lux = al_blocks_k1(config, al, pi)
             for p in range(3):
                 d = np.zeros(3)
                 d[p] = eps
-                fd = (aug(pi + d, a) - aug(pi - d, a)) / (2 * eps)
+                fd = (aug(pi + d) - aug(pi - d)) / (2 * eps)
                 assert lx[2 * p + 1] == pytest.approx(fd, rel=1e-5, abs=1e-4)
-                fd_u = (aug(pi, a + d) - aug(pi, a - d)) / (2 * eps)
-                assert lu[p] == pytest.approx(fd_u, rel=1e-5, abs=1e-4)
             # curvature of the speed bounds via second differences; a wider
             # step keeps the quotient above roundoff noise
             for p in range(3):
                 d = np.zeros(3)
                 d[p] = eps2
-                fd2 = (aug(pi + d, a) - 2 * aug(pi, a) + aug(pi - d, a)) / eps2**2
+                fd2 = (aug(pi + d) - 2 * aug(pi) + aug(pi - d)) / eps2**2
                 assert lxx[2 * p + 1, 2 * p + 1] == pytest.approx(fd2, rel=5e-3, abs=0.5)
-                fd2u = (aug(pi, a + d) - 2 * aug(pi, a) + aug(pi, a - d)) / eps2**2
-                assert luu[p, p] == pytest.approx(fd2u, rel=5e-3, abs=0.5)
-            assert np.allclose(lux, 0.0)
+            assert np.all(lu == 0.0) and np.all(luu == 0.0) and np.all(lux == 0.0)
 
     def test_curvature_on_active_set_i_mu(self, config):
         # rho stays wherever lam + rho e > 0 or lam > 0: on a satisfied
         # constraint with a multiplier, at the kink lam + rho e = 0 included
-        pi = np.full(3, 1.0 / 20.0)
-        a = np.array([0.0, 3.5, 0.0])
-        rho = np.full(12, 10.0)
-        lam = np.zeros(12)
+        pi = np.array([1.0 / 20.0, 1.0 / 40.0, 1.0 / 20.0])
+        rho = np.full(6, 10.0)
+        lam = np.zeros(6)
         lam[0] = 2.0  # vehicle 1 speed cap: e < 0, w = 0
-        lam[2] = 1.0  # vehicle 1 accel cap: e = -3, w = 0
-        lam[10] = 30.0  # vehicle 3 accel cap: e = -3, lam + rho e = 0 exactly
+        lam[1] = 1.0  # vehicle 1 speed floor: e < 0, w = 0
+        e = evaluate_k1(config, pi)
+        lam[5] = -rho[5] * e[5]  # vehicle 3 speed floor: lam + rho e = 0 exactly
         al = cons.ALState(rho=rho, lam=lam)
-        e = evaluate_k1(config, pi, a)
-        assert lam[10] + rho[10] * e[10] == 0.0
-        lx, lu, lxx, luu, lux = al_blocks_k1(config, al, pi, a)
+        assert lam[5] + rho[5] * e[5] == 0.0
+        lx, lu, lxx, luu, lux = al_blocks_k1(config, al, pi)
+        inv_pi3 = 1.0 / pi**3
         inv_pi4 = 1.0 / pi**4
-        # only vehicle 1's speed cap has lam > 0 among the speed bounds
-        assert lxx[1, 1] == 10.0 * inv_pi4[0]
-        assert lxx[3, 3] == lxx[5, 5] == 0.0
-        assert lx[1] == 0.0
-        # vehicle 1 inactive with lam > 0, vehicle 2 violated, vehicle 3 at the kink
-        np.testing.assert_array_equal(np.diag(luu), [10.0, 10.0, 10.0])
-        np.testing.assert_array_equal(lu, [0.0, 10.0 * e[6], 0.0])
+        # vehicle 1: both bounds inactive with lam > 0; vehicle 2: cap
+        # violated (40 m/s), floor idle; vehicle 3: floor at the kink
+        w_cap = 10.0 * e[2]
+        assert lxx[1, 1] == (10.0 + 10.0) * inv_pi4[0]
+        assert lxx[3, 3] == 10.0 * inv_pi4[1] + 2.0 * w_cap * inv_pi3[1]
+        assert lxx[5, 5] == 10.0 * inv_pi4[2]
+        np.testing.assert_array_equal(lx[1::2], [0.0, -w_cap / pi[1] ** 2, 0.0])
         # without multipliers the satisfied constraints carry nothing
-        bare = al_blocks_k1(config, cons.ALState(rho=rho, lam=np.zeros(12)), pi, a)
-        np.testing.assert_array_equal(np.diag(bare[3]), [0.0, 10.0, 0.0])
-        assert bare[2][1, 1] == 0.0
+        bare = al_blocks_k1(config, cons.ALState(rho=rho, lam=np.zeros(6)), pi)
+        assert bare[2][1, 1] == bare[2][5, 5] == 0.0
+        assert bare[2][3, 3] == lxx[3, 3]
 
 
 class TestUpdates:
@@ -266,15 +256,14 @@ class TestUpdates:
         # grows
         for _ in range(50):
             pi = rng.uniform(0.02, 0.2, size=3)
-            a = rng.uniform(-7.0, 5.0, size=3)
-            e = evaluate_k1(config, pi, a)
+            e = evaluate_k1(config, pi)
             base = float(rng.normal())
 
-            al0 = cons.ALState(rho=rng.uniform(1.0, 50.0, size=12), lam=np.zeros(12))
+            al0 = cons.ALState(rho=rng.uniform(1.0, 50.0, size=6), lam=np.zeros(6))
             assert base + cons.penalty(e, al0) >= base - 1e-9
 
-            lam = rng.uniform(0.0, 3.0, size=12)
-            rho = rng.uniform(1.0, 50.0, size=12)
+            lam = rng.uniform(0.0, 3.0, size=6)
+            rho = rng.uniform(1.0, 50.0, size=6)
             al1 = cons.ALState(rho=rho, lam=lam)
             bound = base - float(np.sum(lam**2 / (2 * rho)))
             got = base + cons.penalty(e, al1)

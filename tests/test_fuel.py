@@ -82,6 +82,22 @@ class TestModelData:
         with pytest.raises(ConfigError, match=f"{name} coefficients must be finite"):
             FuelModel(**matrices)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("positive_accel", [["1"] * 4] * 4),
+            ("negative_accel", [[True] * 4] * 4),
+            ("negative_accel", [[None] * 4] * 4),
+        ],
+        ids=["numeric text", "bool", "none"],
+    )
+    def test_non_numeric_coefficients_rejected(self, name, value):
+        # built directly, text and bools were converted: a model of ones
+        matrices = {"positive_accel": np.zeros((4, 4)), "negative_accel": np.zeros((4, 4))}
+        matrices[name] = value
+        with pytest.raises(ConfigError, match=f"{name} must be numeric"):
+            FuelModel(**matrices)
+
 
 class TestFuelRate:
     def test_matches_independent_evaluation(self, model, rng):

@@ -16,6 +16,7 @@ from ecoplatoon.platoon import (
     dynamics_derivatives,
     resimulate_time_domain,
     rollout,
+    rollout_steps,
 )
 from ecoplatoon.scenario import load_scenario, resolve_scenario_path
 from ecoplatoon.solver import receding_horizon_run, solve
@@ -331,6 +332,20 @@ def step_recurrence(t, pi, a, ds):
 
 
 class TestRollout:
+    @pytest.mark.parametrize("receding", [False, True])
+    def test_box_clamps_each_control_before_its_step(self, rng, receding):
+        # open loop, a box is the rollout of the clipped controls bit for bit
+        grid = receding_grid(200) if receding else None
+        accels = rng.uniform(-2.0, 2.0, size=(3, 200))
+        box = (np.array([-1.0, -0.5, -1.5]), np.array([0.5, 1.0, 0.2]))
+        t0, pi0 = np.array([0.0, -1.1, -1.9]), np.full(3, 0.05)
+        got = rollout_steps(t0, pi0, accels, 0.5, grid, box=box)
+        clipped = np.clip(accels, box[0][:, None], box[1][:, None])
+        want = rollout_steps(t0, pi0, clipped, 0.5, grid)
+        assert np.any(clipped != accels)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_matches_repeated_steps_bitwise(self, rng):
         accels = rng.uniform(-1.0, 1.0, size=(3, 300))
         t = np.array([0.0, -1.1, -1.9])
