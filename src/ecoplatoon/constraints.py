@@ -73,6 +73,16 @@ class ALState:
         shape = (n_steps, 2 * config.n_vehicles)
         return cls(rho=np.full(shape, rho0), lam=np.zeros(shape))
 
+    def rows(self, steps: slice) -> "ALState":
+        """The state of the steps in ``steps``, views of its rows.
+
+        Rows of a checked state pass its checks, so they are not run again:
+        the backward pass takes the rows of each of its chunks.
+        """
+        view = object.__new__(ALState)
+        view.rho, view.lam = self.rho[steps], self.lam[steps]
+        return view
+
 
 def evaluate(config: PlatoonConfig, pi) -> np.ndarray:
     """Speed-bound values for slownesses (N, K) -> (K, 2N); e <= 0 is satisfied."""
@@ -112,6 +122,10 @@ def al_derivative_batch(config: PlatoonConfig, al: ALState, pi):
     """
     pi = np.asarray(pi, dtype=float)
     w = _force(evaluate(config, pi), al)  # (K, 2N)
+    if not (w.any() or al.lam.any()):
+        # No bound of these steps is active: both series are +0.0, as the
+        # formulas below give, without their powers of pi.
+        return {"pi": np.zeros(pi.T.shape), "pipi": np.zeros(pi.T.shape)}
     rho_eff = np.where((w > 0.0) | (al.lam > 0.0), al.rho, 0.0)
 
     inv_pi2 = (1.0 / pi**2).T  # (K, N)

@@ -25,9 +25,10 @@ vehicle's own entry time (``schedule_targets``, the solver's default;
 identical to a single shared target when all entry times are zero).
 
 Derivatives come per vehicle, as (K, N) series over steps and vehicles,
-plus the (K, N, N) gap Hessian over arrival times; v = 1/pi makes
-the ecology term couple a_i with pi_i, so a control-slowness cross term
-comes too. Two functions know the solver's state layout:
+plus each step's gap weight q1, whose gap Hessian over arrival times is q1
+times the one (N, N) pattern ``gap_hessian``; v = 1/pi makes the ecology
+term couple a_i with pi_i, so a control-slowness cross term comes too.
+Two functions know the solver's state layout:
 :func:`ecoplatoon.platoon.rollout_steps`, which steps the dynamics in it,
 and :func:`ecoplatoon.solver.backward_pass`, which places these terms in it.
 """
@@ -111,12 +112,14 @@ class CostBreakdown:
 
 
 def _hinge(z, eps):
-    """Smooth max(z, 0): value, first, and second derivative."""
+    """Smooth max(z, 0) of half-width ``eps``."""
+    return 0.5 * (z + np.sqrt(z * z + eps * eps))
+
+
+def _hinge_slopes(z, eps):
+    """The first and second derivative of ``_hinge`` in z."""
     root = np.sqrt(z * z + eps * eps)
-    value = 0.5 * (z + root)
-    d1 = 0.5 * (1.0 + z / root)
-    d2 = 0.5 * eps * eps / root**3
-    return value, d1, d2
+    return 0.5 * (1.0 + z / root), 0.5 * eps * eps / root**3
 
 
 def ecology_power_cost(power, weights: CostWeights):
@@ -127,8 +130,7 @@ def ecology_power_cost(power, weights: CostWeights):
     """
     if weights.power_floor is None:
         return power
-    value, _, _ = _hinge(power - weights.power_floor, weights.power_smoothing)
-    return weights.power_floor + value
+    return weights.power_floor + _hinge(power - weights.power_floor, weights.power_smoothing)
 
 
 def grade_force(config: PlatoonConfig, theta) -> np.ndarray:
@@ -202,13 +204,15 @@ def _stage_weights(config: PlatoonConfig, weights: CostWeights):
     return weights.q1 * scale, weights.q2 * scale, weights.r1 * scale
 
 
-def _gap_hessian_tt(n: int, q1: np.ndarray) -> np.ndarray:
-    """Per-step Hessians of the gap cost over arrival times, (K, N, N) for (K,) q1."""
-    h_tt = np.zeros(q1.shape + (n, n))
-    h_tt[:, 0, 0] = 2.0 * q1 * (n - 1)
-    for i in range(1, n):
-        h_tt[:, 0, i] = h_tt[:, i, 0] = -2.0 * q1
-        h_tt[:, i, i] = 2.0 * q1
+def gap_hessian(n: int) -> np.ndarray:
+    """The Hessian of one step's gap cost over arrival times at q1 = 1, (N, N).
+
+    A step of gap weight q1 has the Hessian q1 times this pattern.
+    """
+    h_tt = np.zeros((n, n))
+    h_tt[0, 0] = 2.0 * (n - 1)
+    h_tt[0, 1:] = h_tt[1:, 0] = -2.0
+    h_tt[range(1, n), range(1, n)] = 2.0
     return h_tt
 
 
@@ -221,9 +225,10 @@ def stage_derivatives_batch(
     grid (None: uniform). Returns a dict of (K, N) series: ``t`` and ``pi``
     (state gradient), ``pipi`` (slowness curvature), ``a`` and ``aa``
     (control gradient and curvature) and ``api`` (the control-slowness
-    cross term), plus ``gap_tt``, the (K, N, N) gap Hessians over arrival
-    times. Every other second derivative is zero: apart from the gap cost,
-    no term couples two vehicles.
+    cross term), plus ``q1``, each step's (K,) gap weight: the step's gap
+    Hessian over arrival times is q1 times ``gap_hessian(N)``. Every other
+    second derivative is zero: apart from the gap cost, no term couples two
+    vehicles.
     """
     t = np.atleast_2d(np.asarray(t, dtype=float))
     pi = np.atleast_2d(np.asarray(pi, dtype=float))
@@ -247,27 +252,31 @@ def stage_derivatives_batch(
     cg = grade_force(config, thetas).T  # (N, K)
     xi = config.drag_coeff
     inv_pi = 1.0 / pi
+    inv_pi2 = inv_pi**2
+    inv_pi3 = inv_pi**3
     drive = m[:, None] * a + cg  # m a + grade/rolling force
-    p_pi = -(drive) * inv_pi**2 - 3.0 * xi * inv_pi**4
-    p_pipi = 2.0 * drive * inv_pi**3 + 12.0 * xi * inv_pi**5
+    p_pi = -(drive) * inv_pi2 - 3.0 * xi * inv_pi**4
+    p_pipi = 2.0 * drive * inv_pi3 + 12.0 * xi * inv_pi**5
     p_a = m[:, None] * inv_pi
-    p_api = -m[:, None] * inv_pi**2
+    p_api = -m[:, None] * inv_pi2
     if weights.power_floor is None:
         g1 = 1.0
         g2 = 0.0
     else:
-        power = drive * inv_pi + xi * inv_pi**3
-        _, g1, g2 = _hinge(power - weights.power_floor, weights.power_smoothing)
+        power = drive * inv_pi + xi * inv_pi3
+        g1, g2 = _hinge_slopes(power - weights.power_floor, weights.power_smoothing)
+    q2_g1 = q2 * g1
+    r1_aa = 2.0 * r1_col
 
     # The ecology terms plus the control effort r1 a^2.
     return {
         "t": grad_t,
-        "pi": (q2 * g1 * p_pi).T,
+        "pi": (q2_g1 * p_pi).T,
         "pipi": (q2 * (g1 * p_pipi + g2 * p_pi**2)).T,
-        "a": (q2 * g1 * p_a).T + 2.0 * r1_col * a.T,
-        "aa": (q2 * g2 * p_a**2).T + 2.0 * r1_col,
+        "a": (q2_g1 * p_a).T + r1_aa * a.T,
+        "aa": (q2 * g2 * p_a**2).T + r1_aa,
         "api": (q2 * (g1 * p_api + g2 * p_a * p_pi)).T,
-        "gap_tt": _gap_hessian_tt(n, q1),
+        "q1": q1,
     }
 
 

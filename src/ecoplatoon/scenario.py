@@ -208,7 +208,7 @@ def load_scenario(path) -> Scenario:
             target_speed=_speed(plat["target_speed"], f"{where}.target_speed"),
             speed_limit=_speed(plat["speed_limit"], f"{where}.speed_limit"),
             ds=ds,
-            horizon_steps=_horizon_steps(route_length, ds),
+            horizon_steps=_horizon_steps(route_length, ds, f"{where}: "),
             **_given(plat, _CONFIG_PASSED),
         )
     except KeyError as exc:
@@ -288,14 +288,30 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def _horizon_steps(route_length: float, ds: float) -> int:
-    """The nearest whole number of ``ds`` steps in ``route_length``, both finite and > 0."""
+def _horizon_steps(route_length: float, ds: float, where: str = "") -> int:
+    """The number of ``ds`` steps in ``route_length``, both finite and > 0.
+
+    Raises ConfigError, its message led by ``where``, unless that many
+    steps cover the route to a relative 1e-9: a step that does not divide
+    the route would plan a route of another length.
+    """
     ds = finite_float(ds, "ds", positive=True)
-    return int(round(finite_float(route_length, "route length", positive=True) / ds))
+    route_length = finite_float(route_length, "route length", positive=True)
+    steps = round(route_length / ds)
+    if abs(steps * ds - route_length) > 1e-9 * route_length:
+        raise ConfigError(
+            f"{where}route length {route_length} m is not a whole number of steps of "
+            f"ds {ds} m ({route_length / ds:.6g} steps)"
+        )
+    return steps
 
 
 def override_ds(scenario: Scenario, ds: float) -> Scenario:
-    """Rebuild a scenario on a different spatial step, keeping the route length."""
+    """Rebuild a scenario on a different spatial step, keeping the route length.
+
+    Raises ConfigError when ``ds`` is not finite and > 0 or does not divide
+    the route length.
+    """
     cfg = scenario.config
     new_cfg = replace(cfg, ds=ds, horizon_steps=_horizon_steps(cfg.route_length, ds))
     return replace(scenario, config=new_cfg)

@@ -54,15 +54,18 @@ definiteness test judges every step. It keeps the second-order dynamics
 terms (the value-gradient contractions against the step Jacobian
 derivatives), added through strided views of the stage blocks and of the
 value buffer; ``use_second_order`` switches them off for a Gauss-Newton
-(iLQR-style) pass. The stage blocks and step Jacobians are built
-``_BUILD_CHUNK`` steps at a time, just before the sweep reaches them, into
-two reused buffers, so a pass's working memory is O(C (3N+1)^2) for
-C = ``_BUILD_CHUNK`` plus its K-long derivative series and outputs. The
-control Hessian is made positive definite with a Levenberg shift that grows
-on failure; its Cholesky test runs once per chunk, on the chunk's whole
-Q_uu stack after the sweep has passed it, and names the highest failing
-step, as a per-step test would; a Q_uu with an inf or NaN entry fails it
-too. The forward rollout is ``platoon.rollout_steps``, the package's one
+(iLQR-style) pass. The derivative series, the stage blocks and the step
+Jacobians are built ``_BUILD_CHUNK`` steps at a time, just before the sweep
+reaches them, the blocks and Jacobians into two reused buffers, and each
+step's solve lands in a third, whose chunk is negated into the gains and
+feedforward. A pass's working memory is O(C (3N+1)^2) for
+C = ``_BUILD_CHUNK``, plus O(K N^2): the gains, the feedforward, the
+control rows [q_u | Q_uu] that the predicted decrease sums and the marks
+of the controls on the box. The control Hessian is made positive definite
+with a Levenberg shift that grows on failure; its Cholesky test runs once
+per chunk, on the chunk's whole Q_uu stack after the sweep has passed it,
+and names the highest failing step, as a per-step test would; a Q_uu with
+an inf or NaN entry fails it too. The forward rollout is ``platoon.rollout_steps``, the package's one
 per-step loop of the dynamics, under the backward pass's affine law.
 
 The backward sweep does only its arithmetic: each step reads row views
@@ -309,19 +312,22 @@ def backward_pass(
     block minus Q_ux' Q_uu^-1 [Q_ux | q_u] is the new value model.
 
     Q is accumulated in place into the stage block of each step, and the
-    value update is written into one persistent buffer. The stage blocks
-    and step Jacobians are built ``_BUILD_CHUNK`` steps at a time, from
-    step K down, into two buffers allocated once per pass, and the sweep
-    runs through each chunk before the next is built; the per-vehicle
-    series are computed over the whole horizon and read in slices. Working
-    memory is O(C (3N+1)^2) for a chunk of C steps plus the K-long series
-    and outputs. The Cholesky test of Q_uu is not taken per step: one call
-    tests the chunk's whole Q_uu stack once the sweep has passed it, so a
-    sweep that fails runs on at most to the bottom of its chunk. Gains,
-    feedforward, ``d1`` and ``d2`` are bit-identical to a sweep that tests
-    every step before its solve. ``d1`` is the slope, in the step length
-    alpha, of the augmented cost of ``forward_pass``'s rollout at alpha = 0
-    (from above, while no free control leaves the box).
+    value update is written into one persistent buffer. The horizon is
+    built ``_BUILD_CHUNK`` steps at a time, from step K down, and the sweep
+    runs through each chunk before the next is built: the chunk's
+    per-vehicle series (``costs.stage_derivatives_batch``,
+    ``constraints.al_derivative_batch`` on the chunk's rows of ``al`` and
+    ``platoon.dynamics_derivatives``) are computed on its steps alone, and
+    its stage blocks, step Jacobians and solves fill three buffers
+    allocated once per pass. Working memory is O(C (3N+1)^2) for a chunk
+    of C steps plus O(K N^2) for the outputs. The Cholesky test of Q_uu is
+    not taken per step: one call tests the chunk's whole Q_uu stack once
+    the sweep has passed it, so a sweep that fails runs on at most to the
+    bottom of its chunk. Gains, feedforward, ``d1`` and ``d2`` are
+    bit-identical to a sweep that tests every step before its solve.
+    ``d1`` is the slope, in the step length alpha, of the augmented cost of
+    ``forward_pass``'s rollout at alpha = 0 (from above, while no free
+    control leaves the box).
 
     A step whose reference control sits on a bound of ``config.accel_bounds``
     is listed before the sweep by one compare over the plan; after its plain
@@ -345,24 +351,25 @@ def backward_pass(
     the chunk buffers, made in C by iterating them in reverse, so a step
     makes no Python-level index and no copy.
 
-    The K-long series and the chunk buffers are released (``_sweep``
-    returns) before the gains and feedforward are allocated, which lowers
-    the pass's memory peak.
+    No K-long derivative series exists: the gap Hessian enters each chunk
+    as its steps' gap weights times the one pattern ``costs.gap_hessian``,
+    and each chunk's solves are negated straight into the K-long gains and
+    feedforward. Besides them, the control rows [q_u | Q_uu] are kept
+    K-long, for the whole-horizon sums ``d1`` and ``d2``, and so are the
+    step lengths and the marks of the controls on the box.
 
     Raises BackwardPassError, naming the highest step whose shifted control
     Hessian is not finite or fails its Cholesky factorization; the caller
     retries with a larger shift.
     """
-    steps, control_rows = _sweep(
+    gains, feedforward, control_rows = _sweep(
         states, controls, thetas, config, weights, al, targets,
         regularization, use_second_order, grid,
     )
-    dim = 2 * config.n_vehicles
-    feedforward = -steps[:, :, dim]
     q_u = control_rows[:, :, 0]
     q_uu = control_rows[:, :, 1:]
     return BackwardPassResult(
-        gains=-steps[:, :, :dim],
+        gains=gains,
         feedforward=feedforward,
         d1=float(np.einsum("ki,ki->", feedforward, q_u)),
         d2=float(np.einsum("ki,kij,kj->", feedforward, q_uu, feedforward)),
@@ -373,9 +380,9 @@ def _sweep(
     states, controls, thetas, config, weights, al, targets, regularization,
     use_second_order, grid,
 ):
-    """The sweep of ``backward_pass``: Q_uu^-1 [Q_ux | q_u] and [q_u | Q_uu].
+    """The sweep of ``backward_pass``: its gains, feedforward and [q_u | Q_uu].
 
-    These are (K, N, 2N+1) and (K, N, N+1) stacks.
+    These are (K, N, 2N), (K, N) and (K, N, N+1) stacks.
     """
     t_traj = states.arrival_times
     pi_traj = states.slownesses
@@ -388,12 +395,7 @@ def _sweep(
     k_steps = accels.shape[1]
     ti = 2 * np.arange(n)
     pj = ti + 1
-
-    stage = costs.stage_derivatives_batch(
-        t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights, grid
-    )
-    al_terms = cons.al_derivative_batch(config, al, pi_traj[:, :-1])
-    g, fu_c, cxx, cux = dynamics_derivatives(pi_traj[:, :-1], accels, config.ds, grid)
+    gap_hessian = costs.gap_hessian(n)
     lengths = config.ds * step_multiples(grid, k_steps)[:, None]
 
     # The chunk's stage blocks over [dx; 1; du]. Every per-vehicle entry
@@ -445,7 +447,9 @@ def _sweep(
     # basic-slice view of the value buffer.
     b_p = value.reshape(-1)[dim + 1 + one :: 2 * (dim + 1)]
 
-    steps = np.empty((k_steps, n, dim + 1))  # Q_uu^-1 [Q_ux | q_u]
+    solved = np.empty((chunk, n, dim + 1))  # the chunk's Q_uu^-1 [Q_ux | q_u]
+    gains = np.empty((k_steps, n, dim))
+    feedforward = np.empty((k_steps, n))
     control_rows = np.empty((k_steps, n, n + 1))  # [q_u | Q_uu]
 
     # The steps with a control on its bound, listed by one compare: ``side``
@@ -465,29 +469,36 @@ def _sweep(
             lo = max(hi - _BUILD_CHUNK, 0)
             m = hi - lo
             at = slice(lo, hi)
+            at_grid = None if grid is None else grid[at]
+            pi, a = pi_traj[:, at], accels[:, at]
+            stage = costs.stage_derivatives_batch(
+                t_traj[:, at], pi, a, thetas[at], config, weights, at_grid
+            )
+            al_terms = cons.al_derivative_batch(config, al.rows(at), pi)
+            g, fu_c, cxx, cux = dynamics_derivatives(pi, a, config.ds, at_grid)
             # Each entry sums its stage term, then its AL term (the speed
             # bounds touch only the slowness entries), then the Levenberg
             # shift, into a zero block.
             blocks[:m] = 0.0
-            gap_block[:m] += stage["gap_tt"][at]
-            t_one[:m] += stage["t"][at]
-            one_t[:m] += stage["t"][at]
-            q_up[:m] += stage["api"][at]
+            gap_block[:m] += stage["q1"][:, None, None] * gap_hessian
+            t_one[:m] += stage["t"]
+            one_t[:m] += stage["t"]
+            q_up[:m] += stage["api"]
             for terms in (stage, al_terms):
-                p_one[:m] += terms["pi"][at]
-                one_p[:m] += terms["pi"][at]
-                q_pp[:m] += terms["pipi"][at]
-            u_one[:m] += stage["a"][at]
-            u_u[:m] += stage["aa"][at]
+                p_one[:m] += terms["pi"]
+                one_p[:m] += terms["pi"]
+                q_pp[:m] += terms["pipi"]
+            u_one[:m] += stage["a"]
+            u_u[:m] += stage["aa"]
             u_u[:m] += regularization
             jac_h[:m] = lengths[at]
-            jac_g[:m] = g[at]
-            jac_fu[:m] = fu_c[at]
+            jac_g[:m] = g
+            jac_fu[:m] = fu_c
             down = slice(m - 1, None, -1)  # steps hi - 1 down to lo
             for fk, fk_t, qk, qpp, qup, cxx_k, cux_k, q_uu, rhs, rhs_t, upper, step, mark in zip(
                 jac[down], jac_t[down], blocks[down], q_pp[down], q_up[down],
-                cxx[at][down], cux[at][down], control_hessians[down], rhs_rows[down],
-                rhs_t_rows[down], upper_rows[down], steps[at][down], marks[at][::-1].tolist(),
+                cxx[down], cux[down], control_hessians[down], rhs_rows[down],
+                rhs_t_rows[down], upper_rows[down], solved[down], marks[at][::-1].tolist(),
             ):
                 # ndarray.dot rather than @: on blocks this small it costs
                 # about half as much, and call overhead bounds the sweep.
@@ -500,8 +511,10 @@ def _sweep(
                     _hold(q_uu, rhs, step, side[mark])
                 np.subtract(upper, rhs_t.dot(step), out=value)
             _test_definite(control_hessians[:m], lo, regularization)
+            np.negative(solved[:m, :, :dim], out=gains[at])
+            np.negative(solved[:m, :, dim], out=feedforward[at])
             control_rows[at] = blocks[:m, u0:, one:]
-    return steps, control_rows
+    return gains, feedforward, control_rows
 
 
 def _hold(q_uu, rhs, step, side):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from ecoplatoon.costs import schedule_targets, stage_derivatives_batch, trajectory_cost
+from ecoplatoon.costs import (
+    gap_hessian,
+    schedule_targets,
+    stage_derivatives_batch,
+    trajectory_cost,
+)
 from ecoplatoon.platoon import PlatoonConfig, VehicleParams, rollout
 
 MPH = 0.44704
@@ -68,7 +73,7 @@ def dense_blocks(terms):
 
     ``terms`` is what ``stage_derivatives_batch``, ``al_derivative_batch``
     or ``terminal_derivatives`` returns: (K, N) series, or (N,) at one step,
-    and for the stage cost the (K, N, N) ``gap_tt``. Absent terms are zero.
+    and for the stage cost the (K,) gap weights ``q1``. Absent terms are zero.
     Returns (lx, lu, lxx, luu, lux) with shapes (K, 2N), (K, N), (K, 2N, 2N),
     (K, N, N) and (K, N, 2N).
     """
@@ -87,8 +92,8 @@ def dense_blocks(terms):
         lx[:, ti] = terms["t"]
     if "tt" in terms:
         lxx[:, ti, ti] = terms["tt"]
-    if "gap_tt" in terms:
-        lxx[:, ti[:, None], ti] = terms["gap_tt"]
+    if "q1" in terms:
+        lxx[:, ti[:, None], ti] = terms["q1"][:, None, None] * gap_hessian(n)
     if "a" in terms:
         lu[:] = terms["a"]
         luu[:, ai, ai] = terms["aa"]

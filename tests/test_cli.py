@@ -324,6 +324,20 @@ class TestSimulate:
         assert rc == EXIT_CONFIG
         assert f"{bad}: platoon.ds_m must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ds, steps", [("0.3", "2666.67"), ("1.5", "533.333")])
+    def test_ds_that_does_not_divide_the_route_exits_config(
+        self, fast_scenario, tmp_path, capsys, ds, steps
+    ):
+        # --ds keeps the route length, so a step that does not divide it is refused
+        out = tmp_path / "o"
+        rc = main(["simulate", "--scenario", str(fast_scenario), "--out", str(out), "--ds", ds])
+        assert rc == EXIT_CONFIG
+        message = (
+            f"route length 800.0 m is not a whole number of steps of ds {ds} m ({steps} steps)"
+        )
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_ds_override_is_silent(self, fast_scenario, tmp_path, capsys):
         # ds sets the resolution only, so overriding it warns about nothing
         rc = main(["simulate", "--scenario", str(fast_scenario), "--out", str(tmp_path / "o"),

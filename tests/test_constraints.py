@@ -121,6 +121,20 @@ class TestDerivativeTerms:
             assert series.shape == (1, 3)
             assert np.allclose(series, 0.0)
 
+    def test_slack_steps_give_the_formulas_positive_zeros(self, config):
+        # steps whose bounds are all slack, with no multiplier, skip the
+        # formulas; their zeros must be the +0.0 the formulas give, which
+        # leave a sum bit for bit as it was
+        pi = np.full((3, 4), 0.05)
+        idle = cons.ALState.initial(config, 4, 10.0)
+        lam = idle.lam.copy()
+        lam[2, 0] = 1.0  # a multiplier on step 2 alone takes the formulas
+        for al, slack in ((idle, [0, 1, 2, 3]), (cons.ALState(rho=idle.rho, lam=lam), [0, 1, 3])):
+            for series in cons.al_derivative_batch(config, al, pi).values():
+                assert series.shape == (4, 3)
+                assert np.all(series[slack] == 0.0)
+                assert not np.signbit(series[slack]).any()
+
     def test_speed_cap_gradient_shape(self, config):
         # for the speed cap, de/dpi = -1/pi^2, so the slowness gradient gains
         # minus the force max(0, lam + rho * e) over pi^2; satisfied

@@ -178,6 +178,33 @@ class TestLoading:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "ds, route, steps",
+        [(0.3, 800.0, "2666.67"), (1.5, 800.0, "533.333"), (1000.0, 800.0, "0.8")],
+    )
+    def test_step_that_does_not_divide_the_route_rejected(self, tmp_path, ds, route, steps):
+        # round(L / ds) steps would plan 800.1 m, 799.5 m or no road at all
+        path = self._minimal(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["platoon"].update(ds_m=ds, route_length_m=route)
+        path.write_text(json.dumps(raw))
+        message = (
+            f"{path}: platoon: route length {route} m is not a whole number of steps "
+            f"of ds {ds} m ({steps} steps)"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("ds, steps", [(0.25, 3200), (0.2, 4000), (0.05, 16000)])
+    def test_step_that_divides_the_route_plans_it_whole(self, tmp_path, ds, steps):
+        path = self._minimal(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["platoon"]["ds_m"] = ds
+        path.write_text(json.dumps(raw))
+        config = load_scenario(path).config
+        assert config.horizon_steps == steps
+        assert config.route_length == pytest.approx(800.0, rel=1e-12)
+
     def test_wrong_error_vector_length(self, tmp_path):
         with pytest.raises(ConfigError, match="initial_time_errors_s"):
             load_scenario(self._minimal(tmp_path, initial_time_errors_s=[0.0]))
@@ -342,6 +369,14 @@ class TestLoading:
 def test_override_ds_rejects_a_bad_step(ds):
     scen = load_scenario(resolve_scenario_path("collector"))
     with pytest.raises(ConfigError, match="ds must be positive and finite"):
+        override_ds(scen, ds)
+
+
+@pytest.mark.parametrize("ds", [0.3, 1.5, 0.7])
+def test_override_ds_rejects_a_step_that_does_not_divide_the_route(ds):
+    # the collector's 800 m route: rounding the step count would change it
+    scen = load_scenario(resolve_scenario_path("collector"))
+    with pytest.raises(ConfigError, match=rf"route length 800\.0 m .* ds {ds} m"):
         override_ds(scen, ds)
 
 

@@ -147,15 +147,20 @@ def reference_backward_pass(
 
 
 def per_step_backward_pass(
-    states, controls, thetas, config, weights, al, targets, regularization, second
+    states, controls, thetas, config, weights, al, targets, regularization, second, grid=None
 ):
     """The stacked sweep with its Cholesky test inside every step.
 
-    The oracle for the chunked test in ``backward_pass``: same blocks, same
+    The oracle for the chunked sweep in ``backward_pass``: the derivative
+    series over the whole horizon, one K-long stack of blocks, and the same
     arithmetic in the same order, so results must agree bit for bit; a
-    step whose Q_uu is not finite or fails Cholesky raises at once. Returns
-    (gains, feedforward, d1, d2, value Hessian at step 0, value gradient at
-    step 0).
+    step whose Q_uu is not finite or fails Cholesky raises at once. A step
+    with a control on a bound of the box solves again with each such
+    control whose Newton step leaves the box held, on Q_uu with the held
+    rows and columns set to identity and [Q_ux | q_u] with the held rows
+    zeroed. Step k is ds times ``grid[k]`` long (``grid`` None: uniform).
+    Returns (gains, feedforward, d1, d2, value Hessian at step 0, value
+    gradient at step 0).
     """
     t_traj, pi_traj, accels = states.arrival_times, states.slownesses, controls.accels
     n = config.n_vehicles
@@ -164,11 +169,11 @@ def per_step_backward_pass(
     u0 = dim + 1
     size = 3 * n + 1
     k_steps = accels.shape[1]
-    ds = config.ds
     ai = np.arange(n)
     ti = 2 * ai
     pj = ti + 1
     ui = u0 + ai
+    a_min, a_max = config.accel_bounds
 
     stage_model = np.zeros((k_steps, size, size))
 
@@ -181,7 +186,7 @@ def per_step_backward_pass(
         stage_model[:, u0:, u0:] += luu
 
     stage = costs.stage_derivatives_batch(
-        t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights
+        t_traj[:, :-1], pi_traj[:, :-1], accels, thetas, config, weights, grid
     )
     add_blocks(*dense_blocks(stage))
     add_blocks(*dense_blocks(cons.al_derivative_batch(config, al, pi_traj[:, :-1])))
@@ -189,13 +194,15 @@ def per_step_backward_pass(
 
     pi = pi_traj[:, :-1].T
     a = accels.T
+    multiples = np.ones(k_steps) if grid is None else np.asarray(grid, float)
+    h = config.ds * multiples[:, None]  # step lengths
     jac = np.zeros((k_steps, dim + 1, size))
     jac[:, ti, ti] = 1.0
-    jac[:, ti, pj] = ds
-    jac[:, pj, pj] = 1.0 - 3.0 * a * pi**2 * ds
-    jac[:, pj, ui] = -(pi**3) * ds
+    jac[:, ti, pj] = h
+    jac[:, pj, pj] = 1.0 - 3.0 * a * pi**2 * h
+    jac[:, pj, ui] = -(pi**3) * h
     jac[:, one, one] = 1.0
-    curv = np.stack([-6.0 * a * pi * ds, -3.0 * pi**2 * ds], axis=1)
+    curv = np.stack([-6.0 * a * pi * h, -3.0 * pi**2 * h], axis=1)
     curv_at = np.stack([pj * size + pj, ui * size + pj])
     grad_at = pj * (dim + 1) + one
 
@@ -227,6 +234,13 @@ def per_step_backward_pass(
             )
         rhs = q[u0:, :u0]
         step = np.linalg.solve(q_uu, rhs)
+        side = (a[k] == a_min).astype(float) - (a[k] == a_max)
+        held = step[:, -1] * side > 0.0
+        if held.any():
+            free = 1.0 - held
+            held_q = q_uu * np.multiply.outer(free, free)
+            held_q[ai, ai] += held
+            step = np.linalg.solve(held_q, rhs * free[:, None])
         steps[k] = step
         control_rows[k] = q[u0:, one:]
         value = q[:u0, :u0] - rhs.T.dot(step)
@@ -260,17 +274,24 @@ def climb(sweep, args, second, reg):
                 raise
 
 
-def make_indefinite_at(monkeypatch, steps, grad_shift=0.0):
+def make_indefinite_at(monkeypatch, controls, steps, grad_shift=0.0):
     """Shift the stage terms both sweeps read so Q_uu is indefinite at ``steps``.
 
     ``grad_shift`` is added to the control gradient q_u at those steps.
+    ``steps`` count from the first column of ``controls.accels``. The
+    backward pass asks for the terms of one chunk of steps at a time, on a
+    view of those columns, so a call's first step is where its controls
+    start in that array; the per-step sweep asks once, from step 0.
     """
     batch = costs.stage_derivatives_batch
+    origin = controls.accels.__array_interface__["data"][0]
 
-    def shifted(*args, **kw):
-        terms = batch(*args, **kw)
-        terms["aa"][steps] -= 1e8
-        terms["a"][steps] += grad_shift
+    def shifted(t, pi, a, *args, **kw):
+        terms = batch(t, pi, a, *args, **kw)
+        first = (a.__array_interface__["data"][0] - origin) // a.itemsize
+        local = [k - first for k in steps if first <= k < first + a.shape[1]]
+        terms["aa"][local] -= 1e8
+        terms["a"][local] += grad_shift
         return terms
 
     monkeypatch.setattr(costs, "stage_derivatives_batch", shifted)
@@ -527,7 +548,7 @@ class TestBackwardPass:
         # the least shift at which the plan itself passes, so that only the
         # steps made indefinite fail
         _, _, reg = climb(per_step_backward_pass, args, second, 1e-6)
-        make_indefinite_at(monkeypatch, failing)
+        make_indefinite_at(monkeypatch, args[1], failing)
         with pytest.raises(BackwardPassError) as want:
             per_step_backward_pass(*args, reg, second)
         with pytest.raises(BackwardPassError) as got:
@@ -536,11 +557,11 @@ class TestBackwardPass:
         assert f"at step {max(failing)} " in str(got.value)
 
     def test_traced_peak_bounded_by_build_chunks(self):
-        # Blocks and Jacobians live one build chunk at a time: K-long stacks
-        # of them alone would take 27.7 MB at K = 8000, N = 5. The K-long
-        # series and chunk buffers are released before the gains are
-        # allocated, so the pass stays under 15 MB (13.5 MB; 17.1 MB when
-        # they were still held).
+        # Blocks, Jacobians, solves and derivative series live one build
+        # chunk at a time: K-long stacks of blocks and Jacobians alone would
+        # take 27.7 MB at K = 8000, N = 5. Only the gains, the feedforward
+        # and the control rows are K-long, so the pass stays under 10 MB
+        # (8.6 MB; 13.3 MB with K-long series and solves).
         args = random_instance(5, seed=1, k_steps=8000)
         tracemalloc.start()
         try:
@@ -548,14 +569,61 @@ class TestBackwardPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= 10e6
+
+    def test_cold_n5_collector_solve_traced_peak(self):
+        # the N = 5 stability row's cold solve peaks in a backward pass at
+        # K = 8000: 13.6 MB traced, 18.3 MB with K-long derivative series
+        # and solves
+        scen = load_scenario(resolve_scenario_path("collector"))
+        base = scen.config
+        cfg = dataclasses.replace(base, vehicles=tuple(base.vehicles[0] for _ in range(5)))
+        t0 = -np.arange(5) * cfg.headway
+        pi0 = np.full(5, 1.0 / cfg.target_speed)
+        tracemalloc.start()
+        try:
+            solve(cfg, scen.weights, scen.profile, t0, pi0, scen.solver_options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 15e6
+
+    @pytest.mark.parametrize("second", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_held_rows_are_zero_and_d2_is_minus_d1(self, monkeypatch, n, second):
+        # _hold's algebra on a plan over two chunks with most controls on a
+        # +-0.3 box: a held control's gain row and feedforward are exactly
+        # zero, and the free ones take j = -Q_ff^-1 q_f, so
+        # d2 = j'Q_uu j = -j'q_u = -d1
+        args = random_instance(n, seed=70 + n, k_steps=700, box=0.3)
+        _, _, reg = climb(backward_pass, args, second, 1e-6)
+        accels = args[1].accels.T
+        bound = np.isin(accels, (-0.3, 0.3))
+        helds = []
+        hold = solver_mod._hold
+
+        def spy(q_uu, rhs, step, side):
+            helds.append(step[:, -1] * side > 0.0)  # the rule _hold applies
+            hold(q_uu, rhs, step, side)
+
+        monkeypatch.setattr(solver_mod, "_hold", spy)
+        bp = backward_pass(*args, reg, second)
+        marked = np.flatnonzero(bound.any(axis=1))[::-1]  # the sweep runs from step K - 1
+        assert len(helds) == marked.size
+        held = np.zeros_like(bound)
+        held[marked] = helds
+        assert np.any(held & (accels == -0.3)) and np.any(held & (accels == 0.3))
+        assert np.any(bound & ~held)
+        assert np.all(bp.gains[held] == 0.0)
+        assert np.all(bp.feedforward[held] == 0.0)
+        assert bp.d2 == pytest.approx(-bp.d1, rel=1e-9)
 
     def test_thrown_away_steps_raise_no_warning(self, monkeypatch):
         # a huge q_u at the failing step makes the steps after it, down to
         # the bottom of the chunk, overflow; that work is thrown away and
         # must stay silent, as a sweep that stopped at the failing step is
         args = random_instance(3, seed=200, k_steps=200)
-        make_indefinite_at(monkeypatch, [150], grad_shift=1e200)
+        make_indefinite_at(monkeypatch, args[1], [150], grad_shift=1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BackwardPassError) as want:
@@ -589,7 +657,7 @@ class TestBackwardPass:
         # fail its step, unless a step above it in the chunk failed first
         args = random_instance(3, seed=4, k_steps=200)
         if failing is not None:
-            make_indefinite_at(monkeypatch, [failing])
+            make_indefinite_at(monkeypatch, args[1], [failing])
         batch = costs.stage_derivatives_batch
 
         def nan_at_140(*call_args, **kw):
@@ -635,6 +703,44 @@ class TestBackwardPass:
             with np.errstate(**solver_mod._SWEEP_ERRSTATE):
                 nan = _umath_linalg.solve(singular, rhs, signature="dd->d")
         assert np.isnan(nan).all()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    # one step, and horizons at the edges of one, two and three chunks
+    # (_BUILD_CHUNK = 512)
+    k_steps=st.sampled_from([1, 511, 512, 513, 1023, 1024, 1025, 1100]),
+    uniform=st.booleans(),
+    box=st.sampled_from([2.0, 0.6, 0.3]),  # under 1.5, controls sit on both bounds
+    second=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_streamed_backward_pass_equals_per_step_sweep(n, k_steps, uniform, box, second, seed):
+    # the backward pass builds every derivative series one chunk at a time;
+    # the oracle builds them over the whole horizon and tests every step.
+    # Up the solver's ladder of shifts both fail alike, and at the first
+    # shift the oracle completes at, they agree bit for bit; a random plan
+    # may fail at every shift.
+    assert _BUILD_CHUNK == 512
+    grid = None if uniform else np.random.default_rng(seed).integers(1, 6, k_steps)
+    args = random_instance(n, seed, k_steps=k_steps, grid=grid, box=box)
+    reg = 1e-6
+    while reg <= 1e6:
+        try:
+            gains, ff, d1, d2, _, _ = per_step_backward_pass(*args, reg, second, grid)
+        except BackwardPassError as want:
+            with pytest.raises(BackwardPassError) as got:
+                backward_pass(*args, reg, second, grid)
+            assert str(got.value) == str(want)
+            reg *= 10.0
+            continue
+        bp = backward_pass(*args, reg, second, grid)
+        assert np.array_equal(bp.gains, gains)
+        assert np.array_equal(bp.feedforward, ff)
+        assert bp.d1 == d1
+        assert bp.d2 == d2
+        return
 
 
 def cholesky_verdict(hessians):

@@ -59,6 +59,40 @@ def test_backward_pass_looks_derivatives_up_by_module_attribute(monkeypatch):
     assert sorted(calls) == ["al_derivative_batch", "stage_derivatives_batch"]
 
 
+def test_backward_pass_asks_for_derivatives_one_chunk_at_a_time(monkeypatch):
+    # the pass streams its derivative series through its build chunks; a
+    # batch over more steps than one chunk brings K-long series back
+    k_steps = 2 * solver._BUILD_CHUNK + 100
+    sizes = {}
+    for module, attr in (
+        (costs, "stage_derivatives_batch"),
+        (constraints, "al_derivative_batch"),
+        (solver, "dynamics_derivatives"),
+    ):
+
+        def sized(*args, _fn=getattr(module, attr), _attr=attr, **kwargs):
+            terms = _fn(*args, **kwargs)
+            series = terms[0] if isinstance(terms, tuple) else terms["pi"]
+            sizes.setdefault(_attr, []).append(series.shape[0])
+            return terms
+
+        monkeypatch.setattr(module, attr, sized)
+    cfg = make_config(n=3, horizon_steps=k_steps)
+    accels = np.zeros((3, k_steps))
+    t0 = -np.arange(3) * cfg.headway
+    states = rollout(t0, np.full(3, 1.0 / cfg.target_speed), accels, cfg.ds)
+    al = constraints.ALState.initial(cfg, k_steps, 10.0)
+    solver.backward_pass(
+        states, ControlTrajectory(accels=accels), np.zeros(k_steps), cfg,
+        costs.CostWeights(), al, costs.schedule_targets(cfg, t0), 1e-6,
+    )
+    assert sorted(sizes) == ["al_derivative_batch", "dynamics_derivatives",
+                             "stage_derivatives_batch"]
+    for counts in sizes.values():
+        assert max(counts) <= solver._BUILD_CHUNK
+        assert sum(counts) == k_steps
+
+
 def test_only_the_constraints_module_builds_al_state():
     # constraints.py alone knows the four-per-vehicle layout: other modules
     # take an ALState from ALState.initial or update_multipliers, and read
