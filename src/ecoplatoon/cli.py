@@ -11,8 +11,10 @@ repeated runs of the same scenario produce byte-identical files. ``simulate`` an
 ``compare`` write a plan's ``trajectories.csv``, ``fuel_series.csv`` and
 ``summary.json`` through one writer, :func:`_write_plan`. The CLI renders no
 graphics. ``--ds`` and ``--window`` must be finite and positive, as the
-scenario's own ``window_m`` and every ``bench`` sweep value must;
-``--max-executions`` must be at least 1.
+scenario's own ``window_m`` and every ``bench`` sweep value must, and
+``--window`` a whole number of steps of the scenario's ds (after ``--ds``),
+as the scenario's own ``window_m`` must; ``--max-executions`` must be at
+least 1.
 
 Exit codes: 0 success, 2 configuration error, 3 non-convergence, 4 runtime
 failure.
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .errors import ConfigError, EcoPlatoonError, finite_float, integer_at_least
+from .errors import ConfigError, EcoPlatoonError, finite_float, integer_at_least, whole_steps
 from .fuel import cumulative_at, equivalent_traction_accel
 from .scenario import load_scenario, override_ds, resolve_scenario_path
 from .solver import RecedingRun
@@ -295,6 +297,7 @@ def main(argv=None) -> int:
             scenario = override_ds(scenario, finite_float(args.ds, "--ds", positive=True))
         if args.window is not None:
             window_m = finite_float(args.window, "--window", positive=True)
+            whole_steps(window_m, scenario.config.ds, "--window")
             scenario = dataclasses.replace(scenario, window_m=window_m)
         if args.ilqr:
             scenario = dataclasses.replace(

@@ -78,6 +78,22 @@ def integer_at_least(value, name, minimum):
     return int(value)
 
 
+def whole_steps(length, ds, name):
+    """The number of steps of ``ds`` in ``length``, both finite and > 0.
+
+    Raises ConfigError, its message led by ``name``, unless that many steps
+    cover ``length`` to a relative 1e-9: a rounded count would plan a
+    length of another size.
+    """
+    steps = round(length / ds)
+    if abs(steps * ds - length) > 1e-9 * length:
+        raise ConfigError(
+            f"{name} {length} m is not a whole number of steps of ds {ds} m "
+            f"({length / ds:.6g} steps)"
+        )
+    return steps
+
+
 def float_array(name, values):
     """``values`` as a new float array; ConfigError naming ``name`` unless numeric.
 

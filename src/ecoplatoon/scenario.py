@@ -24,7 +24,7 @@ import numpy as np
 
 from .baseline import CaccGains
 from .costs import CostWeights, schedule_targets
-from .errors import ConfigError, finite_float, integer_at_least, read_json
+from .errors import ConfigError, finite_float, integer_at_least, read_json, whole_steps
 from .fuel import FuelModel
 from .platoon import MPH_TO_MPS, PlatoonConfig, VehicleParams
 from .solver import SolverOptions
@@ -256,6 +256,8 @@ def load_scenario(path) -> Scenario:
     where = f"{path}: horizon"
     window_m = _field(hsec, "window_m", 40.0, where, positive=True)
     replan_m = _field(hsec, "replan_m", 10.0, where, positive=True)
+    for key, length in (("window_m", window_m), ("replan_m", replan_m)):
+        whole_steps(length, ds, f"{where}.{key}")
 
     errs = raw.get("initial_time_errors_s", [0.0] * n)
     if not isinstance(errs, list) or len(errs) != n:
@@ -297,13 +299,7 @@ def _horizon_steps(route_length: float, ds: float, where: str = "") -> int:
     """
     ds = finite_float(ds, "ds", positive=True)
     route_length = finite_float(route_length, "route length", positive=True)
-    steps = round(route_length / ds)
-    if abs(steps * ds - route_length) > 1e-9 * route_length:
-        raise ConfigError(
-            f"{where}route length {route_length} m is not a whole number of steps of "
-            f"ds {ds} m ({route_length / ds:.6g} steps)"
-        )
-    return steps
+    return whole_steps(route_length, ds, f"{where}route length")
 
 
 def override_ds(scenario: Scenario, ds: float) -> Scenario:

@@ -93,10 +93,11 @@ that takes the full-resolution solve from 14 backward passes down to 2.
 Explicit initial controls, zeros included, are a ladder of one level.
 
 ``receding_horizon_run`` solves every window but the last at ds over the
-segment it executes and on a coarse grid of ``_COARSE_FACTOR`` ds over the
-rest of the window, when that rest spans at least ``_COARSE_FLOOR`` steps:
-move blocking in receding-horizon control. A 40 m window at ds = 0.1 m
-that executes 10 m is 160 steps instead of 400.
+segment it executes and on a coarse grid of ``_COARSE_FACTOR``**2 ds, the
+step of a cold ladder's second level, over the rest of the window, when
+that rest spans at least ``_COARSE_FLOOR`` steps: move blocking in
+receding-horizon control. A 40 m window at ds = 0.1 m that executes 10 m
+is 112 steps instead of 400.
 
 A solve is single-threaded and deterministic; independent solves may run
 concurrently since all mutable state is owned per call.
@@ -120,6 +121,7 @@ from .errors import (
     finite_vector,
     float_array,
     integer_at_least,
+    whole_steps,
 )
 from .platoon import (
     ControlTrajectory,
@@ -216,14 +218,15 @@ _BUILD_CHUNK = 512
 # The step ratio of every coarse grid (``_coarse_grid``): each level of a
 # cold solve's ladder has steps this many times longer than the level above
 # it, which starts from its plan (see ``_grid_levels``), and a receding
-# window's tail has steps of this many ds. A non-integer step ratio puts the
-# coarse grid points between the fine ones, and the fine solve then takes
-# several times the passes.
+# window's tail has steps of its square, the second level's step, in ds. A
+# non-integer step ratio puts the coarse grid points between the fine ones,
+# and the fine solve then takes several times the passes.
 _COARSE_FACTOR = 5
 
 # The fewest steps of a coarse level. Below it a level's fixed cost per pass
 # outweighs what its plan saves the level above, which starts from zeros.
-# A receding window's tail is coarsened only from this many fine steps on.
+# A receding window's tail is coarsened only from this many fine steps on,
+# whatever its step.
 _COARSE_FLOOR = 100
 
 # The inner loop's stopping schedule, two standard augmented-Lagrangian rules
@@ -887,23 +890,23 @@ def receding_horizon_run(
     """Repeatedly solve a sliding window and execute its first segment.
 
     The run counts the route in whole steps of ds: a window spans
-    round(window_m / ds) steps, or the rest of the route, the platoon
-    advances kr = round(replan_m / ds) steps per execution, and a window
-    k steps in starts at k * ds. Each window is planned against the
-    entry-anchored arrival schedule so lateness is never silently
-    forgiven. ``state_hook(position, t, pi) -> (t, pi)`` lets a caller
-    inject boundary perturbations between executions; the stitched plan
-    keeps the state from before the hook. Per-execution wall time covers
-    the window solve only.
+    window_m / ds steps, or the rest of the route, the platoon advances
+    kr = replan_m / ds steps per execution, and a window k steps in starts
+    at k * ds. Each window is planned against the entry-anchored arrival
+    schedule so lateness is never silently forgiven.
+    ``state_hook(position, t, pi) -> (t, pi)`` lets a caller inject
+    boundary perturbations between executions; the stitched plan keeps the
+    state from before the hook. Per-execution wall time covers the window
+    solve only.
 
     A window that is not the last is solved on a coarse tail, move blocking
     in the sense of Cagienard et al. (J. Process Control 17, 2007): steps of
-    ds over the kr steps it executes, then steps of
-    ``_COARSE_FACTOR`` ds over the rest, which only shape its end; a
-    remainder of fewer than ``_COARSE_FACTOR`` ds becomes one shorter last
-    step. That tail is ``_coarse_grid``, the rule that builds the levels of
-    a cold start's ladder. Such a window of kw fine steps is solved on
-    kr + ceil((kw - kr) / _COARSE_FACTOR) steps. A tail of fewer than
+    ds over the kr steps it executes, then steps of ``_COARSE_FACTOR``**2
+    ds over the rest, which only shape its end; a remainder of fewer than
+    ``_COARSE_FACTOR``**2 ds becomes one shorter last step. That tail is
+    ``_coarse_grid`` at the step of the second level of a cold start's
+    ladder. Such a window of kw fine steps is solved on
+    kr + ceil((kw - kr) / _COARSE_FACTOR**2) steps. A tail of fewer than
     ``_COARSE_FLOOR`` fine steps stays at ds, and the last window is
     executed whole and solved at ds. The warm start is kept as a plan at
     ds: a window starts from it sampled at the start of each of its steps,
@@ -913,9 +916,9 @@ def receding_horizon_run(
     length, solved steps) per execution, start and length in meters.
 
     Raises ConfigError before any solve unless ``t0`` and ``pi0`` are finite
-    arrays of shape (N,), ``window_m`` and ``replan_m`` are finite and > 0,
-    ``replan_m`` <= ``window_m``, and ``max_executions`` is None or an
-    integer >= 1.
+    arrays of shape (N,), ``window_m`` and ``replan_m`` are finite, > 0 and
+    whole numbers of steps of ds to a relative 1e-9, ``replan_m`` <=
+    ``window_m``, and ``max_executions`` is None or an integer >= 1.
     """
     n = config.n_vehicles
     t0 = finite_vector("initial times", t0, n)
@@ -928,8 +931,8 @@ def receding_horizon_run(
         raise ConfigError(f"replan_m must be at most window_m ({window_m}), got {replan_m}")
     ds = config.ds
     k_route = config.horizon_steps
-    k_window = max(1, round(window_m / ds))
-    k_replan = max(1, round(replan_m / ds))
+    k_window = whole_steps(window_m, ds, "window_m")
+    k_replan = whole_steps(replan_m, ds, "replan_m")
 
     # The stitched plan, written in place: a window writes its executed
     # states at k0 and its whole plan, held at ds, into ``accels``, where the
@@ -949,11 +952,12 @@ def receding_horizon_run(
         kw = min(k_window, k_route - k0)
         exec_steps = kw if k0 + kw == k_route else min(kw, k_replan)
         s0 = k0 * ds
-        # Fine steps over the executed segment, then the tail. A tail under
-        # _COARSE_FLOOR fine steps stays fine: such a window is a few dozen
-        # steps, per-solve overhead sets its time, and a coarse tail leaves
-        # windows of different lengths a step or two apart.
-        tail_step = _COARSE_FACTOR if kw - exec_steps >= _COARSE_FLOOR else 1
+        # Fine steps over the executed segment, then the tail on the cold
+        # ladder's second rung. A tail under _COARSE_FLOOR fine steps stays
+        # fine: such a window is a few dozen steps, per-solve overhead sets
+        # its time, and a coarse tail leaves windows of different lengths a
+        # step or two apart.
+        tail_step = _COARSE_FACTOR**2 if kw - exec_steps >= _COARSE_FLOOR else 1
         grid = np.concatenate(
             [np.ones(exec_steps, dtype=np.int64), _coarse_grid(kw - exec_steps, tail_step)]
         )

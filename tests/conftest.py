@@ -116,7 +116,7 @@ def one_step_stage_blocks(t, pi, a, theta, cfg, w):
 
 
 def receding_grid(k_steps):
-    """A receding window's step grid: a fine quarter, then 5 ds steps and a 3 ds last step."""
+    """A grid shaped like a receding window's: a fine quarter, then 5 ds steps, a 3 ds last step."""
     head = k_steps // 4
     return np.array([1] * head + [5] * (k_steps - head - 1) + [3])
 

@@ -210,6 +210,26 @@ class TestSimulate:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--window", "25.5"],
+             "--window 25.5 m is not a whole number of steps of ds 1.0 m (25.5 steps)"),
+            # the window is checked against the step --ds sets
+            (["--ds", "2", "--window", "25"],
+             "--window 25.0 m is not a whole number of steps of ds 2.0 m (12.5 steps)"),
+        ],
+        ids=["window", "window_at_new_ds"],
+    )
+    def test_window_off_the_step_grid_exits_config(
+        self, fast_scenario, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        monkeypatch.setattr(cli, "cmd_simulate", lambda scenario, out: EXIT_OK)
+        rc = main(["simulate", "--scenario", str(fast_scenario), "--out", str(tmp_path / "o"),
+                   *flags])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize(
         "flags, check",
         [
             (["--window", "25"], lambda s: s.window_m == 25.0),

@@ -341,6 +341,24 @@ class TestLoading:
         assert (scen.horizon_mode, scen.window_m, scen.replan_m) == ("receding", 30.0, 5.0)
         assert scen.perturbation.duration == 20.0
 
+    @pytest.mark.parametrize(
+        "ds, key, value, steps",
+        [(0.1, "window_m", 25.05, "250.5"), (0.1, "window_m", 0.04, "0.4"),
+         (1.0, "replan_m", 2.5, "2.5"), (0.25, "window_m", 40.1, "160.4")],
+    )
+    def test_horizon_off_the_step_grid_rejected(self, tmp_path, ds, key, value, steps):
+        # rounded, 25.05 m ran 25.0 m windows and 0.04 m ran 0.1 m windows
+        path = self._minimal(tmp_path, horizon={"mode": "receding", key: value})
+        raw = json.loads(path.read_text())
+        raw["platoon"]["ds_m"] = ds
+        path.write_text(json.dumps(raw))
+        message = (
+            f"{path}: horizon.{key} {value} m is not a whole number of steps "
+            f"of ds {ds} m ({steps} steps)"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_scenario(path)
+
     def test_ilqr_flag_maps_to_second_order(self, tmp_path):
         # use_second_order is the scenario's iLQR switch
         scen = load_scenario(self._minimal(tmp_path, solver={"use_second_order": False}))

@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import hashlib
 import inspect
+import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -26,6 +28,7 @@ from ecoplatoon.solver import (
     _BUILD_CHUNK,
     _COARSE_FACTOR,
     SolverOptions,
+    _coarse_grid,
     backward_pass,
     forward_pass,
     receding_horizon_run,
@@ -1376,7 +1379,7 @@ class TestStepGrid:
 # controls, 40 m windows replanned every 10 m, with its window and step counts.
 RECEDING_SHA256 = {
     "comfort_ds0.1": (
-        "f17a467ba4cfb01f89110cc0cfdde797be10db946d1a2d6bc3c133bb12e2e9e2", 77, 8000
+        "32573065c1e307ea6b74c6b2df30eb01a4b75d3438c0630bf404a1d234564c37", 77, 8000
     ),
     "collector_ds1": (
         "c21982cf6dc9109e82d2a3b8b1c6b4ce5234dc1444cd40b427f91ee6e1af5d53", 77, 800
@@ -1493,21 +1496,21 @@ class TestRecedingHorizon:
 
         run = receding_horizon_run(
             cfg, w, build_preset("collector"), t0, pi0, SolverOptions(),
-            window_m=20.0, replan_m=5.0, state_hook=hook,
+            window_m=20.1, replan_m=5.1, state_hook=hook,
         )
-        k_replan = 17  # round(5 / 0.3)
+        k_replan = 17  # 5.1 / 0.3
         starts = [j * k_replan * 0.3 for j in range(len(run.windows))]
         assert [window[0] for window in run.windows] == seams == starts
         assert starts[10] == 51.0
-        # every window spans 67 = round(20 / 0.3) steps up to the route end
+        # every window spans 67 = 20.1 / 0.3 steps up to the route end
         assert [window[1:] for window in run.windows] == [(67 * 0.3, 67)] * 16 + [(61 * 0.3, 61)]
 
     @pytest.mark.parametrize(
         "ds, window_m, tail",
         [
-            (0.1, 40.0, [5] * 60),
-            (0.1, 40.3, [5] * 60 + [3]),  # the remainder is one step of 3 ds
-            (0.1, 20.0, [5] * 20),  # a tail of exactly _COARSE_FLOOR fine steps
+            (0.1, 40.0, [25] * 12),
+            (0.1, 40.3, [25] * 12 + [3]),  # the remainder is one step of 3 ds
+            (0.1, 20.0, [25] * 4),  # a tail of exactly _COARSE_FLOOR fine steps
             (1.0, 40.0, [1] * 30),  # a tail under _COARSE_FLOOR steps stays fine
         ],
     )
@@ -1539,8 +1542,10 @@ class TestRecedingHorizon:
         )
         kw, kr = int(round(window_m / ds)), int(round(10.0 / ds))
         grid = [1] * kr + tail
-        if tail[0] == _COARSE_FACTOR:
-            assert len(grid) == kr + -(-(kw - kr) // _COARSE_FACTOR)
+        if tail[0] != 1:
+            # the tail is the cold ladder's second level over its span
+            assert tail == _coarse_grid(kw - kr, _COARSE_FACTOR**2).tolist()
+            assert len(grid) == kr + math.ceil((kw - kr) / 25)
         *steady, final = calls
         # every window but the one that reaches the 100 m route end
         starts = [10.0 * j for j in range(len(calls))]
@@ -1572,6 +1577,34 @@ class TestRecedingHorizon:
             assert np.array_equal(run.controls.accels[:, column : column + kr], executed)
         e = cons.evaluate(cfg, run.states.slownesses[:, :-1])
         assert run.converged and cons.max_violation(e) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "window_m, replan_m, message",
+        [
+            # rounded, these ran 25.0 m and 0.1 m windows and 5.0 m replans
+            (25.05, 5.0, "window_m 25.05 m is not a whole number of steps of ds 0.1 m (250.5"),
+            (0.04, 0.04, "window_m 0.04 m is not a whole number of steps of ds 0.1 m (0.4 "),
+            (20.0, 5.04, "replan_m 5.04 m is not a whole number of steps of ds 0.1 m (50.4 "),
+        ],
+        ids=["window", "window_under_a_step", "replan"],
+    )
+    def test_lengths_off_the_step_grid_rejected_before_any_solve(
+        self, monkeypatch, window_m, replan_m, message
+    ):
+        cfg = make_config(n=2, ds=0.1, horizon_steps=1000)
+        t0 = -np.arange(2) * cfg.headway
+        pi0 = np.full(2, 1.0 / cfg.target_speed)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve called before the lengths were checked")
+
+        monkeypatch.setattr(solver_mod, "solve", no_solve)
+        w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            receding_horizon_run(
+                cfg, w, build_preset("collector"), t0, pi0, SolverOptions(),
+                window_m=window_m, replan_m=replan_m,
+            )
 
     @pytest.mark.parametrize(
         "field, value",
@@ -2212,19 +2245,33 @@ class TestWorkloadCounts:
     moves one moves the solver's path, and its CHANGES.md entry says why.
     """
 
-    def test_receding_comfort(self, monkeypatch):
-        scen = dataclasses.replace(
+    @staticmethod
+    def receding_comfort():
+        return dataclasses.replace(
             comfort_scenario(), horizon_mode="receding", window_m=40.0, replan_m=10.0
         )
+
+    def test_receding_comfort(self, monkeypatch):
         counts = count_solver_calls(monkeypatch)
-        eco = run_eco(scen)
+        eco = run_eco(self.receding_comfort())
         assert len(eco.report.exec_times) == 77
         assert eco.report.converged
         # the comfort box is held inside DDP, so no window runs the AL
         assert counts == Counter(
             solve=77, iterations=139, unconverged=0, backward_pass=216, raised=0,
-            forward_pass=149, update_multipliers=0,
+            forward_pass=158, update_multipliers=0,
         )
+
+    def test_receding_comfort_plan(self):
+        # the stitched plan of windows with 5 ds tails: the 25 ds tails
+        # shorten each solve, and they must not buy a different controller
+        eco = run_eco(self.receding_comfort())
+        run = eco.report
+        assert eco.fuel_total == pytest.approx(0.457158, rel=1e-3)
+        np.testing.assert_allclose(
+            run.states.arrival_times[:, -1], [40.235500, 39.409815, 38.088279], rtol=0, atol=0.01
+        )
+        assert run.converged and run.max_violation == 0.0
 
     def test_stability_n5_row(self, monkeypatch):
         scen = load_scenario(resolve_scenario_path("collector"))
