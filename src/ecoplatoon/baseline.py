@@ -48,11 +48,6 @@ def baseline_step(positions, speeds, config: PlatoonConfig, gains: CaccGains, dt
     """
     positions = np.asarray(positions, dtype=float)
     speeds = np.asarray(speeds, dtype=float)
-    return _command(positions, speeds, config, gains, dt, config.accel_bounds)
-
-
-def _command(positions, speeds, config, gains, dt, envelope):
-    """``baseline_step`` on float arrays, with the ``accel_bounds`` of ``config`` given."""
     n = config.n_vehicles
     cmd = np.empty(n)
     cmd[0] = gains.kp_speed * (config.target_speed - speeds[0])
@@ -66,7 +61,7 @@ def _command(positions, speeds, config, gains, dt, envelope):
         (config.speed_limit - speeds) / dt,
     )
     # the acceleration envelope is the actuator's hard limit, so it clamps last
-    return np.clip(cmd, *envelope)
+    return np.clip(cmd, *config.accel_bounds)
 
 
 def simulate_baseline(
@@ -83,8 +78,7 @@ def simulate_baseline(
     ``position``, ``speed``, ``accel``, and ``grade`` arrays (grades are
     clamped to the profile domain for the run-in stretch before position 0).
 
-    Each control period applies ``baseline_step``'s law; the acceleration
-    envelope it clamps to is built once per simulation, not once per period.
+    Each control period applies ``baseline_step``.
 
     Raises ConfigError unless ``dt`` and a given ``initial_speed`` are
     finite and > 0.
@@ -101,9 +95,8 @@ def simulate_baseline(
     t = 0.0
     hist_t, hist_s, hist_v, hist_a = [], [], [], []
     max_time = 50.0 * route_length / max(config.speed_floor, 0.5) + 1000.0
-    envelope = config.accel_bounds
     while pos[-1] < route_length:
-        acc = _command(pos, vel, config, gains, dt, envelope)
+        acc = baseline_step(pos, vel, config, gains, dt)
         hist_t.append(t)
         hist_s.append(pos.copy())
         hist_v.append(vel.copy())
@@ -116,7 +109,7 @@ def simulate_baseline(
     hist_t.append(t)
     hist_s.append(pos.copy())
     hist_v.append(vel.copy())
-    hist_a.append(_command(pos, vel, config, gains, dt, envelope))
+    hist_a.append(baseline_step(pos, vel, config, gains, dt))
     times = np.array(hist_t)
     s_arr = np.array(hist_s).T  # (N, steps)
     v_arr = np.array(hist_v).T

@@ -24,6 +24,7 @@ of independent rollouts is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -109,18 +110,29 @@ class PlatoonConfig:
     def n_vehicles(self) -> int:
         return len(self.vehicles)
 
-    @property
+    # The per-vehicle arrays are built on first access and kept, read-only:
+    # a config is frozen, and ``dataclasses.replace`` builds a new one.
+    @cached_property
     def masses(self) -> np.ndarray:
-        return np.array([v.mass for v in self.vehicles])
+        return _frozen_array([v.mass for v in self.vehicles])
 
-    @property
+    @cached_property
     def accel_bounds(self):
         """Each vehicle's acceleration bounds: (a_min, a_max), two (N,) arrays."""
-        return tuple(np.array([getattr(v, b) for v in self.vehicles]) for b in ("a_min", "a_max"))
+        return tuple(
+            _frozen_array([getattr(v, b) for v in self.vehicles]) for b in ("a_min", "a_max")
+        )
 
     @property
     def route_length(self) -> float:
         return self.ds * self.horizon_steps
+
+
+def _frozen_array(values) -> np.ndarray:
+    """``values`` as an array that refuses writes."""
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass

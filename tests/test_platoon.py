@@ -1,5 +1,6 @@
 """Space-domain vehicle model: dynamics, derivatives, and cross-integrator checks."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -110,6 +111,23 @@ class TestPlatoonConfig:
         # 2.5 steps gave a 0.25 m route and True a 0.1 m one
         with pytest.raises(ConfigError, match="horizon_steps must be an integer >= 1"):
             make_config(horizon_steps=value)
+
+    def test_per_vehicle_arrays_built_once_and_read_only(self):
+        # the solver reads masses twice per derivative batch and the
+        # baseline reads the bounds every control period
+        cfg = make_config(n=3, mass=1500.0, a_min=-1.5, a_max=1.0)
+        assert cfg.masses is cfg.masses and cfg.accel_bounds is cfg.accel_bounds
+        for array in (cfg.masses, *cfg.accel_bounds):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        np.testing.assert_array_equal(cfg.masses, [1500.0] * 3)
+        np.testing.assert_array_equal(cfg.accel_bounds, [[-1.5] * 3, [1.0] * 3])
+        # a replaced config builds its own arrays
+        heavy = tuple(dataclasses.replace(v, mass=2000.0, a_max=2.0) for v in cfg.vehicles)
+        other = dataclasses.replace(cfg, vehicles=heavy)
+        np.testing.assert_array_equal(other.masses, [2000.0] * 3)
+        np.testing.assert_array_equal(other.accel_bounds[1], [2.0] * 3)
+        np.testing.assert_array_equal(cfg.masses, [1500.0] * 3)
 
     def test_numpy_integer_horizon_accepted(self):
         assert make_config(horizon_steps=np.int64(40)).route_length == pytest.approx(4.0)

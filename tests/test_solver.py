@@ -50,6 +50,11 @@ def wide_open_config(**kw):
     return make_config(a_min=-50.0, a_max=50.0, speed_limit=3000.0, speed_floor=1e-6, **kw)
 
 
+def open_box(n):
+    """An acceleration box of ±inf: ``forward_pass`` under it is the unclamped rollout."""
+    return np.full(n, -np.inf), np.full(n, np.inf)
+
+
 def backward_with_ladder(
     states, ctrls, thetas, cfg, w, al, targets, second=True, grid=None
 ):
@@ -424,7 +429,9 @@ class TestBackwardPass:
                 bp = backward_pass(*args, 1e-6, second, grid)
 
                 def aug_cost(alpha):
-                    t, pi, a = forward_pass(states, ctrls, bp, alpha, cfg.ds, grid)
+                    t, pi, a = forward_pass(
+                        states, ctrls, bp, alpha, cfg.ds, grid, cfg.accel_bounds
+                    )
                     total, _ = trajectory_cost(t, pi, a, thetas, cfg, w, targets, grid)
                     return total + cons.penalty(cons.evaluate(cfg, pi[:, :-1]), al)
 
@@ -482,7 +489,9 @@ class TestBackwardPass:
             return total + cons.penalty(cons.evaluate(cfg, pi[:, :-1]), al), a
 
         eps = 1e-6
-        (j0, _), (j1, a1), (_, unclamped) = aug_cost(0.0), aug_cost(eps), aug_cost(eps, None)
+        (j0, _), (j1, a1), (_, unclamped) = (
+            aug_cost(0.0), aug_cost(eps), aug_cost(eps, open_box(n))
+        )
         assert np.array_equal(a1, unclamped)
         assert np.array_equal(a1.T[held], ctrls.accels.T[held])
         assert bp.d1 == pytest.approx((j1 - j0) / eps, rel=1e-5)
@@ -866,7 +875,7 @@ class TestForwardPass:
             feedforward = np.zeros((20, 2))
 
         # both run platoon.rollout_steps, so they agree bit for bit
-        t, pi, a = forward_pass(states, ctrls, ZeroLaw(), 1.0, cfg.ds)
+        t, pi, a = forward_pass(states, ctrls, ZeroLaw(), 1.0, cfg.ds, None, cfg.accel_bounds)
         assert np.array_equal(t, states.arrival_times)
         assert np.array_equal(pi, states.slownesses)
         assert np.array_equal(a, accels)
@@ -884,7 +893,7 @@ class TestForwardPass:
             feedforward = rng.normal(scale=0.1, size=(2, 2))
 
         law = Law()
-        t, pi, a = forward_pass(states, ctrls, law, 1.0, cfg.ds)
+        t, pi, a = forward_pass(states, ctrls, law, 1.0, cfg.ds, None, cfg.accel_bounds)
         # step 0: dx = 0 so u = j exactly
         np.testing.assert_allclose(a[:, 0], law.feedforward[0])
         # step 1: dx propagated through the true dynamics
@@ -903,7 +912,7 @@ class TestForwardPass:
             gains = np.zeros((1, 2, 4))
             feedforward = np.full((1, 2), 50.0)
 
-        assert forward_pass(states, ctrls, HugeLaw(), 1.0, cfg.ds) is None
+        assert forward_pass(states, ctrls, HugeLaw(), 1.0, cfg.ds, None, cfg.accel_bounds) is None
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 1e-4])
     @pytest.mark.parametrize("receding", [False, True])
@@ -917,7 +926,7 @@ class TestForwardPass:
         # a Gauss-Newton law: on the long random plans of the receding grid
         # the DDP ladder runs out of shifts
         bp = backward_with_ladder(*args, second=False, grid=grid)
-        got = forward_pass(states, ctrls, bp, alpha, cfg.ds, grid)
+        got = forward_pass(states, ctrls, bp, alpha, cfg.ds, grid, open_box(n))
         want = textbook_rollout(states, ctrls, bp, alpha, cfg.ds, grid)
         # a long step may leave the domain; the shortest never does here
         assert (got is None) == (want is None)
@@ -938,7 +947,7 @@ class TestForwardPass:
         bp = backward_with_ladder(*args, grid=grid)
         got = forward_pass(states, ctrls, bp, alpha, cfg.ds, grid, box)
         want = textbook_rollout(states, ctrls, bp, alpha, cfg.ds, grid, box)
-        unclamped = forward_pass(states, ctrls, bp, alpha, cfg.ds, grid)
+        unclamped = forward_pass(states, ctrls, bp, alpha, cfg.ds, grid, open_box(n))
         assert np.any(np.abs(unclamped[2]) > 0.3)
         assert np.all(np.abs(got[2]) <= 0.3)
         for g, w in zip(got, want):
@@ -964,7 +973,7 @@ class TestForwardPass:
         monkeypatch.setattr(solver_mod, "rollout_steps", counting)
         got = forward_pass(states, ctrls, bp, 1.0, cfg.ds, None, box)
         assert calls == [False, True][:rollouts]
-        plain = forward_pass(states, ctrls, bp, 1.0, cfg.ds)
+        plain = forward_pass(states, ctrls, bp, 1.0, cfg.ds, None, open_box(3))
         # a trial inside the box is the unclamped rollout bit for bit
         same = all(np.array_equal(g, w) for g, w in zip(got, plain))
         assert same == (rollouts == 1)
@@ -980,7 +989,7 @@ class TestForwardPass:
             feedforward = np.zeros((60, 3))
 
         Law.feedforward[30, 1] = 1e4
-        assert forward_pass(states, ctrls, Law(), 1.0, cfg.ds) is None
+        assert forward_pass(states, ctrls, Law(), 1.0, cfg.ds, None, open_box(3)) is None
         t, pi, a = forward_pass(states, ctrls, Law(), 1.0, cfg.ds, None, cfg.accel_bounds)
         assert a[1, 30] == 2.0
         assert np.all(np.abs(a) <= 2.0) and np.all(pi > 0.0)
@@ -995,8 +1004,8 @@ class TestForwardPass:
 
         Law.feedforward[30, 1] = 1e4  # drives the second slowness negative at step 30
         assert textbook_rollout(states, ctrls, Law(), 1.0, cfg.ds) is None
-        assert forward_pass(states, ctrls, Law(), 1.0, cfg.ds) is None
-        assert forward_pass(states, ctrls, Law(), 1e-6, cfg.ds) is not None
+        assert forward_pass(states, ctrls, Law(), 1.0, cfg.ds, None, open_box(3)) is None
+        assert forward_pass(states, ctrls, Law(), 1e-6, cfg.ds, None, open_box(3)) is not None
 
 
 class TestSolve:
@@ -1099,7 +1108,7 @@ class TestSolve:
         bp = backward_with_ladder(states, ctrls, thetas, cfg, w, al, targets)
 
         def j_of(alpha):
-            t, pi, a = forward_pass(states, ctrls, bp, alpha, cfg.ds)
+            t, pi, a = forward_pass(states, ctrls, bp, alpha, cfg.ds, None, cfg.accel_bounds)
             total, _ = trajectory_cost(t, pi, a, thetas, cfg, w, targets)
             return total
 
@@ -1286,8 +1295,8 @@ class TestStepGrid:
         assert np.array_equal(plain.feedforward, gridded.feedforward)
         assert plain.d1 == gridded.d1 and plain.d2 == gridded.d2
         for alpha in (1.0, 0.3):
-            got = forward_pass(states, ctrls, plain, alpha, cfg.ds)
-            want = forward_pass(states, ctrls, plain, alpha, cfg.ds, ones)
+            got = forward_pass(states, ctrls, plain, alpha, cfg.ds, None, cfg.accel_bounds)
+            want = forward_pass(states, ctrls, plain, alpha, cfg.ds, ones, cfg.accel_bounds)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
 
@@ -1932,7 +1941,7 @@ def comfort_scenario(ds=None, a_min=-1.5, a_max=1.0):
 
 
 class TestOuterSchedule:
-    """The AL outer loop: loose subproblems while infeasible, a step after each update.
+    """The AL outer loop: loose subproblems while infeasible, one stopping rule in every pass.
 
     The comfort box no longer runs it (the backward pass holds the box), so
     these tests bind a speed cap instead.
@@ -1986,10 +1995,9 @@ class TestOuterSchedule:
         monkeypatch.setattr(cons, "update_multipliers", counting)
         monkeypatch.setattr(solver_mod, "_inner_tolerance", spy)
         with_schedule = solve(*args, targets=targets)
-        # No multiplier update, so no outer pass past 0 and no forced step:
-        # the forced step is absent here by construction. The loose
-        # tolerance is not: some judged plan (on a coarse level) is
-        # infeasible, yet none of those judgments ends an inner loop.
+        # No multiplier update, so no outer pass past 0. The loose tolerance
+        # still judges: some judged plan (on a coarse level) is infeasible,
+        # yet none of those judgments ends an inner loop.
         assert not updates
         assert any(v > solver_mod._TOL_VIOLATION for v in judged)
         monkeypatch.setattr(solver_mod, "_LOOSE_TOL", 0.0)
@@ -2064,8 +2072,9 @@ class TestOuterSchedule:
             scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options,
             targets=targets,
         )
-        # the first backward pass that succeeds after an update, in the same
-        # phase, is followed by a trial rollout
+        # on the capped collector no prediction after an update is
+        # stationary: the first backward pass that succeeds after each
+        # update, in the same phase, is followed by a trial rollout
         checked = 0
         for i in (i for i, e in enumerate(events) if e == "update_multipliers"):
             after = events[i + 1 :]
@@ -2078,11 +2087,12 @@ class TestOuterSchedule:
                     break
         assert checked > 0
 
-    def test_forced_step_without_descent_keeps_the_shift(self, monkeypatch):
-        # every prediction counts as converged and every trial is rejected:
-        # the pass after an update runs the line search, then ends the inner
-        # loop at the same shift instead of climbing the Levenberg ladder;
-        # the start, projected onto the box, breaks the 21 m/s cap
+    def test_stationary_prediction_ends_every_outer_pass(self, monkeypatch):
+        # every prediction counts as converged and every trial is rejected,
+        # from a start that, projected onto the box, breaks the 21 m/s cap:
+        # each outer pass, those after a multiplier update too, ends on its
+        # first backward pass at the initial shift without a trial, and the
+        # solve ends unconverged after max_outer passes
         cfg = make_config(n=2, ds=1.0, horizon_steps=50, a_max=1.0, speed_limit=21.0)
         w = CostWeights(q1=500.0, q2=0.01, q3=5000.0, r1=20.0, qv=2e4)
         t0 = -np.arange(2) * cfg.headway
@@ -2109,7 +2119,8 @@ class TestOuterSchedule:
         )
         assert report.max_violation > solver_mod._TOL_VIOLATION and not report.converged
         assert shifts == [solver_mod._REG_INIT] * opts.max_outer
-        assert trials[0] == 0 and all(n > 0 for n in trials[1:])
+        assert trials == [0] * opts.max_outer
+        assert report.iterations == []
 
     def test_exhausted_shift_ladder_is_never_converged(self, monkeypatch):
         # a feasible plan whose every prediction is five times the tolerance
@@ -2289,4 +2300,31 @@ class TestWorkloadCounts:
         assert counts == Counter(
             solve=4, iterations=4, unconverged=0, backward_pass=69, raised=10,
             forward_pass=74, update_multipliers=0,
+        )
+
+
+class TestCappedSolveCounts:
+    """The AL's path on two capped cold solves at ds = 1 m, pinned by its counts.
+
+    No benchmark workload runs a multiplier update, so these pin the outer
+    loop's work, which a change to the AL must beat; like the workload
+    counts, they are integers and hold on every numpy.
+    """
+
+    @pytest.mark.parametrize(
+        "preset, cap, iterations, backward, rollouts, updates",
+        [("collector", 21.0, 33, 66, 67, 10), ("major_arterial", 30.0, 28, 80, 127, 11)],
+    )
+    def test_cold_solve(self, monkeypatch, preset, cap, iterations, backward, rollouts, updates):
+        scen = speed_capped(override_ds(load_scenario(resolve_scenario_path(preset)), 1.0), cap)
+        t0, pi0, targets = scen.initial_state()
+        counts = count_solver_calls(monkeypatch)
+        report = solver_mod.solve(
+            scen.config, scen.weights, scen.profile, t0, pi0, scen.solver_options,
+            targets=targets,
+        )
+        assert report.converged
+        assert counts == Counter(
+            solve=1, iterations=iterations, unconverged=0, backward_pass=backward, raised=0,
+            forward_pass=rollouts, update_multipliers=updates,
         )
