@@ -3,13 +3,18 @@
 The independent variable is longitudinal position. Each vehicle carries an
 arrival time t (s) and a slowness pi = 1/v (s/m) at every spatial step, so
 the per-vehicle state at step k is (t_k, pi_k) and the control is the
-longitudinal acceleration a_k. One step of length ds advances
+longitudinal acceleration a_k, held over the step. Under a held
+acceleration dt/ds = pi and d(pi)/ds = -a * pi**3 have a closed form,
+v'^2 = v^2 + 2 a ds, so one step of length ds is the exact
+constant-acceleration arc
 
-    t'  = t  + pi * ds
-    pi' = pi - a * pi**3 * ds
+    pi' = pi / sqrt(1 + 2 a ds pi**2)
+    t'  = t + 2 ds pi / (1 + sqrt(1 + 2 a ds pi**2))
 
-which is the first-order space discretization of dt/ds = pi and
-d(pi)/ds = -a * pi**3. A step grid (``step_grid``) lets each step span its
+and a plan is exact for its own controls at any ds: m steps of ds under one
+held control are one step of m ds, up to rounding. A step leaves the
+positive-slowness domain only when braking stops the vehicle within it,
+1 + 2 a ds pi**2 <= 0. A step grid (``step_grid``) lets each step span its
 own whole number of ds: step k then has length ds * grid[k] and starts
 ds * (grid[0] + ... + grid[k-1]) from the start of the plan. Every formula
 here is elementwise in that length, and a grid of ones is the uniform grid
@@ -25,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -41,12 +45,6 @@ from .errors import (
 from .terrain import SlopeProfile, grade_at
 
 MPH_TO_MPS = 0.44704
-
-# The exponent of the cubic slowness term as a 0-d float64 array: np.power
-# runs the same float64 pow loop on it as on the int 3, without converting a
-# Python scalar on every step of a rollout. Read-only, as a shared constant.
-_THREE = np.array(3.0)
-_THREE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -204,8 +202,9 @@ def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
     Raises ConfigError unless ``accels`` is a numeric (N, K) array, ``t0``
     and ``pi0`` are finite arrays of shape (N,), ``ds`` is finite and > 0
     and ``grid`` is a step grid (``step_grid``). Raises IntegrationError
-    when an entry slowness is not positive, or when a step drives a
-    slowness out of the positive domain (a blow-up, or a NaN control).
+    when an entry slowness is not positive, or when a step leaves the
+    positive slowness domain: braking that stops a vehicle within the
+    step, or a NaN control.
     """
     accels = float_array("accelerations", accels)
     if accels.ndim != 2:
@@ -220,8 +219,8 @@ def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
     plan = rollout_steps(t0, pi0, accels, ds, grid)
     if plan is None:
         raise IntegrationError(
-            "dynamics step drove slowness out of the positive domain; "
-            "reduce ds or the commanded acceleration"
+            "dynamics step drove slowness out of the positive domain: "
+            "braking stops a vehicle within a step (v^2 + 2 a ds <= 0)"
         )
     return PlatoonState(arrival_times=plan[0], slownesses=plan[1])
 
@@ -233,7 +232,7 @@ def rollout_steps(t0, pi0, accels, ds, grid=None, law=None, box=None):
     ``law`` the controls are ``accels`` (N, K) as given. A law is a tuple
     (reference, gains, feedforward): a reference PlatoonState x_ref with
     (K, N, 2N) gains and (K, N) feedforward, which sets step k's control to
-    u = accels[:, k] + gains[k] (x - x_ref) + feedforward[k], the affine
+    u = (accels[:, k] + feedforward[k]) + gains[k] (x - x_ref), the affine
     law of DDP's forward pass. A ``box`` (a_min, a_max) of (N,) arrays
     clamps each step's control into [a_min, a_max] before the step is
     taken, so the states are those of the clamped controls. Returns
@@ -241,16 +240,26 @@ def rollout_steps(t0, pi0, accels, ds, grid=None, law=None, box=None):
     None when a slowness leaves the positive domain; the domain is checked
     once, after the loop, and no input is checked.
 
+    Each step is the exact motion under its held control, a
+    constant-acceleration arc: v'^2 = v^2 + 2 a h, so
+
+        pi' = 1 / v' = pi / sqrt(1 + 2 a h pi^2)
+        t'  = t + 2 h / (v + v') = t + 2 h pi / (1 + sqrt(1 + 2 a h pi^2))
+
+    in forms without cancellation at a = 0. The loop carries v^2 and v
+    beside the state, one row per step, so a step is seven calls: 2 h a,
+    v'^2, its root v', pi' = 1 / v', v + v', 2 h / (v + v') and t'. A step
+    leaves the domain only when braking stops the vehicle within it,
+    v^2 + 2 a h <= 0: v' is then NaN or 0 and pi' NaN or inf.
+
+    With a ``box`` the controls are rolled out unclamped first. The clamp
+    is the identity inside the box, so the rollout up to the first step
+    whose control leaves the box (or is NaN) is the clamped rollout bit for
+    bit, and only the steps from there on are rolled out again, clamped,
+    from the v^2, v and state stored at that step.
+
     The loop runs in the row-major interleaved state x = [t1, pi1, ..., tN,
-    piN], the layout of the gains, and the state moves in one add per step,
-    x' = x + w, with every operand an array. w = [pi1, pi1^3, ..., piN,
-    piN^3] is scaled in place by the step's row of ``coef`` = [1, u1, ...,
-    1, uN], whose odd slots hold the controls, and then by its row of
-    ``signed`` = [h, -h, ..., h, -h]. That gives t' = t + (pi 1) h and
-    pi' = pi + ((pi^3 u)(-h)), bit for bit the t + pi h and pi - u pi^3 h
-    of the textbook step, for three exact IEEE identities: t + pi h is
-    pi h + t, (pi^3 u)(-h) is -((pi^3 u) h), and pi + (-c) is pi - c. The
-    cube's exponent is ``_THREE``. Each step reads row views that numpy
+    piN], the layout of the gains. Each step reads row views that numpy
     makes in C by iterating the buffers and writes through positional
     outputs into preallocated rows, which changes where a result lands,
     not the operations that make it.
@@ -259,67 +268,115 @@ def rollout_steps(t0, pi0, accels, ds, grid=None, law=None, box=None):
     x = np.empty((k_steps + 1, 2 * n))
     x[0, 0::2] = t0
     x[0, 1::2] = pi0
-    coef = np.ones((k_steps, 2 * n))
-    controls = coef[:, 1::2]
-    controls[:] = accels.T
-    # times 1.0 and -1.0 are exact
-    signed = (ds * step_multiples(grid, k_steps))[:, None] * np.tile([1.0, -1.0], n)
-    slows = x[:, 1::2]
-    feedback = law is not None
-    if feedback:
+    times, slows = x[:, 0::2], x[:, 1::2]
+    speeds = np.empty((k_steps + 1, n))
+    squares = np.empty((k_steps + 1, n))
+    np.reciprocal(slows[0], speeds[0])
+    np.multiply(speeds[0], speeds[0], squares[0])
+    twice = np.repeat(2.0 * ds * step_multiples(grid, k_steps)[:, None], n, axis=1)  # 2 h
+    if law is None:
+        base = accels.T
+        x_ref = gains = x  # zipped, never read
+    else:
         reference, gains, feedforward = law
+        base = accels.T + feedforward
         x_ref = np.empty_like(x)
         x_ref[:, 0::2] = reference.arrival_times.T
         x_ref[:, 1::2] = reference.slownesses.T
-    else:
-        x_ref = gains = feedforward = repeat(None)  # zipped, never read
+    controls = np.array(base, order="C")  # the step's control rows, written in place
+    rows = (x, x_ref, gains, controls, twice, times, slows, speeds, squares)
+    feedback = law is not None
+    # a step that stops a vehicle takes the root of a negative v'^2 or
+    # divides by v' = 0; the domain check below rejects it, so silence it
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        _roll(0, rows, feedback, None)
+        if box is not None:
+            a_min, a_max = box
+            outside = ~((controls >= a_min) & (controls <= a_max)).all(axis=1)
+            if outside.any():
+                first = int(np.argmax(outside))
+                controls[first:] = base[first:]
+                _roll(first, rows, feedback, box)
+    if not np.all(np.isfinite(slows)) or np.any(slows <= 0.0):
+        return None
+    return tuple(np.ascontiguousarray(a.T) for a in (times, slows, controls))
+
+
+def _roll(start, rows, feedback, box):
+    """Step ``rollout_steps``'s rows in place from step ``start`` on, clamped to ``box`` if set."""
+    x, x_ref, gains, controls, twice, times, slows, speeds, squares = rows
+    n = controls.shape[1]
+    dx = np.empty(2 * n)
+    w = np.empty(n)
     clamp = box is not None
     if clamp:
         a_min, a_max = box
-    dx = np.empty(2 * n)
-    w = np.empty(2 * n)
-    w_t, w_p = w[0::2], w[1::2]
-    # a blow-up or an overly aggressive trial step can overflow the cubic
-    # term; the domain check below rejects it, so silence the warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x_k, x_next, pi_k, u_k, c_k, s_k, xr_k, gain, ff_k in zip(
-            x, x[1:], slows, controls, coef, signed, x_ref, gains, feedforward
-        ):
-            if feedback:
-                np.subtract(x_k, xr_k, dx)
-                u_k += gain.dot(dx)
-                u_k += ff_k
-            if clamp:
-                np.minimum(u_k, a_max, out=u_k)
-                np.maximum(u_k, a_min, out=u_k)
-            np.power(pi_k, _THREE, w_p)
-            np.copyto(w_t, pi_k)
-            w *= c_k
-            w *= s_k
-            np.add(x_k, w, x_next)
-    if not np.all(np.isfinite(slows)) or np.any(slows <= 0.0):
-        return None
-    return tuple(np.ascontiguousarray(a.T) for a in (x[:, 0::2], slows, controls))
+    nxt = start + 1
+    for x_k, xr_k, gain, u_k, h2, t_k, t_n, p_n, v_k, v_n, e_k, e_n in zip(
+        x[start:], x_ref[start:], gains[start:], controls[start:], twice[start:],
+        times[start:], times[nxt:], slows[nxt:], speeds[start:], speeds[nxt:],
+        squares[start:], squares[nxt:],
+    ):
+        if feedback:
+            np.subtract(x_k, xr_k, dx)
+            u_k += gain.dot(dx)
+        if clamp:
+            np.minimum(u_k, a_max, out=u_k)
+            np.maximum(u_k, a_min, out=u_k)
+        np.multiply(u_k, h2, w)  # 2 h a
+        np.add(e_k, w, e_n)  # v'^2 = v^2 + 2 h a
+        np.sqrt(e_n, v_n)
+        np.reciprocal(v_n, p_n)  # pi' = 1 / v'
+        np.add(v_k, v_n, w)
+        np.divide(h2, w, w)  # 2 h / (v + v')
+        np.add(t_k, w, t_n)
 
 
 def dynamics_derivatives(pi, accels, ds, grid=None):
-    """Per-(step, vehicle) derivatives of the slowness update along a trajectory.
+    """Per-(step, vehicle) derivatives of one arc step along a trajectory.
 
     ``pi`` and ``accels`` are (N, K): the slowness and acceleration at the
-    start of each step, whose length is ds * grid[k]. Returns (K, N) arrays
-    g = d pi'/d pi, fu = d pi'/d a, cxx = d2 pi'/d pi2 and
-    cux = d2 pi'/d a d pi. The rest of the step Jacobian is d t'/d t = 1
-    and d t'/d pi = the step length, and every other second derivative is
-    zero.
+    start of each step, whose length is h = ds * grid[k]. With
+    s = sqrt(1 + 2 a h pi^2), the step of ``rollout_steps`` is
+    pi' = pi / s and t' = t + 2 h pi / (1 + s). Returns (K, N) arrays
+    t_pi = d t'/d pi, t_a = d t'/d a, g = d pi'/d pi and fu = d pi'/d a,
+    and the (3, 2, K, N) curvature: curv[r, c] is the second derivative of
+    t' (c = 0) or pi' (c = 1) by (pi, pi) (r = 0), (a, pi) (r = 1) or
+    (a, a) (r = 2). d t'/d t is 1, and no derivative involves t otherwise:
+
+        t_pi = 2 h / (s (1 + s)),     t_a = -2 h^2 pi^3 / (s (1 + s)^2),
+        g    = 1 / s^3,               fu  = -h pi^3 / s^3,
+        t'_pipi = -4 a h^2 pi c,      pi'_pipi = -6 a h pi / s^5,
+        t'_api  = -2 h^2 pi^2 c,      pi'_api  = -3 h pi^2 / s^5,
+        t'_aa   = 2 h^3 pi^5 (1 + 3 s) / (s^3 (1 + s)^3),
+        pi'_aa  = 3 h^2 pi^5 / s^5,
+
+    with c = (1 + 2 s) / (s^3 (1 + s)^2). At a = 0 (s = 1) the first row
+    is h and -h^2 pi^3 / 2. The rows share factors, which the arithmetic
+    uses: the (pi, pi) row is the (a, pi) row times 2 a / pi, pi'_aa is
+    pi'_api times -h pi^3, and t'_aa is t'_api times
+    -h pi^3 (1 + 3 s) / ((1 + 2 s) (1 + s)).
     """
     pi = pi.T  # (K, N)
     a = accels.T
     h = ds * step_multiples(grid, a.shape[0])[:, None]  # step lengths, (K, 1)
-    g = 1.0 - 3.0 * a * pi**2 * h
-    fu = -(pi**3) * h
-    cxx = -6.0 * a * pi * h
-    cux = -3.0 * pi**2 * h
-    return g, fu, cxx, cux
+    hp2 = h * pi * pi  # h pi^2
+    s = np.sqrt(2.0 * a * hp2 + 1.0)
+    r = 1.0 / s
+    ring = 1.0 / (1.0 + s)
+    g = r * r * r
+    down = -hp2 * pi  # -h pi^3
+    fu = down * g
+    t_pi = 2.0 * h * r * ring
+    t_a = down * t_pi * ring
+    curv = np.empty((3, 2) + a.shape)
+    twice_s1 = 2.0 * s + 1.0
+    np.multiply(-2.0 * h * hp2 * twice_s1 * g * ring, ring, out=curv[1, 0])
+    np.multiply(-3.0 * hp2 * g * r, r, out=curv[1, 1])
+    np.multiply(curv[1, 0] * down * (3.0 * s + 1.0) * ring, 1.0 / twice_s1, out=curv[2, 0])
+    np.multiply(curv[1, 1], down, out=curv[2, 1])
+    np.multiply(curv[1], 2.0 * a / pi, out=curv[0])
+    return t_pi, t_a, g, fu, curv
 
 
 def resimulate_time_domain(

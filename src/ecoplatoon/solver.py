@@ -25,8 +25,8 @@ when its Newton step points out of the box (``_hold``): a zero gain row and
 feedforward, with the free controls solved again with it fixed. The steps
 with a control on a bound are listed by one compare per pass, and every
 other step runs the plain sweep. The forward pass clamps each trial's
-controls into the box, rolling out again with the clamp only when the
-unclamped trial leaves the box or the slowness domain. A plan that never
+controls into the box, rolling out again with the clamp only from the
+first step where the unclamped trial leaves the box. A plan that never
 reaches the box runs the arithmetic of unconstrained DDP.
 
 The inner phase has one convergence rule: it converges when the predicted
@@ -50,9 +50,9 @@ that step's stage block, and one solve on [Q_ux | q_u]. That solve calls LAPACK'
 type check and error-state context cost about twice the solve itself, and
 the sweep needs none of them, since it owns its error state and its batched
 definiteness test judges every step. It keeps the second-order dynamics
-terms (the value-gradient contractions against the step Jacobian
-derivatives), added through strided views of the stage blocks and of the
-value buffer; ``use_second_order`` switches them off for a Gauss-Newton
+terms (the value-gradient contractions against the second derivatives of
+the arc step, one product per step), added through strided views of the
+stage blocks; ``use_second_order`` switches them off for a Gauss-Newton
 (iLQR-style) pass. The derivative series, the stage blocks and the step
 Jacobians are built ``_BUILD_CHUNK`` steps at a time, just before the sweep
 reaches them, the blocks and Jacobians into two reused buffers, and each
@@ -88,7 +88,7 @@ covers the problem's span with steps of ``_COARSE_FACTOR``**L ds, down to
 a level of at least ``_COARSE_FLOOR`` steps. The coarsest level starts from
 zero controls and each later one from the plan of the level below, held at
 ds and sampled where each of its steps starts. On the collector preset
-that takes the full-resolution solve from 14 backward passes down to 2.
+that takes the full-resolution solve from 13 backward passes down to 1.
 Explicit initial controls, zeros included, are a ladder of one level.
 
 ``receding_horizon_run`` solves every window but the last at ds over the
@@ -109,6 +109,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from numpy.linalg import _umath_linalg
 
 from . import constraints as cons
@@ -129,7 +130,6 @@ from .platoon import (
     dynamics_derivatives,
     rollout_steps,
     step_grid,
-    step_multiples,
     step_starts,
 )
 from .terrain import SlopeProfile, grade_at
@@ -357,7 +357,7 @@ def backward_pass(
     and each chunk's solves are negated straight into the K-long gains and
     feedforward. Besides them, the control rows [q_u | Q_uu] are kept
     K-long, for the whole-horizon sums ``d1`` and ``d2``, and so are the
-    step lengths and the marks of the controls on the box.
+    marks of the controls on the box.
 
     Raises BackwardPassError, naming the highest step whose shifted control
     Hessian is not finite or fails its Cholesky factorization; the caller
@@ -397,7 +397,6 @@ def _sweep(
     ti = 2 * np.arange(n)
     pj = ti + 1
     gap_hessian = costs.gap_hessian(n)
-    lengths = config.ds * step_multiples(grid, k_steps)[:, None]
 
     # The chunk's stage blocks over [dx; 1; du]. Every per-vehicle entry
     # set is evenly spaced in a flattened block, so each series is added
@@ -423,12 +422,13 @@ def _sweep(
     upper_rows = blocks[:, :u0, :u0]
 
     # The chunk's step Jacobians F_k = [f_x, 0, f_u; 0, 1, 0]: the 1s are
-    # written once, the step lengths, g and f_u per chunk.
+    # written once, the (t, pi), (t, a), (pi, pi) and (pi, a) entries per chunk.
     jac = np.zeros((chunk, dim + 1, size))
     jac[:, ti, ti] = 1.0
     jac[:, one, one] = 1.0
     jac_flat = jac.reshape(chunk, (dim + 1) * size)
-    jac_h = _spaced(jac_flat, 1, 2 * (size + 1), n)
+    jac_tp = _spaced(jac_flat, 1, 2 * (size + 1), n)
+    jac_ta = _spaced(jac_flat, u0, 2 * size + 1, n)
     jac_g = _spaced(jac_flat, size + 1, 2 * (size + 1), n)
     jac_fu = _spaced(jac_flat, size + u0, 2 * size + 1, n)
     jac_t = jac.transpose(0, 2, 1)
@@ -442,11 +442,23 @@ def _sweep(
     value[ti, one] = value[one, ti] = terminal["t"]
     value[pj, one] = value[one, pj] = terminal["pi"]
 
-    # Value-gradient contractions with the dynamics curvature: the only
-    # nonzero second derivatives sit on the slowness updates, entering
-    # Q_xx at (pi, pi) and Q_ux at (a, pi), both scaled by b at pi, a
-    # basic-slice view of the value buffer.
-    b_p = value.reshape(-1)[dim + 1 + one :: 2 * (dim + 1)]
+    # Value-gradient contractions with the dynamics curvature: vehicle i's
+    # t' and pi' have second derivatives at (pi, pi), (a, pi) and (a, a)
+    # only, so its terms are its (3, 2) curvature times its (b_t, b_pi).
+    # The chunk's curvature is laid out per step as one block-diagonal
+    # (3N, 2N) matrix, rows (pi, pi), (a, pi), (a, a) by vehicle, whose
+    # nonzero entries ``bend_at`` views as (chunk, 3, 2, N): row r and
+    # column c of vehicle i at (r N + i, 2 i + c). A step's terms are then
+    # one product with the value buffer's gradient row (contiguous, unlike
+    # the column) into ``bent``, added into Q_xx, Q_ux and Q_uu.
+    bend = np.zeros((chunk, 3 * n, dim))
+    item = bend.itemsize
+    bend_at = as_strided(
+        bend, (chunk, 3, 2, n), (bend.strides[0], n * dim * item, item, (dim + 2) * item)
+    )
+    grad = value[one, :dim]
+    bent = np.empty(3 * n)
+    bent_pp, bent_ap, bent_aa = bent[:n], bent[n : 2 * n], bent[2 * n :]
 
     solved = np.empty((chunk, n, dim + 1))  # the chunk's Q_uu^-1 [Q_ux | q_u]
     gains = np.empty((k_steps, n, dim))
@@ -476,7 +488,7 @@ def _sweep(
                 t_traj[:, at], pi, a, thetas[at], config, weights, at_grid
             )
             al_terms = cons.al_derivative_batch(config, al.rows(at), pi)
-            g, fu_c, cxx, cux = dynamics_derivatives(pi, a, config.ds, at_grid)
+            t_pi, t_a, g, fu_c, curv = dynamics_derivatives(pi, a, config.ds, at_grid)
             # Each entry sums its stage term, then its AL term (the speed
             # bounds touch only the slowness entries), then the Levenberg
             # shift, into a zero block.
@@ -492,21 +504,25 @@ def _sweep(
             u_one[:m] += stage["a"]
             u_u[:m] += stage["aa"]
             u_u[:m] += regularization
-            jac_h[:m] = lengths[at]
+            jac_tp[:m] = t_pi
+            jac_ta[:m] = t_a
             jac_g[:m] = g
             jac_fu[:m] = fu_c
+            bend_at[:m] = curv.transpose(2, 0, 1, 3)
             down = slice(m - 1, None, -1)  # steps hi - 1 down to lo
-            for fk, fk_t, qk, qpp, qup, cxx_k, cux_k, q_uu, rhs, rhs_t, upper, step, mark in zip(
-                jac[down], jac_t[down], blocks[down], q_pp[down], q_up[down],
-                cxx[down], cux[down], control_hessians[down], rhs_rows[down],
+            for fk, fk_t, qk, qpp, qup, quu, bend_k, q_uu, rhs, rhs_t, upper, step, mark in zip(
+                jac[down], jac_t[down], blocks[down], q_pp[down], q_up[down], u_u[down],
+                bend[down], control_hessians[down], rhs_rows[down],
                 rhs_t_rows[down], upper_rows[down], solved[down], marks[at][::-1].tolist(),
             ):
                 # ndarray.dot rather than @: on blocks this small it costs
                 # about half as much, and call overhead bounds the sweep.
                 qk += fk_t.dot(value.dot(fk))
                 if use_second_order:
-                    qpp += b_p * cxx_k
-                    qup += b_p * cux_k
+                    bend_k.dot(grad, out=bent)
+                    qpp += bent_pp
+                    qup += bent_ap
+                    quu += bent_aa
                 _umath_linalg.solve(q_uu, rhs, step, signature="dd->d")
                 if mark >= 0:
                     _hold(q_uu, rhs, step, side[mark])
@@ -561,18 +577,13 @@ def forward_pass(
     with each control clamped into the ``box`` (a_min, a_max) of (N,)
     arrays, as control-limited DDP's forward pass does.
 
-    The law is rolled out unclamped first and its controls are tested
-    against the box; only when one left it, or the rollout left the
-    slowness domain, is it rolled out again with the clamp. A trial that
-    stays in the box is the unclamped rollout bit for bit. Clamping every
-    trial costs about a fifth more per rollout step than the unclamped loop.
+    ``rollout_steps`` rolls the law out unclamped and, when a control
+    leaves the box, rolls it out again clamped from the first step where
+    one does, so a trial that stays in the box is the unclamped rollout
+    bit for bit and every trial is the clamped rollout bit for bit.
     """
     law = (states, bp.gains, step_length * bp.feedforward)
     t0, pi0 = states.arrival_times[:, 0], states.slownesses[:, 0]
-    plan = rollout_steps(t0, pi0, controls.accels, ds, grid, law)
-    a_min, a_max = box
-    if plan is not None and np.all((plan[2] >= a_min[:, None]) & (plan[2] <= a_max[:, None])):
-        return plan
     return rollout_steps(t0, pi0, controls.accels, ds, grid, law, box)
 
 

@@ -100,6 +100,21 @@ class TestCriterion1FuelSaving:
         report(1, "fuel-saving reproduction", ok, detail)
 
 
+    def test_savings_flat_in_ds(self, comparisons):
+        # each space step is the exact arc of its held control, so ds sets
+        # the resolution only: a tenth of the steps meters the same saving
+        details, ok = [], True
+        for name in ("collector", "major_arterial"):
+            scen, fine = comparisons[name]
+            coarse = run_compare(override_ds(scen, 1.0))
+            gap = abs(coarse.savings_pct - fine.savings_pct)
+            ok = ok and gap <= 0.01
+            details.append(
+                f"{name} {coarse.savings_pct:.3f}% at ds=1.0 vs {fine.savings_pct:.3f}% at ds=0.1"
+            )
+        report(1, "savings flat in ds", ok, "; ".join(details))
+
+
 class TestCriterion2UphillDominance:
     def test_uphill_deltas_dominate(self, comparisons):
         coll = comparisons["collector"][1]
@@ -183,14 +198,23 @@ class TestCriterion5SolverProperties:
             pi = rng.uniform(0.03, 0.1, size=3)
             a = rng.uniform(-3.0, 3.0, size=3)
             theta = rng.uniform(-0.15, 0.15)
-            g, fu, *_ = dynamics_derivatives(pi[:, None], a[:, None], cfg.ds)
+            t_pi, t_a, g, fu, _ = dynamics_derivatives(pi[:, None], a[:, None], cfg.ds)
             lx, lu, *_ = one_step_stage_blocks(t, pi, a, theta, cfg, w)
             h = 3e-5
             for p in range(3):
-                fd = fd4(lambda x: one_step_rollout(t, x, a, cfg.ds)[1][p], pi.copy(), p, h)
-                worst = max(worst, abs(g[0, p] - fd) / max(abs(fd), 1e-12))
-                fd = fd4(lambda x: one_step_rollout(t, pi, x, cfg.ds)[1][p], a.copy(), p, h)
-                worst = max(worst, abs(fu[0, p] - fd) / max(abs(fd), 1e-12))
+                # each step output (t' is row 0, pi' row 1) by pi, then by a;
+                # t' - t does not depend on t, so t' is stepped from t = 0,
+                # where rounding at the scale of t does not swamp the stencil
+                for row, by_pi, by_a in ((0, t_pi, t_a), (1, g, fu)):
+                    t_row = t if row else np.zeros(3)
+
+                    def stepped(x_pi, x_a, row=row, t_row=t_row):
+                        return one_step_rollout(t_row, x_pi, x_a, cfg.ds)[row][p]
+
+                    fd = fd4(lambda x: stepped(x, a), pi.copy(), p, h)
+                    worst = max(worst, abs(by_pi[0, p] - fd) / max(abs(fd), 1e-12))
+                    fd = fd4(lambda x: stepped(pi, x), a.copy(), p, h)
+                    worst = max(worst, abs(by_a[0, p] - fd) / max(abs(fd), 1e-12))
                 fd = fd4(lambda x: one_step_cost(t, x, a, theta, cfg, w)[0], pi.copy(), p, h)
                 worst = max(worst, abs(lx[2 * p + 1] - fd) / max(abs(fd), 1e-6))
                 fd = fd4(lambda x: one_step_cost(t, pi, x, theta, cfg, w)[0], a.copy(), p, h)
@@ -285,8 +309,13 @@ class TestCriterion5SolverProperties:
             f"|grad|_inf = {g_inf:.2e} by finite differences",
         )
 
-    def test_space_time_consistency_halves_with_step(self):
+    def test_space_time_consistency_within_ten_time_steps(self):
+        # Each space step is the exact arc of its held control, so the plan's
+        # own clock carries no discretization error in ds; what is left is
+        # the time-domain resimulation's own Euler step and its control
+        # lookup, a few dt. The gap is bounded by 10 dt at both resolutions.
         scen0 = load_scenario(resolve_scenario_path("collector"))
+        dt = 0.0005
         discrepancy = {}
         for ds in (0.2, 0.1):
             scen = override_ds(scen0, ds)
@@ -296,22 +325,19 @@ class TestCriterion5SolverProperties:
                 scen.solver_options, targets=targets,
             )
             assert rep.converged
-            traces = resimulate_time_domain(
-                rep.states, rep.controls, scen.profile, ds, dt=0.0005
-            )
+            traces = resimulate_time_domain(rep.states, rep.controls, scen.profile, ds, dt=dt)
             worst = 0.0
             for i, tr in enumerate(traces):
                 t_end = float(np.interp(800.0, tr["position"], tr["time"]))
                 worst = max(worst, abs(t_end - rep.states.arrival_times[i, -1]))
             discrepancy[ds] = worst
-        ratio = discrepancy[0.2] / discrepancy[0.1]
-        ok = 1.5 <= ratio <= 2.5
+        ok = max(discrepancy.values()) <= 10 * dt
         report(
             5,
             "space/time-domain consistency",
             ok,
-            f"arrival discrepancy {discrepancy[0.2]:.4f} s at ds=0.2 vs "
-            f"{discrepancy[0.1]:.4f} s at ds=0.1 (ratio {ratio:.2f})",
+            f"arrival discrepancy {discrepancy[0.2]:.4f} s at ds=0.2 and "
+            f"{discrepancy[0.1]:.4f} s at ds=0.1 (bound {10 * dt:.3f} s)",
         )
 
     def test_equilibrium_fixed_point(self):

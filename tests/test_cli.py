@@ -450,35 +450,35 @@ class TestCompare:
 PRESET_FINGERPRINTS = {
     "collector": {
         "csv_sha256": (
-            "7f4973e75345b37ace6f755bd4405c38884cc3d04f0260e12369711037499bf1",
-            "18b0b44b0a4bf37f5df44b1d0a32b85083f38e3acb641ab52637d2a9cf4a5934",
-            "719efd6573b147c6a9fcabb4f53be919b287d113d78fcbc03eb0b5d6a14753fc",
-            "e747d92a0addeea3baaecb00613763fcdddd778f2ddd5a49365ce1eadf07365e",
+            "1425eff50c2284379a13d88adc685baeef8a555e14fafd62c038dd22814d60e7",
+            "026e1d7ccee3b1000105045e9da76d03eba9969aa807aca18c9ba58abcf1b241",
+            "6538a41425fc6b326b1f87248b7672a88bfc8dd3059541c73b8e492283f26e67",
+            "8a77c787e40b811bb42c43ebe47a56b8edb50d821d769deb7d29fdb9d2d3f758",
         ),
-        "calls": {"backward_pass": 17, "forward_pass": 27},
-        "levels": [(320, 11, 12, 0, 24), (1600, 2, 3, 0, 2), (8000, 1, 2, 0, 1)],
-        "solve": {"iterations": 1, "coarse_iterations": 13},
-        "savings_pct": 50.52,
+        "calls": {"backward_pass": 14, "forward_pass": 24},
+        "levels": [(320, 10, 10, 0, 20), (1600, 2, 3, 0, 4), (8000, 0, 1, 0, 0)],
+        "solve": {"iterations": 0, "coarse_iterations": 12},
+        "savings_pct": 50.48,
     },
     "major_arterial": {
         "csv_sha256": (
-            "ac1df577b15a1124fdb4dd2915d00c9ec600679e43fecb7a28603c9680ad9403",
-            "c50fbb8c399bb580611bd0987f74204825b13b849f36ec96e17a40aed3859ab4",
-            "b1785345c16aa6a9afebfd9ce8b38b9108ea164af42c920563f1cfe51ae52ea5",
-            "59cc66a130a077f54e83867b94fa26a354344645252a6e1c7bd1d42d7d205961",
+            "8e5fbd8a1ba976e66cacf5afe5b6152a917c478bce1f93b253f2b5ed37d0374b",
+            "a5e4eef07dd0d0eaf72e8682bb581a7c0f73cf5a47f4238c6f7ceadaf6aba993",
+            "871aa1bbdf83dd19348893f846d9538fa3fa8243925e4c8a3c941c5527474f3b",
+            "2b50ada9954acb91c4ba9489add86632512828dcbfd68d3c6a17138894805a00",
         ),
-        "calls": {"backward_pass": 25, "forward_pass": 60},
-        "levels": [(320, 20, 21, 0, 58), (1600, 1, 2, 0, 1), (8000, 1, 2, 0, 1)],
-        "solve": {"iterations": 1, "coarse_iterations": 21},
+        "calls": {"backward_pass": 27, "forward_pass": 69},
+        "levels": [(320, 23, 24, 0, 68), (1600, 1, 2, 0, 1), (8000, 0, 1, 0, 0)],
+        "solve": {"iterations": 0, "coarse_iterations": 24},
         "savings_pct": 23.80,
     },
 }
 PINNED_CSVS = ("trajectories.csv", "fuel_series.csv", "speed_series.csv", "segment_deltas.csv")
 # The sha256 of each CSV of `stability --scenario collector --ds 1.0`.
 STABILITY_SHA256 = {
-    "gamma.csv": "941ec77e62cc37b8595f37dfc89d79440c5876abdba4e5c43c5ed0d7f728e48d",
-    "deviations.csv": "a99787590e950e7470b259fcfb1d2ba196e78e6e13ab533aa311acf670232293",
-    "following_errors.csv": "ab3f10441633d2c2a8b4ced7ddd99b98e48aa919750f618b497cee15382c080a",
+    "gamma.csv": "c7bec6c460e2115848e8e494eebd0d80c86159c4d890bd7bd14f80849f55ddc2",
+    "deviations.csv": "bf0268a1899283a1374cd917d5e36d06959a55199acb03904ff0b9c1deb70b19",
+    "following_errors.csv": "5cfbb562d2d8b1230e8c9f885abf342f830a18fe11a9750557c9847d83e495c6",
 }
 
 
