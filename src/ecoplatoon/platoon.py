@@ -18,9 +18,12 @@ positive-slowness domain only when braking stops the vehicle within it,
 own whole number of ds: step k then has length ds * grid[k] and starts
 ds * (grid[0] + ... + grid[k-1]) from the start of the plan. Every formula
 here is elementwise in that length, and a grid of ones is the uniform grid
-of ds bit for bit. ``rollout_steps`` is the one loop that steps these
-dynamics: ``rollout`` runs it open loop and the solver's forward pass under
-a feedback law, clamped to the acceleration box when a trial leaves it.
+of ds bit for bit. ``rollout_steps`` is the one place these dynamics are
+rolled out. An open loop (``rollout``, and each solve's starting plan) is
+two prefix sums over the steps, v^2 and t, since with the controls known up
+front each is a running sum. Only a feedback law, the solver's forward
+pass, steps the dynamics one step at a time, clamped to the acceleration
+box when a trial leaves it.
 
 Everything here is a pure function over value types; concurrent evaluation
 of independent rollouts is safe.
@@ -226,7 +229,7 @@ def rollout(t0, pi0, accels, ds, grid=None) -> PlatoonState:
 
 
 def rollout_steps(t0, pi0, accels, ds, grid=None, law=None, box=None):
-    """The space-domain dynamics stepped K times from (t0, pi0): the one per-step loop.
+    """The space-domain dynamics over K steps from (t0, pi0): every rollout of the package.
 
     Step k has length h = ds * grid[k] (``grid`` None: ds). Without a
     ``law`` the controls are ``accels`` (N, K) as given. A law is a tuple
@@ -238,7 +241,7 @@ def rollout_steps(t0, pi0, accels, ds, grid=None, law=None, box=None):
     taken, so the states are those of the clamped controls. Returns
     contiguous (times (N, K+1), slownesses (N, K+1), controls (N, K)), or
     None when a slowness leaves the positive domain; the domain is checked
-    once, after the loop, and no input is checked.
+    once, after the rollout, and no input is checked.
 
     Each step is the exact motion under its held control, a
     constant-acceleration arc: v'^2 = v^2 + 2 a h, so
@@ -246,23 +249,81 @@ def rollout_steps(t0, pi0, accels, ds, grid=None, law=None, box=None):
         pi' = 1 / v' = pi / sqrt(1 + 2 a h pi^2)
         t'  = t + 2 h / (v + v') = t + 2 h pi / (1 + sqrt(1 + 2 a h pi^2))
 
-    in forms without cancellation at a = 0. The loop carries v^2 and v
-    beside the state, one row per step, so a step is seven calls: 2 h a,
-    v'^2, its root v', pi' = 1 / v', v + v', 2 h / (v + v') and t'. A step
-    leaves the domain only when braking stops the vehicle within it,
-    v^2 + 2 a h <= 0: v' is then NaN or 0 and pi' NaN or inf.
+    in forms without cancellation at a = 0. A step leaves the domain only
+    when braking stops the vehicle within it, v^2 + 2 a h <= 0: v' is then
+    NaN or 0 and pi' NaN or inf.
 
-    With a ``box`` the controls are rolled out unclamped first. The clamp
-    is the identity inside the box, so the rollout up to the first step
-    whose control leaves the box (or is NaN) is the clamped rollout bit for
-    bit, and only the steps from there on are rolled out again, clamped,
-    from the v^2, v and state stored at that step.
+    An open loop is two prefix sums (``_open_loop``): with the controls
+    known up front, v_k^2 = v_0^2 + sum_j 2 h_j a_j and
+    t_k = t_0 + sum_j 2 h_j / (v_j + v_j+1), each a sequential left fold
+    of the same elementwise operations the step takes, so its result is
+    that of stepping bit for bit. Only a feedback law steps (``_roll``),
+    since each control reads the state before it.
+    """
+    n, k_steps = accels.shape
+    twice = 2.0 * ds * step_multiples(grid, k_steps)  # 2 h, (K,)
+    # a step that stops a vehicle takes the root of a negative v'^2 or
+    # divides by v' = 0; the domain check below rejects it, so silence it
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if law is None:
+            plan = _open_loop(t0, pi0, accels, twice, box)
+        else:
+            plan = _closed_loop(t0, pi0, accels, twice, law, box)
+    slows = plan[1]
+    if not np.all(np.isfinite(slows)) or np.any(slows <= 0.0):
+        return None
+    return plan
+
+
+def _open_loop(t0, pi0, accels, twice, box):
+    """``rollout_steps`` without a law, in a fixed number of whole-array calls.
+
+    Each (N, K+1) row is one vehicle. The box clamps every control at once;
+    v^2 is ``np.add.accumulate`` of [v_0^2, 2 h a] along the steps, v' its
+    root, pi' = 1 / v', and t is ``np.add.accumulate`` of
+    [t_0, 2 h / (v + v')]. ``add.accumulate`` adds left to right, each
+    partial sum rounded before the next term is added, as a step does.
+    """
+    controls = np.array(accels, order="C")
+    if box is not None:
+        a_min, a_max = box
+        np.minimum(controls, a_max[:, None], out=controls)
+        np.maximum(controls, a_min[:, None], out=controls)
+    n, k_steps = controls.shape
+    times = np.empty((n, k_steps + 1))
+    slows = np.empty((n, k_steps + 1))
+    speeds = np.empty((n, k_steps + 1))
+    squares = np.empty((n, k_steps + 1))
+    np.reciprocal(pi0, speeds[:, 0])
+    np.multiply(speeds[:, 0], speeds[:, 0], squares[:, 0])
+    np.multiply(controls, twice, squares[:, 1:])  # 2 h a
+    np.add.accumulate(squares, axis=1, out=squares)  # v'^2 = v^2 + 2 h a
+    np.sqrt(squares[:, 1:], speeds[:, 1:])
+    slows[:, 0] = pi0
+    np.reciprocal(speeds[:, 1:], slows[:, 1:])  # pi' = 1 / v'
+    times[:, 0] = t0
+    np.add(speeds[:, :-1], speeds[:, 1:], times[:, 1:])
+    np.divide(twice, times[:, 1:], times[:, 1:])  # 2 h / (v + v')
+    np.add.accumulate(times, axis=1, out=times)  # t' = t + 2 h / (v + v')
+    return times, slows, controls
+
+
+def _closed_loop(t0, pi0, accels, twice, law, box):
+    """``rollout_steps`` under a feedback law, one step at a time (``_roll``).
 
     The loop runs in the row-major interleaved state x = [t1, pi1, ..., tN,
-    piN], the layout of the gains. Each step reads row views that numpy
-    makes in C by iterating the buffers and writes through positional
-    outputs into preallocated rows, which changes where a result lands,
-    not the operations that make it.
+    piN], the layout of the gains, and carries v^2 and v beside it, one row
+    per step, so a step is seven calls: 2 h a, v'^2, its root v',
+    pi' = 1 / v', v + v', 2 h / (v + v') and t'. Each step reads row views
+    that numpy makes in C by iterating the buffers and writes through
+    positional outputs into preallocated rows, which changes where a result
+    lands, not the operations that make it.
+
+    With a ``box`` the law is rolled out unclamped first. The clamp is the
+    identity inside the box, so the rollout up to the first step whose
+    control leaves the box (or is NaN) is the clamped rollout bit for bit,
+    and only the steps from there on are rolled out again, clamped, from
+    the v^2, v and state stored at that step.
     """
     n, k_steps = accels.shape
     x = np.empty((k_steps + 1, 2 * n))
@@ -273,37 +334,27 @@ def rollout_steps(t0, pi0, accels, ds, grid=None, law=None, box=None):
     squares = np.empty((k_steps + 1, n))
     np.reciprocal(slows[0], speeds[0])
     np.multiply(speeds[0], speeds[0], squares[0])
-    twice = np.repeat(2.0 * ds * step_multiples(grid, k_steps)[:, None], n, axis=1)  # 2 h
-    if law is None:
-        base = accels.T
-        x_ref = gains = x  # zipped, never read
-    else:
-        reference, gains, feedforward = law
-        base = accels.T + feedforward
-        x_ref = np.empty_like(x)
-        x_ref[:, 0::2] = reference.arrival_times.T
-        x_ref[:, 1::2] = reference.slownesses.T
+    reference, gains, feedforward = law
+    base = accels.T + feedforward
+    x_ref = np.empty_like(x)
+    x_ref[:, 0::2] = reference.arrival_times.T
+    x_ref[:, 1::2] = reference.slownesses.T
     controls = np.array(base, order="C")  # the step's control rows, written in place
+    twice = np.repeat(twice[:, None], n, axis=1)
     rows = (x, x_ref, gains, controls, twice, times, slows, speeds, squares)
-    feedback = law is not None
-    # a step that stops a vehicle takes the root of a negative v'^2 or
-    # divides by v' = 0; the domain check below rejects it, so silence it
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        _roll(0, rows, feedback, None)
-        if box is not None:
-            a_min, a_max = box
-            outside = ~((controls >= a_min) & (controls <= a_max)).all(axis=1)
-            if outside.any():
-                first = int(np.argmax(outside))
-                controls[first:] = base[first:]
-                _roll(first, rows, feedback, box)
-    if not np.all(np.isfinite(slows)) or np.any(slows <= 0.0):
-        return None
+    _roll(0, rows, None)
+    if box is not None:
+        a_min, a_max = box
+        outside = ~((controls >= a_min) & (controls <= a_max)).all(axis=1)
+        if outside.any():
+            first = int(np.argmax(outside))
+            controls[first:] = base[first:]
+            _roll(first, rows, box)
     return tuple(np.ascontiguousarray(a.T) for a in (times, slows, controls))
 
 
-def _roll(start, rows, feedback, box):
-    """Step ``rollout_steps``'s rows in place from step ``start`` on, clamped to ``box`` if set."""
+def _roll(start, rows, box):
+    """Step ``_closed_loop``'s rows in place from step ``start`` on, clamped to ``box`` if set."""
     x, x_ref, gains, controls, twice, times, slows, speeds, squares = rows
     n = controls.shape[1]
     dx = np.empty(2 * n)
@@ -317,9 +368,8 @@ def _roll(start, rows, feedback, box):
         times[start:], times[nxt:], slows[nxt:], speeds[start:], speeds[nxt:],
         squares[start:], squares[nxt:],
     ):
-        if feedback:
-            np.subtract(x_k, xr_k, dx)
-            u_k += gain.dot(dx)
+        np.subtract(x_k, xr_k, dx)
+        u_k += gain.dot(dx)
         if clamp:
             np.minimum(u_k, a_max, out=u_k)
             np.maximum(u_k, a_min, out=u_k)

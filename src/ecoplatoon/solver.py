@@ -64,8 +64,10 @@ of the controls on the box. The control Hessian is made positive definite
 with a Levenberg shift that grows on failure; its Cholesky test runs once
 per chunk, on the chunk's whole Q_uu stack after the sweep has passed it,
 and names the highest failing step, as a per-step test would; a Q_uu with
-an inf or NaN entry fails it too. The forward rollout is ``platoon.rollout_steps``, the package's one
-per-step loop of the dynamics, under the backward pass's affine law.
+an inf or NaN entry fails it too. A Gauss-Newton pass builds no curvature
+buffer. The forward rollout is ``platoon.rollout_steps`` under the backward
+pass's affine law, the package's one per-step loop of the dynamics; each
+level's open-loop start is the same function's two prefix sums.
 
 The backward sweep does only its arithmetic: each step reads row views
 that numpy makes in C by iterating the sweep's buffers, adds in place into
@@ -107,6 +109,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -450,12 +453,14 @@ def _sweep(
     # nonzero entries ``bend_at`` views as (chunk, 3, 2, N): row r and
     # column c of vehicle i at (r N + i, 2 i + c). A step's terms are then
     # one product with the value buffer's gradient row (contiguous, unlike
-    # the column) into ``bent``, added into Q_xx, Q_ux and Q_uu.
-    bend = np.zeros((chunk, 3 * n, dim))
-    item = bend.itemsize
-    bend_at = as_strided(
-        bend, (chunk, 3, 2, n), (bend.strides[0], n * dim * item, item, (dim + 2) * item)
-    )
+    # the column) into ``bent``, added into Q_xx, Q_ux and Q_uu. A
+    # Gauss-Newton pass reads no curvature, so it builds no such buffer.
+    if use_second_order:
+        bend = np.zeros((chunk, 3 * n, dim))
+        item = bend.itemsize
+        bend_at = as_strided(
+            bend, (chunk, 3, 2, n), (bend.strides[0], n * dim * item, item, (dim + 2) * item)
+        )
     grad = value[one, :dim]
     bent = np.empty(3 * n)
     bent_pp, bent_ap, bent_aa = bent[:n], bent[n : 2 * n], bent[2 * n :]
@@ -508,11 +513,15 @@ def _sweep(
             jac_ta[:m] = t_a
             jac_g[:m] = g
             jac_fu[:m] = fu_c
-            bend_at[:m] = curv.transpose(2, 0, 1, 3)
             down = slice(m - 1, None, -1)  # steps hi - 1 down to lo
+            if use_second_order:
+                bend_at[:m] = curv.transpose(2, 0, 1, 3)
+                bends = bend[down]
+            else:
+                bends = repeat(None, m)
             for fk, fk_t, qk, qpp, qup, quu, bend_k, q_uu, rhs, rhs_t, upper, step, mark in zip(
                 jac[down], jac_t[down], blocks[down], q_pp[down], q_up[down], u_u[down],
-                bend[down], control_hessians[down], rhs_rows[down],
+                bends, control_hessians[down], rhs_rows[down],
                 rhs_t_rows[down], upper_rows[down], solved[down], marks[at][::-1].tolist(),
             ):
                 # ndarray.dot rather than @: on blocks this small it costs

@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_config, one_step_rollout, receding_grid
+from ecoplatoon import platoon as platoon_mod
 from ecoplatoon.errors import ConfigError, IntegrationError, StallError
 from ecoplatoon.platoon import (
     ControlTrajectory,
@@ -495,6 +497,60 @@ def arc_recurrence(t0, pi0, accels, lengths):
     return np.array(times).T, np.array(slows).T
 
 
+def zero_law(n, k_steps):
+    """A feedback law that adds nothing: zero reference, gains and feedforward.
+
+    Under it ``rollout_steps`` steps its per-step loop on the given controls,
+    the oracle for the open-loop prefix sums.
+    """
+    zeros = np.zeros((n, k_steps + 1))
+    reference = SimpleNamespace(arrival_times=zeros, slownesses=zeros)
+    return reference, np.zeros((k_steps, n, 2 * n)), np.zeros((k_steps, n))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    k_steps=st.integers(min_value=1, max_value=600),
+    grid_kind=st.sampled_from(["uniform", "random", "receding"]),
+    ds=st.sampled_from([0.1, 0.5, 1.0]),
+    boxed=st.booleans(),
+    spoil=st.sampled_from([None, "braking", "nan"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_open_loop_is_the_stepped_loop_bit_for_bit(n, k_steps, grid_kind, ds, boxed, spoil, seed):
+    # the open loop's two prefix sums against the per-step loop under a law
+    # that adds nothing: the same times and slownesses to the last bit, or
+    # None from both. A tenth of the controls are +0.0 or -0.0; a braking
+    # input stops a vehicle within its step unless the box clamps it
+    rng = np.random.default_rng(seed)
+    grid = {
+        "uniform": None,
+        "random": rng.integers(1, 6, size=k_steps),
+        "receding": receding_grid(k_steps) if k_steps >= 4 else None,
+    }[grid_kind]
+    accels = rng.uniform(-1.5, 1.5, size=(n, k_steps))
+    zero = rng.random((n, k_steps)) < 0.1
+    accels[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    if spoil is not None:
+        accels[rng.integers(n), rng.integers(k_steps)] = -1e4 if spoil == "braking" else np.nan
+    box = (-rng.uniform(0.2, 2.0, size=n), rng.uniform(0.2, 2.0, size=n)) if boxed else None
+    t0 = rng.uniform(-5.0, 5.0, size=n)
+    pi0 = 1.0 / rng.uniform(3.0, 30.0, size=n)
+    with np.errstate(invalid="raise", divide="raise", over="raise"):  # silenced inside
+        got = rollout_steps(t0, pi0, accels, ds, grid, box=box)
+        want = rollout_steps(t0, pi0, accels, ds, grid, law=zero_law(n, k_steps), box=box)
+    assert (got is None) == (want is None)
+    if spoil == "nan" or (spoil == "braking" and not boxed):
+        assert got is None
+    if got is None:
+        return
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.array_equal(got[2], want[2])  # the law's + 0.0 may flip a -0.0
+    assert all(a.flags.c_contiguous for a in got)
+
+
 class TestRollout:
     @pytest.mark.parametrize("receding", [False, True])
     def test_box_clamps_each_control_before_its_step(self, rng, receding):
@@ -509,6 +565,18 @@ class TestRollout:
         assert np.any(clipped != accels)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("box", [None, (np.full(5, -0.3), np.full(5, 0.3))])
+    def test_open_loop_never_steps(self, monkeypatch, rng, box):
+        # an open-loop rollout is two prefix sums: it never enters the
+        # per-step loop, even at K = 8000 and with a box that clamps
+        def stepped(*args):
+            raise AssertionError("an open-loop rollout entered _roll")
+
+        monkeypatch.setattr(platoon_mod, "_roll", stepped)
+        accels = rng.uniform(-0.5, 0.5, size=(5, 8000))
+        plan = rollout_steps(-1.1 * np.arange(5), np.full(5, 0.05), accels, 0.1, box=box)
+        assert plan is not None and plan[1].shape == (5, 8001)
 
     def test_matches_repeated_steps_bitwise(self, rng):
         accels = rng.uniform(-1.0, 1.0, size=(3, 300))

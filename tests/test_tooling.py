@@ -111,20 +111,33 @@ def test_only_the_constraints_module_builds_al_state():
 
 
 def test_only_the_platoon_module_steps_the_dynamics():
-    # platoon.rollout_steps is the one per-step loop of the space-domain
-    # dynamics: the open-loop rollout and the solver's forward pass both run
-    # it, so the arc's step, the root of the carried v'^2 written into its
-    # row of speeds, appears once
+    # platoon.rollout_steps is the one rollout of the space-domain dynamics,
+    # so the arc's root of v'^2 written into an output appears in platoon.py
+    # only, once in each of its two forms: the block form, which takes the
+    # root of the whole (N, K) prefix sum of an open loop, and the row form,
+    # the per-step loop a feedback law runs
     found = []
     for path in sorted(Path(ecoplatoon.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        spans = [
+            (node.lineno, node.end_lineno, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
                 and ast.unparse(node.func) in ("np.sqrt", "numpy.sqrt")
                 and (len(node.args) > 1 or any(k.arg == "out" for k in node.keywords))
             ):
-                found.append(f"{path.name}: np.sqrt into an output")
-    assert found == ["platoon.py: np.sqrt into an output"]
+                # the innermost function around the call
+                inside = [s for s in spans if s[0] <= node.lineno <= s[1]]
+                name = max(inside)[2] if inside else "<module>"
+                found.append(f"{path.name}:{name}: np.sqrt into an output")
+    assert sorted(found) == [
+        "platoon.py:_open_loop: np.sqrt into an output",
+        "platoon.py:_roll: np.sqrt into an output",
+    ]
 
 
 def test_only_the_errors_module_tests_number_types():
